@@ -204,30 +204,28 @@ def cmd_integrate(cfg: RunConfig) -> int:
         raise ConfigError(f"z0 must have length {dim} for system {cfg.system!r}")
     advance, jacobian = _build_step_maps(bundle, cfg, cfg.tau)
 
-    header = "step,t," + ",".join(f"z{i + 1}" for i in range(dim)) + ",residual"
-    lines = [header]
-    z = z0
-    lines.append(f"0,{_fmt(cfg.t0)}," + ",".join(_fmt(v) for v in z) + ",")
-    failure = None
-    for k in range(cfg.steps):
-        t_k = cfg.t0 + k * cfg.tau
-        try:
-            jac = jacobian(z, t_k)
-            z_next = advance(z, t_k)
-            residual = symplectic_residual(bundle.system, jac, z, t_k, z_next, t_k + cfg.tau)
-        except (StepFailure, BirkhoffError) as exc:
-            failure = (k, exc)
-            break
-        z = z_next
-        lines.append(
-            f"{k + 1},{_fmt(t_k + cfg.tau)},"
-            + ",".join(_fmt(v) for v in z)
-            + f",{_fmt(residual)}"
+    def certify(z, t_k, z_next):
+        return symplectic_residual(
+            bundle.system, jacobian(z, t_k), z, t_k, z_next, t_k + cfg.tau
         )
+
+    failure = None
+    try:
+        traj = stepper.run(advance, z0, cfg.t0, cfg.tau, cfg.steps, certify=certify)
+    except BirkhoffError as exc:
+        failure, traj = exc, exc.trajectory
+
+    header = "step,t," + ",".join(f"z{i + 1}" for i in range(dim)) + ",residual"
+    lines = [header, f"0,{_fmt(cfg.t0)}," + ",".join(_fmt(v) for v in z0) + ","]
+    for k, (z, residual) in enumerate(zip(traj.states[1:], traj.residuals)):
+        # the row time stays t_k + tau, which can differ from traj.time(k + 1)
+        # in the last bit
+        t = cfg.t0 + k * cfg.tau + cfg.tau
+        lines.append(f"{k + 1},{_fmt(t)}," + ",".join(_fmt(v) for v in z) + f",{_fmt(residual)}")
     _write_text(cfg.out, "\n".join(lines) + "\n")
     if failure is not None:
-        k, exc = failure
-        print(f"step {k} failed at t={cfg.t0 + k * cfg.tau}: {exc}", file=sys.stderr)
+        k = failure.step_index
+        print(f"step {k} failed at t={cfg.t0 + k * cfg.tau}: {failure}", file=sys.stderr)
         return EXIT_STEP_FAILURE
     return EXIT_OK
 

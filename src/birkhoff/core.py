@@ -12,6 +12,7 @@ form is ``K dz/dt + D = 0`` with ``D = -(grad B + dF/dt)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -23,7 +24,10 @@ from .errors import EvaluationError, RegularityError
 
 Array = np.ndarray
 
-REGULARITY_THRESHOLD = 1e-10
+# a square matrix M counts as nonsingular when |det(M / max|M|)| > DET_TOLERANCE
+DET_TOLERANCE = 1e-12
+_LOG_DET_TOLERANCE = math.log(DET_TOLERANCE)
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 class SystemKind(str, Enum):
@@ -165,17 +169,39 @@ def k_from_f(sys: BirkhoffSystem, p: PhasePoint) -> Array:
     return 0.5 * (k - k.T)
 
 
-def regularity(sys: BirkhoffSystem, p: PhasePoint, threshold: float = REGULARITY_THRESHOLD):
-    """Determinant of K at p and whether it clears the regularity threshold."""
-    det = float(np.linalg.det(sys.k_at(p.z, p.t)))
-    return det, abs(det) > threshold
+def _nonsingular(mat: Array, det: float) -> bool:
+    """:func:`det_nonzero` reusing det M, unless det M is not a normal float."""
+    scale = float(np.abs(mat).max())
+    if not 0.0 < scale < math.inf:
+        return False
+    if not _NORMAL_MIN <= abs(det) < math.inf:
+        return abs(float(np.linalg.det(mat / scale))) > DET_TOLERANCE
+    # log form: max|M|^d itself may overflow or underflow
+    return math.log(abs(det)) > _LOG_DET_TOLERANCE + mat.shape[0] * math.log(scale)
+
+
+def det_nonzero(mat: Array) -> bool:
+    """Whether |det(M / max|M|)| > DET_TOLERANCE for the square matrix M.
+
+    Unchanged when M is scaled, at any magnitude, unlike a test of |det M|
+    alone; a zero or non-finite matrix counts as singular.
+    """
+    mat = np.asarray(mat, dtype=float)
+    return _nonsingular(mat, float(np.linalg.det(mat)))
+
+
+def regularity(sys: BirkhoffSystem, p: PhasePoint):
+    """Determinant of K at p and whether K passes :func:`det_nonzero`."""
+    k = sys.k_at(p.z, p.t)
+    det = float(np.linalg.det(k))
+    return det, _nonsingular(k, det)
 
 
 def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
     """Phase velocity K^{-1} (grad B + dF/dt) without phase-point wrapping."""
     k = sys.k_at(z, t)
     det = float(np.linalg.det(k))
-    if abs(det) <= REGULARITY_THRESHOLD:
+    if not _nonsingular(k, det):
         raise RegularityError(f"structure matrix singular at t={t}: |det| = {abs(det):.3e}")
     return np.linalg.solve(k, sys.rhs_at(z, t))
 

@@ -17,10 +17,9 @@ import numpy as np
 from . import numdiff
 from .core import BirkhoffSystem
 from .genscheme import GeneratingScheme
-from .stepper import Trajectory, step_jacobian
+from .stepper import StepMap, Trajectory, run, step_jacobian
 
 Array = np.ndarray
-StepMap = Callable[[Array, float], Array]
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +57,11 @@ def symplectic_residual(
     return float(np.linalg.norm(M.T @ sys.k_at(z_new, t1) @ M - sys.k_at(z, t0), np.inf))
 
 
+def fit_slope(tau_values: Sequence[float], errors: Sequence[float]) -> float:
+    """Least-squares slope of log(error) against log(tau)."""
+    return float(np.polyfit(np.log(np.asarray(tau_values)), np.log(np.asarray(errors)), 1)[0])
+
+
 def convergence_order(
     sys: BirkhoffSystem,
     scheme_factory: Callable[[float], StepMap],
@@ -80,7 +84,6 @@ def convergence_order(
         raise ValueError("need at least 3 step sizes to fit a slope")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau values must be strictly decreasing")
-    z0 = np.asarray(z0, dtype=float)
 
     errors = []
     for tau in taus:
@@ -88,14 +91,10 @@ def convergence_order(
         n_steps = round(ratio)
         if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
             raise ValueError(f"horizon {horizon} is not an integer multiple of tau {tau}")
-        advance = scheme_factory(tau)
-        z = z0
-        for k in range(n_steps):
-            z = advance(z, t0 + k * tau)
+        z = run(scheme_factory(tau), z0, t0, tau, n_steps).states[-1]
         errors.append(float(np.max(np.abs(z - reference(t0 + horizon)))))
 
-    slope = float(np.polyfit(np.log(taus), np.log(errors), 1)[0])
-    return ConvergenceReport(tuple(taus), tuple(errors), slope)
+    return ConvergenceReport(tuple(taus), tuple(errors), fit_slope(taus, errors))
 
 
 def compare(
@@ -112,26 +111,20 @@ def compare(
     Per step, the Jacobian is taken by solver-aware central differences of
     the step map and fed to :func:`symplectic_residual`; the row records
     the worst residual, the final-time error against ``reference`` (when
-    given) and the wall-clock time.  A failing scheme yields a row with
-    its error message instead of aborting the comparison.
+    given) and the wall-clock time.  A failing scheme, or a grid that
+    :func:`~birkhoff.stepper.run` rejects, yields a row with its error
+    message instead of aborting the comparison.
     """
-    z0 = np.asarray(z0, dtype=float)
     rows = []
     for name, advance in schemes.items():
+
+        def certify(z, t_k, z_next):
+            jac = numdiff.jacobian(lambda y: advance(y, t_k), z, base=numdiff.SOLVER_FD_STEP)
+            return symplectic_residual(sys, jac, z, t_k, z_next, t_k + tau)
+
         start = time.perf_counter()
-        max_residual = 0.0
-        z = z0
         try:
-            for k in range(n_steps):
-                t_k = t0 + k * tau
-                jac = numdiff.jacobian(
-                    lambda y: advance(y, t_k), z, base=numdiff.SOLVER_FD_STEP
-                )
-                z_next = advance(z, t_k)
-                max_residual = max(
-                    max_residual, symplectic_residual(sys, jac, z, t_k, z_next, t_k + tau)
-                )
-                z = z_next
+            traj = run(advance, z0, t0, tau, n_steps, certify=certify)
         except Exception as exc:  # recorded in-row, not fatal
             rows.append(
                 CompareRow(name, None, None, time.perf_counter() - start, error=str(exc))
@@ -139,14 +132,10 @@ def compare(
             continue
         final_error = None
         if reference is not None:
-            final_error = float(np.max(np.abs(z - reference(t0 + n_steps * tau))))
+            final_error = float(np.max(np.abs(traj.states[-1] - reference(t0 + n_steps * tau))))
+        max_residual = max((0.0,) + traj.residuals)
         rows.append(CompareRow(name, final_error, max_residual, time.perf_counter() - start))
     return rows
-
-
-def fit_slope(tau_values: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(tau)."""
-    return float(np.polyfit(np.log(np.asarray(tau_values)), np.log(np.asarray(errors)), 1)[0])
 
 
 def attach_residuals(

@@ -2,7 +2,15 @@
 
 
 class BirkhoffError(Exception):
-    """Base class for package-specific failures."""
+    """Base class for package-specific failures.
+
+    When raised inside :func:`birkhoff.stepper.run`, the error carries the
+    failing step index in ``step_index`` and the states (and residuals)
+    accepted before it in ``trajectory``; both are ``None`` otherwise.
+    """
+
+    step_index = None
+    trajectory = None
 
 
 class EvaluationError(BirkhoffError):
@@ -38,19 +46,13 @@ class NewtonError(BirkhoffError):
 
 
 class StepFailure(BirkhoffError):
-    """A one-step solve did not converge.
-
-    ``step_index`` and ``trajectory`` (the states accepted before the
-    failure) are attached when the failure happens inside ``integrate``.
-    """
+    """A one-step solve did not converge; carries the last iterate and residual norm."""
 
     def __init__(self, message: str, last_iterate, residual_norm: float, t: float):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual_norm = residual_norm
         self.t = t
-        self.step_index = None
-        self.trajectory = None
 
 
 class KindError(BirkhoffError):

@@ -16,6 +16,7 @@ the K-pairing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -30,6 +31,10 @@ from .transform import AlphaTransform
 Array = np.ndarray
 
 MAX_ORDER = 2
+# evaluations each memoized coefficient keeps before its cache is cleared
+MEMO_SIZE = 4096
+# rebased coefficient sets a generic scheme keeps, least recently used first out
+REBASE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,19 +108,12 @@ class GeneratingScheme:
         return GeneratingScheme(self.alpha, self.rebase(t0), self.order, self.rebase)
 
 
-def _identity_point(
-    alpha: AlphaTransform,
-    w: Array,
-    t0: float,
-    initial_guess: Optional[Array] = None,
-    tol: float = 1e-12,
-) -> Array:
-    """Solve ``alpha_2(zeta, zeta, t0, t0) = w`` for zeta by Newton.
+def _identity_point(alpha: AlphaTransform, w: Array, t0: float) -> Array:
+    """Solve ``alpha_2(zeta, zeta, t0, t0) = w`` for zeta by Newton from zero.
 
     The Newton Jacobian C + D comes from the blocks, exactly.
     """
     w = np.asarray(w, dtype=float)
-    guess = np.zeros_like(w) if initial_guess is None else np.asarray(initial_guess, dtype=float)
 
     def residual(zeta):
         _, a2 = alpha.forward(zeta, zeta, t0, t0)
@@ -126,23 +124,17 @@ def _identity_point(
         return c + d
 
     scale = max(1.0, float(np.max(np.abs(w))))
-    zeta, _, _ = newton_solve(residual, guess, jacobian=jac, tol=tol, scale=scale)
+    zeta, _, _ = newton_solve(residual, np.zeros_like(w), scale, jacobian=jac)
     return zeta
 
 
-def identity_generating(
-    alpha: AlphaTransform,
-    w: Array,
-    t0: float,
-    initial_guess: Optional[Array] = None,
-    tol: float = 1e-12,
-) -> Array:
+def identity_generating(alpha: AlphaTransform, w: Array, t0: float) -> Array:
     """Order-zero coefficient: the gradient map of the identity step.
 
     Solves ``alpha_2(zeta, zeta, t0, t0) = w`` for zeta and returns
     ``alpha_1(zeta, zeta, t0, t0)``.
     """
-    zeta = _identity_point(alpha, w, t0, initial_guess, tol)
+    zeta = _identity_point(alpha, w, t0)
     a1, _ = alpha.forward(zeta, zeta, t0, t0)
     return a1
 
@@ -176,7 +168,7 @@ def a_functional(
     return (a - s_matrix @ c) @ v + d_alpha1 - s_matrix @ d_alpha2
 
 
-def _memoized(fn, maxsize: int = 4096):
+def _memoized(fn):
     """Cache a vector -> array callable by the argument's byte image.
 
     The recursion re-evaluates lower-order coefficients many times at the
@@ -191,7 +183,7 @@ def _memoized(fn, maxsize: int = 4096):
         key = w.tobytes()
         hit = cache.get(key)
         if hit is None:
-            if len(cache) >= maxsize:
+            if len(cache) >= MEMO_SIZE:
                 cache.clear()
             hit = np.asarray(fn(w), dtype=float)
             cache[key] = hit
@@ -294,17 +286,10 @@ def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -
     re-solves a finite-difference step Jacobian performs at one grid point
     share their coefficient evaluations.
     """
-    cache: dict = {}
 
+    @functools.lru_cache(maxsize=REBASE_CACHE_SIZE)
     def rebase(s: float) -> CoefficientSet:
-        s = float(s)
-        hit = cache.get(s)
-        if hit is None:
-            if len(cache) > 1024:
-                cache.clear()
-            hit = coefficients(sys, alpha, s, m)
-            cache[s] = hit
-        return hit
+        return coefficients(sys, alpha, float(s), m)
 
     return assemble_psi(rebase(float(t0)), alpha, rebase=rebase)
 

@@ -7,17 +7,23 @@ import numpy as np
 from . import numdiff
 from .errors import NewtonError
 
+# Relative tolerance: converged when ``||r||_inf <= TOL * scale``, or when
+# the Newton increment satisfies ``||delta||_inf <= TOL * max(1, ||x||_inf)``
+# while the residual is already below ``sqrt(TOL) * scale``.  The increment
+# test accepts iterates whose residual sits at its evaluation-noise floor
+# (residuals built from finite-differenced quantities cannot reach
+# ``TOL * scale`` when their inputs carry noise above machine epsilon); the
+# cap keeps it from firing far from a root.
+TOL = 1e-12
+# Iteration cap; exceeding it raises NewtonError.  No damping or line search.
+MAX_ITER = 50
+# Extra updates applied after convergence while they still shrink the
+# residual.  Pushes the iterate to its roundoff floor, which matters when
+# the solved map is later differenced numerically.
+POLISH_UPDATES = 1
 
-def newton_solve(
-    residual,
-    x0,
-    jacobian=None,
-    tol=1e-12,
-    scale=None,
-    max_iter=50,
-    polish=1,
-    chord=False,
-):
+
+def newton_solve(residual, x0, scale, jacobian=None, chord=False):
     """Solve ``residual(x) = 0`` starting from ``x0``.
 
     Parameters
@@ -26,27 +32,12 @@ def newton_solve(
         Maps a length-d vector to a length-d residual vector.
     x0 : array
         Initial guess.
+    scale : float
+        Magnitude of the residual's terms; the convergence target is
+        ``TOL * scale``.
     jacobian : callable, optional
         Maps x to the d x d residual Jacobian; finite differences on
         ``residual`` when omitted.
-    tol : float
-        Relative tolerance: converged when ``||r||_inf <= tol * scale``,
-        or when the Newton increment satisfies
-        ``||delta||_inf <= tol * max(1, ||x||_inf)`` while the residual is
-        already below ``sqrt(tol) * scale``.  The increment test accepts
-        iterates whose residual sits at its evaluation-noise floor
-        (residuals built from finite-differenced quantities cannot reach
-        ``tol * scale`` when their inputs carry noise above machine
-        epsilon); the cap keeps it from firing far from a root.
-    scale : float, optional
-        Defaults to ``max(1, ||x0||_inf)``.
-    max_iter : int
-        Iteration cap; exceeding it raises :class:`NewtonError`.  No
-        damping or line search is attempted.
-    polish : int
-        Extra updates applied after convergence while they still shrink
-        the residual.  Pushes the iterate to its roundoff floor, which
-        matters when the solved map is later differenced numerically.
     chord : bool
         Reuse the Jacobian across iterations, recomputing only when an
         iteration fails to cut the residual by 4x.  Worth it when the
@@ -57,10 +48,8 @@ def newton_solve(
     (x, residual_norm, iterations)
     """
     x = np.array(x0, dtype=float)
-    if scale is None:
-        scale = max(1.0, float(np.max(np.abs(x)))) if x.size else 1.0
-    target = tol * scale
-    cap = np.sqrt(tol) * scale
+    target = TOL * scale
+    cap = np.sqrt(TOL) * scale
     jac_fn = jacobian if jacobian is not None else (lambda y: numdiff.jacobian(residual, y))
 
     def solve_update(mat, rhs, where):
@@ -87,7 +76,7 @@ def newton_solve(
     jac_mat = None
     jac_fresh = False
     while rnorm > target:
-        if iters >= max_iter:
+        if iters >= MAX_ITER:
             raise NewtonError("Newton iteration did not converge", x, rnorm, iters)
         if jac_mat is None:
             jac_mat = jac_fn(x)
@@ -98,7 +87,7 @@ def newton_solve(
         new_norm = inf_norm(r)
         iters += 1
         if (
-            float(np.max(np.abs(delta))) <= tol * max(1.0, float(np.max(np.abs(x))))
+            float(np.max(np.abs(delta))) <= TOL * max(1.0, float(np.max(np.abs(x))))
             and new_norm <= cap
         ):
             rnorm = new_norm
@@ -109,7 +98,7 @@ def newton_solve(
             jac_mat = None
         jac_fresh = False
 
-    for _ in range(polish):
+    for _ in range(POLISH_UPDATES):
         if rnorm == 0.0:
             break
         if jac_mat is None:

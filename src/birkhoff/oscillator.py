@@ -17,32 +17,12 @@ exact underdamped solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import BirkhoffSystem, SystemKind
 from .transform import AlphaTransform, scaled_canonical_alpha
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class DampedOscillator:
-    """Damping coefficient nu >= 0; nu < 2 keeps the oscillatory branch."""
-
-    nu: float = 0.5
-
-    def __post_init__(self):
-        if self.nu < 0:
-            raise ValueError("damping coefficient must be non-negative")
-        object.__setattr__(self, "nu", float(self.nu))
-
-    def system(self) -> BirkhoffSystem:
-        return oscillator_system(self.nu)
-
-    def alpha(self) -> AlphaTransform:
-        return oscillator_alpha(self.nu)
 
 
 def oscillator_system(nu: float) -> BirkhoffSystem:

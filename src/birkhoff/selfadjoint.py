@@ -26,6 +26,8 @@ Array = np.ndarray
 # sampled randomly (fixed seed) above it
 _EXHAUSTIVE_DIM = 8
 _SAMPLED_TRIPLES = 200
+# largest entry of grad B + D + dF/dt that reconstruct_b's check accepts
+_GRAD_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +158,6 @@ def reconstruct_b(
     p: PhasePoint,
     quad_nodes: int = 32,
     check: bool = True,
-    grad_tol: float = 1e-6,
 ) -> float:
     """Scalar B from the homotopy integral of D + dF/dt.
 
@@ -187,10 +188,10 @@ def reconstruct_b(
         # gradient needs the wider once-nested step
         grad = numdiff.gradient(b_value, p.z, base=numdiff.SOLVER_FD_STEP)
         resid = float(np.max(np.abs(grad + d_plus_ft(p.z, p.t))))
-        if resid > grad_tol:
+        if resid > _GRAD_TOL:
             raise InconsistencyError(
                 f"grad B does not match -(D + dF/dt): residual {resid:.3e} exceeds "
-                f"{grad_tol:.1e}; the input system is likely not self-adjoint"
+                f"{_GRAD_TOL:.1e}; the input system is likely not self-adjoint"
             )
     return value
 

@@ -7,26 +7,25 @@ One step solves the implicit relation
 for z_new by Newton iteration with a finite-difference residual Jacobian
 and an explicit-Euler predictor as initial guess.  Coefficients are
 re-expanded at each grid time through the scheme's rebase factory, so
-nonautonomous systems keep their stated order.
+nonautonomous systems keep their stated order.  :func:`run` is the one
+loop that walks a step map along the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import numdiff
 from .core import BirkhoffSystem, velocity
-from .errors import NewtonError, StepFailure
-from .genscheme import GeneratingScheme, assemble_psi, coefficients
+from .errors import BirkhoffError, NewtonError, StepFailure
+from .genscheme import GeneratingScheme
 from .newton import newton_solve
 
 Array = np.ndarray
-
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
+StepMap = Callable[[Array, float], Array]
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +33,8 @@ class Trajectory:
     """States on the uniform grid t_k = t0 + k * tau.
 
     ``residuals[k]``, when present, is the structure-preservation residual
-    of the step from state k to state k+1 (filled by diagnostics).
+    of the step from state k to state k+1 (filled by ``run`` with a
+    ``certify`` callable, or by ``diagnostics.attach_residuals``).
     """
 
     t0: float
@@ -64,23 +64,12 @@ class Trajectory:
         return self.t0 + self.tau * np.arange(len(self.states))
 
 
-def _scheme_at(sys: BirkhoffSystem, scheme: GeneratingScheme, t_k: float) -> GeneratingScheme:
-    """Scheme re-expanded at t_k; falls back to the generic recursion."""
-    if t_k == scheme.coefficients.t0:
-        return scheme
-    if scheme.rebase is not None:
-        return scheme.at(t_k)
-    return assemble_psi(coefficients(sys, scheme.alpha, t_k, scheme.order), scheme.alpha)
-
-
 def step(
     sys: BirkhoffSystem,
     scheme: GeneratingScheme,
     z: Array,
     t_k: float,
     tau: float,
-    newton_tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> Array:
     """Advance z from t_k to t_k + tau through the implicit relation.
 
@@ -90,7 +79,7 @@ def step(
     z = np.asarray(z, dtype=float)
     if tau == 0.0:
         return z.copy()
-    sch = _scheme_at(sys, scheme, t_k)
+    sch = scheme.at(t_k)
     alpha = sch.alpha
     t1 = t_k + tau
 
@@ -110,14 +99,52 @@ def step(
         float(np.max(np.abs(sch.psi_w(a2_guess, tau)))),
     )
     try:
-        z_new, _, _ = newton_solve(
-            residual, guess, tol=newton_tol, scale=scale, max_iter=max_iter, chord=True
-        )
+        z_new, _, _ = newton_solve(residual, guess, scale, chord=True)
     except NewtonError as exc:
         raise StepFailure(
             f"implicit step at t={t_k} failed: {exc}", exc.last_iterate, exc.residual_norm, t_k
         ) from exc
     return z_new
+
+
+def run(
+    advance: StepMap,
+    z0: Array,
+    t0: float,
+    tau: float,
+    n_steps: int,
+    certify: Optional[Callable[[Array, float, Array], float]] = None,
+) -> Trajectory:
+    """Apply ``advance(z, t_k)`` n_steps times on the grid t_k = t0 + k * tau.
+
+    With ``certify``, residual k of the returned trajectory is
+    ``certify(z_k, t_k, z_{k+1})``.  A :class:`BirkhoffError` raised at
+    step k leaves with ``step_index = k`` and ``trajectory`` holding the
+    states (and residuals) accepted before it.
+    """
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    states = [np.asarray(z0, dtype=float)]
+    residuals = None if certify is None else []
+
+    def trajectory():
+        return Trajectory(t0, tau, tuple(states), None if residuals is None else tuple(residuals))
+
+    for k in range(n_steps):
+        t_k = t0 + k * tau
+        z = states[-1]
+        try:
+            z_next = advance(z, t_k)
+            if certify is not None:
+                residuals.append(certify(z, t_k, z_next))
+        except BirkhoffError as exc:
+            exc.step_index = k
+            exc.trajectory = trajectory()
+            raise
+        states.append(z_next)
+    return trajectory()
 
 
 def integrate(
@@ -128,26 +155,8 @@ def integrate(
     tau: float,
     n_steps: int,
 ) -> Trajectory:
-    """Apply ``step`` n_steps times on the grid t_k = t0 + k * tau.
-
-    On step failure the raised :class:`StepFailure` carries the partial
-    trajectory and the failing step index.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    z0 = np.asarray(z0, dtype=float)
-    states = [z0]
-    for k in range(n_steps):
-        t_k = t0 + k * tau
-        try:
-            states.append(step(sys, scheme, states[-1], t_k, tau))
-        except StepFailure as exc:
-            exc.step_index = k
-            exc.trajectory = Trajectory(t0, tau, tuple(states))
-            raise
-    return Trajectory(t0, tau, tuple(states))
+    """Apply ``step`` n_steps times on the grid t_k = t0 + k * tau (see :func:`run`)."""
+    return run(lambda z, t_k: step(sys, scheme, z, t_k, tau), z0, t0, tau, n_steps)
 
 
 def step_jacobian(

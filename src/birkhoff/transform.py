@@ -15,13 +15,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import BirkhoffSystem
+from .core import BirkhoffSystem, det_nonzero
 from .errors import EvaluationError, TransversalityError
 
 Array = np.ndarray
 Blocks = Tuple[Array, Array, Array, Array]
-
-DET_TOLERANCE = 1e-12
 
 
 def canonical_j(dim: int) -> Array:
@@ -33,42 +31,6 @@ def canonical_j(dim: int) -> Array:
     j[:half, half:] = np.eye(half)
     j[half:, :half] = -np.eye(half)
     return j
-
-
-@dataclass(frozen=True, eq=False)
-class StructureMatrices:
-    """Constant pairings of the doubled phase space plus the K-pairing.
-
-    ``K`` is the structure-matrix callable (z, t) -> 2n x 2n of the
-    underlying system; ``ktilde`` assembles the block pairing
-    diag(K(z_new, t), -K(z_old, t0)).
-    """
-
-    n: int
-    K: Callable[[Array, float], Array]
-
-    @property
-    def j2n(self) -> Array:
-        return canonical_j(2 * self.n)
-
-    @property
-    def j4n(self) -> Array:
-        return canonical_j(4 * self.n)
-
-    @property
-    def jtilde4n(self) -> Array:
-        j = self.j2n
-        out = np.zeros((4 * self.n, 4 * self.n))
-        out[: 2 * self.n, : 2 * self.n] = j
-        out[2 * self.n :, 2 * self.n :] = -j
-        return out
-
-    def ktilde(self, z_new: Array, z_old: Array, t: float, t0: float) -> Array:
-        dim = 2 * self.n
-        out = np.zeros((2 * dim, 2 * dim))
-        out[:dim, :dim] = np.asarray(self.K(np.asarray(z_new, dtype=float), t), dtype=float)
-        out[dim:, dim:] = -np.asarray(self.K(np.asarray(z_old, dtype=float), t0), dtype=float)
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,15 +65,6 @@ class AlphaTransform:
         return np.block([[a, b], [c, d]])
 
 
-def det_nonzero(mat: Array, tol: float = DET_TOLERANCE) -> bool:
-    """Nonsingularity test on the max-norm-normalized matrix."""
-    mat = np.asarray(mat, dtype=float)
-    scale = float(np.max(np.abs(mat)))
-    if scale == 0.0 or not np.isfinite(scale):
-        return False
-    return abs(float(np.linalg.det(mat / scale))) > tol
-
-
 def alpha_verify(
     alpha: AlphaTransform,
     sys: BirkhoffSystem,
@@ -139,7 +92,7 @@ def sigma(blocks: Blocks, mat: Array) -> Array:
     """Matrix Moebius transform N = (A M + B)(C M + D)^{-1}.
 
     Raises :class:`TransversalityError` when C M + D is numerically
-    singular (normalized determinant below the tolerance).
+    singular (fails :func:`birkhoff.core.det_nonzero`).
     """
     a, b, c, d = (np.asarray(x, dtype=float) for x in blocks)
     mat = np.asarray(mat, dtype=float)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from birkhoff import exact_solution
+from birkhoff import (
+    attach_residuals,
+    exact_solution,
+    integrate,
+    make_scheme,
+    oscillator_alpha,
+    oscillator_system,
+)
 from birkhoff.cli import main
 
 NU = 0.5
@@ -96,6 +103,30 @@ class TestIntegrate:
         header, rows = read_csv(out)
         assert len(rows) == 1  # only the initial state was accepted
         assert "step 0 failed" in capsys.readouterr().err
+
+    def test_rows_equal_the_library_trajectory_bit_for_bit(self, tmp_path):
+        out = tmp_path / "g2.csv"
+        code = main(
+            [
+                "integrate",
+                "--scheme", "generating-2",
+                "--z0", "0.7,-1.3",
+                "--t0", "0.3",
+                "--tau", "0.1",
+                "--steps", "3",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        system = oscillator_system(NU)
+        scheme = make_scheme(system, oscillator_alpha(NU), 0.3, 2)
+        traj = integrate(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1, 3)
+        certified = attach_residuals(system, scheme, traj)
+        assert len(rows) == 4
+        for row, state in zip(rows, traj.states):
+            np.testing.assert_array_equal([float(v) for v in row[2:4]], state)
+        assert tuple(float(row[4]) for row in rows[1:]) == certified.residuals
 
     def test_closed_form_schemes_report_tiny_residuals(self, tmp_path):
         for scheme in ("closed-first", "closed-second"):

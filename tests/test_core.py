@@ -11,7 +11,9 @@ from birkhoff import (
     oscillator_system,
     regularity,
     vector_field,
+    velocity,
 )
+from birkhoff.core import det_nonzero
 
 NU = 0.5
 
@@ -116,6 +118,38 @@ class TestRegularity:
         det, regular = regularity(sys1, PhasePoint([1.0, 1.0]))
         assert det == 0.0
         assert not regular
+
+    def test_small_well_conditioned_matrix_is_regular(self):
+        # n = 2, K = 1e-3 J0: det K = 1e-12, yet K is a scaled rotation
+        k = 1e-3 * np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+        rhs = np.array([1.0, -2.0, 0.5, 3.0]) * 1e-3
+        sys2 = BirkhoffSystem(
+            n=2, F=lambda z, t: np.zeros(4), B=lambda z, t: 0.0,
+            K=lambda z, t: k, D=lambda z, t: -rhs,
+        )
+        det, regular = regularity(sys2, PhasePoint(np.ones(4)))
+        assert det == pytest.approx(1e-12, rel=1e-9)
+        assert regular
+        np.testing.assert_allclose(k @ velocity(sys2, np.ones(4), 0.0), rhs, atol=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
+    def test_velocity_where_det_k_overflows(self, osc_system):
+        # at t=800, K = e^{400} J0: det K is past the float range, K is regular
+        z = np.array([0.2, -1.0])
+        np.testing.assert_allclose(
+            velocity(osc_system, z, 800.0), velocity(osc_system, z, 0.0), rtol=1e-12, atol=1e-14
+        )
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
+    def test_nonsingularity_test_ignores_scale(self, rng):
+        regular = rng.uniform(-1, 1, (4, 4))
+        singular = regular.copy()
+        singular[3] = singular[0] + singular[1]
+        for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+            assert det_nonzero(scale * regular)
+            assert not det_nonzero(scale * singular)
+        assert not det_nonzero(np.full((2, 2), np.nan))
 
 
 class TestVectorField:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from birkhoff import (
-    DampedOscillator,
     PhasePoint,
     euler_center,
     exact_solution,
@@ -64,16 +63,11 @@ class TestOscillatorSystem:
         with pytest.raises(ValueError):
             oscillator_system(-0.1)
         with pytest.raises(ValueError):
-            DampedOscillator(-1.0)
+            oscillator_alpha(-1.0)
 
     def test_undamped_system_is_autonomous(self):
         assert oscillator_system(0.0).kind.value == "autonomous"
         assert oscillator_system(0.5).kind.value == "nonautonomous"
-
-    def test_dataclass_bundles_system_and_transform(self):
-        osc = DampedOscillator(NU)
-        assert osc.system().n == 1
-        assert osc.alpha().n == 1
 
 
 class TestClosedFormSchemes:

@@ -3,11 +3,13 @@ import pytest
 
 from birkhoff import (
     CoefficientSet,
+    EvaluationError,
     StepFailure,
     Trajectory,
     assemble_psi,
     exact_solution,
     integrate,
+    run,
     scheme_first_order,
     scheme_second_order,
     step,
@@ -54,6 +56,15 @@ class TestStep:
         z1 = step(osc_system, osc_scheme_m2, np.array([0.2, -1.0]), 2.0, 0.1)
         expected = scheme_second_order(NU, 0.1) @ np.array([0.2, -1.0])
         assert np.max(np.abs(z1 - expected)) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
+    def test_step_where_det_k_overflows(self, osc_system, osc_scheme_m2):
+        # at t=800, K = e^{400} J0 has a determinant past the float range,
+        # yet K is a scaled rotation and the step must go through; the
+        # coefficients re-expanded at that scale reach about 1e-6
+        z1 = step(osc_system, osc_scheme_m2, np.array([0.2, -1.0]), 800.0, 0.1)
+        expected = scheme_second_order(NU, 0.1) @ np.array([0.2, -1.0])
+        assert np.max(np.abs(z1 - expected)) <= 1e-5
 
 
 class TestIntegrate:
@@ -113,6 +124,42 @@ class TestIntegrate:
         assert failure.step_index == 3
         assert failure.trajectory.steps == 3
         np.testing.assert_array_equal(failure.trajectory.states[0], [1.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    def test_any_package_error_carries_partial_trajectory(self, osc_system, osc_scheme_m1):
+        # the time scaling overflows at t = 2000, before any Newton iteration
+        with pytest.raises(EvaluationError) as info:
+            integrate(osc_system, osc_scheme_m1, np.array([1.0, 0.0]), 0.0, 2000.0, 3)
+        assert info.value.step_index == 0
+        assert info.value.trajectory.steps == 0
+
+
+class TestRun:
+    def test_certify_fills_one_residual_per_step(self, osc_system):
+        mat = scheme_first_order(NU, 0.1)
+
+        def certify(z, t_k, z_next):
+            return symplectic_residual(osc_system, mat, z, t_k, z_next, t_k + 0.1)
+
+        traj = run(lambda z, t: mat @ z, np.array([1.0, 0.0]), 0.2, 0.1, 4, certify=certify)
+        assert traj.steps == 4
+        assert len(traj.residuals) == 4
+        assert max(traj.residuals) <= 1e-13
+        assert run(lambda z, t: mat @ z, np.array([1.0, 0.0]), 0.2, 0.1, 4).residuals is None
+
+    def test_failed_certificate_keeps_the_accepted_prefix(self):
+        def certify(z, t_k, z_next):
+            if t_k > 0.25:
+                raise EvaluationError("certificate failed")
+            return float(t_k)
+
+        with pytest.raises(EvaluationError) as info:
+            run(lambda z, t: z + 1.0, np.zeros(2), 0.0, 0.1, 10, certify=certify)
+        traj = info.value.trajectory
+        assert info.value.step_index == 3
+        assert traj.steps == 3
+        assert traj.residuals == (0.0, 0.1, 0.2)
+        np.testing.assert_array_equal(traj.states[-1], [3.0, 3.0])
 
 
 class TestStepJacobian:

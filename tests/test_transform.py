@@ -4,7 +4,6 @@ import pytest
 from birkhoff import (
     AlphaTransform,
     BirkhoffSystem,
-    StructureMatrices,
     TransversalityError,
     alpha_verify,
     canonical_j,
@@ -52,21 +51,6 @@ class TestStructureMatrices:
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
             canonical_j(3)
-
-    def test_block_diagonal_pairing(self, osc_system):
-        sm = StructureMatrices(1, osc_system.k_at)
-        kt = sm.ktilde(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5, 0.0)
-        np.testing.assert_allclose(kt[:2, :2], osc_system.k_at(np.array([1.0, 0.0]), 0.5))
-        np.testing.assert_allclose(kt[2:, 2:], -osc_system.k_at(np.array([0.0, 1.0]), 0.0))
-        np.testing.assert_array_equal(kt[:2, 2:], np.zeros((2, 2)))
-
-    def test_split_signature_pairing_blocks(self):
-        sm = StructureMatrices(1, lambda z, t: canonical_j(2))
-        jt = sm.jtilde4n
-        np.testing.assert_array_equal(jt[:2, :2], canonical_j(2))
-        np.testing.assert_array_equal(jt[2:, 2:], -canonical_j(2))
-        # graphs of canonical flows pair to zero under it
-        np.testing.assert_array_equal(jt, sm.ktilde(np.zeros(2), np.zeros(2), 0.0, 0.0))
 
 
 class TestAlphaVerify:
