@@ -143,8 +143,8 @@ def attach_residuals(
 ) -> Trajectory:
     """The trajectory with per-step structure residuals filled in.
 
-    Residual k certifies the step from state k to k+1, with the step
-    Jacobian taken by finite differences of the implicit step map.
+    Residual k certifies the step from state k to k+1, with the exact
+    step Jacobian of :func:`~birkhoff.stepper.step_jacobian`.
     """
     residuals = []
     for k in range(traj.steps):

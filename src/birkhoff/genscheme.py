@@ -31,7 +31,7 @@ from .transform import AlphaTransform
 Array = np.ndarray
 
 MAX_ORDER = 2
-# evaluations each memoized coefficient keeps before its cache is cleared
+# evaluations each memoized coefficient keeps, oldest first out
 MEMO_SIZE = 4096
 # rebased coefficient sets a generic scheme keeps, least recently used first out
 REBASE_CACHE_SIZE = 1024
@@ -174,7 +174,8 @@ def _memoized(fn):
     The recursion re-evaluates lower-order coefficients many times at the
     same w (directly and inside finite-difference stencils); caching keeps
     the cost of one truncated-gradient evaluation near its arithmetic
-    minimum.  Purely an evaluation cache: results are immutable copies.
+    minimum.  Purely an evaluation cache: results are read-only arrays, and
+    once MEMO_SIZE points are held the oldest entry makes room for the next.
     """
     cache: dict = {}
 
@@ -184,8 +185,9 @@ def _memoized(fn):
         hit = cache.get(key)
         if hit is None:
             if len(cache) >= MEMO_SIZE:
-                cache.clear()
-            hit = np.asarray(fn(w), dtype=float)
+                del cache[next(iter(cache))]
+            hit = np.array(fn(w), dtype=float)
+            hit.flags.writeable = False
             cache[key] = hit
         return hit
 
@@ -282,9 +284,9 @@ def assemble_psi(
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:
     """Generic order-m scheme with a rebase factory wired to ``coefficients``.
 
-    Rebased coefficient sets are cached by expansion time, so the several
-    re-solves a finite-difference step Jacobian performs at one grid point
-    share their coefficient evaluations.
+    Rebased coefficient sets are cached by expansion time, so a step and
+    its step Jacobian from one grid point share their coefficient
+    evaluations.
     """
 
     @functools.lru_cache(maxsize=REBASE_CACHE_SIZE)

@@ -7,8 +7,9 @@ One step solves the implicit relation
 for z_new by Newton iteration with a finite-difference residual Jacobian
 and an explicit-Euler predictor as initial guess.  Coefficients are
 re-expanded at each grid time through the scheme's rebase factory, so
-nonautonomous systems keep their stated order.  :func:`run` is the one
-loop that walks a step map along the grid.
+nonautonomous systems keep their stated order.  :func:`step_jacobian`
+differentiates the relation exactly.  :func:`run` is the one loop that
+walks a step map along the grid.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import numdiff
 from .core import BirkhoffSystem, velocity
 from .errors import BirkhoffError, NewtonError, StepFailure
 from .genscheme import GeneratingScheme
 from .newton import newton_solve
+from .transform import require_transversal
 
 Array = np.ndarray
 StepMap = Callable[[Array, float], Array]
@@ -166,13 +167,31 @@ def step_jacobian(
     t_k: float,
     tau: float,
 ) -> Array:
-    """d z_new / d z by central differences, re-solving per stencil point.
+    """Exact step Jacobian M = d z_new / d z, from the Moebius relation.
 
-    Uses the solver-aware step ``eps**(1/4) * max(1, |z_j|)``: the
-    differenced quantity is a Newton solution whose noise floor sits well
-    above machine epsilon.
+    Differentiating the step relation alpha_1(z_new, z) = psi_w(alpha_2(z_new, z))
+    in z gives A M + B = Psi_ww (C M + D), so
+
+        M = (Psi_ww C - A)^{-1} (B - Psi_ww D),
+
+    with (A, B, C, D) the forward blocks of the transform at
+    (z_new, z, t_k + tau, t_k) and Psi_ww = ``psi_ww(w, tau)`` at
+    w = alpha_2(z_new, z, t_k + tau, t_k).  This needs the transversality
+    condition |Psi_ww C - A| != 0 (the fourth of
+    :func:`~birkhoff.transform.transversality_equivalents`); when it fails,
+    :class:`TransversalityError` is raised.  The coefficients at the
+    converged w are already memoized by the solve, so beyond the step
+    itself only the Hessian of the top-order coefficient is new work.
     """
     z = np.asarray(z, dtype=float)
-    return numdiff.jacobian(
-        lambda y: step(sys, scheme, y, t_k, tau), z, base=numdiff.SOLVER_FD_STEP
-    )
+    if tau == 0.0:
+        return np.eye(z.size)
+    z_new = step(sys, scheme, z, t_k, tau)
+    sch = scheme.at(t_k)
+    t1 = t_k + tau
+    a, b, c, d = sch.alpha.blocks(z_new, z, t1, t_k)
+    _, w = sch.alpha.forward(z_new, z, t1, t_k)
+    psi_ww = sch.psi_ww(w, tau)
+    lhs = psi_ww @ c - a
+    require_transversal(lhs, "Psi_ww C - A")
+    return np.linalg.solve(lhs, b - psi_ww @ d)

@@ -97,11 +97,19 @@ def sigma(blocks: Blocks, mat: Array) -> Array:
     a, b, c, d = (np.asarray(x, dtype=float) for x in blocks)
     mat = np.asarray(mat, dtype=float)
     denom = c @ mat + d
-    if not det_nonzero(denom):
-        scale = float(np.max(np.abs(denom)))
-        det = float(np.linalg.det(denom / scale)) if scale > 0 else 0.0
-        raise TransversalityError("transversality condition violated: C M + D singular", det)
+    require_transversal(denom, "C M + D")
     return np.linalg.solve(denom.T, (a @ mat + b).T).T
+
+
+def require_transversal(mat: Array, name: str) -> None:
+    """Raise :class:`TransversalityError` unless ``mat`` passes ``det_nonzero``.
+
+    The error reports ``det(mat / max|mat|)``, the quantity the test uses.
+    """
+    if not det_nonzero(mat):
+        scale = float(np.max(np.abs(mat)))
+        det = float(np.linalg.det(mat / scale)) if scale > 0 else 0.0
+        raise TransversalityError(f"transversality condition violated: {name} singular", det)
 
 
 def transversality_equivalents(

@@ -19,6 +19,7 @@ from birkhoff import (
     sigma,
 )
 from birkhoff.diagnostics import fit_slope
+from birkhoff.genscheme import MEMO_SIZE, _memoized
 
 NU = 0.5
 
@@ -142,6 +143,34 @@ class TestCoefficients:
     def test_coefficient_count_validated(self):
         with pytest.raises(ValueError):
             CoefficientSet(0.0, 1, (lambda w: w,), (lambda w: np.eye(2),))
+
+
+class TestMemoized:
+    def test_cached_coefficients_are_read_only(self, osc_system, osc_alpha):
+        cs = coefficients(osc_system, osc_alpha, 0.2, 2)
+        w = np.array([0.3, -0.8])
+        for fn in cs.coeffs + cs.coeff_jacobians:
+            before = fn(w).copy()
+            with pytest.raises(ValueError):
+                fn(w)[0] += 1.0
+            np.testing.assert_array_equal(fn(w), before)
+
+    def test_overflow_evicts_only_the_oldest_point(self):
+        calls = []
+
+        @_memoized
+        def double(w):
+            calls.append(w[0])
+            return 2.0 * w
+
+        points = [np.array([float(i)]) for i in range(MEMO_SIZE + 1)]
+        for w in points:
+            double(w)
+        for w in points[1:]:
+            double(w)
+        assert len(calls) == MEMO_SIZE + 1
+        double(points[0])
+        assert len(calls) == MEMO_SIZE + 2
 
 
 class TestAssemblePsi:

@@ -1,15 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from birkhoff import (
+    BirkhoffSystem,
     CoefficientSet,
     EvaluationError,
     StepFailure,
     Trajectory,
+    TransversalityError,
     assemble_psi,
     exact_solution,
     integrate,
+    make_scheme,
+    numdiff,
+    oscillator_alpha,
+    oscillator_system,
     run,
+    scaled_canonical_alpha,
     scheme_first_order,
     scheme_second_order,
     step,
@@ -18,6 +27,44 @@ from birkhoff import (
 )
 
 NU = 0.5
+
+
+def chain_system(n=2, nu=0.3, coupling=0.1):
+    """Damped pendulum chain q'' + nu q' + sin q + coupling (q_{i-1} + q_{i+1}) = 0.
+
+    K = e^{nu t} J0 with J0 = [[0, -I], [I, 0]]; the matching transform is
+    ``scaled_canonical_alpha(e^{nu t}, n)``.
+    """
+    j0 = np.zeros((2 * n, 2 * n))
+    j0[:n, n:] = -np.eye(n)
+    j0[n:, :n] = np.eye(n)
+
+    def neighbours(q):
+        out = np.zeros(n)
+        out[:-1] += q[1:]
+        out[1:] += q[:-1]
+        return coupling * out
+
+    def F(z, t):
+        return np.exp(nu * t) * np.concatenate([0.5 * z[n:], -0.5 * z[:n]])
+
+    def B(z, t):
+        q, p = z[:n], z[n:]
+        return float(
+            np.exp(nu * t)
+            * (0.5 * nu * q @ p + np.sum(1.0 - np.cos(q)) + 0.5 * p @ p
+               + coupling * np.sum(q[:-1] * q[1:]))
+        )
+
+    def D(z, t):
+        q, p = z[:n], z[n:]
+        return -np.exp(nu * t) * np.concatenate([nu * p + np.sin(q) + neighbours(q), p])
+
+    system = BirkhoffSystem(n=n, F=F, B=B, K=lambda z, t: np.exp(nu * t) * j0, D=D)
+    alpha = scaled_canonical_alpha(
+        lambda t: np.exp(nu * t), n, lam_dot=lambda t: nu * np.exp(nu * t)
+    )
+    return system, alpha
 
 
 class TestTrajectory:
@@ -192,3 +239,68 @@ class TestStepJacobian:
                 osc_system, jac, traj.states[k], t_k, traj.states[k + 1], t_k + 0.1
             )
             assert res <= 1e-6
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_exact_jacobian_matches_the_closed_forms(self, nu, order):
+        closed = {1: scheme_first_order, 2: scheme_second_order}[order]
+        sys_nu = oscillator_system(nu)
+        scheme = make_scheme(sys_nu, oscillator_alpha(nu), 0.0, order)
+        for z, t_k in ((np.array([1.0, 0.0]), 0.0), (np.array([0.7, -1.3]), 0.6)):
+            jac = step_jacobian(sys_nu, scheme, z, t_k, 0.1)
+            assert np.max(np.abs(jac - closed(nu, 0.1))) <= 1e-10
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_exact_jacobian_agrees_with_finite_differences_on_the_chain(self, order):
+        system, alpha = chain_system()
+        scheme = make_scheme(system, alpha, 0.2, order)
+        z = np.array([0.4, -0.3, 0.2, 0.5])
+        exact = step_jacobian(system, scheme, z, 0.2, 0.05)
+        fd = numdiff.jacobian(
+            lambda y: step(system, scheme, y, 0.2, 0.05), z, base=numdiff.SOLVER_FD_STEP
+        )
+        assert np.max(np.abs(exact - fd)) <= 1e-8
+
+    @pytest.mark.parametrize("order, k_calls", [(1, 12), (2, 133)])
+    def test_calls_to_k_are_pinned(self, order, k_calls):
+        # one exact Jacobian solves the step once and adds the top-order
+        # Hessian; re-solving per stencil point took 32 (order 1) and 345
+        # (order 2) calls here
+        base = oscillator_system(NU)
+        calls = []
+
+        def counted_k(z, t):
+            calls.append(t)
+            return base.K(z, t)
+
+        system = dataclasses.replace(base, K=counted_k)
+        scheme = make_scheme(system, oscillator_alpha(NU), 0.3, order)
+        step_jacobian(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
+        assert len(calls) == k_calls
+
+    def test_lost_transversality_raises(self):
+        # zero gradient coefficients make the step a fixed point of the
+        # undamped transform; the hand-set Hessian [[0, 2], [2, 0]] makes
+        # Psi_ww C - A = [[0, -2], [0, 0]] singular there
+        sys0 = oscillator_system(0.0)
+
+        def coeffs(t0):
+            zero = lambda w: np.zeros(2)  # noqa: E731
+            return CoefficientSet(
+                t0, 1, (zero, zero),
+                (lambda w: np.array([[0.0, 2.0], [2.0, 0.0]]), lambda w: np.zeros((2, 2))),
+            )
+
+        scheme = assemble_psi(coeffs(0.0), oscillator_alpha(0.0), rebase=coeffs)
+        z0 = np.array([0.5, 0.5])
+        with pytest.raises(TransversalityError):
+            step_jacobian(sys0, scheme, z0, 0.0, 0.1)
+
+        def certify(z, t_k, z_next):
+            jac = step_jacobian(sys0, scheme, z, t_k, 0.1)
+            return symplectic_residual(sys0, jac, z, t_k, z_next, t_k + 0.1)
+
+        with pytest.raises(TransversalityError) as info:
+            run(lambda z, t: step(sys0, scheme, z, t, 0.1), z0, 0.0, 0.1, 3, certify=certify)
+        assert info.value.step_index == 0
+        assert info.value.trajectory.steps == 0
