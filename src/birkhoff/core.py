@@ -24,7 +24,8 @@ from .errors import EvaluationError, RegularityError
 
 Array = np.ndarray
 
-# a square matrix M counts as nonsingular when |det(M / max|M|)| > DET_TOLERANCE
+# a square matrix M counts as nonsingular when |det(R^{-1} M)| > DET_TOLERANCE,
+# with R the diagonal of the row maxima max_j |M_ij|
 DET_TOLERANCE = 1e-12
 _LOG_DET_TOLERANCE = math.log(DET_TOLERANCE)
 _NORMAL_MIN = float(np.finfo(float).tiny)
@@ -171,20 +172,23 @@ def k_from_f(sys: BirkhoffSystem, p: PhasePoint) -> Array:
 
 def _nonsingular(mat: Array, det: float) -> bool:
     """:func:`det_nonzero` reusing det M, unless det M is not a normal float."""
-    scale = float(np.abs(mat).max())
-    if not 0.0 < scale < math.inf:
+    rowmax = np.abs(mat).max(axis=1)
+    if not np.all((rowmax > 0.0) & (rowmax < math.inf)):
         return False
     if not _NORMAL_MIN <= abs(det) < math.inf:
-        return abs(float(np.linalg.det(mat / scale))) > DET_TOLERANCE
-    # log form: max|M|^d itself may overflow or underflow
-    return math.log(abs(det)) > _LOG_DET_TOLERANCE + mat.shape[0] * math.log(scale)
+        return abs(float(np.linalg.det(mat / rowmax[:, None]))) > DET_TOLERANCE
+    # log form: the product of the row maxima may itself overflow or underflow
+    return math.log(abs(det)) > _LOG_DET_TOLERANCE + float(np.sum(np.log(rowmax)))
 
 
 def det_nonzero(mat: Array) -> bool:
-    """Whether |det(M / max|M|)| > DET_TOLERANCE for the square matrix M.
+    """Whether |det M| / prod_i max_j |M_ij| > DET_TOLERANCE for the square matrix M.
 
-    Unchanged when M is scaled, at any magnitude, unlike a test of |det M|
-    alone; a zero or non-finite matrix counts as singular.
+    Each row is normalized by its own largest entry, so the test is
+    unchanged when M, or any one row of M, is scaled, at any magnitude;
+    rows of very different size (a block of order lambda(t) above a block
+    of order 1) do not read as singular.  A zero row or a non-finite entry
+    counts as singular.
     """
     mat = np.asarray(mat, dtype=float)
     return _nonsingular(mat, float(np.linalg.det(mat)))

@@ -24,8 +24,9 @@ class RegularityError(BirkhoffError):
 class TransversalityError(BirkhoffError):
     """A transversality determinant vanished.
 
-    Carries the offending determinant in ``det`` (scaled by the matrix
-    max-norm, the same quantity the nonsingularity test uses).
+    Carries the offending determinant in ``det`` (of the matrix with each
+    row scaled by its max-abs entry, the quantity the nonsingularity test
+    uses).
     """
 
     def __init__(self, message: str, det: float):

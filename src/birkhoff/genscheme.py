@@ -73,28 +73,20 @@ class GeneratingScheme:
 
     alpha: AlphaTransform
     coefficients: CoefficientSet
-    order: int
     rebase: Optional[Callable[[float], CoefficientSet]] = None
+
+    @property
+    def order(self) -> int:
+        """Truncation order, that of the coefficient set."""
+        return self.coefficients.order
 
     def psi_w(self, w: Array, tau: float) -> Array:
         """Truncated gradient sum_k tau^k phi_w^(k)(w)."""
-        w = np.asarray(w, dtype=float)
-        acc = np.asarray(self.coefficients.coeffs[0](w), dtype=float).copy()
-        power = 1.0
-        for k in range(1, self.order + 1):
-            power *= tau
-            acc += power * np.asarray(self.coefficients.coeffs[k](w), dtype=float)
-        return acc
+        return _tau_series(self.coefficients.coeffs, w, tau)
 
     def psi_ww(self, w: Array, tau: float) -> Array:
         """Jacobian of the truncated gradient."""
-        w = np.asarray(w, dtype=float)
-        acc = np.asarray(self.coefficients.coeff_jacobians[0](w), dtype=float).copy()
-        power = 1.0
-        for k in range(1, self.order + 1):
-            power *= tau
-            acc += power * np.asarray(self.coefficients.coeff_jacobians[k](w), dtype=float)
-        return acc
+        return _tau_series(self.coefficients.coeff_jacobians, w, tau)
 
     def at(self, t0: float) -> "GeneratingScheme":
         """This scheme re-expanded at t0 (identity when t0 already matches)."""
@@ -105,7 +97,18 @@ class GeneratingScheme:
                 f"scheme expanded at t0={self.coefficients.t0} has no rebase factory; "
                 f"cannot re-expand at t0={t0}"
             )
-        return GeneratingScheme(self.alpha, self.rebase(t0), self.order, self.rebase)
+        return GeneratingScheme(self.alpha, self.rebase(t0), self.rebase)
+
+
+def _tau_series(terms, w: Array, tau: float) -> Array:
+    """sum_k tau^k terms[k](w), accumulated with running powers of tau."""
+    w = np.asarray(w, dtype=float)
+    acc = np.asarray(terms[0](w), dtype=float).copy()
+    power = 1.0
+    for term in terms[1:]:
+        power *= tau
+        acc += power * np.asarray(term(w), dtype=float)
+    return acc
 
 
 def _identity_point(alpha: AlphaTransform, w: Array, t0: float) -> Array:
@@ -272,15 +275,6 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     return CoefficientSet(t0=t0, order=m, coeffs=tuple(coeffs), coeff_jacobians=tuple(jacs))
 
 
-def assemble_psi(
-    cs: CoefficientSet,
-    alpha: AlphaTransform,
-    rebase: Optional[Callable[[float], CoefficientSet]] = None,
-) -> GeneratingScheme:
-    """Bundle a coefficient set with its transform into a one-step scheme."""
-    return GeneratingScheme(alpha=alpha, coefficients=cs, order=cs.order, rebase=rebase)
-
-
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:
     """Generic order-m scheme with a rebase factory wired to ``coefficients``.
 
@@ -293,7 +287,7 @@ def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -
     def rebase(s: float) -> CoefficientSet:
         return coefficients(sys, alpha, float(s), m)
 
-    return assemble_psi(rebase(float(t0)), alpha, rebase=rebase)
+    return GeneratingScheme(alpha, rebase(float(t0)), rebase)
 
 
 def hj_rhs(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import numdiff
 from .errors import NewtonError
 
 # Relative tolerance: converged when ``||r||_inf <= TOL * scale``, or when
@@ -23,8 +22,14 @@ MAX_ITER = 50
 POLISH_UPDATES = 1
 
 
-def newton_solve(residual, x0, scale, jacobian=None, chord=False):
+def newton_solve(residual, x0, scale, jacobian):
     """Solve ``residual(x) = 0`` starting from ``x0``.
+
+    Chord Newton: the Jacobian is evaluated at the start and reused across
+    iterations, and evaluated afresh only after an iteration with a stale
+    matrix fails to cut the residual by 4x.  After convergence, up to
+    POLISH_UPDATES further updates with the current matrix are kept while
+    they shrink the residual.
 
     Parameters
     ----------
@@ -35,43 +40,41 @@ def newton_solve(residual, x0, scale, jacobian=None, chord=False):
     scale : float
         Magnitude of the residual's terms; the convergence target is
         ``TOL * scale``.
-    jacobian : callable, optional
-        Maps x to the d x d residual Jacobian; finite differences on
-        ``residual`` when omitted.
-    chord : bool
-        Reuse the Jacobian across iterations, recomputing only when an
-        iteration fails to cut the residual by 4x.  Worth it when the
-        Jacobian comes from finite differences of an expensive residual.
+    jacobian : callable
+        Maps x to the d x d residual Jacobian.
 
     Returns
     -------
     (x, residual_norm, iterations)
+
+    Raises :class:`NewtonError`, carrying the last iterate and its residual
+    norm, on a singular Jacobian, a non-finite update, or more than
+    MAX_ITER iterations.
     """
     x = np.array(x0, dtype=float)
     target = TOL * scale
     cap = np.sqrt(TOL) * scale
-    jac_fn = jacobian if jacobian is not None else (lambda y: numdiff.jacobian(residual, y))
 
-    def solve_update(mat, rhs, where):
+    def evaluate(y):
+        # residual and its inf-norm; non-finite residuals must read as
+        # "far from converged"
+        res = np.asarray(residual(y), dtype=float)
+        if res.size == 0:
+            return res, 0.0
+        value = float(np.max(np.abs(res)))
+        return res, value if np.isfinite(value) else np.inf
+
+    def increment(mat):
+        # Newton increment at the current iterate
         try:
-            delta = np.linalg.solve(mat, rhs)
+            delta = np.linalg.solve(mat, r)
         except np.linalg.LinAlgError:
-            raise NewtonError(
-                "singular Jacobian in Newton iteration", x, rnorm, where
-            ) from None
+            raise NewtonError("singular Jacobian in Newton iteration", x, rnorm, iters) from None
         if not np.all(np.isfinite(delta)):
-            raise NewtonError("non-finite Newton update", x, rnorm, where)
+            raise NewtonError("non-finite Newton update", x, rnorm, iters)
         return delta
 
-    def inf_norm(vec):
-        # non-finite residuals must read as "far from converged"
-        if vec.size == 0:
-            return 0.0
-        value = float(np.max(np.abs(vec)))
-        return value if np.isfinite(value) else np.inf
-
-    r = np.asarray(residual(x), dtype=float)
-    rnorm = inf_norm(r)
+    r, rnorm = evaluate(x)
     iters = 0
     jac_mat = None
     jac_fresh = False
@@ -79,12 +82,11 @@ def newton_solve(residual, x0, scale, jacobian=None, chord=False):
         if iters >= MAX_ITER:
             raise NewtonError("Newton iteration did not converge", x, rnorm, iters)
         if jac_mat is None:
-            jac_mat = jac_fn(x)
+            jac_mat = jacobian(x)
             jac_fresh = True
-        delta = solve_update(jac_mat, r, iters)
+        delta = increment(jac_mat)
         x = x - delta
-        r = np.asarray(residual(x), dtype=float)
-        new_norm = inf_norm(r)
+        r, new_norm = evaluate(x)
         iters += 1
         if (
             float(np.max(np.abs(delta))) <= TOL * max(1.0, float(np.max(np.abs(x))))
@@ -94,7 +96,7 @@ def newton_solve(residual, x0, scale, jacobian=None, chord=False):
             break
         slow = new_norm > 0.25 * rnorm
         rnorm = new_norm
-        if not chord or (slow and not jac_fresh):
+        if slow and not jac_fresh:
             jac_mat = None
         jac_fresh = False
 
@@ -102,16 +104,12 @@ def newton_solve(residual, x0, scale, jacobian=None, chord=False):
         if rnorm == 0.0:
             break
         if jac_mat is None:
-            jac_mat = jac_fn(x)
+            jac_mat = jacobian(x)
         try:
-            delta = np.linalg.solve(jac_mat, r)
-        except np.linalg.LinAlgError:
+            x_try = x - increment(jac_mat)
+        except NewtonError:
             break
-        if not np.all(np.isfinite(delta)):
-            break
-        x_try = x - delta
-        r_try = np.asarray(residual(x_try), dtype=float)
-        rnorm_try = inf_norm(r_try)
+        r_try, rnorm_try = evaluate(x_try)
         if rnorm_try >= rnorm:
             break
         x, r, rnorm = x_try, r_try, rnorm_try

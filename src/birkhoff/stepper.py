@@ -4,12 +4,14 @@ One step solves the implicit relation
 
     alpha_1(z_new, z, t_k + tau, t_k) = psi_w(alpha_2(z_new, z, t_k + tau, t_k), tau)
 
-for z_new by Newton iteration with a finite-difference residual Jacobian
-and an explicit-Euler predictor as initial guess.  Coefficients are
-re-expanded at each grid time through the scheme's rebase factory, so
-nonautonomous systems keep their stated order.  :func:`step_jacobian`
-differentiates the relation exactly.  :func:`run` is the one loop that
-walks a step map along the grid.
+for z_new by chord Newton from an explicit-Euler predictor.  Coefficients
+are re-expanded at each grid time through the scheme's rebase factory, so
+nonautonomous systems keep their stated order.  Differentiating the
+relation through the Moebius form gives one linearization,
+A - Psi_ww C in z_new and Psi_ww D - B in z: the first is the exact
+Newton matrix of :func:`step`, and the two together give the exact step
+Jacobian of :func:`step_jacobian`.  :func:`run` is the one loop that walks
+a step map along the grid.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ def step(
 
     Raises :class:`StepFailure` when the Newton iteration does not
     converge; the exception carries the last iterate and residual norm.
+    Raises :class:`TransversalityError` when the Newton matrix
+    A - Psi_ww C at an iterate fails the nonsingularity test.
     """
     z = np.asarray(z, dtype=float)
     if tau == 0.0:
@@ -100,7 +104,9 @@ def step(
         float(np.max(np.abs(sch.psi_w(a2_guess, tau)))),
     )
     try:
-        z_new, _, _ = newton_solve(residual, guess, scale, chord=True)
+        z_new, _, _ = newton_solve(
+            residual, guess, scale, lambda y: _linearization(sch, y, z, t_k, tau)[0]
+        )
     except NewtonError as exc:
         raise StepFailure(
             f"implicit step at t={t_k} failed: {exc}", exc.last_iterate, exc.residual_norm, t_k
@@ -160,6 +166,27 @@ def integrate(
     return run(lambda z, t_k: step(sys, scheme, z, t_k, tau), z0, t0, tau, n_steps)
 
 
+def _linearization(
+    sch: GeneratingScheme, z_new: Array, z: Array, t_k: float, tau: float
+) -> Tuple[Array, Array]:
+    """(A - Psi_ww C, Psi_ww D - B): the step relation differentiated in z_new and in z.
+
+    (A, B, C, D) are the forward blocks of the transform at
+    (z_new, z, t_k + tau, t_k) and Psi_ww = ``sch.psi_ww(w, tau)`` at
+    w = alpha_2(z_new, z, t_k + tau, t_k).  Raises
+    :class:`TransversalityError` when A - Psi_ww C fails
+    :func:`~birkhoff.core.det_nonzero` (the fourth condition of
+    :func:`~birkhoff.transform.transversality_equivalents`).
+    """
+    t1 = t_k + tau
+    a, b, c, d = sch.alpha.blocks(z_new, z, t1, t_k)
+    _, w = sch.alpha.forward(z_new, z, t1, t_k)
+    psi_ww = sch.psi_ww(w, tau)
+    lhs = a - psi_ww @ c
+    require_transversal(lhs, "A - Psi_ww C")
+    return lhs, psi_ww @ d - b
+
+
 def step_jacobian(
     sys: BirkhoffSystem,
     scheme: GeneratingScheme,
@@ -172,26 +199,18 @@ def step_jacobian(
     Differentiating the step relation alpha_1(z_new, z) = psi_w(alpha_2(z_new, z))
     in z gives A M + B = Psi_ww (C M + D), so
 
-        M = (Psi_ww C - A)^{-1} (B - Psi_ww D),
+        M = (A - Psi_ww C)^{-1} (Psi_ww D - B),
 
-    with (A, B, C, D) the forward blocks of the transform at
-    (z_new, z, t_k + tau, t_k) and Psi_ww = ``psi_ww(w, tau)`` at
-    w = alpha_2(z_new, z, t_k + tau, t_k).  This needs the transversality
-    condition |Psi_ww C - A| != 0 (the fourth of
-    :func:`~birkhoff.transform.transversality_equivalents`); when it fails,
-    :class:`TransversalityError` is raised.  The coefficients at the
-    converged w are already memoized by the solve, so beyond the step
-    itself only the Hessian of the top-order coefficient is new work.
+    with both factors from the linearization at the solved z_new that
+    :func:`step` uses as its Newton matrix.  A lost transversality
+    condition |A - Psi_ww C| != 0 raises :class:`TransversalityError`.
+    The coefficients at the converged w are already memoized by the
+    solve, so beyond the step itself only the Hessian of the top-order
+    coefficient is new work.
     """
     z = np.asarray(z, dtype=float)
     if tau == 0.0:
         return np.eye(z.size)
     z_new = step(sys, scheme, z, t_k, tau)
-    sch = scheme.at(t_k)
-    t1 = t_k + tau
-    a, b, c, d = sch.alpha.blocks(z_new, z, t1, t_k)
-    _, w = sch.alpha.forward(z_new, z, t1, t_k)
-    psi_ww = sch.psi_ww(w, tau)
-    lhs = psi_ww @ c - a
-    require_transversal(lhs, "Psi_ww C - A")
-    return np.linalg.solve(lhs, b - psi_ww @ d)
+    lhs, rhs = _linearization(scheme.at(t_k), z_new, z, t_k, tau)
+    return np.linalg.solve(lhs, rhs)

@@ -104,11 +104,12 @@ def sigma(blocks: Blocks, mat: Array) -> Array:
 def require_transversal(mat: Array, name: str) -> None:
     """Raise :class:`TransversalityError` unless ``mat`` passes ``det_nonzero``.
 
-    The error reports ``det(mat / max|mat|)``, the quantity the test uses.
+    The error reports the determinant of ``mat`` with each row divided by
+    its max-abs entry, the quantity the test uses.
     """
     if not det_nonzero(mat):
-        scale = float(np.max(np.abs(mat)))
-        det = float(np.linalg.det(mat / scale)) if scale > 0 else 0.0
+        rowmax = np.max(np.abs(mat), axis=1, keepdims=True)
+        det = float(np.linalg.det(mat / rowmax)) if np.all(rowmax > 0) else 0.0
         raise TransversalityError(f"transversality condition violated: {name} singular", det)
 
 

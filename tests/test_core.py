@@ -149,6 +149,10 @@ class TestRegularity:
         for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
             assert det_nonzero(scale * regular)
             assert not det_nonzero(scale * singular)
+            # rows of very different size, as in A - Psi_ww C at large lambda(t)
+            rows = np.diag([scale, 1.0, 1.0, 1.0 / scale])
+            assert det_nonzero(rows @ regular)
+            assert not det_nonzero(rows @ singular)
         assert not det_nonzero(np.full((2, 2), np.nan))
 
 

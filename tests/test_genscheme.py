@@ -4,10 +4,10 @@ import pytest
 from birkhoff import (
     BirkhoffSystem,
     CoefficientSet,
+    GeneratingScheme,
     KindError,
     UnsupportedOrderError,
     a_functional,
-    assemble_psi,
     coefficients,
     exact_solution,
     hj_rhs,
@@ -210,7 +210,7 @@ class TestAssemblePsi:
 
     def test_rebase_without_factory_rejected(self, osc_system, osc_alpha):
         cs = coefficients(osc_system, osc_alpha, 0.0, 1)
-        scheme = assemble_psi(cs, osc_alpha)
+        scheme = GeneratingScheme(osc_alpha, cs)
         with pytest.raises(ValueError):
             scheme.at(1.0)
 

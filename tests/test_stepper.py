@@ -7,10 +7,10 @@ from birkhoff import (
     BirkhoffSystem,
     CoefficientSet,
     EvaluationError,
+    GeneratingScheme,
     StepFailure,
     Trajectory,
     TransversalityError,
-    assemble_psi,
     exact_solution,
     integrate,
     make_scheme,
@@ -164,7 +164,7 @@ class TestIntegrate:
                 t0, 1, (lambda w: np.zeros(2), phi1), (lambda w: np.zeros((2, 2)),) * 2
             )
 
-        scheme = assemble_psi(bad_coeffs(0.0), osc_alpha, rebase=bad_coeffs)
+        scheme = GeneratingScheme(osc_alpha, bad_coeffs(0.0), bad_coeffs)
         with pytest.raises(StepFailure) as info:
             integrate(osc_system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
         failure = info.value
@@ -250,6 +250,18 @@ class TestStepJacobian:
             jac = step_jacobian(sys_nu, scheme, z, t_k, 0.1)
             assert np.max(np.abs(jac - closed(nu, 0.1))) <= 1e-10
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
+    @pytest.mark.parametrize("order, tol", [(1, 1e-10), (2, 1e-5)])
+    def test_exact_jacobian_where_lambda_is_large(self, order, tol):
+        # at t=800 the rows of A - Psi_ww C are of order e^{400} and of
+        # order 1; the transition matrix of the scaled oscillator is time
+        # invariant, so the closed forms still apply
+        closed = {1: scheme_first_order, 2: scheme_second_order}[order]
+        sys_nu = oscillator_system(NU)
+        scheme = make_scheme(sys_nu, oscillator_alpha(NU), 0.0, order)
+        jac = step_jacobian(sys_nu, scheme, np.array([1.0, 0.0]), 800.0, 0.01)
+        assert np.max(np.abs(jac - closed(NU, 0.01))) <= tol
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_exact_jacobian_agrees_with_finite_differences_on_the_chain(self, order):
         system, alpha = chain_system()
@@ -261,11 +273,16 @@ class TestStepJacobian:
         )
         assert np.max(np.abs(exact - fd)) <= 1e-8
 
-    @pytest.mark.parametrize("order, k_calls", [(1, 12), (2, 133)])
-    def test_calls_to_k_are_pinned(self, order, k_calls):
+    @pytest.mark.parametrize(
+        "fn, order, k_calls",
+        [(step_jacobian, 1, 12), (step_jacobian, 2, 122), (step, 1, 8), (step, 2, 78)],
+        ids=lambda value: getattr(value, "__name__", None),
+    )
+    def test_calls_to_k_are_pinned(self, fn, order, k_calls):
         # one exact Jacobian solves the step once and adds the top-order
         # Hessian; re-solving per stencil point took 32 (order 1) and 345
-        # (order 2) calls here
+        # (order 2) calls here.  The step's Newton matrix A - Psi_ww C is
+        # exact too; differencing the residual took 89 calls at order 2
         base = oscillator_system(NU)
         calls = []
 
@@ -275,13 +292,14 @@ class TestStepJacobian:
 
         system = dataclasses.replace(base, K=counted_k)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.3, order)
-        step_jacobian(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
+        fn(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
         assert len(calls) == k_calls
 
     def test_lost_transversality_raises(self):
         # zero gradient coefficients make the step a fixed point of the
         # undamped transform; the hand-set Hessian [[0, 2], [2, 0]] makes
-        # Psi_ww C - A = [[0, -2], [0, 0]] singular there
+        # A - Psi_ww C = [[0, 2], [0, 0]] singular, so the step's own
+        # Newton matrix already fails
         sys0 = oscillator_system(0.0)
 
         def coeffs(t0):
@@ -291,7 +309,7 @@ class TestStepJacobian:
                 (lambda w: np.array([[0.0, 2.0], [2.0, 0.0]]), lambda w: np.zeros((2, 2))),
             )
 
-        scheme = assemble_psi(coeffs(0.0), oscillator_alpha(0.0), rebase=coeffs)
+        scheme = GeneratingScheme(oscillator_alpha(0.0), coeffs(0.0), coeffs)
         z0 = np.array([0.5, 0.5])
         with pytest.raises(TransversalityError):
             step_jacobian(sys0, scheme, z0, 0.0, 0.1)
