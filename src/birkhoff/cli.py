@@ -184,6 +184,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _phase_vector(cfg: RunConfig, dim: int) -> np.ndarray:
+    """``cfg.z0`` as an array, which must have length ``dim`` and finite entries."""
+    z0 = np.asarray(cfg.z0, dtype=float)
+    if z0.shape != (dim,):
+        raise ConfigError(f"z0 must have length {dim} for system {cfg.system!r}")
+    if not np.isfinite(z0).all():
+        raise ConfigError(f"z0 entries must be finite, got {','.join(map(str, cfg.z0))}")
+    return z0
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -199,9 +209,7 @@ def cmd_integrate(cfg: RunConfig) -> int:
         raise ConfigError("steps must be at least 1")
     bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
     dim = bundle.system.dim
-    z0 = np.asarray(cfg.z0, dtype=float)
-    if z0.shape != (dim,):
-        raise ConfigError(f"z0 must have length {dim} for system {cfg.system!r}")
+    z0 = _phase_vector(cfg, dim)
     advance, jacobian = _build_step_maps(bundle, cfg, cfg.tau)
 
     def certify(z, t_k, z_next):
@@ -259,9 +267,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     if cfg.horizon <= 0:
         raise ConfigError("horizon must be positive")
     bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
-    z0 = np.asarray(cfg.z0, dtype=float)
-    if z0.shape != (bundle.system.dim,):
-        raise ConfigError(f"z0 must have length {bundle.system.dim}")
+    z0 = _phase_vector(cfg, bundle.system.dim)
 
     def factory(tau: float):
         advance, _ = _build_step_maps(bundle, cfg, tau)
@@ -289,7 +295,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
     bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
-    point = PhasePoint(np.asarray(cfg.z0, dtype=float), cfg.t0)
+    point = PhasePoint(_phase_vector(cfg, bundle.raw.dim), cfg.t0)
     f_vec = reconstruct_f(bundle.raw, point)
     print("F = (" + ", ".join(f"{v:.12g}" for v in f_vec) + ")")
     try:

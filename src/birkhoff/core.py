@@ -135,13 +135,15 @@ class BirkhoffSystem:
                 raise EvaluationError(
                     f"K must return shape ({self.dim}, {self.dim}), got {out.shape}"
                 )
+            if not np.isfinite(out).all():
+                raise EvaluationError(f"K returned non-finite values at t={t}")
             return out
         return k_from_f(self, PhasePoint(z, t))
 
     def rhs_at(self, z: Array, t: float) -> Array:
         """grad B + dF/dt, i.e. -D; analytic pieces preferred."""
         if self.D is not None:
-            return -np.asarray(self.D(np.asarray(z, dtype=float), t), dtype=float)
+            return -self.d_at(z, t)
         z = np.asarray(z, dtype=float)
         if self.grad_b is not None:
             gb = np.asarray(self.grad_b(z, t), dtype=float)
@@ -154,9 +156,15 @@ class BirkhoffSystem:
         return gb + ft
 
     def d_at(self, z: Array, t: float) -> Array:
-        if self.D is not None:
-            return np.asarray(self.D(np.asarray(z, dtype=float), t), dtype=float)
-        return -self.rhs_at(z, t)
+        """Homogeneous-form right-hand side, analytic if supplied, else -(grad B + dF/dt)."""
+        if self.D is None:
+            return -self.rhs_at(z, t)
+        out = np.asarray(self.D(np.asarray(z, dtype=float), t), dtype=float)
+        if out.shape != (self.dim,):
+            raise EvaluationError(f"D must return shape ({self.dim},), got {out.shape}")
+        if not np.isfinite(out).all():
+            raise EvaluationError(f"D returned non-finite values at t={t}")
+        return out
 
 
 def k_from_f(sys: BirkhoffSystem, p: PhasePoint) -> Array:

@@ -10,6 +10,8 @@ the origin (the working domain must be star-shaped around it).
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence, Tuple
@@ -51,7 +53,7 @@ class RawFirstOrderSystem:
         out = np.asarray(self.K(np.asarray(z, dtype=float), t), dtype=float)
         if out.shape != (self.dim, self.dim):
             raise EvaluationError(f"K must return shape ({self.dim}, {self.dim}), got {out.shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise EvaluationError(f"K returned non-finite values at t={t}")
         return out
 
@@ -59,7 +61,7 @@ class RawFirstOrderSystem:
         out = np.asarray(self.D(np.asarray(z, dtype=float), t), dtype=float)
         if out.shape != (self.dim,):
             raise EvaluationError(f"D must return shape ({self.dim},), got {out.shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise EvaluationError(f"D returned non-finite values at t={t}")
         return out
 
@@ -134,9 +136,30 @@ def check_self_adjointness(
     return SelfAdjointReport(antisym, closure, time_curl, passed, samples, float(tol))
 
 
-def _gauss_legendre_01(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(int(nodes))
-    return (x + 1.0) / 2.0, w / 2.0
+@functools.lru_cache
+def _gauss_legendre_01(nodes: int) -> Tuple[Array, Array]:
+    """Gauss-Legendre nodes and weights mapped to [0, 1], computed once per node count.
+
+    The cache keeps the 128 most recently used node counts (the
+    ``lru_cache`` default).  Its arrays are shared by every caller, so
+    they are read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    lam, wgt = (x + 1.0) / 2.0, w / 2.0
+    lam.flags.writeable = False
+    wgt.flags.writeable = False
+    return lam, wgt
+
+
+def _quadrature_rule(quad_nodes: int) -> Tuple[Array, Array]:
+    """The [0, 1] rule for ``quad_nodes``, which must be a positive integer."""
+    if (
+        isinstance(quad_nodes, bool)
+        or not isinstance(quad_nodes, numbers.Integral)
+        or quad_nodes < 1
+    ):
+        raise ValueError(f"quad_nodes must be a positive integer, got {quad_nodes!r}")
+    return _gauss_legendre_01(int(quad_nodes))
 
 
 def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32) -> Array:
@@ -144,9 +167,11 @@ def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32)
 
     F_i(z, t) = 1/2 * int_0^1 z_j K_ji(lam * z, t) dlam, evaluated with
     fixed-order Gauss-Legendre quadrature (exact for K polynomial in z of
-    degree < 2*quad_nodes along the ray).
+    degree < 2*quad_nodes along the ray).  The rule is computed once per
+    node count and shared read-only; ``quad_nodes`` that is not a
+    positive integer raises ``ValueError``.
     """
-    lam, wgt = _gauss_legendre_01(quad_nodes)
+    lam, wgt = _quadrature_rule(quad_nodes)
     acc = np.zeros(raw.dim)
     for lam_i, w_i in zip(lam, wgt):
         acc += w_i * (raw.k_at(lam_i * p.z, p.t).T @ p.z)
@@ -168,7 +193,7 @@ def reconstruct_b(
     :class:`InconsistencyError` raised when it fails, which signals a
     non-self-adjoint input.
     """
-    lam, wgt = _gauss_legendre_01(quad_nodes)
+    lam, wgt = _quadrature_rule(quad_nodes)
 
     def d_plus_ft(z: Array, t: float) -> Array:
         dft = numdiff.time_derivative(
@@ -188,10 +213,15 @@ def reconstruct_b(
         # gradient needs the wider once-nested step
         grad = numdiff.gradient(b_value, p.z, base=numdiff.SOLVER_FD_STEP)
         resid = float(np.max(np.abs(grad + d_plus_ft(p.z, p.t))))
-        if resid > _GRAD_TOL:
+        # written so that a NaN residual fails too
+        if not resid <= _GRAD_TOL:
+            reason = (
+                f"exceeds {_GRAD_TOL:.1e}; the input system is likely not self-adjoint"
+                if np.isfinite(resid)
+                else "is not finite; B or its gradient overflowed at this point"
+            )
             raise InconsistencyError(
-                f"grad B does not match -(D + dF/dt): residual {resid:.3e} exceeds "
-                f"{_GRAD_TOL:.1e}; the input system is likely not self-adjoint"
+                f"grad B does not match -(D + dF/dt): residual {resid:.3e} {reason}"
             )
     return value
 

@@ -231,6 +231,17 @@ class TestReconstruct:
     def test_perturbed_system_fails_consistency(self, capsys):
         assert main(["reconstruct", "--nu", "0.5", "--z0", "1,1", "--perturb", "0.1"]) == 3
 
+    @pytest.mark.parametrize("z0", ["1,1,1", "1,nan"])
+    def test_bad_phase_point_is_a_configuration_error(self, z0, capsys):
+        assert main(["reconstruct", "--nu", "0.5", "--z0", z0]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: z0 ")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_point_fails_consistency(self, capsys):
+        # B overflows to inf here; the check must not accept its NaN residual
+        assert main(["reconstruct", "--nu", "0.5", "--z0", "1e200,1e200", "--t0", "0"]) == 3
+        assert "B =" not in capsys.readouterr().out
+
 
 class TestConfigMerging:
     def test_config_file_fills_defaults_and_flags_win(self, tmp_path, capsys):

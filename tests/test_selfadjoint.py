@@ -10,9 +10,11 @@ from birkhoff import (
     oscillator_system,
     reconstruct_b,
     reconstruct_f,
+    selfadjoint,
 )
 
 NU = 0.5
+CHAIN_N, CHAIN_NU, CHAIN_COUPLING = 2, 0.3, 0.1
 
 
 def oscillator_raw(nu=NU, perturb=0.0):
@@ -27,6 +29,42 @@ def oscillator_raw(nu=NU, perturb=0.0):
 
         return RawFirstOrderSystem(1, sys1.K, d_perturbed)
     return RawFirstOrderSystem(1, sys1.K, sys1.D)
+
+
+def chain_raw(n=CHAIN_N, nu=CHAIN_NU, coupling=CHAIN_COUPLING):
+    """Raw (K, D) of the pendulum chain q'' + nu q' + sin q + coupling (q_{i-1} + q_{i+1}) = 0.
+
+    K = e^{nu t} J0 with J0 = [[0, -I], [I, 0]].
+    """
+    j0 = np.zeros((2 * n, 2 * n))
+    j0[:n, n:] = -np.eye(n)
+    j0[n:, :n] = np.eye(n)
+
+    def neighbours(q):
+        out = np.zeros(n)
+        out[:-1] += q[1:]
+        out[1:] += q[:-1]
+        return coupling * out
+
+    def D(z, t):
+        q, p = z[:n], z[n:]
+        return -np.exp(nu * t) * np.concatenate([nu * p + np.sin(q) + neighbours(q), p])
+
+    return RawFirstOrderSystem(n, lambda z, t: np.exp(nu * t) * j0, D)
+
+
+def chain_b_terms(z, n=CHAIN_N, nu=CHAIN_NU, coupling=CHAIN_COUPLING):
+    """The four terms of the chain's B / e^{nu t}.
+
+    nu q.p / 2, sum(1 - cos q), p.p / 2 and coupling * sum q_i q_{i+1}.
+    """
+    q, p = z[:n], z[n:]
+    return (
+        0.5 * nu * q @ p,
+        np.sum(1.0 - np.cos(q)),
+        0.5 * p @ p,
+        coupling * np.sum(q[:-1] * q[1:]),
+    )
 
 
 def sample_points(rng, count, dim=2):
@@ -77,6 +115,26 @@ class TestCheckSelfAdjointness:
         report = check_self_adjointness(raw, points, tol=1e-7)
         assert report.passed
         assert report.closure_violation <= 1e-9
+
+    def test_pendulum_chain_passes(self, rng):
+        # n = 2: the closure condition runs over all four index triples
+        report = check_self_adjointness(chain_raw(), sample_points(rng, 5, dim=4), tol=1e-7)
+        assert report.passed
+
+    def test_state_dependent_pairing_breaks_closure(self, rng):
+        # K_01 = -K_10 = z_3 is antisymmetric, but its cyclic sum over
+        # (0, 1, 2) is dK_01/dz_3 = 1; every other triple sums to zero
+        def k(z, t):
+            out = np.zeros((4, 4))
+            out[0, 1], out[1, 0] = z[2], -z[2]
+            return out
+
+        raw = RawFirstOrderSystem(2, K=k, D=lambda z, t: np.zeros(4))
+        report = check_self_adjointness(raw, sample_points(rng, 3, dim=4), tol=1e-7)
+        assert not report.passed
+        assert report.antisymmetry_violation == 0.0
+        assert report.closure_violation == pytest.approx(1.0, abs=1e-9)
+        assert report.time_curl_violation == 0.0
 
     def test_passing_is_monotone_in_tolerance(self, rng):
         raw = oscillator_raw(perturb=0.1)
@@ -145,6 +203,48 @@ class TestReconstructB:
         raw = oscillator_raw(perturb=0.1)
         with pytest.raises(InconsistencyError):
             reconstruct_b(raw, PhasePoint([1.0, 1.0], 0.0), quad_nodes=8)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_residual_raises(self):
+        # B overflows to inf at this point, so the gradient check reads NaN
+        with pytest.raises(InconsistencyError, match="not finite"):
+            reconstruct_b(oscillator_raw(), PhasePoint([1e200, 1e200], 0.0))
+
+    def test_pendulum_chain_value(self, rng):
+        # relative to the sum of the terms' magnitudes, since B can cancel
+        raw = chain_raw()
+        for p in sample_points(rng, 2, dim=4):
+            terms = chain_b_terms(p.z)
+            scale = np.exp(CHAIN_NU * p.t)
+            value = reconstruct_b(raw, p, quad_nodes=16)
+            assert abs(value - scale * sum(terms)) <= 1e-8 * scale * sum(map(abs, terms))
+
+
+class TestQuadratureRule:
+    def test_rule_is_computed_once_per_node_count(self, monkeypatch):
+        leggauss = np.polynomial.legendre.leggauss
+        degrees = []
+
+        def counted(deg):
+            degrees.append(deg)
+            return leggauss(deg)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        # 11 nodes are used by no other test, so at most this test fills the entry
+        for z in ([1.0, 1.0], [0.5, -0.3]):
+            reconstruct_b(oscillator_raw(), PhasePoint(z, 0.2), quad_nodes=11)
+        assert len(degrees) <= 1
+        nodes, weights = selfadjoint._gauss_legendre_01(11)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.5
+        with pytest.raises(ValueError):
+            weights[0] = 0.5
+
+    @pytest.mark.parametrize("quad_nodes", [2.5, 0, True, "32"])
+    @pytest.mark.parametrize("fn", [reconstruct_f, reconstruct_b], ids=lambda f: f.__name__)
+    def test_node_count_must_be_a_positive_integer(self, fn, quad_nodes):
+        with pytest.raises(ValueError, match="quad_nodes"):
+            fn(oscillator_raw(), PhasePoint([1.0, 1.0], 0.0), quad_nodes=quad_nodes)
 
 
 class TestContactMatrix:

@@ -172,6 +172,25 @@ class TestIntegrate:
         assert failure.trajectory.steps == 3
         np.testing.assert_array_equal(failure.trajectory.states[0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("name", ["K", "D"])
+    def test_non_finite_user_output_raises_evaluation_error(self, name, order):
+        # the analytic K or D turns NaN from t = 0.3 on, so the step from
+        # t = 0.3 (index 3) fails, with the three steps before it kept
+        base = oscillator_system(NU)
+        healthy = getattr(base, name)
+
+        def poisoned(z, t):
+            out = np.asarray(healthy(z, t), dtype=float)
+            return out * np.nan if t > 0.29 else out
+
+        system = dataclasses.replace(base, **{name: poisoned})
+        scheme = make_scheme(system, oscillator_alpha(NU), 0.0, order)
+        with pytest.raises(EvaluationError, match=f"{name} returned non-finite values") as info:
+            integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
+        assert info.value.step_index == 3
+        assert info.value.trajectory.steps == 3
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_any_package_error_carries_partial_trajectory(self, osc_system, osc_scheme_m1):
         # the time scaling overflows at t = 2000, before any Newton iteration
