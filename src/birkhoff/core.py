@@ -114,12 +114,7 @@ class BirkhoffSystem:
     # -- validated evaluation helpers ------------------------------------
 
     def f_at(self, z: Array, t: float) -> Array:
-        out = np.asarray(self.F(np.asarray(z, dtype=float), t), dtype=float)
-        if out.shape != (self.dim,):
-            raise EvaluationError(f"F must return shape ({self.dim},), got {out.shape}")
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"F returned non-finite values at t={t}")
-        return out
+        return _checked("F", self.F, z, t, (self.dim,))
 
     def b_at(self, z: Array, t: float) -> float:
         out = float(self.B(np.asarray(z, dtype=float), t))
@@ -130,41 +125,37 @@ class BirkhoffSystem:
     def k_at(self, z: Array, t: float) -> Array:
         """Structure matrix, analytic if supplied, else derived from F."""
         if self.K is not None:
-            out = np.asarray(self.K(np.asarray(z, dtype=float), t), dtype=float)
-            if out.shape != (self.dim, self.dim):
-                raise EvaluationError(
-                    f"K must return shape ({self.dim}, {self.dim}), got {out.shape}"
-                )
-            if not np.isfinite(out).all():
-                raise EvaluationError(f"K returned non-finite values at t={t}")
-            return out
+            return _checked("K", self.K, z, t, (self.dim, self.dim))
         return k_from_f(self, PhasePoint(z, t))
 
-    def rhs_at(self, z: Array, t: float) -> Array:
-        """grad B + dF/dt, i.e. -D; analytic pieces preferred."""
+    def d_at(self, z: Array, t: float) -> Array:
+        """Homogeneous-form right-hand side D, so that K dz/dt + D = 0.
+
+        The analytic D if supplied, else -(grad B + dF/dt) with analytic
+        ``grad_b``/``df_dt`` preferred over central differences of B and F.
+        """
         if self.D is not None:
-            return -self.d_at(z, t)
+            return _checked("D", self.D, z, t, (self.dim,))
         z = np.asarray(z, dtype=float)
         if self.grad_b is not None:
-            gb = np.asarray(self.grad_b(z, t), dtype=float)
+            gb = _checked("grad_b", self.grad_b, z, t, (self.dim,))
         else:
             gb = numdiff.gradient(lambda y: self.B(y, t), z)
         if self.df_dt is not None:
-            ft = np.asarray(self.df_dt(z, t), dtype=float)
+            ft = _checked("df_dt", self.df_dt, z, t, (self.dim,))
         else:
             ft = numdiff.time_derivative(lambda s: self.F(z, s), t)
-        return gb + ft
+        return -(gb + ft)
 
-    def d_at(self, z: Array, t: float) -> Array:
-        """Homogeneous-form right-hand side, analytic if supplied, else -(grad B + dF/dt)."""
-        if self.D is None:
-            return -self.rhs_at(z, t)
-        out = np.asarray(self.D(np.asarray(z, dtype=float), t), dtype=float)
-        if out.shape != (self.dim,):
-            raise EvaluationError(f"D must return shape ({self.dim},), got {out.shape}")
-        if not np.isfinite(out).all():
-            raise EvaluationError(f"D returned non-finite values at t={t}")
-        return out
+
+def _checked(name: str, fn: Callable, z: Array, t: float, shape: tuple) -> Array:
+    """``fn(z, t)`` as a float array; EvaluationError unless of ``shape`` and finite."""
+    out = np.asarray(fn(np.asarray(z, dtype=float), t), dtype=float)
+    if out.shape != shape:
+        raise EvaluationError(f"{name} must return shape {shape}, got {out.shape}")
+    if not np.isfinite(out).all():
+        raise EvaluationError(f"{name} returned non-finite values at t={t}")
+    return out
 
 
 def k_from_f(sys: BirkhoffSystem, p: PhasePoint) -> Array:
@@ -210,12 +201,15 @@ def regularity(sys: BirkhoffSystem, p: PhasePoint):
 
 
 def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
-    """Phase velocity K^{-1} (grad B + dF/dt) without phase-point wrapping."""
+    """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D.
+
+    The same as :func:`vector_field` without phase-point wrapping.
+    """
     k = sys.k_at(z, t)
     det = float(np.linalg.det(k))
     if not _nonsingular(k, det):
         raise RegularityError(f"structure matrix singular at t={t}: |det| = {abs(det):.3e}")
-    return np.linalg.solve(k, sys.rhs_at(z, t))
+    return np.linalg.solve(k, -sys.d_at(z, t))
 
 
 def vector_field(sys: BirkhoffSystem, p: PhasePoint) -> Array:

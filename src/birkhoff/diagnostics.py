@@ -9,15 +9,13 @@ final-time error against step size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import numdiff
 from .core import BirkhoffSystem
-from .genscheme import GeneratingScheme
-from .stepper import StepMap, Trajectory, run, step_jacobian
+from .stepper import StepMap, run
 
 Array = np.ndarray
 
@@ -99,28 +97,29 @@ def convergence_order(
 
 def compare(
     sys: BirkhoffSystem,
-    schemes: Mapping[str, StepMap],
+    schemes: Mapping[str, Tuple[StepMap, StepMap]],
     z0: Array,
     t0: float,
     tau: float,
     n_steps: int,
     reference: Optional[Callable[[float], Array]] = None,
 ) -> list[CompareRow]:
-    """Run each named step map on the same grid and summarize.
+    """Run each named scheme on the same grid and summarize.
 
-    Per step, the Jacobian is taken by solver-aware central differences of
-    the step map and fed to :func:`symplectic_residual`; the row records
-    the worst residual, the final-time error against ``reference`` (when
-    given) and the wall-clock time.  A failing scheme, or a grid that
-    :func:`~birkhoff.stepper.run` rejects, yields a row with its error
-    message instead of aborting the comparison.
+    Each scheme is a pair ``(advance, jacobian)`` of callables of (z, t_k):
+    the step map and its exact step Jacobian (the matrix of a closed-form
+    scheme; :func:`~birkhoff.stepper.step_jacobian` for a generating
+    scheme).  Per step, :func:`symplectic_residual` certifies that
+    Jacobian; the row records the worst residual, the final-time error
+    against ``reference`` (when given) and the wall-clock time.  A failing
+    scheme, or a grid that :func:`~birkhoff.stepper.run` rejects, yields a
+    row with its error message instead of aborting the comparison.
     """
     rows = []
-    for name, advance in schemes.items():
+    for name, (advance, jacobian) in schemes.items():
 
         def certify(z, t_k, z_next):
-            jac = numdiff.jacobian(lambda y: advance(y, t_k), z, base=numdiff.SOLVER_FD_STEP)
-            return symplectic_residual(sys, jac, z, t_k, z_next, t_k + tau)
+            return symplectic_residual(sys, jacobian(z, t_k), z, t_k, z_next, t_k + tau)
 
         start = time.perf_counter()
         try:
@@ -136,26 +135,6 @@ def compare(
         max_residual = max((0.0,) + traj.residuals)
         rows.append(CompareRow(name, final_error, max_residual, time.perf_counter() - start))
     return rows
-
-
-def attach_residuals(
-    sys: BirkhoffSystem, scheme: GeneratingScheme, traj: Trajectory
-) -> Trajectory:
-    """The trajectory with per-step structure residuals filled in.
-
-    Residual k certifies the step from state k to k+1, with the exact
-    step Jacobian of :func:`~birkhoff.stepper.step_jacobian`.
-    """
-    residuals = []
-    for k in range(traj.steps):
-        t_k = traj.time(k)
-        jac = step_jacobian(sys, scheme, traj.states[k], t_k, traj.tau)
-        residuals.append(
-            symplectic_residual(
-                sys, jac, traj.states[k], t_k, traj.states[k + 1], t_k + traj.tau
-            )
-        )
-    return replace(traj, residuals=tuple(residuals))
 
 
 def rows_to_csv(rows: Sequence[CompareRow]) -> str:

@@ -111,37 +111,6 @@ def _tau_series(terms, w: Array, tau: float) -> Array:
     return acc
 
 
-def _identity_point(alpha: AlphaTransform, w: Array, t0: float) -> Array:
-    """Solve ``alpha_2(zeta, zeta, t0, t0) = w`` for zeta by Newton from zero.
-
-    The Newton Jacobian C + D comes from the blocks, exactly.
-    """
-    w = np.asarray(w, dtype=float)
-
-    def residual(zeta):
-        _, a2 = alpha.forward(zeta, zeta, t0, t0)
-        return a2 - w
-
-    def jac(zeta):
-        _, _, c, d = alpha.blocks(zeta, zeta, t0, t0)
-        return c + d
-
-    scale = max(1.0, float(np.max(np.abs(w))))
-    zeta, _, _ = newton_solve(residual, np.zeros_like(w), scale, jacobian=jac)
-    return zeta
-
-
-def identity_generating(alpha: AlphaTransform, w: Array, t0: float) -> Array:
-    """Order-zero coefficient: the gradient map of the identity step.
-
-    Solves ``alpha_2(zeta, zeta, t0, t0) = w`` for zeta and returns
-    ``alpha_1(zeta, zeta, t0, t0)``.
-    """
-    zeta = _identity_point(alpha, w, t0)
-    a1, _ = alpha.forward(zeta, zeta, t0, t0)
-    return a1
-
-
 def a_functional(
     sys: BirkhoffSystem,
     alpha: AlphaTransform,
@@ -215,7 +184,17 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
 
     @_memoized
     def zeta_of(w: Array) -> Array:
-        return _identity_point(alpha, w, t0)
+        # the identity point: alpha_2(zeta, zeta, t0, t0) = w, solved by
+        # Newton from zero with the exact Jacobian C + D from the blocks
+        def residual(zeta):
+            return alpha.forward(zeta, zeta, t0, t0)[1] - w
+
+        def jac(zeta):
+            _, _, c, d = alpha.blocks(zeta, zeta, t0, t0)
+            return c + d
+
+        scale = max(1.0, float(np.max(np.abs(w))))
+        return newton_solve(residual, np.zeros_like(w), scale, jacobian=jac)[0]
 
     @_memoized
     def phi0(w: Array) -> Array:

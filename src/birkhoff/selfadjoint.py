@@ -19,8 +19,8 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import numdiff
-from .core import PhasePoint
-from .errors import EvaluationError, InconsistencyError
+from .core import PhasePoint, _checked
+from .errors import InconsistencyError
 
 Array = np.ndarray
 
@@ -50,20 +50,10 @@ class RawFirstOrderSystem:
         return 2 * self.n
 
     def k_at(self, z: Array, t: float) -> Array:
-        out = np.asarray(self.K(np.asarray(z, dtype=float), t), dtype=float)
-        if out.shape != (self.dim, self.dim):
-            raise EvaluationError(f"K must return shape ({self.dim}, {self.dim}), got {out.shape}")
-        if not np.isfinite(out).all():
-            raise EvaluationError(f"K returned non-finite values at t={t}")
-        return out
+        return _checked("K", self.K, z, t, (self.dim, self.dim))
 
     def d_at(self, z: Array, t: float) -> Array:
-        out = np.asarray(self.D(np.asarray(z, dtype=float), t), dtype=float)
-        if out.shape != (self.dim,):
-            raise EvaluationError(f"D must return shape ({self.dim},), got {out.shape}")
-        if not np.isfinite(out).all():
-            raise EvaluationError(f"D returned non-finite values at t={t}")
-        return out
+        return _checked("D", self.D, z, t, (self.dim,))
 
 
 @dataclass(frozen=True, eq=False)

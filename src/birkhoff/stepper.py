@@ -36,8 +36,9 @@ class Trajectory:
     """States on the uniform grid t_k = t0 + k * tau.
 
     ``residuals[k]``, when present, is the structure-preservation residual
-    of the step from state k to state k+1 (filled by ``run`` with a
-    ``certify`` callable, or by ``diagnostics.attach_residuals``).
+    of the step from state k to state k+1, filled only by :func:`run` from
+    its ``certify`` callable (``compare`` and the CLI ``integrate`` pass
+    one that feeds the exact step Jacobian to ``symplectic_residual``).
     """
 
     t0: float

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from birkhoff import (
-    attach_residuals,
+    compare,
     exact_solution,
-    integrate,
     make_scheme,
     oscillator_alpha,
     oscillator_system,
+    run,
+    step,
+    step_jacobian,
+    symplectic_residual,
 )
 from birkhoff.cli import main
 
@@ -20,21 +23,28 @@ def read_csv(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:-1]]
 
 
+@pytest.fixture(scope="module")
+def readme_trajectory(tmp_path_factory):
+    """Exit code and CSV of the README ``integrate`` example."""
+    out = tmp_path_factory.mktemp("readme") / "traj.csv"
+    code = main(
+        [
+            "integrate",
+            "--nu", "0.5",
+            "--scheme", "generating-2",
+            "--z0", "1,0",
+            "--t0", "0",
+            "--tau", "0.01",
+            "--steps", "100",
+            "--out", str(out),
+        ]
+    )
+    return code, out
+
+
 class TestIntegrate:
-    def test_writes_full_precision_trajectory(self, tmp_path):
-        out = tmp_path / "traj.csv"
-        code = main(
-            [
-                "integrate",
-                "--nu", "0.5",
-                "--scheme", "generating-2",
-                "--z0", "1,0",
-                "--t0", "0",
-                "--tau", "0.01",
-                "--steps", "100",
-                "--out", str(out),
-            ]
-        )
+    def test_writes_full_precision_trajectory(self, readme_trajectory):
+        code, out = readme_trajectory
         assert code == 0
         header, rows = read_csv(out)
         assert header == ["step", "t", "z1", "z2", "residual"]
@@ -45,6 +55,22 @@ class TestIntegrate:
         np.testing.assert_allclose(final, exact_solution(NU, 1.0, 0.0, 1.0), atol=1e-4)
         # repr round trip at 17 significant digits
         assert float(rows[-1][2]) == final[0]
+
+    def test_residual_column_is_the_compare_certificate(self, readme_trajectory):
+        # compare and the CLI certify each step with the same exact Jacobian,
+        # so the generating-2 row's worst residual is the column's maximum
+        code, out = readme_trajectory
+        assert code == 0
+        _, rows = read_csv(out)
+        system = oscillator_system(NU)
+        scheme = make_scheme(system, oscillator_alpha(NU), 0.0, 2)
+        pair = (
+            lambda z, t: step(system, scheme, z, t, 0.01),
+            lambda z, t: step_jacobian(system, scheme, z, t, 0.01),
+        )
+        compared = compare(system, {"generating-2": pair}, np.array([1.0, 0.0]), 0.0, 0.01, 100)
+        assert compared[0].error is None
+        assert compared[0].max_residual == max(float(row[4]) for row in rows[1:])
 
     def test_line_endings_are_lf(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -121,10 +147,18 @@ class TestIntegrate:
         _, rows = read_csv(out)
         system = oscillator_system(NU)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.3, 2)
-        traj = integrate(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1, 3)
-        certified = attach_residuals(system, scheme, traj)
+        certified = run(
+            lambda z, t: step(system, scheme, z, t, 0.1),
+            np.array([0.7, -1.3]),
+            0.3,
+            0.1,
+            3,
+            certify=lambda z, t, z_next: symplectic_residual(
+                system, step_jacobian(system, scheme, z, t, 0.1), z, t, z_next, t + 0.1
+            ),
+        )
         assert len(rows) == 4
-        for row, state in zip(rows, traj.states):
+        for row, state in zip(rows, certified.states):
             np.testing.assert_array_equal([float(v) for v in row[2:4]], state)
         assert tuple(float(row[4]) for row in rows[1:]) == certified.residuals
 

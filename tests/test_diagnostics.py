@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from birkhoff import (
-    attach_residuals,
     compare,
     convergence_order,
     euler_center,
     exact_solution,
     integrate,
     rows_to_csv,
+    run,
     scheme_first_order,
     scheme_second_order,
     step,
+    step_jacobian,
     symplectic_residual,
 )
 
@@ -24,6 +25,19 @@ EULER_RESIDUAL_05_01 = 1.1435202682586434e-4
 
 def matrix_step(matrix):
     return lambda z, t: matrix @ z
+
+
+def matrix_scheme(matrix):
+    """(advance, jacobian) pair of a closed-form scheme: the map and its matrix."""
+    return matrix_step(matrix), lambda z, t: matrix
+
+
+def generating_scheme(system, scheme, tau):
+    """(advance, jacobian) pair of a generating scheme: step and its exact Jacobian."""
+    return (
+        lambda z, t: step(system, scheme, z, t, tau),
+        lambda z, t: step_jacobian(system, scheme, z, t, tau),
+    )
 
 
 class TestSymplecticResidual:
@@ -147,9 +161,9 @@ class TestCompare:
         # baseline; the residual grows like the pairing scale on the
         # baseline only
         schemes = {
-            "order-1": matrix_step(scheme_first_order(NU, 0.1)),
-            "order-2": matrix_step(scheme_second_order(NU, 0.1)),
-            "euler-center": matrix_step(euler_center(NU, 0.1)),
+            "order-1": matrix_scheme(scheme_first_order(NU, 0.1)),
+            "order-2": matrix_scheme(scheme_second_order(NU, 0.1)),
+            "euler-center": matrix_scheme(euler_center(NU, 0.1)),
         }
         rows = compare(
             osc_system,
@@ -170,7 +184,7 @@ class TestCompare:
     def test_generating_scheme_rows_match_the_stepper(self, osc_system, osc_scheme_m2):
         rows = compare(
             osc_system,
-            {"generating-2": lambda z, t: step(osc_system, osc_scheme_m2, z, t, 0.1)},
+            {"generating-2": generating_scheme(osc_system, osc_scheme_m2, 0.1)},
             np.array([1.0, 0.0]),
             0.0,
             0.1,
@@ -184,7 +198,7 @@ class TestCompare:
         z0 = np.array([1.0, 0.0])
         rows = compare(
             osc_system,
-            {"one": lambda z, t: step(osc_system, osc_scheme_m1, z, t, 0.1)},
+            {"one": generating_scheme(osc_system, osc_scheme_m1, 0.1)},
             z0,
             0.0,
             0.1,
@@ -199,7 +213,7 @@ class TestCompare:
     def test_rows_serialize_to_csv(self, osc_system):
         rows = compare(
             osc_system,
-            {"one": matrix_step(scheme_first_order(NU, 0.1))},
+            {"one": matrix_scheme(scheme_first_order(NU, 0.1))},
             np.array([1.0, 0.0]),
             0.0,
             0.1,
@@ -217,7 +231,7 @@ class TestCompare:
 
         rows = compare(
             osc_system,
-            {"broken": broken, "ok": matrix_step(scheme_first_order(NU, 0.1))},
+            {"broken": (broken, broken), "ok": matrix_scheme(scheme_first_order(NU, 0.1))},
             np.array([1.0, 0.0]),
             0.0,
             0.1,
@@ -230,11 +244,22 @@ class TestCompare:
         assert by_name["ok"].max_residual <= 1e-10
 
 
-class TestAttachResiduals:
+class TestExactCertificate:
     def test_fills_one_residual_per_step(self, osc_system, osc_scheme_m2):
-        traj = integrate(osc_system, osc_scheme_m2, np.array([1.0, 0.0]), 0.0, 0.1, 5)
+        z0 = np.array([1.0, 0.0])
+        traj = integrate(osc_system, osc_scheme_m2, z0, 0.0, 0.1, 5)
         assert traj.residuals is None
-        filled = attach_residuals(osc_system, osc_scheme_m2, traj)
+        advance, jacobian = generating_scheme(osc_system, osc_scheme_m2, 0.1)
+        filled = run(
+            advance,
+            z0,
+            0.0,
+            0.1,
+            5,
+            certify=lambda z, t, z_next: symplectic_residual(
+                osc_system, jacobian(z, t), z, t, z_next, t + 0.1
+            ),
+        )
         assert len(filled.residuals) == 5
         assert max(filled.residuals) <= 1e-6
         for old, new in zip(traj.states, filled.states):

@@ -11,7 +11,6 @@ from birkhoff import (
     coefficients,
     exact_solution,
     hj_rhs,
-    identity_generating,
     make_scheme,
     oscillator_alpha,
     oscillator_system,
@@ -38,23 +37,37 @@ def exact_flow_matrix(nu, tau):
     )
 
 
-class TestIdentityGenerating:
-    def test_oscillator_transform_cancels(self, osc_alpha, rng):
+def identity_coefficient(sys, alpha, w, t0):
+    """The order-zero coefficient phi_w^(0)(w) of the generic recursion."""
+    return coefficients(sys, alpha, t0, 1).coeffs[0](w)
+
+
+def scaled_free_system(nu, n):
+    """K = e^{nu t} [[0, -I], [I, 0]] from F = e^{nu t} (p/2, -q/2), with B = 0."""
+    return BirkhoffSystem(
+        n=n,
+        F=lambda z, t: np.exp(nu * t) * np.concatenate([0.5 * z[n:], -0.5 * z[:n]]),
+        B=lambda z, t: 0.0,
+    )
+
+
+class TestIdentityCoefficient:
+    def test_oscillator_transform_cancels(self, osc_system, osc_alpha, rng):
         for _ in range(10):
             w = rng.uniform(-2, 2, 2)
-            out = identity_generating(osc_alpha, w, rng.uniform(0, 2))
+            out = identity_coefficient(osc_system, osc_alpha, w, rng.uniform(0, 2))
             assert np.max(np.abs(out)) <= 1e-12
 
     def test_unscaled_transform_cancels(self, rng):
         alpha = scaled_canonical_alpha(lambda t: 1.0, 1, lam_dot=lambda t: 0.0)
-        out = identity_generating(alpha, rng.uniform(-2, 2, 2), 0.0)
+        out = identity_coefficient(scaled_free_system(0.0, 1), alpha, rng.uniform(-2, 2, 2), 0.0)
         assert np.max(np.abs(out)) <= 1e-12
 
     def test_two_degree_of_freedom_cancellation(self, rng):
         alpha = scaled_canonical_alpha(
             lambda t: np.exp(0.5 * t), 2, lam_dot=lambda t: 0.5 * np.exp(0.5 * t)
         )
-        out = identity_generating(alpha, rng.uniform(-2, 2, 4), 0.7)
+        out = identity_coefficient(scaled_free_system(0.5, 2), alpha, rng.uniform(-2, 2, 4), 0.7)
         assert np.max(np.abs(out)) <= 1e-12
 
 

@@ -173,10 +173,11 @@ class TestIntegrate:
         np.testing.assert_array_equal(failure.trajectory.states[0], [1.0, 0.0])
 
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("name", ["K", "D"])
+    @pytest.mark.parametrize("name", ["K", "D", "grad_b", "df_dt"])
     def test_non_finite_user_output_raises_evaluation_error(self, name, order):
-        # the analytic K or D turns NaN from t = 0.3 on, so the step from
-        # t = 0.3 (index 3) fails, with the three steps before it kept
+        # the analytic K, D, grad_b or df_dt turns NaN from t = 0.3 on, so
+        # the step from t = 0.3 (index 3) fails, with the three steps before
+        # it kept; grad_b and df_dt are only read when D is not supplied
         base = oscillator_system(NU)
         healthy = getattr(base, name)
 
@@ -184,7 +185,8 @@ class TestIntegrate:
             out = np.asarray(healthy(z, t), dtype=float)
             return out * np.nan if t > 0.29 else out
 
-        system = dataclasses.replace(base, **{name: poisoned})
+        without_d = {"D": None} if name in ("grad_b", "df_dt") else {}
+        system = dataclasses.replace(base, **{name: poisoned}, **without_d)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.0, order)
         with pytest.raises(EvaluationError, match=f"{name} returned non-finite values") as info:
             integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
