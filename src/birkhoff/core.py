@@ -140,11 +140,11 @@ class BirkhoffSystem:
         if self.grad_b is not None:
             gb = _checked("grad_b", self.grad_b, z, t, (self.dim,))
         else:
-            gb = numdiff.gradient(lambda y: self.B(y, t), z)
+            gb = numdiff.gradient(lambda y: self.b_at(y, t), z)
         if self.df_dt is not None:
             ft = _checked("df_dt", self.df_dt, z, t, (self.dim,))
         else:
-            ft = numdiff.time_derivative(lambda s: self.F(z, s), t)
+            ft = numdiff.time_derivative(lambda s: self.f_at(z, s), t)
         return -(gb + ft)
 
 
@@ -201,17 +201,9 @@ def regularity(sys: BirkhoffSystem, p: PhasePoint):
 
 
 def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
-    """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D.
-
-    The same as :func:`vector_field` without phase-point wrapping.
-    """
+    """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D."""
     k = sys.k_at(z, t)
     det = float(np.linalg.det(k))
     if not _nonsingular(k, det):
         raise RegularityError(f"structure matrix singular at t={t}: |det| = {abs(det):.3e}")
     return np.linalg.solve(k, -sys.d_at(z, t))
-
-
-def vector_field(sys: BirkhoffSystem, p: PhasePoint) -> Array:
-    """Phase velocity v = K^{-1} (grad B + dF/dt) at p."""
-    return velocity(sys, p.z, p.t)

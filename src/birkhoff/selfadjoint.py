@@ -174,35 +174,34 @@ def reconstruct_b(
     quad_nodes: int = 32,
     check: bool = True,
 ) -> float:
-    """Scalar B from the homotopy integral of D + dF/dt.
+    """Scalar B from the homotopy integral of D along the ray.
 
-    B(z, t) = - int_0^1 z_i (D_i + dF_i/dt)(lam * z, t) dlam, with F from
-    :func:`reconstruct_f` and dF/dt by central differences.  The sign is
-    fixed so that ``grad B = -(D + dF/dt)``; with ``check=True`` that
-    identity is verified at p by a finite-difference gradient and an
+    B(z, t) = - int_0^1 z_i D_i(lam * z, t) dlam, with the quadrature of
+    :func:`reconstruct_f`.  Precondition: K is antisymmetric, as
+    :func:`check_self_adjointness` measures.  Then the dF/dt term of the
+    homotopy integral of D + dF/dt adds nothing along the ray, since
+    z . F(lam * z, t) = lam/2 int_0^1 z^T K(mu lam z, t) z dmu = 0.  The
+    sign is fixed so that ``grad B = -(D + dF/dt)``; with ``check=True``
+    that identity is verified at p, by a finite-difference gradient of B
+    and one time difference of :func:`reconstruct_f`, and an
     :class:`InconsistencyError` raised when it fails, which signals a
     non-self-adjoint input.
     """
     lam, wgt = _quadrature_rule(quad_nodes)
 
-    def d_plus_ft(z: Array, t: float) -> Array:
-        dft = numdiff.time_derivative(
-            lambda s: reconstruct_f(raw, PhasePoint(z, s), quad_nodes), t
-        )
-        return raw.d_at(z, t) + dft
-
     def b_value(z: Array) -> float:
         acc = 0.0
         for lam_i, w_i in zip(lam, wgt):
-            acc += w_i * float(z @ d_plus_ft(lam_i * z, p.t))
+            acc += w_i * float(z @ raw.d_at(lam_i * z, p.t))
         return -acc
 
     value = b_value(p.z)
     if check:
-        # b_value contains a time difference of the reconstructed F, so its
-        # gradient needs the wider once-nested step
-        grad = numdiff.gradient(b_value, p.z, base=numdiff.SOLVER_FD_STEP)
-        resid = float(np.max(np.abs(grad + d_plus_ft(p.z, p.t))))
+        dft = numdiff.time_derivative(
+            lambda s: reconstruct_f(raw, PhasePoint(p.z, s), quad_nodes), p.t
+        )
+        grad = numdiff.gradient(b_value, p.z)
+        resid = float(np.max(np.abs(grad + raw.d_at(p.z, p.t) + dft)))
         # written so that a NaN residual fails too
         if not resid <= _GRAD_TOL:
             reason = (

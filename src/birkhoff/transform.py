@@ -173,7 +173,7 @@ def scaled_canonical_alpha(
         if not np.isfinite(value):
             raise EvaluationError(f"time scaling evaluated non-finite: lam({t}) = {value}")
         if value <= 0.0:
-            raise ValueError(f"time scaling must be positive, got lam({t}) = {value}")
+            raise EvaluationError(f"time scaling must be positive, got lam({t}) = {value}")
         return value
 
     dim = 2 * n

@@ -10,7 +10,6 @@ from birkhoff import (
     k_from_f,
     oscillator_system,
     regularity,
-    vector_field,
     velocity,
 )
 from birkhoff.core import det_nonzero
@@ -158,15 +157,15 @@ class TestRegularity:
 
 class TestVectorField:
     def test_reduces_to_damped_oscillator_equations(self, osc_system):
-        v = vector_field(osc_system, PhasePoint([1.0, 0.0], 0.0))
+        v = velocity(osc_system, np.array([1.0, 0.0]), 0.0)
         np.testing.assert_allclose(v, [0.0, -1.0], atol=1e-12)
 
     def test_equilibrium(self, osc_system):
-        v = vector_field(osc_system, PhasePoint([0.0, 0.0], 0.7))
+        v = velocity(osc_system, np.array([0.0, 0.0]), 0.7)
         np.testing.assert_allclose(v, [0.0, 0.0], atol=1e-14)
 
     def test_unit_momentum(self, osc_system):
-        v = vector_field(osc_system, PhasePoint([0.0, 1.0], 0.0))
+        v = velocity(osc_system, np.array([0.0, 1.0]), 0.0)
         np.testing.assert_allclose(v, [1.0, -NU], atol=1e-12)
 
     def test_independent_of_time_for_the_oscillator(self, osc_system, rng):
@@ -174,8 +173,8 @@ class TestVectorField:
         for _ in range(10):
             z = rng.uniform(-2, 2, 2)
             t1, t2 = rng.uniform(0, 3, 2)
-            v1 = vector_field(osc_system, PhasePoint(z, t1))
-            v2 = vector_field(osc_system, PhasePoint(z, t2))
+            v1 = velocity(osc_system, z, t1)
+            v2 = velocity(osc_system, z, t2)
             assert np.max(np.abs(v1 - v2)) <= 1e-10
 
     def test_singular_structure_matrix_raises(self):
@@ -186,7 +185,7 @@ class TestVectorField:
             K=lambda z, t: np.zeros((2, 2)),
         )
         with pytest.raises(RegularityError):
-            vector_field(sys1, PhasePoint([1.0, 0.0]))
+            velocity(sys1, np.array([1.0, 0.0]), 0.0)
 
     def test_finite_difference_fallbacks_match_analytic_data(self, rng):
         # same oscillator but with only (F, B, K) given: grad B and dF/dt
@@ -196,6 +195,6 @@ class TestVectorField:
         for _ in range(5):
             p = PhasePoint(rng.uniform(-2, 2, 2), rng.uniform(0, 1))
             np.testing.assert_allclose(
-                vector_field(bare, p), vector_field(full, p), atol=1e-7
+                velocity(bare, p.z, p.t), velocity(full, p.z, p.t), atol=1e-7
             )
             np.testing.assert_allclose(bare.d_at(p.z, p.t), full.d_at(p.z, p.t), atol=1e-7)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoff import (
     InconsistencyError,
@@ -12,9 +14,10 @@ from birkhoff import (
     reconstruct_f,
     selfadjoint,
 )
+from pendulum_chain import NU as CHAIN_NU
+from pendulum_chain import b_terms, chain_raw
 
 NU = 0.5
-CHAIN_N, CHAIN_NU, CHAIN_COUPLING = 2, 0.3, 0.1
 
 
 def oscillator_raw(nu=NU, perturb=0.0):
@@ -29,42 +32,6 @@ def oscillator_raw(nu=NU, perturb=0.0):
 
         return RawFirstOrderSystem(1, sys1.K, d_perturbed)
     return RawFirstOrderSystem(1, sys1.K, sys1.D)
-
-
-def chain_raw(n=CHAIN_N, nu=CHAIN_NU, coupling=CHAIN_COUPLING):
-    """Raw (K, D) of the pendulum chain q'' + nu q' + sin q + coupling (q_{i-1} + q_{i+1}) = 0.
-
-    K = e^{nu t} J0 with J0 = [[0, -I], [I, 0]].
-    """
-    j0 = np.zeros((2 * n, 2 * n))
-    j0[:n, n:] = -np.eye(n)
-    j0[n:, :n] = np.eye(n)
-
-    def neighbours(q):
-        out = np.zeros(n)
-        out[:-1] += q[1:]
-        out[1:] += q[:-1]
-        return coupling * out
-
-    def D(z, t):
-        q, p = z[:n], z[n:]
-        return -np.exp(nu * t) * np.concatenate([nu * p + np.sin(q) + neighbours(q), p])
-
-    return RawFirstOrderSystem(n, lambda z, t: np.exp(nu * t) * j0, D)
-
-
-def chain_b_terms(z, n=CHAIN_N, nu=CHAIN_NU, coupling=CHAIN_COUPLING):
-    """The four terms of the chain's B / e^{nu t}.
-
-    nu q.p / 2, sum(1 - cos q), p.p / 2 and coupling * sum q_i q_{i+1}.
-    """
-    q, p = z[:n], z[n:]
-    return (
-        0.5 * nu * q @ p,
-        np.sum(1.0 - np.cos(q)),
-        0.5 * p @ p,
-        coupling * np.sum(q[:-1] * q[1:]),
-    )
 
 
 def sample_points(rng, count, dim=2):
@@ -211,13 +178,45 @@ class TestReconstructB:
             reconstruct_b(oscillator_raw(), PhasePoint([1e200, 1e200], 0.0))
 
     def test_pendulum_chain_value(self, rng):
-        # relative to the sum of the terms' magnitudes, since B can cancel
+        # to rounding, relative to the sum of the terms' magnitudes, since
+        # B can cancel
         raw = chain_raw()
-        for p in sample_points(rng, 2, dim=4):
-            terms = chain_b_terms(p.z)
+        for p in sample_points(rng, 4, dim=4):
+            terms = b_terms(p.z)
             scale = np.exp(CHAIN_NU * p.t)
-            value = reconstruct_b(raw, p, quad_nodes=16)
-            assert abs(value - scale * sum(terms)) <= 1e-8 * scale * sum(map(abs, terms))
+            value = reconstruct_b(raw, p)
+            assert abs(value - scale * sum(terms)) <= 1e-14 * scale * sum(map(abs, terms))
+
+    def test_calls_to_k_and_d_are_pinned(self):
+        # 32 D calls for B, 256 for its gradient and one for the residual;
+        # the 64 K calls are the two reconstruct_f of dF/dt at p
+        base = chain_raw()
+        k_calls, d_calls = [], []
+
+        def counted_k(z, t):
+            k_calls.append(t)
+            return base.K(z, t)
+
+        def counted_d(z, t):
+            d_calls.append(t)
+            return base.D(z, t)
+
+        raw = RawFirstOrderSystem(base.n, counted_k, counted_d)
+        reconstruct_b(raw, PhasePoint([0.4, -0.3, 0.2, 0.5], 0.2), quad_nodes=32, check=True)
+        assert (len(k_calls), len(d_calls)) == (64, 289)
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        nu=st.floats(0.0, 1.5),
+        z=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+        t=st.floats(0.0, 1.0),
+    )
+    def test_oscillator_value_property(self, nu, z, t):
+        r, q = z
+        terms = (r * r, nu * r * q, q * q)
+        scale = 0.5 * np.exp(nu * t)
+        value = reconstruct_b(oscillator_raw(nu), PhasePoint(z, t))
+        assert abs(value - scale * sum(terms)) <= 1e-14 * scale * sum(map(abs, terms))
 
 
 class TestQuadratureRule:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoff import (
     BirkhoffSystem,
@@ -11,6 +13,7 @@ from birkhoff import (
     StepFailure,
     Trajectory,
     TransversalityError,
+    convergence_order,
     exact_solution,
     integrate,
     make_scheme,
@@ -25,46 +28,9 @@ from birkhoff import (
     step_jacobian,
     symplectic_residual,
 )
+from pendulum_chain import chain_system, rk4_state
 
 NU = 0.5
-
-
-def chain_system(n=2, nu=0.3, coupling=0.1):
-    """Damped pendulum chain q'' + nu q' + sin q + coupling (q_{i-1} + q_{i+1}) = 0.
-
-    K = e^{nu t} J0 with J0 = [[0, -I], [I, 0]]; the matching transform is
-    ``scaled_canonical_alpha(e^{nu t}, n)``.
-    """
-    j0 = np.zeros((2 * n, 2 * n))
-    j0[:n, n:] = -np.eye(n)
-    j0[n:, :n] = np.eye(n)
-
-    def neighbours(q):
-        out = np.zeros(n)
-        out[:-1] += q[1:]
-        out[1:] += q[:-1]
-        return coupling * out
-
-    def F(z, t):
-        return np.exp(nu * t) * np.concatenate([0.5 * z[n:], -0.5 * z[:n]])
-
-    def B(z, t):
-        q, p = z[:n], z[n:]
-        return float(
-            np.exp(nu * t)
-            * (0.5 * nu * q @ p + np.sum(1.0 - np.cos(q)) + 0.5 * p @ p
-               + coupling * np.sum(q[:-1] * q[1:]))
-        )
-
-    def D(z, t):
-        q, p = z[:n], z[n:]
-        return -np.exp(nu * t) * np.concatenate([nu * p + np.sin(q) + neighbours(q), p])
-
-    system = BirkhoffSystem(n=n, F=F, B=B, K=lambda z, t: np.exp(nu * t) * j0, D=D)
-    alpha = scaled_canonical_alpha(
-        lambda t: np.exp(nu * t), n, lam_dot=lambda t: nu * np.exp(nu * t)
-    )
-    return system, alpha
 
 
 class TestTrajectory:
@@ -90,6 +56,25 @@ class TestStep:
     def test_second_order_matches_closed_form_column(self, osc_system, osc_scheme_m2):
         z1 = step(osc_system, osc_scheme_m2, np.array([1.0, 0.0]), 0.0, 0.1)
         assert np.max(np.abs(z1 - scheme_second_order(NU, 0.1)[:, 0])) <= 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(
+        nu=st.floats(0.0, 1.0),
+        tau=st.floats(0.01, 0.2),
+        z=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+        t0=st.floats(0.0, 2.0),
+    )
+    def test_generic_step_matches_the_closed_forms(self, nu, tau, z, t0):
+        # the transition matrices of the scaled oscillator do not depend on t0
+        system, alpha = oscillator_system(nu), oscillator_alpha(nu)
+        z = np.array(z)
+        bound = max(1.0, float(np.max(np.abs(z))))
+        for order, closed, tol in (
+            (1, scheme_first_order, 1e-12),
+            (2, scheme_second_order, 1e-10),
+        ):
+            z1 = step(system, make_scheme(system, alpha, t0, order), z, t0, tau)
+            assert np.max(np.abs(z1 - closed(nu, tau) @ z)) <= tol * bound
 
     def test_zero_step_is_identity(self, osc_system, osc_scheme_m1):
         z = np.array([0.7, -0.3])
@@ -172,12 +157,18 @@ class TestIntegrate:
         assert failure.trajectory.steps == 3
         np.testing.assert_array_equal(failure.trajectory.states[0], [1.0, 0.0])
 
-    @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("name", ["K", "D", "grad_b", "df_dt"])
+    @pytest.mark.parametrize(
+        "name, order",
+        [(name, order) for name in ("K", "D", "grad_b", "df_dt") for order in (1, 2)]
+        + [("B", 1), ("F", 1)],
+    )
     def test_non_finite_user_output_raises_evaluation_error(self, name, order):
-        # the analytic K, D, grad_b or df_dt turns NaN from t = 0.3 on, so
-        # the step from t = 0.3 (index 3) fails, with the three steps before
-        # it kept; grad_b and df_dt are only read when D is not supplied
+        # the analytic K, D, grad_b, df_dt, B or F turns NaN from t = 0.3 on,
+        # so the step from t = 0.3 (index 3) fails, with the three steps
+        # before it kept; grad_b and df_dt are only read when D is not
+        # supplied, and B and F are differenced when grad_b or df_dt is not.
+        # At order 2 a differenced grad_b or df_dt leaves the step residual
+        # above Newton's increment test, so the run fails already at t = 0
         base = oscillator_system(NU)
         healthy = getattr(base, name)
 
@@ -185,13 +176,40 @@ class TestIntegrate:
             out = np.asarray(healthy(z, t), dtype=float)
             return out * np.nan if t > 0.29 else out
 
-        without_d = {"D": None} if name in ("grad_b", "df_dt") else {}
-        system = dataclasses.replace(base, **{name: poisoned}, **without_d)
+        dropped = {
+            "grad_b": {"D": None},
+            "df_dt": {"D": None},
+            "B": {"D": None, "grad_b": None},
+            "F": {"D": None, "df_dt": None},
+        }.get(name, {})
+        message = f"{name} returned non-finite values"
+        if name == "B":
+            message = "B returned a non-finite value"
+        system = dataclasses.replace(base, **{name: poisoned}, **dropped)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.0, order)
-        with pytest.raises(EvaluationError, match=f"{name} returned non-finite values") as info:
+        with pytest.raises(EvaluationError, match=message) as info:
             integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
         assert info.value.step_index == 3
         assert info.value.trajectory.steps == 3
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_scaling_that_reaches_zero_raises_evaluation_error(self, order):
+        # K = (1 - t) J0 with the matching transform: lam(t) = 1 - t reaches
+        # zero at the end of the step from t = 0.9 (index 9), and the nine
+        # steps before it are kept
+        j0 = np.array([[0.0, -1.0], [1.0, 0.0]])
+        system = BirkhoffSystem(
+            n=1,
+            F=lambda z, t: 0.5 * (1.0 - t) * np.array([z[1], -z[0]]),
+            B=lambda z, t: 0.5 * (1.0 - t) * float(z @ z),
+            K=lambda z, t: (1.0 - t) * j0,
+            D=lambda z, t: -((1.0 - t) * z + 0.5 * np.array([-z[1], z[0]])),
+        )
+        scheme = make_scheme(system, scaled_canonical_alpha(lambda t: 1.0 - t, 1), 0.0, order)
+        with pytest.raises(EvaluationError, match="time scaling must be positive") as info:
+            integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 12)
+        assert info.value.step_index == 9
+        assert info.value.trajectory.steps == 9
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_any_package_error_carries_partial_trajectory(self, osc_system, osc_scheme_m1):
@@ -343,3 +361,38 @@ class TestStepJacobian:
             run(lambda z, t: step(sys0, scheme, z, t, 0.1), z0, 0.0, 0.1, 3, certify=certify)
         assert info.value.step_index == 0
         assert info.value.trajectory.steps == 0
+
+
+class TestPendulumChainGoldens:
+    # n = 2, nu = 0.3, coupling 0.1 from a state away from the equilibrium
+    Z0 = np.array([0.5, -0.4, 0.3, 0.2])
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_convergence_slope_against_rk4(self, order):
+        system, alpha = chain_system()
+        scheme = make_scheme(system, alpha, 0.0, order)
+        reference = rk4_state(system, self.Z0, 0.0, 0.8, 400)
+        report = convergence_order(
+            system,
+            lambda tau: lambda z, t_k: step(system, scheme, z, t_k, tau),
+            lambda t: reference,
+            self.Z0,
+            0.0,
+            0.8,
+            [0.2, 0.1, 0.05],
+        )
+        assert abs(report.slope - order) <= 0.2
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_per_step_residuals(self, order):
+        system, alpha = chain_system()
+        scheme = make_scheme(system, alpha, 0.0, order)
+
+        def certify(z, t_k, z_next):
+            jac = step_jacobian(system, scheme, z, t_k, 0.1)
+            return symplectic_residual(system, jac, z, t_k, z_next, t_k + 0.1)
+
+        traj = run(
+            lambda z, t_k: step(system, scheme, z, t_k, 0.1), self.Z0, 0.0, 0.1, 8, certify=certify
+        )
+        assert max(traj.residuals) <= 1e-10

@@ -4,6 +4,7 @@ import pytest
 from birkhoff import (
     AlphaTransform,
     BirkhoffSystem,
+    EvaluationError,
     TransversalityError,
     alpha_verify,
     canonical_j,
@@ -168,7 +169,7 @@ class TestScaledCanonicalAlpha:
 
     def test_nonpositive_scaling_rejected(self):
         alpha = scaled_canonical_alpha(lambda t: 1.0 - t, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(EvaluationError, match="time scaling must be positive"):
             alpha.forward(np.zeros(2), np.zeros(2), 2.0, 0.0)
 
     def test_nonpositive_dimension_rejected(self):
