@@ -2,23 +2,26 @@
 
 Subcommands: ``integrate``, ``check``, ``convergence``, ``reconstruct``.
 Only built-in systems are selectable here; arbitrary systems enter through
-the library API.  Exit codes: 0 success, 1 usage or configuration error,
-2 numerical step failure (partial output still written), 3 check failure.
+the library API.  Each option is declared once, in :data:`OPTIONS`, which
+feeds the parser's flags, the defaults and the conversion of config-file
+values.  Exit codes, all assigned in :func:`main` except where noted: 0
+success, 1 usage or configuration error, 2 numerical failure (``integrate``
+still writes the steps accepted before it), 3 check failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import stepper
 from .core import BirkhoffSystem, PhasePoint
 from .diagnostics import convergence_order, symplectic_residual
-from .errors import BirkhoffError, InconsistencyError, StepFailure
+from .errors import BirkhoffError, InconsistencyError
 from .genscheme import make_scheme
 from .oscillator import (
     euler_center,
@@ -33,7 +36,7 @@ from .transform import AlphaTransform
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_STEP_FAILURE = 2
+EXIT_NUMERICAL_FAILURE = 2
 EXIT_CHECK_FAILURE = 3
 
 GENERATING_SCHEMES = ("generating-1", "generating-2")
@@ -47,26 +50,6 @@ SCHEME_CHOICES = GENERATING_SCHEMES + tuple(MATRIX_SCHEMES)
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Resolved configuration of one CLI invocation; flags beat config-file values."""
-
-    system: str = "damped-oscillator"
-    nu: float = 0.5
-    scheme: str = "generating-2"
-    z0: Tuple[float, ...] = (1.0, 0.0)
-    t0: float = 0.0
-    tau: float = 0.01
-    steps: int = 100
-    out: Optional[str] = None
-    tol: float = 1e-7
-    perturb: float = 0.0
-    tau_list: Tuple[float, ...] = ()
-    samples: int = 50
-    seed: int = 0
-    horizon: float = 1.0
 
 
 @dataclass
@@ -108,6 +91,41 @@ def _parse_vector(text: str) -> Tuple[float, ...]:
         raise ConfigError(f"cannot parse vector {text!r}; expected comma-separated floats")
 
 
+class Option(NamedTuple):
+    """One option: flag ``--name`` (underscores as dashes) and config key ``name``."""
+
+    name: str
+    type: Callable[[str], object]
+    default: object
+    help: str
+    commands: Tuple[str, ...] = ("integrate", "check", "convergence", "reconstruct")
+
+
+STATE_COMMANDS = ("integrate", "convergence", "reconstruct")
+
+# the subcommand flags in --help order; a config file may set any of them
+OPTIONS = (
+    Option("system", str, "damped-oscillator", "built-in system selector (damped-oscillator)"),
+    Option("nu", float, 0.5, "damping coefficient of the built-in system"),
+    Option("config", str, None, "optional key=value config file; flags win"),
+    Option("perturb", float, 0.0, "perturb D_2 by this factor times z_1"),
+    Option("out", str, None, "output file path (default: stdout)"),
+    Option("scheme", str, "generating-2", "|".join(SCHEME_CHOICES), ("integrate", "convergence")),
+    Option("z0", _parse_vector, (1.0, 0.0), "initial state or phase point, comma separated",
+           STATE_COMMANDS),
+    Option("t0", float, 0.0, "initial time or time of the phase point", STATE_COMMANDS),
+    Option("tau", float, 0.01, "step size", ("integrate",)),
+    Option("steps", int, 100, "number of steps", ("integrate",)),
+    Option("tol", float, 1e-7, "violation tolerance", ("check",)),
+    Option("samples", int, 50, "number of random sample points", ("check",)),
+    Option("seed", int, 0, "sampling seed", ("check",)),
+    Option("tau_list", _parse_vector, (), "decreasing step sizes", ("convergence",)),
+    Option("horizon", float, 1.0, "integration horizon from t0", ("convergence",)),
+)
+# the keys a config file may set: every option but the config file itself
+OPTION_TYPES = {opt.name: opt.type for opt in OPTIONS if opt.name != "config"}
+
+
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
@@ -125,37 +143,15 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_CONVERTERS = {
-    "system": str,
-    "nu": float,
-    "scheme": str,
-    "z0": _parse_vector,
-    "t0": float,
-    "tau": float,
-    "steps": int,
-    "out": str,
-    "tol": float,
-    "perturb": float,
-    "tau_list": _parse_vector,
-    "samples": int,
-    "seed": int,
-    "horizon": float,
-}
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge flag values over config-file values over defaults."""
-    cfg = RunConfig()
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    known = {f.name for f in fields(RunConfig)}
-    for key, raw in file_values.items():
-        if key not in known:
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Merge flag values over config-file values over the table's defaults."""
+    values = {opt.name: opt.default for opt in OPTIONS}
+    for key, raw in (_read_config_file(args.config) if args.config else {}).items():
+        if key not in OPTION_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        cfg = replace(cfg, **{key: _CONVERTERS[key](raw)})
-    for name in known:
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg = replace(cfg, **{name: value})
+        values[key] = OPTION_TYPES[key](raw)
+    values.update((k, v) for k, v in vars(args).items() if k in values and v is not None)
+    cfg = argparse.Namespace(**values)
     if cfg.system not in SYSTEMS:
         raise ConfigError(
             f"unknown system {cfg.system!r}; available: {', '.join(sorted(SYSTEMS))}"
@@ -167,7 +163,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _build_step_maps(bundle: SystemBundle, cfg: RunConfig, tau: float):
+def _build_step_maps(bundle: SystemBundle, cfg: argparse.Namespace, tau: float):
     """(advance, jacobian) callables of signature (z, t_k) for the selected scheme."""
     if cfg.scheme in GENERATING_SCHEMES:
         order = int(cfg.scheme[-1])
@@ -184,7 +180,7 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _phase_vector(cfg: RunConfig, dim: int) -> np.ndarray:
+def _phase_vector(cfg: argparse.Namespace, dim: int) -> np.ndarray:
     """``cfg.z0`` as an array, which must have length ``dim`` and finite entries."""
     z0 = np.asarray(cfg.z0, dtype=float)
     if z0.shape != (dim,):
@@ -202,7 +198,7 @@ def _write_text(path: Optional[str], text: str) -> None:
             handle.write(text)
 
 
-def cmd_integrate(cfg: RunConfig) -> int:
+def cmd_integrate(cfg: argparse.Namespace) -> int:
     if cfg.tau <= 0:
         raise ConfigError("tau must be positive")
     if cfg.steps < 1:
@@ -234,7 +230,7 @@ def cmd_integrate(cfg: RunConfig) -> int:
     if failure is not None:
         k = failure.step_index
         print(f"step {k} failed at t={cfg.t0 + k * cfg.tau}: {failure}", file=sys.stderr)
-        return EXIT_STEP_FAILURE
+        return EXIT_NUMERICAL_FAILURE
     return EXIT_OK
 
 
@@ -246,7 +242,7 @@ def _sample_points(dim: int, count: int, seed: int):
     ]
 
 
-def cmd_check(cfg: RunConfig) -> int:
+def cmd_check(cfg: argparse.Namespace) -> int:
     if cfg.samples < 1:
         raise ConfigError("samples must be at least 1")
     bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
@@ -260,7 +256,7 @@ def cmd_check(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 
 
-def cmd_convergence(cfg: RunConfig) -> int:
+def cmd_convergence(cfg: argparse.Namespace) -> int:
     taus = tuple(cfg.tau_list) or (0.1, 0.05, 0.025, 0.0125)
     if len(taus) < 3:
         raise ConfigError("need at least 3 tau values")
@@ -273,18 +269,9 @@ def cmd_convergence(cfg: RunConfig) -> int:
         advance, _ = _build_step_maps(bundle, cfg, tau)
         return advance
 
-    try:
-        report = convergence_order(
-            bundle.system,
-            factory,
-            bundle.reference(z0, cfg.t0),
-            z0,
-            cfg.t0,
-            cfg.horizon,
-            taus,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    report = convergence_order(
+        bundle.system, factory, bundle.reference(z0, cfg.t0), z0, cfg.t0, cfg.horizon, taus
+    )
     lines = ["tau,error"]
     for tau, err in zip(report.tau_values, report.errors):
         lines.append(f"{_fmt(tau)},{_fmt(err)}")
@@ -293,7 +280,7 @@ def cmd_convergence(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(cfg: RunConfig) -> int:
+def cmd_reconstruct(cfg: argparse.Namespace) -> int:
     bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
     point = PhasePoint(_phase_vector(cfg, bundle.raw.dim), cfg.t0)
     f_vec = reconstruct_f(bundle.raw, point)
@@ -307,12 +294,12 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--system", help="built-in system selector (damped-oscillator)")
-    parser.add_argument("--nu", type=float, help="damping coefficient of the built-in system")
-    parser.add_argument("--config", help="optional key=value config file; flags win")
-    parser.add_argument("--perturb", type=float, help="perturb D_2 by this factor times z_1")
-    parser.add_argument("--out", help="output file path (default: stdout)")
+COMMANDS = {
+    "integrate": (cmd_integrate, "integrate a trajectory and emit CSV"),
+    "check": (cmd_check, "verify the self-adjointness conditions"),
+    "convergence": (cmd_convergence, "estimate a scheme's convergence order"),
+    "reconstruct": (cmd_reconstruct, "rebuild F and B from the raw system"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,62 +308,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structure-preserving one-step schemes for Birkhoffian systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_int = sub.add_parser("integrate", help="integrate a trajectory and emit CSV")
-    _add_common(p_int)
-    p_int.add_argument("--scheme", help="|".join(SCHEME_CHOICES))
-    p_int.add_argument("--z0", type=_parse_vector, help="initial state, comma separated")
-    p_int.add_argument("--t0", type=float, help="initial time")
-    p_int.add_argument("--tau", type=float, help="step size")
-    p_int.add_argument("--steps", type=int, help="number of steps")
-    p_int.set_defaults(func=cmd_integrate)
-
-    p_chk = sub.add_parser("check", help="verify the self-adjointness conditions")
-    _add_common(p_chk)
-    p_chk.add_argument("--tol", type=float, help="violation tolerance")
-    p_chk.add_argument("--samples", type=int, help="number of random sample points")
-    p_chk.add_argument("--seed", type=int, help="sampling seed")
-    p_chk.set_defaults(func=cmd_check)
-
-    p_conv = sub.add_parser("convergence", help="estimate a scheme's convergence order")
-    _add_common(p_conv)
-    p_conv.add_argument("--scheme", help="|".join(SCHEME_CHOICES))
-    p_conv.add_argument("--z0", type=_parse_vector, help="initial state, comma separated")
-    p_conv.add_argument("--t0", type=float, help="initial time")
-    p_conv.add_argument(
-        "--tau-list", dest="tau_list", type=_parse_vector, help="decreasing step sizes"
-    )
-    p_conv.add_argument("--horizon", type=float, help="integration horizon from t0")
-    p_conv.set_defaults(func=cmd_convergence)
-
-    p_rec = sub.add_parser("reconstruct", help="rebuild F and B from the raw system")
-    _add_common(p_rec)
-    p_rec.add_argument("--z0", type=_parse_vector, help="phase point, comma separated")
-    p_rec.add_argument("--t0", type=float, help="time of the phase point")
-    p_rec.set_defaults(func=cmd_reconstruct)
-
+    for command, (func, text) in COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=text)
+        for opt in OPTIONS:
+            if command in opt.commands:
+                flag = "--" + opt.name.replace("_", "-")
+                p_cmd.add_argument(flag, type=opt.type, help=opt.help)
+        p_cmd.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one subcommand; failures that leave it get their exit code here."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(_resolve_config(args))
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
-    except ConfigError as exc:
-        # raised by flag-value parsers; argparse passes it through
+    except (ConfigError, ValueError) as exc:
+        # ConfigError also comes from flag-value parsers; argparse passes it through
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        cfg = _resolve_config(args)
-        return args.func(cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StepFailure as exc:
-        print(f"step failure: {exc}", file=sys.stderr)
-        return EXIT_STEP_FAILURE
+    except BirkhoffError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
 
 
 def console_main() -> None:

@@ -33,8 +33,6 @@ Array = np.ndarray
 MAX_ORDER = 2
 # evaluations each memoized coefficient keeps, oldest first out
 MEMO_SIZE = 4096
-# rebased coefficient sets a generic scheme keeps, least recently used first out
-REBASE_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,15 +226,14 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         dir2 = phi1_jac(w)
         h = numdiff.SOLVER_FD_STEP
 
-        term_grad = numdiff.directional(
-            lambda s: a_functional(sys, alpha, base + s * dir1, w, base_jac, t0, t0), h
+        term_grad = numdiff.time_derivative(
+            lambda s: a_functional(sys, alpha, base + s * dir1, w, base_jac, t0, t0), 0.0, h
         )
-        term_jac = numdiff.directional(
-            lambda s: a_functional(sys, alpha, base, w, base_jac + s * dir2, t0, t0), h
+        term_jac = numdiff.time_derivative(
+            lambda s: a_functional(sys, alpha, base, w, base_jac + s * dir2, t0, t0), 0.0, h
         )
-        ht = h * max(1.0, abs(t0))
-        term_time = numdiff.directional(
-            lambda s: a_functional(sys, alpha, base, w, base_jac, t0 + s, t0), ht
+        term_time = numdiff.time_derivative(
+            lambda t: a_functional(sys, alpha, base, w, base_jac, t, t0), t0, h
         )
         return 0.5 * (term_grad + term_jac + term_time)
 
@@ -257,12 +254,13 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:
     """Generic order-m scheme with a rebase factory wired to ``coefficients``.
 
-    Rebased coefficient sets are cached by expansion time, so a step and
-    its step Jacobian from one grid point share their coefficient
-    evaluations.
+    The latest rebased coefficient set is kept, so a step and its step
+    Jacobian from one grid point share their coefficient evaluations; a
+    run asks for each grid time in turn and never goes back, so older sets
+    are dropped.
     """
 
-    @functools.lru_cache(maxsize=REBASE_CACHE_SIZE)
+    @functools.lru_cache(maxsize=1)
     def rebase(s: float) -> CoefficientSet:
         return coefficients(sys, alpha, float(s), m)
 

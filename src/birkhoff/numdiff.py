@@ -47,9 +47,3 @@ def time_derivative(f, t, base=FD_STEP):
     h = base * max(1.0, abs(float(t)))
     return (np.asarray(f(t + h), dtype=float) - np.asarray(f(t - h), dtype=float)) / (2.0 * h)
 
-
-def directional(f, s_scale=FD_STEP):
-    """Derivative at 0 of a callable of one scalar line parameter."""
-    return (np.asarray(f(s_scale), dtype=float) - np.asarray(f(-s_scale), dtype=float)) / (
-        2.0 * s_scale
-    )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoff import (
     compare,
@@ -12,7 +14,7 @@ from birkhoff import (
     step_jacobian,
     symplectic_residual,
 )
-from birkhoff.cli import main
+from birkhoff.cli import OPTIONS, main
 
 NU = 0.5
 
@@ -300,3 +302,66 @@ class TestConfigMerging:
     def test_help_exits_cleanly(self):
         assert main(["--help"]) == 0
         assert main([]) == 1
+
+    def test_config_may_name_another_subcommands_option(self, tmp_path, capsys):
+        cfg = tmp_path / "check.cfg"
+        cfg.write_text("tol = 1e-3\nsamples = 7\n")
+        argv = ["integrate", "--tau", "0.1", "--steps", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr() == plain
+
+
+class TestErrorBoundary:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv, config, code",
+        [
+            pytest.param(["integrate"], "nu = abc\n", 1, id="config-float"),
+            pytest.param(["integrate"], "steps = 1.5\n", 1, id="config-int"),
+            pytest.param(["integrate", "--nu", "-1"], None, 1, id="negative-nu"),
+            pytest.param(["check", "--seed", "-1"], None, 1, id="negative-seed"),
+            pytest.param(["check", "--nu", "1000"], None, 2, id="check-overflow"),
+            pytest.param(
+                ["reconstruct", "--nu", "1000", "--t0", "1"], None, 2, id="reconstruct-overflow"
+            ),
+            pytest.param(
+                ["convergence", "--nu", "0.5", "--tau-list", "2000,1000,500", "--horizon", "2000"],
+                None,
+                2,
+                id="convergence-overflow",
+            ),
+        ],
+    )
+    def test_failure_is_one_line_and_an_exit_code(self, argv, config, code, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == code
+        prefix = "configuration error: " if code == 1 else "numerical failure: "
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([opt.name for opt in OPTIONS]), st.text(max_size=8)),
+                st.one_of(
+                    st.text(max_size=12),
+                    st.floats().map(repr),
+                    st.integers(-(10**6), 10**6).map(str),
+                    st.lists(st.floats(), max_size=3).map(lambda v: ",".join(map(repr, v))),
+                ),
+            ),
+            max_size=4,
+        )
+    )
+    def test_any_reconstruct_config_maps_to_an_exit_code(self, lines, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
+        assert main(["reconstruct", "--config", str(path)]) in (0, 1, 2, 3)

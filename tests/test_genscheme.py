@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,14 @@ from birkhoff import (
     make_scheme,
     oscillator_alpha,
     oscillator_system,
+    run,
     scaled_canonical_alpha,
     sigma,
+    step,
+    step_jacobian,
+    symplectic_residual,
 )
+from birkhoff import genscheme
 from birkhoff.diagnostics import fit_slope
 from birkhoff.genscheme import MEMO_SIZE, _memoized
 
@@ -244,6 +251,40 @@ class TestAssemblePsi:
             )
             errs.append(err)
         assert fit_slope(taus, errs) >= order + 0.8
+
+
+class TestMakeScheme:
+    def test_certified_run_keeps_only_the_latest_expansion(
+        self, osc_system, osc_alpha, monkeypatch
+    ):
+        # a run asks for each grid time in turn, through the step and then
+        # its certificate, and never goes back
+        built = []
+        build = genscheme.coefficients
+
+        def counted(sys, alpha, t0, m):
+            coeffs = build(sys, alpha, t0, m)
+            built.append((t0, weakref.ref(coeffs)))
+            return coeffs
+
+        monkeypatch.setattr(genscheme, "coefficients", counted)
+        tau, n_steps = 0.1, 6
+        scheme = make_scheme(osc_system, osc_alpha, 0.0, 2)
+        dead_behind = []
+
+        def certify(z, t_k, z_next):
+            k = len(dead_behind)
+            # built[0] is the scheme's own expansion at t0 and stays alive
+            dead_behind.append(k < 3 or built[k - 2][1]() is None)
+            jac = step_jacobian(osc_system, scheme, z, t_k, tau)
+            return symplectic_residual(osc_system, jac, z, t_k, z_next, t_k + tau)
+
+        run(
+            lambda z, t: step(osc_system, scheme, z, t, tau),
+            np.array([1.0, 0.0]), 0.0, tau, n_steps, certify=certify,
+        )
+        assert [t0 for t0, _ in built] == [k * tau for k in range(n_steps)]
+        assert all(dead_behind)
 
 
 class TestHamiltonJacobiRightSide:
