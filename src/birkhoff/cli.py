@@ -91,6 +91,16 @@ def _parse_vector(text: str) -> Tuple[float, ...]:
         raise ConfigError(f"cannot parse vector {text!r}; expected comma-separated floats")
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
 class Option(NamedTuple):
     """One option: flag ``--name`` (underscores as dashes) and config key ``name``."""
 
@@ -106,21 +116,22 @@ STATE_COMMANDS = ("integrate", "convergence", "reconstruct")
 # the subcommand flags in --help order; a config file may set any of them
 OPTIONS = (
     Option("system", str, "damped-oscillator", "built-in system selector (damped-oscillator)"),
-    Option("nu", float, 0.5, "damping coefficient of the built-in system"),
+    Option("nu", _finite_float, 0.5, "damping coefficient of the built-in system"),
     Option("config", str, None, "optional key=value config file; flags win"),
-    Option("perturb", float, 0.0, "perturb D_2 by this factor times z_1"),
-    Option("out", str, None, "output file path (default: stdout)"),
+    Option("perturb", _finite_float, 0.0, "perturb D_2 by this factor times z_1",
+           ("check", "reconstruct")),
+    Option("out", str, None, "output file path (default: stdout)", ("integrate", "convergence")),
     Option("scheme", str, "generating-2", "|".join(SCHEME_CHOICES), ("integrate", "convergence")),
     Option("z0", _parse_vector, (1.0, 0.0), "initial state or phase point, comma separated",
            STATE_COMMANDS),
-    Option("t0", float, 0.0, "initial time or time of the phase point", STATE_COMMANDS),
-    Option("tau", float, 0.01, "step size", ("integrate",)),
+    Option("t0", _finite_float, 0.0, "initial time or time of the phase point", STATE_COMMANDS),
+    Option("tau", _finite_float, 0.01, "step size", ("integrate",)),
     Option("steps", int, 100, "number of steps", ("integrate",)),
-    Option("tol", float, 1e-7, "violation tolerance", ("check",)),
+    Option("tol", _finite_float, 1e-7, "violation tolerance", ("check",)),
     Option("samples", int, 50, "number of random sample points", ("check",)),
     Option("seed", int, 0, "sampling seed", ("check",)),
     Option("tau_list", _parse_vector, (), "decreasing step sizes", ("convergence",)),
-    Option("horizon", float, 1.0, "integration horizon from t0", ("convergence",)),
+    Option("horizon", _finite_float, 1.0, "integration horizon from t0", ("convergence",)),
 )
 # the keys a config file may set: every option but the config file itself
 OPTION_TYPES = {opt.name: opt.type for opt in OPTIONS if opt.name != "config"}

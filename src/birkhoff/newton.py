@@ -6,30 +6,28 @@ import numpy as np
 
 from .errors import NewtonError
 
-# Relative tolerance: converged when ``||r||_inf <= TOL * scale``, or when
-# the Newton increment satisfies ``||delta||_inf <= TOL * max(1, ||x||_inf)``
-# while the residual is already below ``sqrt(TOL) * scale``.  The increment
-# test accepts iterates whose residual sits at its evaluation-noise floor
-# (residuals built from finite-differenced quantities cannot reach
-# ``TOL * scale`` when their inputs carry noise above machine epsilon); the
-# cap keeps it from firing far from a root.
+# Relative tolerance: the residual target is ``TOL * scale``.  Below
+# ``sqrt(TOL) * scale`` the solve also ends when an update from a freshly
+# evaluated matrix no longer lowers the residual: residuals built from
+# finite-differenced quantities carry a noise floor that can sit above the
+# target, and corrections that stop contracting there have reached it.
 TOL = 1e-12
 # Iteration cap; exceeding it raises NewtonError.  No damping or line search.
 MAX_ITER = 50
-# Extra updates applied after convergence while they still shrink the
-# residual.  Pushes the iterate to its roundoff floor, which matters when
-# the solved map is later differenced numerically.
-POLISH_UPDATES = 1
 
 
 def newton_solve(residual, x0, scale, jacobian):
     """Solve ``residual(x) = 0`` starting from ``x0``.
 
-    Chord Newton: the Jacobian is evaluated at the start and reused across
-    iterations, and evaluated afresh only after an iteration with a stale
-    matrix fails to cut the residual by 4x.  After convergence, up to
-    POLISH_UPDATES further updates with the current matrix are kept while
-    they shrink the residual.
+    Chord Newton with one stopping rule.  The Jacobian is evaluated at the
+    start and reused, and evaluated afresh after an update with a stale
+    matrix fails to cut the residual by 4x.  Above ``sqrt(TOL) * scale``
+    every update is taken.  At or below it, an update that does not lower
+    the residual is not taken: the matrix is refreshed at the same iterate
+    if it was stale, and otherwise the solve ends there, at the noise floor.
+    Once the residual reaches ``TOL * scale``, one more update is tried and
+    kept only if it lowers the residual, which pushes the iterate to its
+    roundoff floor for maps that are later differenced numerically.
 
     Parameters
     ----------
@@ -46,6 +44,7 @@ def newton_solve(residual, x0, scale, jacobian):
     Returns
     -------
     (x, residual_norm, iterations)
+        ``iterations`` counts the updates taken.
 
     Raises :class:`NewtonError`, carrying the last iterate and its residual
     norm, on a singular Jacobian, a non-finite update, or more than
@@ -53,7 +52,7 @@ def newton_solve(residual, x0, scale, jacobian):
     """
     x = np.array(x0, dtype=float)
     target = TOL * scale
-    cap = np.sqrt(TOL) * scale
+    floor = np.sqrt(TOL) * scale
 
     def evaluate(y):
         # residual and its inf-norm; non-finite residuals must read as
@@ -64,55 +63,38 @@ def newton_solve(residual, x0, scale, jacobian):
         value = float(np.max(np.abs(res)))
         return res, value if np.isfinite(value) else np.inf
 
-    def increment(mat):
-        # Newton increment at the current iterate
-        try:
-            delta = np.linalg.solve(mat, r)
-        except np.linalg.LinAlgError:
-            raise NewtonError("singular Jacobian in Newton iteration", x, rnorm, iters) from None
-        if not np.all(np.isfinite(delta)):
-            raise NewtonError("non-finite Newton update", x, rnorm, iters)
-        return delta
-
     r, rnorm = evaluate(x)
     iters = 0
     jac_mat = None
     jac_fresh = False
-    while rnorm > target:
-        if iters >= MAX_ITER:
+    while rnorm > 0.0:
+        converged = rnorm <= target
+        if iters >= MAX_ITER and not converged:
             raise NewtonError("Newton iteration did not converge", x, rnorm, iters)
         if jac_mat is None:
-            jac_mat = jacobian(x)
-            jac_fresh = True
-        delta = increment(jac_mat)
-        x = x - delta
-        r, new_norm = evaluate(x)
+            jac_mat, jac_fresh = jacobian(x), True
+        try:
+            delta = np.linalg.solve(jac_mat, r)
+            problem = None if np.all(np.isfinite(delta)) else "non-finite Newton update"
+        except np.linalg.LinAlgError:
+            problem = "singular Jacobian in Newton iteration"
+        if problem is not None:
+            if converged:
+                break
+            raise NewtonError(problem, x, rnorm, iters)
+        x_new = x - delta
+        r_new, new_norm = evaluate(x_new)
+        if new_norm >= rnorm and rnorm <= floor:
+            if converged or jac_fresh:
+                break
+            jac_mat = None
+            continue
+        refresh = new_norm > 0.25 * rnorm and not jac_fresh
+        x, r, rnorm = x_new, r_new, new_norm
         iters += 1
-        if (
-            float(np.max(np.abs(delta))) <= TOL * max(1.0, float(np.max(np.abs(x))))
-            and new_norm <= cap
-        ):
-            rnorm = new_norm
+        if converged:
             break
-        slow = new_norm > 0.25 * rnorm
-        rnorm = new_norm
-        if slow and not jac_fresh:
+        if refresh:
             jac_mat = None
         jac_fresh = False
-
-    for _ in range(POLISH_UPDATES):
-        if rnorm == 0.0:
-            break
-        if jac_mat is None:
-            jac_mat = jacobian(x)
-        try:
-            x_try = x - increment(jac_mat)
-        except NewtonError:
-            break
-        r_try, rnorm_try = evaluate(x_try)
-        if rnorm_try >= rnorm:
-            break
-        x, r, rnorm = x_try, r_try, rnorm_try
-        iters += 1
-
     return x, rnorm, iters

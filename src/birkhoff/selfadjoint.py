@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -24,10 +23,6 @@ from .errors import InconsistencyError
 
 Array = np.ndarray
 
-# closure triples are enumerated exhaustively up to this phase dimension,
-# sampled randomly (fixed seed) above it
-_EXHAUSTIVE_DIM = 8
-_SAMPLED_TRIPLES = 200
 # largest entry of grad B + D + dF/dt that reconstruct_b's check accepts
 _GRAD_TOL = 1e-6
 
@@ -74,19 +69,6 @@ class SelfAdjointReport:
         )
 
 
-def _closure_triples(dim: int):
-    if dim <= _EXHAUSTIVE_DIM:
-        return list(combinations(range(dim), 3))
-    rng = np.random.default_rng(0)
-    total = dim * (dim - 1) * (dim - 2) // 6
-    target = min(_SAMPLED_TRIPLES, total)
-    triples = set()
-    while len(triples) < target:
-        i, j, k = sorted(rng.choice(dim, size=3, replace=False))
-        triples.add((int(i), int(j), int(k)))
-    return sorted(triples)
-
-
 def check_self_adjointness(
     raw: RawFirstOrderSystem, samples: Sequence[PhasePoint], tol: float = 1e-7
 ) -> SelfAdjointReport:
@@ -100,7 +82,7 @@ def check_self_adjointness(
     if not samples:
         raise ValueError("sample set must be non-empty")
     dim = raw.dim
-    triples = _closure_triples(dim)
+    ordered = np.fromfunction(lambda i, j, m: (i < j) & (j < m), (dim, dim, dim))
 
     antisym = 0.0
     closure = 0.0
@@ -111,11 +93,11 @@ def check_self_adjointness(
         k = raw.k_at(p.z, p.t)
         antisym = max(antisym, float(np.max(np.abs(k + k.T))))
 
-        # dk_dz[m] = dK/dz_m as a full matrix
-        dk_dz = [numdiff.partial(lambda y: raw.k_at(y, p.t), p.z, m) for m in range(dim)]
-        for i, j, m in triples:
-            cyc = dk_dz[m][i, j] + dk_dz[i][j, m] + dk_dz[j][m, i]
-            closure = max(closure, abs(float(cyc)))
+        # dk_dz[m] = dK/dz_m as a full matrix; cyc[i, j, m] is the cyclic sum
+        # dk_dz[m][i, j] + dk_dz[i][j, m] + dk_dz[j][m, i]
+        dk_dz = np.array([numdiff.partial(lambda y: raw.k_at(y, p.t), p.z, m) for m in range(dim)])
+        cyc = dk_dz.transpose(1, 2, 0) + dk_dz + dk_dz.transpose(2, 0, 1)
+        closure = max(closure, float(np.max(np.abs(cyc[ordered]), initial=0.0)))
 
         dk_dt = numdiff.time_derivative(lambda s: raw.k_at(p.z, s), p.t)
         jac_d = numdiff.jacobian(lambda y: raw.d_at(y, p.t), p.z)  # jac_d[i, j] = dD_i/dz_j

@@ -345,6 +345,47 @@ class TestErrorBoundary:
         assert err.startswith(prefix)
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            pytest.param(["integrate", "--steps", "2", "--tau", "nan"], None, id="tau-nan"),
+            pytest.param(["integrate", "--steps", "2", "--t0", "inf"], None, id="t0-inf"),
+            pytest.param(["check", "--nu", "nan"], None, id="nu-nan"),
+            pytest.param(["check", "--tol", "nan"], None, id="tol-nan"),
+            pytest.param(["convergence", "--horizon", "nan"], None, id="horizon-nan"),
+            pytest.param(["integrate", "--steps", "2"], "tau = inf\n", id="config-tau-inf"),
+        ],
+    )
+    def test_non_finite_scalar_is_a_configuration_error(self, argv, config, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["check", "--out", "x.csv"], id="check-out"),
+            pytest.param(
+                ["integrate", "--scheme", "closed-first", "--tau", "0.1", "--steps", "2",
+                 "--perturb", "0.1"],
+                id="integrate-perturb",
+            ),
+        ],
+    )
+    def test_option_the_subcommand_does_not_read_is_rejected(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,14 @@ class TestNewtonSolve:
             newton_solve(residual, np.zeros(1), scale, lambda y: scale * np.eye(1))
         assert info.value.residual_norm == np.inf
         np.testing.assert_array_equal(info.value.last_iterate, [2.0])
+
+    def test_noisy_residual_stops_at_its_noise_floor(self):
+        # deterministic noise of size 1e-10 keeps the residual above the
+        # target TOL; the solve ends once a fresh update stops lowering it
+        def residual(y):
+            return (y - 2.0) + 1e-10 * (zlib.crc32(y.tobytes()) / 2**31 - 1)
+
+        x, rnorm, iters = newton_solve(residual, np.zeros(1), 1.0, lambda y: np.eye(1))
+        assert iters <= 5
+        assert rnorm <= np.sqrt(TOL)
+        assert np.max(np.abs(residual(x))) == rnorm

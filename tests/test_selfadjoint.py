@@ -72,9 +72,9 @@ class TestCheckSelfAdjointness:
         with pytest.raises(ValueError):
             check_self_adjointness(oscillator_raw(), [], tol=1e-7)
 
-    def test_high_dimension_uses_sampled_closure_triples(self, rng):
-        # above 8 phase coordinates, closure triples are sampled (fixed
-        # seed); a constant antisymmetric K still passes exactly
+    def test_high_dimension_constant_pairing_passes(self, rng):
+        # a constant antisymmetric K passes exactly over all 120 closure
+        # triples of 10 phase coordinates
         mat = rng.uniform(-1, 1, (10, 10))
         k = mat - mat.T
         raw = RawFirstOrderSystem(5, K=lambda z, t: k, D=lambda z, t: np.zeros(10))
@@ -88,16 +88,20 @@ class TestCheckSelfAdjointness:
         report = check_self_adjointness(chain_raw(), sample_points(rng, 5, dim=4), tol=1e-7)
         assert report.passed
 
-    def test_state_dependent_pairing_breaks_closure(self, rng):
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_state_dependent_pairing_breaks_closure(self, n, rng):
         # K_01 = -K_10 = z_3 is antisymmetric, but its cyclic sum over
-        # (0, 1, 2) is dK_01/dz_3 = 1; every other triple sums to zero
+        # (0, 1, 2) is dK_01/dz_3 = 1; every other triple sums to zero.
+        # At n = 6 that is one of 220 triples, all of which are checked
+        dim = 2 * n
+
         def k(z, t):
-            out = np.zeros((4, 4))
+            out = np.zeros((dim, dim))
             out[0, 1], out[1, 0] = z[2], -z[2]
             return out
 
-        raw = RawFirstOrderSystem(2, K=k, D=lambda z, t: np.zeros(4))
-        report = check_self_adjointness(raw, sample_points(rng, 3, dim=4), tol=1e-7)
+        raw = RawFirstOrderSystem(n, K=k, D=lambda z, t: np.zeros(dim))
+        report = check_self_adjointness(raw, sample_points(rng, 3, dim=dim), tol=1e-7)
         assert not report.passed
         assert report.antisymmetry_violation == 0.0
         assert report.closure_violation == pytest.approx(1.0, abs=1e-9)

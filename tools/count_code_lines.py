@@ -1,0 +1,68 @@
+"""Count the code lines of each module in a package.
+
+A code line holds at least one token that is not a comment, and is not
+part of a module, class or function docstring; blank lines do not count.
+
+Usage::
+
+    python3 tools/count_code_lines.py [DIRECTORY]   # default: src/birkhoff
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+SKIPPED = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENCODING,
+    tokenize.ENDMARKER,
+}
+
+
+def docstring_lines(tree: ast.AST) -> set:
+    """Line numbers covered by the docstrings of the module, classes and functions."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (
+                body
+                and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """Number of lines of ``source`` that hold code."""
+    skip = docstring_lines(ast.parse(source))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in SKIPPED:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - skip)
+
+
+def main(argv) -> int:
+    root = Path(argv[1] if len(argv) > 1 else "src/birkhoff")
+    total = 0
+    for path in sorted(root.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d}  {path.name}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
