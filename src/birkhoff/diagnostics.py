@@ -73,11 +73,13 @@ def convergence_order(
 
     ``scheme_factory(tau)`` must return a map (z, t_k) -> z_new with the
     step size bound in; ``reference(t)`` is the exact state at absolute
-    time t.  Each tau must divide the horizon; at least three values are
-    required for the fit.  The error metric is the max-norm at the final
-    time.
+    time t.  Each tau must be finite, positive and divide the horizon; at
+    least three values are required for the fit.  The error metric is the
+    max-norm at the final time.
     """
     taus = [float(t) for t in tau_values]
+    if not all(np.isfinite(tau) and tau > 0.0 for tau in taus):
+        raise ValueError("tau values must be finite and positive")
     if len(taus) < 3:
         raise ValueError("need at least 3 step sizes to fit a slope")
     if any(b >= a for a, b in zip(taus, taus[1:])):

@@ -10,6 +10,7 @@ Jacobians are related by the matrix Moebius transform
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -20,6 +21,10 @@ from .errors import EvaluationError, TransversalityError
 
 Array = np.ndarray
 Blocks = Tuple[Array, Array, Array, Array]
+
+# time pairs (and times) whose lam values and blocks each scaled transform
+# keeps: one grid point reads (t0, t0), (t0 +- h, t0) and (t_k + tau, t_k)
+_TIME_CACHE_SIZE = 4
 
 
 def canonical_j(dim: int) -> Array:
@@ -158,7 +163,10 @@ def scaled_canonical_alpha(
 
     ``lam`` must stay positive; ``lam_dot`` defaults to a central
     difference of ``lam``.  Supplying it analytically keeps downstream
-    generating-function coefficients exact.
+    generating-function coefficients exact.  Both must be pure functions
+    of t: the transform evaluates ``lam`` once per time pair (t, t0) and
+    ``lam_dot`` once per t, keeping the few most recent, and returns the
+    forward blocks of a pair as shared read-only arrays.
     """
     from . import numdiff
 
@@ -191,10 +199,27 @@ def scaled_canonical_alpha(
         out[n + idx, n + idx] = lower_right
         return out
 
+    @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
+    def _pair(t: float, t0: float) -> Tuple[float, float, Blocks]:
+        lt, l0 = _lam(t), _lam(t0)
+        mats = (_corner(lt, 1.0), _corner(-l0, -1.0), _diag(0.5, -0.5 * lt), _diag(0.5, -0.5 * l0))
+        for mat in mats:
+            mat.flags.writeable = False
+        return lt, l0, mats
+
+    @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
+    def _lam_dot(t: float) -> float:
+        value = float(lam_dot(t))
+        if not np.isfinite(value):
+            raise EvaluationError(
+                f"time scaling derivative evaluated non-finite: lam_dot({t}) = {value}"
+            )
+        return value
+
     def forward(z_new, z_old, t, t0):
         z_new = np.asarray(z_new, dtype=float)
         z_old = np.asarray(z_old, dtype=float)
-        lt, l0 = _lam(t), _lam(t0)
+        lt, l0, _ = _pair(float(t), float(t0))
         w_hat = np.empty(dim)
         w = np.empty(dim)
         w_hat[:n] = lt * z_new[n:] - l0 * z_old[n:]
@@ -206,7 +231,7 @@ def scaled_canonical_alpha(
     def inverse(w_hat, w, t, t0):
         w_hat = np.asarray(w_hat, dtype=float)
         w = np.asarray(w, dtype=float)
-        lt, l0 = _lam(t), _lam(t0)
+        lt, l0, _ = _pair(float(t), float(t0))
         z_new = np.empty(dim)
         z_old = np.empty(dim)
         z_new[:n] = w[:n] + 0.5 * w_hat[n:]
@@ -216,16 +241,10 @@ def scaled_canonical_alpha(
         return z_new, z_old
 
     def blocks(z_new, z_old, t, t0):
-        lt, l0 = _lam(t), _lam(t0)
-        return (
-            _corner(lt, 1.0),
-            _corner(-l0, -1.0),
-            _diag(0.5, -0.5 * lt),
-            _diag(0.5, -0.5 * l0),
-        )
+        return _pair(float(t), float(t0))[2]
 
     def inverse_blocks(w_hat, w, t, t0):
-        lt, l0 = _lam(t), _lam(t0)
+        lt, l0, _ = _pair(float(t), float(t0))
         return (
             _corner(0.5, 0.5 / lt),
             _diag(1.0, -1.0 / lt),
@@ -235,7 +254,7 @@ def scaled_canonical_alpha(
 
     def time_partials(z_new, z_old, t, t0):
         p1 = np.asarray(z_new, dtype=float)[n:]
-        ld = float(lam_dot(t))
+        ld = _lam_dot(float(t))
         d_alpha1 = np.zeros(dim)
         d_alpha2 = np.zeros(dim)
         d_alpha1[:n] = ld * p1

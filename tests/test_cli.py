@@ -368,6 +368,17 @@ class TestErrorBoundary:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "tau_list", ["0.1,0.05,0", "nan,0.05,0.025", "inf,0.1,0.05", "0.1,-0.05,0.025"]
+    )
+    def test_step_size_that_is_not_finite_and_positive_is_a_configuration_error(
+        self, tau_list, capsys
+    ):
+        assert main(["convergence", f"--tau-list={tau_list}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "configuration error: tau values must be finite and positive\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             pytest.param(["check", "--out", "x.csv"], id="check-out"),

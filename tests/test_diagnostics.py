@@ -140,6 +140,17 @@ class TestConvergenceOrder:
                 [0.1, 0.05, 0.03],
             )
 
+    @pytest.mark.parametrize(
+        "taus", [[0.1, 0.05, 0.0], [np.nan, 0.05, 0.025], [np.inf, 0.1], [0.1, -0.05, 0.025]]
+    )
+    def test_requires_finite_positive_steps_before_other_checks(self, osc_system, taus):
+        factory = lambda tau: matrix_step(scheme_first_order(NU, tau))  # noqa: E731
+        reference = lambda t: exact_solution(NU, 1.0, 0.0, t)  # noqa: E731
+        with pytest.raises(ValueError, match="tau values must be finite and positive"):
+            convergence_order(
+                osc_system, factory, reference, np.array([1.0, 0.0]), 0.0, 1.0, taus
+            )
+
     def test_slopes_are_reproducible(self, osc_system):
         def run():
             return convergence_order(

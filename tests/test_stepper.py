@@ -220,6 +220,22 @@ class TestIntegrate:
         assert info.value.step_index == 9
         assert info.value.trajectory.steps == 9
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_non_finite_scaling_derivative_raises_evaluation_error(self, order):
+        # lam_dot turns NaN past t = 0.25; the transform's time partials are
+        # read where the coefficients are rebased, at t = 0.3 (index 3)
+        alpha = scaled_canonical_alpha(
+            lambda t: np.exp(NU * t),
+            1,
+            lam_dot=lambda t: np.nan if t > 0.25 else NU * np.exp(NU * t),
+        )
+        system = oscillator_system(NU)
+        scheme = make_scheme(system, alpha, 0.0, order)
+        with pytest.raises(EvaluationError, match=r"lam_dot\(0\.3") as info:
+            integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
+        assert info.value.step_index == 3
+        assert info.value.trajectory.steps == 3
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_any_package_error_carries_partial_trajectory(self, osc_system, osc_scheme_m1):
         # the time scaling overflows at t = 2000, before any Newton iteration
@@ -372,20 +388,21 @@ class TestStepJacobian:
         assert info.value.trajectory.steps == 0
 
 
+@pytest.mark.parametrize("n", [1, 2], ids=lambda n: f"n{n}")
 class TestPendulumChainGoldens:
-    # n = 2, nu = 0.3, coupling 0.1 from a state away from the equilibrium
-    Z0 = np.array([0.5, -0.4, 0.3, 0.2])
+    # nu = 0.3, coupling 0.1 from a state away from the equilibrium
+    Z0 = {1: np.array([0.9, -0.4]), 2: np.array([0.5, -0.4, 0.3, 0.2])}
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_convergence_slope_against_rk4(self, order):
-        system, alpha = chain_system()
+    def test_convergence_slope_against_rk4(self, n, order):
+        system, alpha = chain_system(n)
         scheme = make_scheme(system, alpha, 0.0, order)
-        reference = rk4_state(system, self.Z0, 0.0, 0.8, 400)
+        reference = rk4_state(system, self.Z0[n], 0.0, 0.8, 400)
         report = convergence_order(
             system,
             lambda tau: lambda z, t_k: step(system, scheme, z, t_k, tau),
             lambda t: reference,
-            self.Z0,
+            self.Z0[n],
             0.0,
             0.8,
             [0.2, 0.1, 0.05],
@@ -393,8 +410,8 @@ class TestPendulumChainGoldens:
         assert abs(report.slope - order) <= 0.2
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_per_step_residuals(self, order):
-        system, alpha = chain_system()
+    def test_per_step_residuals(self, n, order):
+        system, alpha = chain_system(n)
         scheme = make_scheme(system, alpha, 0.0, order)
 
         def certify(z, t_k, z_next):
@@ -402,6 +419,7 @@ class TestPendulumChainGoldens:
             return symplectic_residual(system, jac, z, t_k, z_next, t_k + 0.1)
 
         traj = run(
-            lambda z, t_k: step(system, scheme, z, t_k, 0.1), self.Z0, 0.0, 0.1, 8, certify=certify
+            lambda z, t_k: step(system, scheme, z, t_k, 0.1),
+            self.Z0[n], 0.0, 0.1, 8, certify=certify,
         )
         assert max(traj.residuals) <= 1e-10

@@ -8,11 +8,13 @@ from birkhoff import (
     TransversalityError,
     alpha_verify,
     canonical_j,
+    make_scheme,
     numdiff,
     oscillator_system,
     scaled_canonical_alpha,
     scheme_first_order,
     sigma,
+    step,
     transversality_equivalents,
 )
 
@@ -175,6 +177,52 @@ class TestScaledCanonicalAlpha:
     def test_nonpositive_dimension_rejected(self):
         with pytest.raises(ValueError):
             scaled_canonical_alpha(lambda t: 1.0, 0)
+
+
+class TestPerTimeCache:
+    def test_one_order_two_step_evaluates_lam_once_per_time_pair(self):
+        # the step reads the pairs (0.3, 0.3), (0.3 +- h, 0.3) and (0.4, 0.3),
+        # and lam_dot at 0.3 and 0.3 +- h; evaluating them on every call
+        # took 676 calls to lam and 77 to lam_dot
+        lam_calls, lam_dot_calls = [], []
+
+        def lam(t):
+            lam_calls.append(t)
+            return np.exp(NU * t)
+
+        def lam_dot(t):
+            lam_dot_calls.append(t)
+            return NU * np.exp(NU * t)
+
+        system = oscillator_system(NU)
+        scheme = make_scheme(system, scaled_canonical_alpha(lam, 1, lam_dot=lam_dot), 0.3, 2)
+        step(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
+        assert len(lam_calls) <= 8
+        assert len(lam_dot_calls) <= 4
+
+    def test_returned_blocks_are_read_only(self, osc_alpha):
+        for block in osc_alpha.blocks(np.zeros(2), np.zeros(2), 0.4, 0.3):
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+    def test_failed_evaluation_is_not_cached(self):
+        calls = []
+
+        def lam(t):
+            calls.append(t)
+            if t > 1.0:
+                raise RuntimeError("lam undefined")
+            return 1.0 + t
+
+        alpha = scaled_canonical_alpha(lam, 1, lam_dot=lambda t: 1.0)
+        z = np.array([1.0, 2.0])
+        for _ in range(3):
+            with pytest.raises(RuntimeError, match="lam undefined"):
+                alpha.forward(z, z, 2.0, 0.0)
+        assert calls.count(2.0) == 3
+        w_hat, w = alpha.forward(z, z, 0.5, 0.0)
+        np.testing.assert_allclose(w_hat, [1.0, 0.0])
+        np.testing.assert_allclose(w, [1.0, -2.5])
 
 
 class TestSigma:
