@@ -3,7 +3,6 @@
 from .core import (
     BirkhoffSystem,
     PhasePoint,
-    SystemKind,
     k_from_f,
     regularity,
     velocity,
@@ -20,7 +19,6 @@ from .errors import (
     BirkhoffError,
     EvaluationError,
     InconsistencyError,
-    KindError,
     NewtonError,
     RegularityError,
     StepFailure,
@@ -47,7 +45,6 @@ from .selfadjoint import (
     RawFirstOrderSystem,
     SelfAdjointReport,
     check_self_adjointness,
-    contact_matrix,
     reconstruct_b,
     reconstruct_f,
 )
@@ -73,14 +70,12 @@ __all__ = [
     "EvaluationError",
     "GeneratingScheme",
     "InconsistencyError",
-    "KindError",
     "NewtonError",
     "PhasePoint",
     "RawFirstOrderSystem",
     "RegularityError",
     "SelfAdjointReport",
     "StepFailure",
-    "SystemKind",
     "Trajectory",
     "TransversalityError",
     "UnsupportedOrderError",
@@ -90,7 +85,6 @@ __all__ = [
     "check_self_adjointness",
     "coefficients",
     "compare",
-    "contact_matrix",
     "convergence_order",
     "euler_center",
     "exact_solution",

@@ -264,6 +264,16 @@ def cmd_check(cfg: argparse.Namespace) -> int:
     print(f"time-curl violation:    {report.time_curl_violation:.6g}")
     verdict = "PASSED" if report.passed else "FAILED"
     print(f"self-adjointness check: {verdict} (tol {cfg.tol:.6g}, {cfg.samples} samples)")
+    for name, value, at in (
+        ("antisymmetry", report.antisymmetry_violation, report.antisymmetry_at),
+        ("closure", report.closure_violation, report.closure_at),
+        ("time-curl", report.time_curl_violation, report.time_curl_at),
+    ):
+        if value > cfg.tol and at is not None:
+            k, entry = at
+            p = report.samples[k]
+            z = ", ".join(f"{x:.6g}" for x in p.z)
+            print(f"worst {name} violation: entry {entry} at sample {k} (z = ({z}), t = {p.t:.6g})")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 
 

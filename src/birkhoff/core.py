@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,18 +28,6 @@ Array = np.ndarray
 DET_TOLERANCE = 1e-12
 _LOG_DET_TOLERANCE = math.log(DET_TOLERANCE)
 _NORMAL_MIN = float(np.finfo(float).tiny)
-
-
-class SystemKind(str, Enum):
-    """Time dependence of the defining data.
-
-    ``autonomous``: neither F nor B depends on t.  ``semi-autonomous``:
-    only B does.  ``nonautonomous``: both do.
-    """
-
-    AUTONOMOUS = "autonomous"
-    SEMI_AUTONOMOUS = "semi-autonomous"
-    NONAUTONOMOUS = "nonautonomous"
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +69,6 @@ class BirkhoffSystem:
     D : callable (z, t) -> vector, optional
         Homogeneous-form right-hand side; ``-(grad B + dF/dt)`` when
         omitted.
-    kind : SystemKind or str
     grad_b, df_dt : callables, optional
         Analytic gradient of B and time derivative of F.  Analytic
         callables always take precedence over finite differences; the
@@ -97,7 +83,6 @@ class BirkhoffSystem:
     B: Callable[[Array, float], float]
     K: Optional[Callable[[Array, float], Array]] = None
     D: Optional[Callable[[Array, float], Array]] = None
-    kind: SystemKind = SystemKind.NONAUTONOMOUS
     grad_b: Optional[Callable[[Array, float], Array]] = None
     df_dt: Optional[Callable[[Array, float], Array]] = None
 
@@ -105,7 +90,6 @@ class BirkhoffSystem:
         if int(self.n) < 1:
             raise ValueError("n must be a positive integer")
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "kind", SystemKind(self.kind))
 
     @property
     def dim(self) -> int:

@@ -56,10 +56,6 @@ class StepFailure(BirkhoffError):
         self.t = t
 
 
-class KindError(BirkhoffError):
-    """Operation invoked on a system kind it does not support."""
-
-
 class InconsistencyError(BirkhoffError):
     """A reconstruction consistency check failed; input is likely not self-adjoint."""
 

@@ -23,8 +23,8 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import numdiff
-from .core import BirkhoffSystem, SystemKind, velocity
-from .errors import KindError, UnsupportedOrderError
+from .core import BirkhoffSystem, velocity
+from .errors import UnsupportedOrderError
 from .newton import newton_solve
 from .transform import AlphaTransform
 
@@ -178,6 +178,8 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         raise UnsupportedOrderError(
             f"generic coefficient recursion supports orders 1..{MAX_ORDER}, got {m}"
         )
+    if alpha.n != sys.n:
+        raise ValueError(f"transform has n = {alpha.n} but the system has n = {sys.n}")
     t0 = float(t0)
 
     @_memoized
@@ -270,14 +272,14 @@ def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -
 def hj_rhs(
     sys: BirkhoffSystem, alpha: AlphaTransform, w: Array, phi_w: Array, t: float
 ) -> float:
-    """Right-hand side of the scalar evolution in the time-separable cases.
+    """Right-hand side -B(z_new, t) of the scalar evolution d phi/dt = -B.
 
-    For autonomous and semi-autonomous systems with a time-independent
-    alpha, the generating function evolves by ``d phi/dt = -B`` evaluated
-    at the recovered forward point.  Calling this on a nonautonomous
-    system raises :class:`KindError`.
+    z_new is recovered from (phi_w, w) through the inverse transform at
+    (t, t).  Precondition: F and the transform do not depend on t, so
+    the generating function evolves by its Hamilton-Jacobi equation; B
+    may depend on t.  Then phi^(1) = grad_w hj_rhs(w, phi^(0)(w), t0),
+    which the tests check against :func:`coefficients`.  The result is
+    not checked against that precondition.
     """
-    if sys.kind is SystemKind.NONAUTONOMOUS:
-        raise KindError("scalar-evolution form requires an autonomous or semi-autonomous system")
     z_new, _ = alpha.inverse(np.asarray(phi_w, dtype=float), np.asarray(w, dtype=float), t, t)
     return -sys.b_at(z_new, t)

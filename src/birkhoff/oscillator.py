@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import BirkhoffSystem, SystemKind
+from .core import BirkhoffSystem
 from .transform import AlphaTransform, scaled_canonical_alpha
 
 Array = np.ndarray
@@ -59,8 +59,7 @@ def oscillator_system(nu: float) -> BirkhoffSystem:
         s = scale(t)
         return np.array([-s * (nu * p + r), -s * p])
 
-    kind = SystemKind.AUTONOMOUS if nu == 0 else SystemKind.NONAUTONOMOUS
-    return BirkhoffSystem(n=1, F=F, B=B, K=K, D=D, kind=kind, grad_b=grad_b, df_dt=df_dt)
+    return BirkhoffSystem(n=1, F=F, B=B, K=K, D=D, grad_b=grad_b, df_dt=df_dt)
 
 
 def oscillator_alpha(nu: float) -> AlphaTransform:

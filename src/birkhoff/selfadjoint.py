@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +53,14 @@ class RawFirstOrderSystem:
 
 @dataclass(frozen=True, eq=False)
 class SelfAdjointReport:
-    """Worst-case violations of the three self-adjointness conditions."""
+    """Worst-case violations of the three self-adjointness conditions.
+
+    ``*_at`` names where each worst violation sits, as (k, entry) with k
+    the index into ``samples``: entry (i, j) of K + K^T for antisymmetry,
+    the triple (i, j, m), i < j < m, of the cyclic sum for closure, and
+    entry (i, j) of dK/dt - curl D for the time curl.  It is ``None``
+    where that violation is 0.
+    """
 
     antisymmetry_violation: float
     closure_violation: float
@@ -61,6 +68,9 @@ class SelfAdjointReport:
     passed: bool
     samples: Tuple[PhasePoint, ...]
     tol: float
+    antisymmetry_at: Optional[Tuple[int, Tuple[int, ...]]] = None
+    closure_at: Optional[Tuple[int, Tuple[int, ...]]] = None
+    time_curl_at: Optional[Tuple[int, Tuple[int, ...]]] = None
 
     @property
     def max_violation(self) -> float:
@@ -84,28 +94,37 @@ def check_self_adjointness(
     dim = raw.dim
     ordered = np.fromfunction(lambda i, j, m: (i < j) & (j < m), (dim, dim, dim))
 
-    antisym = 0.0
-    closure = 0.0
-    time_curl = 0.0
-    for p in samples:
+    antisym = closure = time_curl = (0.0, None)
+    for idx, p in enumerate(samples):
         if p.z.size != dim:
             raise ValueError(f"sample dimension {p.z.size} does not match system dimension {dim}")
         k = raw.k_at(p.z, p.t)
-        antisym = max(antisym, float(np.max(np.abs(k + k.T))))
+        antisym = _worse(antisym, idx, np.abs(k + k.T))
 
         # dk_dz[m] = dK/dz_m as a full matrix; cyc[i, j, m] is the cyclic sum
         # dk_dz[m][i, j] + dk_dz[i][j, m] + dk_dz[j][m, i]
         dk_dz = np.array([numdiff.partial(lambda y: raw.k_at(y, p.t), p.z, m) for m in range(dim)])
         cyc = dk_dz.transpose(1, 2, 0) + dk_dz + dk_dz.transpose(2, 0, 1)
-        closure = max(closure, float(np.max(np.abs(cyc[ordered]), initial=0.0)))
+        closure = _worse(closure, idx, np.where(ordered, np.abs(cyc), 0.0))
 
         dk_dt = numdiff.time_derivative(lambda s: raw.k_at(p.z, s), p.t)
         jac_d = numdiff.jacobian(lambda y: raw.d_at(y, p.t), p.z)  # jac_d[i, j] = dD_i/dz_j
         curl = jac_d - jac_d.T
-        time_curl = max(time_curl, float(np.max(np.abs(dk_dt - curl))))
+        time_curl = _worse(time_curl, idx, np.abs(dk_dt - curl))
 
-    passed = antisym <= tol and closure <= tol and time_curl <= tol
-    return SelfAdjointReport(antisym, closure, time_curl, passed, samples, float(tol))
+    values, where = zip(antisym, closure, time_curl)
+    return SelfAdjointReport(*values, max(values) <= tol, samples, float(tol), *where)
+
+
+def _worse(worst: tuple, idx: int, magnitudes: Array) -> tuple:
+    """The larger of ``worst`` = (value, (k, entry)) and the largest entry of ``magnitudes``.
+
+    The latter is located at sample ``idx``; a tie keeps ``worst``.
+    """
+    entry = np.unravel_index(np.argmax(magnitudes), magnitudes.shape)
+    if magnitudes[entry] > worst[0]:
+        return float(magnitudes[entry]), (idx, tuple(int(i) for i in entry))
+    return worst
 
 
 @functools.lru_cache
@@ -196,13 +215,3 @@ def reconstruct_b(
             )
     return value
 
-
-def contact_matrix(raw: RawFirstOrderSystem, p: PhasePoint) -> Array:
-    """The (2n+1) x (2n+1) antisymmetric matrix [[0, -D^T], [D, K]]."""
-    k = raw.k_at(p.z, p.t)
-    d = raw.d_at(p.z, p.t)
-    out = np.zeros((raw.dim + 1, raw.dim + 1))
-    out[0, 1:] = -d
-    out[1:, 0] = d
-    out[1:, 1:] = k
-    return out

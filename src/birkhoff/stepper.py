@@ -47,11 +47,10 @@ class Trajectory:
     residuals: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
         if not self.states:
             raise ValueError("a trajectory needs at least the initial state")
         states = tuple(np.asarray(s, dtype=float) for s in self.states)
+        _check_grid(self.t0, self.tau, states[0])
         object.__setattr__(self, "states", states)
         if self.residuals is not None and len(self.residuals) != len(states) - 1:
             raise ValueError("need one residual per step")
@@ -66,6 +65,13 @@ class Trajectory:
     @property
     def times(self) -> Array:
         return self.t0 + self.tau * np.arange(len(self.states))
+
+
+def _check_grid(t0: float, tau: float, z0: Array) -> None:
+    """ValueError unless t0 and z0 are finite and tau is finite and positive."""
+    # written so that a NaN tau fails too
+    if not (np.isfinite(t0) and 0.0 < tau < np.inf and np.isfinite(z0).all()):
+        raise ValueError(f"need finite t0 and z0 and a finite positive tau, got t0={t0}, tau={tau}")
 
 
 def step(
@@ -126,15 +132,16 @@ def run(
     """Apply ``advance(z, t_k)`` n_steps times on the grid t_k = t0 + k * tau.
 
     With ``certify``, residual k of the returned trajectory is
-    ``certify(z_k, t_k, z_{k+1})``.  A :class:`BirkhoffError` raised at
-    step k leaves with ``step_index = k`` and ``trajectory`` holding the
-    states (and residuals) accepted before it.
+    ``certify(z_k, t_k, z_{k+1})``.  Raises ``ValueError`` before the first
+    step unless t0 and z0 are finite and tau is finite and positive.  A
+    :class:`BirkhoffError` raised at step k leaves with ``step_index = k``
+    and ``trajectory`` holding the states (and residuals) accepted before
+    it.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     states = [np.asarray(z0, dtype=float)]
+    _check_grid(t0, tau, states[0])
     residuals = None if certify is None else []
 
     def trajectory():

@@ -188,6 +188,13 @@ class TestCheck:
         assert main(["check", "--nu", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "PASSED" in out
+        assert "worst" not in out
+
+    def test_failed_check_names_where_the_violation_sits(self, capsys):
+        assert main(["check", "--nu", "0.5", "--perturb", "0.1"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[4].startswith("worst time-curl violation: entry (0, 1) at sample ")
 
     def test_perturbed_system_fails_with_the_curl_magnitude(self, capsys):
         assert main(["check", "--nu", "0.5", "--perturb", "0.1"]) == 3

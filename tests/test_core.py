@@ -6,7 +6,6 @@ from birkhoff import (
     EvaluationError,
     PhasePoint,
     RegularityError,
-    SystemKind,
     k_from_f,
     oscillator_system,
     regularity,
@@ -43,12 +42,6 @@ class TestSystemValidation:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             BirkhoffSystem(n=0, F=lambda z, t: z, B=lambda z, t: 0.0)
-
-    def test_kind_accepts_strings(self):
-        sys1 = BirkhoffSystem(
-            n=1, F=lambda z, t: 0.0 * z, B=lambda z, t: 0.0, kind="semi-autonomous"
-        )
-        assert sys1.kind is SystemKind.SEMI_AUTONOMOUS
 
 
 class TestKFromF:
@@ -191,7 +184,7 @@ class TestVectorField:
         # same oscillator but with only (F, B, K) given: grad B and dF/dt
         # come from central differences
         full = oscillator_system(NU)
-        bare = BirkhoffSystem(n=1, F=full.F, B=full.B, K=full.K, kind=full.kind)
+        bare = BirkhoffSystem(n=1, F=full.F, B=full.B, K=full.K)
         for _ in range(5):
             p = PhasePoint(rng.uniform(-2, 2, 2), rng.uniform(0, 1))
             np.testing.assert_allclose(

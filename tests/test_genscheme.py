@@ -2,18 +2,20 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoff import (
     BirkhoffSystem,
     CoefficientSet,
     GeneratingScheme,
-    KindError,
     UnsupportedOrderError,
     a_functional,
     coefficients,
     exact_solution,
     hj_rhs,
     make_scheme,
+    numdiff,
     oscillator_alpha,
     oscillator_system,
     run,
@@ -26,6 +28,7 @@ from birkhoff import (
 from birkhoff import genscheme
 from birkhoff.diagnostics import fit_slope
 from birkhoff.genscheme import MEMO_SIZE, _memoized
+from pendulum_chain import chain_system
 
 NU = 0.5
 
@@ -159,6 +162,12 @@ class TestCoefficients:
             coefficients(osc_system, osc_alpha, 0.0, 3)
         with pytest.raises(UnsupportedOrderError):
             coefficients(osc_system, osc_alpha, 0.0, 0)
+
+    def test_transform_of_another_dimension_rejected(self):
+        # a 2-dof system with the 1-dof oscillator transform; the first
+        # step would fail inside numpy on an array broadcast
+        with pytest.raises(ValueError, match="n = 1 .* n = 2"):
+            make_scheme(chain_system(2)[0], oscillator_alpha(0.3), 0.0, 1)
 
     def test_coefficient_count_validated(self):
         with pytest.raises(ValueError):
@@ -301,7 +310,6 @@ class TestHamiltonJacobiRightSide:
             n=1,
             F=lambda z, t: 0.5 * np.array([z[1], -z[0]]),
             B=lambda z, t: 0.0,
-            kind="autonomous",
         )
         z = rng.uniform(-1, 1, 2)
         w_hat, w = alpha0.forward(z, z, 0.0, 0.0)
@@ -313,12 +321,40 @@ class TestHamiltonJacobiRightSide:
             n=1,
             F=lambda z, t: 0.5 * np.array([z[1], -z[0]]),
             B=lambda z, t: 0.5 * t * float(z @ z),
-            kind="semi-autonomous",
         )
         z = np.array([1.0, 1.0])
         w_hat, w = alpha0.forward(z, z, 2.0, 2.0)
         assert hj_rhs(sys_semi, alpha0, w, w_hat, 2.0) == pytest.approx(-2.0, abs=1e-12)
 
-    def test_rejected_for_nonautonomous_systems(self, osc_system, osc_alpha):
-        with pytest.raises(KindError):
-            hj_rhs(osc_system, osc_alpha, np.zeros(2), np.zeros(2), 0.0)
+    @staticmethod
+    def certificate_gap(sys, alpha, w, t0):
+        """|grad_w hj_rhs(w, phi0(w), t0) - phi1(w)|, the Hamilton-Jacobi certificate."""
+        phi0, phi1 = coefficients(sys, alpha, t0, 1).coeffs
+        grad = numdiff.gradient(lambda y: hj_rhs(sys, alpha, y, phi0(y), t0), w)
+        return float(np.max(np.abs(grad - phi1(w))))
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(
+        n=st.sampled_from([1, 2]),
+        w=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        t0=st.floats(0.0, 1.0),
+    )
+    def test_gradient_is_the_first_coefficient_on_the_undamped_chain(self, n, w, t0):
+        sys, alpha = chain_system(n, nu=0.0)
+        assert self.certificate_gap(sys, alpha, np.array(w[: 2 * n]), t0) <= 1e-9
+
+    def test_time_dependent_scalar_keeps_the_certificate(self):
+        # the precondition concerns F and the transform only
+        sys_semi = BirkhoffSystem(
+            n=1,
+            F=lambda z, t: 0.5 * np.array([z[1], -z[0]]),
+            B=lambda z, t: (1.0 + t) * (0.5 * float(z @ z) + 0.1 * np.sin(z[0])),
+        )
+        gap = self.certificate_gap(sys_semi, oscillator_alpha(0.0), np.array([0.4, -0.7]), 0.7)
+        assert gap <= 1e-9
+
+    def test_time_dependent_pairing_breaks_the_certificate(self):
+        # K = e^{nu t} J0 violates the precondition; the identity then fails
+        sys, alpha = chain_system(2, nu=0.3)
+        gap = self.certificate_gap(sys, alpha, np.array([0.5, -0.3, 0.2, 0.8]), 0.4)
+        assert gap > 1e-2

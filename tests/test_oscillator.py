@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoff import (
     euler_center,
@@ -10,6 +12,7 @@ from birkhoff import (
     scheme_first_order,
     scheme_second_order,
     step,
+    step_jacobian,
     symplectic_residual,
     velocity,
 )
@@ -64,10 +67,6 @@ class TestOscillatorSystem:
         with pytest.raises(ValueError):
             oscillator_alpha(-1.0)
 
-    def test_undamped_system_is_autonomous(self):
-        assert oscillator_system(0.0).kind.value == "autonomous"
-        assert oscillator_system(0.5).kind.value == "nonautonomous"
-
 
 class TestClosedFormSchemes:
     def test_first_order_small_step_limit_is_identity(self):
@@ -106,6 +105,38 @@ class TestSymplecticityIdentity:
         z = np.array([1.0, 0.0])
         res = symplectic_residual(osc_system, mat, z, 0.0, mat @ z, 0.1)
         assert res <= 1e-13
+
+    # the bounds of acceptance criterion 2, over random draws
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        nu=st.floats(0.0, 1.5),
+        tau=st.floats(1e-3, 0.2),
+        t0=st.floats(0.0, 1.0),
+        z=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+    )
+    def test_closed_forms_preserve_the_pairing_under_random_draws(self, nu, tau, t0, z):
+        sys_nu = oscillator_system(nu)
+        z = np.array(z)
+        for factory in (scheme_first_order, scheme_second_order):
+            mat = factory(nu, tau)
+            assert symplectic_residual(sys_nu, mat, z, t0, mat @ z, t0 + tau) <= 1e-13
+            assert abs(np.linalg.det(mat) - np.exp(-nu * tau)) <= 1e-14
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(
+        nu=st.floats(0.0, 1.5),
+        tau=st.floats(1e-3, 0.2),
+        t0=st.floats(0.0, 1.0),
+        z=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+    )
+    def test_generic_steps_preserve_the_pairing_under_random_draws(self, nu, tau, t0, z):
+        sys_nu, alpha_nu = oscillator_system(nu), oscillator_alpha(nu)
+        z = np.array(z)
+        for order in (1, 2):
+            scheme = make_scheme(sys_nu, alpha_nu, t0, order)
+            jac = step_jacobian(sys_nu, scheme, z, t0, tau)
+            z_new = step(sys_nu, scheme, z, t0, tau)
+            assert symplectic_residual(sys_nu, jac, z, t0, z_new, t0 + tau) <= 1e-6
 
     def test_symmetric_offdiagonal_variant_fails_the_identity(self, osc_system):
         # diagnostic power of the residual: the symmetric variant looks

@@ -8,7 +8,6 @@ from birkhoff import (
     PhasePoint,
     RawFirstOrderSystem,
     check_self_adjointness,
-    contact_matrix,
     oscillator_system,
     reconstruct_b,
     reconstruct_f,
@@ -56,6 +55,11 @@ class TestCheckSelfAdjointness:
         assert not report.passed
         assert report.time_curl_violation == pytest.approx(0.1, rel=0.1)
         assert report.antisymmetry_violation <= 1e-7
+        sample, entry = report.time_curl_at
+        assert 0 <= sample < 20
+        assert set(entry) == {0, 1}
+        # two phase coordinates have no closure triple
+        assert report.closure_at is None
 
     def test_constant_pairing_with_gradient_right_side_passes(self, rng):
         # curl of a gradient vanishes and a constant K has no derivatives
@@ -106,6 +110,9 @@ class TestCheckSelfAdjointness:
         assert report.antisymmetry_violation == 0.0
         assert report.closure_violation == pytest.approx(1.0, abs=1e-9)
         assert report.time_curl_violation == 0.0
+        assert report.closure_at[1] == (0, 1, 2)
+        assert report.antisymmetry_at is None
+        assert report.time_curl_at is None
 
     def test_passing_is_monotone_in_tolerance(self, rng):
         raw = oscillator_raw(perturb=0.1)
@@ -249,32 +256,3 @@ class TestQuadratureRule:
         with pytest.raises(ValueError, match="quad_nodes"):
             fn(oscillator_raw(), PhasePoint([1.0, 1.0], 0.0), quad_nodes=quad_nodes)
 
-
-class TestContactMatrix:
-    def test_block_assembly(self):
-        raw = RawFirstOrderSystem(
-            1,
-            K=lambda z, t: np.array([[0.0, -1.0], [1.0, 0.0]]),
-            D=lambda z, t: np.array([1.0, 2.0]),
-        )
-        expected = np.array([[0.0, -1.0, -2.0], [1.0, 0.0, -1.0], [2.0, 1.0, 0.0]])
-        np.testing.assert_array_equal(contact_matrix(raw, PhasePoint([0.0, 0.0])), expected)
-
-    def test_zero_right_side_embeds_the_pairing(self):
-        k = np.array([[0.0, -3.0], [3.0, 0.0]])
-        raw = RawFirstOrderSystem(1, K=lambda z, t: k, D=lambda z, t: np.zeros(2))
-        out = contact_matrix(raw, PhasePoint([1.0, 1.0]))
-        np.testing.assert_array_equal(out[1:, 1:], k)
-        np.testing.assert_array_equal(out[0, :], np.zeros(3))
-        np.testing.assert_array_equal(out[:, 0], np.zeros(3))
-
-    def test_oscillator_point(self):
-        out = contact_matrix(oscillator_raw(), PhasePoint([1.0, 0.0], 0.0))
-        expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        np.testing.assert_allclose(out, expected, atol=1e-14)
-
-    def test_exactly_antisymmetric(self, rng):
-        raw = oscillator_raw()
-        for _ in range(5):
-            out = contact_matrix(raw, PhasePoint(rng.uniform(-2, 2, 2), rng.uniform(0, 1)))
-            np.testing.assert_array_equal(out.T, -out)

@@ -47,6 +47,30 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory(0.0, 0.1, (np.zeros(2), np.zeros(2)), residuals=(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "t0, tau, z0",
+        [
+            (0.0, float("nan"), [0.0, 0.0]),
+            (0.0, float("inf"), [0.0, 0.0]),
+            (float("nan"), 0.1, [0.0, 0.0]),
+            (float("inf"), 0.1, [0.0, 0.0]),
+            (0.0, 0.1, [float("nan"), 0.0]),
+            (0.0, 0.1, [0.0, float("-inf")]),
+        ],
+    )
+    def test_non_finite_grid_rejected_before_the_first_step(self, t0, tau, z0):
+        calls = []
+
+        def advance(z, t_k):
+            calls.append(t_k)
+            return np.eye(2) @ z
+
+        with pytest.raises(ValueError):
+            run(advance, np.array(z0), t0, tau, 3)
+        assert calls == []
+        with pytest.raises(ValueError):
+            Trajectory(t0, tau, (np.array(z0),))
+
 
 class TestStep:
     def test_first_order_matches_closed_form_column(self, osc_system, osc_scheme_m1):
