@@ -53,6 +53,7 @@ from .transform import (
     AlphaTransform,
     alpha_verify,
     canonical_j,
+    darboux_alpha,
     scaled_canonical_alpha,
     sigma,
     transversality_equivalents,
@@ -86,6 +87,7 @@ __all__ = [
     "coefficients",
     "compare",
     "convergence_order",
+    "darboux_alpha",
     "euler_center",
     "exact_solution",
     "hj_rhs",

@@ -13,6 +13,7 @@ form is ``K dz/dt + D = 0`` with ``D = -(grad B + dF/dt)``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -87,9 +88,7 @@ class BirkhoffSystem:
     df_dt: Optional[Callable[[Array, float], Array]] = None
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _positive_int("n", self.n))
 
     @property
     def dim(self) -> int:
@@ -132,6 +131,17 @@ class BirkhoffSystem:
         return -(gb + ft)
 
 
+def _positive_int(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer (not a bool) of at least 1.
+
+    Any ``numbers.Integral`` passes, numpy integers included; a float is
+    rejected rather than truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def _checked(name: str, fn: Callable, z: Array, t: float, shape: tuple) -> Array:
     """``fn(z, t)`` as a float array; EvaluationError unless of ``shape`` and finite."""
     out = np.asarray(fn(np.asarray(z, dtype=float), t), dtype=float)
@@ -156,12 +166,13 @@ def k_from_f(sys: BirkhoffSystem, p: PhasePoint) -> Array:
 def _nonsingular(mat: Array, det: float) -> bool:
     """:func:`det_nonzero` reusing det M, unless det M is not a normal float."""
     rowmax = np.abs(mat).max(axis=1)
-    if not np.all((rowmax > 0.0) & (rowmax < math.inf)):
+    # written so that a NaN row maximum fails too
+    if not (0.0 < rowmax.min() and rowmax.max() < math.inf):
         return False
     if not _NORMAL_MIN <= abs(det) < math.inf:
         return abs(float(np.linalg.det(mat / rowmax[:, None]))) > DET_TOLERANCE
     # log form: the product of the row maxima may itself overflow or underflow
-    return math.log(abs(det)) > _LOG_DET_TOLERANCE + float(np.sum(np.log(rowmax)))
+    return math.log(abs(det)) > _LOG_DET_TOLERANCE + float(np.log(rowmax).sum())
 
 
 def det_nonzero(mat: Array) -> bool:

@@ -26,7 +26,7 @@ from . import numdiff
 from .core import BirkhoffSystem, velocity
 from .errors import UnsupportedOrderError
 from .newton import newton_solve
-from .transform import AlphaTransform
+from .transform import AlphaTransform, sigma
 
 Array = np.ndarray
 
@@ -207,8 +207,7 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         # exact chain rule: the identity map's gradient-map Jacobian is
         # the Moebius image (A + B)(C + D)^{-1} of the identity matrix
         zeta = zeta_of(w)
-        a, b, c, d = alpha.blocks(zeta, zeta, t0, t0)
-        return np.linalg.solve((c + d).T, (a + b).T).T
+        return sigma(alpha.blocks(zeta, zeta, t0, t0), np.eye(w.size))
 
     @_memoized
     def phi1(w: Array) -> Array:

@@ -11,14 +11,13 @@ the origin (the working domain must be star-shaped around it).
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import numdiff
-from .core import PhasePoint, _checked
+from .core import PhasePoint, _checked, _positive_int
 from .errors import InconsistencyError
 
 Array = np.ndarray
@@ -36,9 +35,7 @@ class RawFirstOrderSystem:
     D: Callable[[Array, float], Array]
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ValueError("n must be a positive integer")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _positive_int("n", self.n))
 
     @property
     def dim(self) -> int:
@@ -86,8 +83,11 @@ def check_self_adjointness(
 
     Derivatives are taken by central differences.  Returns the worst
     violation of each condition over all samples; ``passed`` is true iff
-    all three stay within ``tol``.
+    all three stay within ``tol``, which must be finite and non-negative.
     """
+    # written so that a NaN tol fails too
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     samples = tuple(samples)
     if not samples:
         raise ValueError("sample set must be non-empty")
@@ -144,13 +144,7 @@ def _gauss_legendre_01(nodes: int) -> Tuple[Array, Array]:
 
 def _quadrature_rule(quad_nodes: int) -> Tuple[Array, Array]:
     """The [0, 1] rule for ``quad_nodes``, which must be a positive integer."""
-    if (
-        isinstance(quad_nodes, bool)
-        or not isinstance(quad_nodes, numbers.Integral)
-        or quad_nodes < 1
-    ):
-        raise ValueError(f"quad_nodes must be a positive integer, got {quad_nodes!r}")
-    return _gauss_legendre_01(int(quad_nodes))
+    return _gauss_legendre_01(_positive_int("quad_nodes", quad_nodes))
 
 
 def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32) -> Array:

@@ -16,13 +16,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import BirkhoffSystem, det_nonzero
+from . import numdiff
+from .core import BirkhoffSystem, _checked, _positive_int, det_nonzero
 from .errors import EvaluationError, TransversalityError
 
 Array = np.ndarray
 Blocks = Tuple[Array, Array, Array, Array]
 
-# time pairs (and times) whose lam values and blocks each scaled transform
+# times (and time pairs) whose P, dP/dt and blocks each Darboux transform
 # keeps: one grid point reads (t0, t0), (t0 +- h, t0) and (t_k + tau, t_k)
 _TIME_CACHE_SIZE = 4
 
@@ -147,32 +148,119 @@ def transversality_equivalents(
     )
 
 
+def darboux_alpha(
+    p: Callable[[float], Array],
+    n: int,
+    p_dot: Optional[Callable[[float], Array]] = None,
+) -> AlphaTransform:
+    """Midpoint transform through the Darboux change of variables y = P(t) z.
+
+    Serves structure matrices K(z, t) = K(t) = P(t)^T J0 P(t), with
+    J0 = [[0, -I], [I, 0]] = ``-canonical_j(2n)`` and P(t) a smooth,
+    invertible 2n x 2n matrix.  With y1 = P(t) z_new and y0 = P(t0) z_old
+    split into (q, p) halves:
+
+        w_hat = (y1_p - y0_p,  y1_q - y0_q)
+        w     = ((y1_q + y0_q) / 2,  -(y1_p + y0_p) / 2)
+
+    Everything else follows from that constant midpoint map and from P:
+    the forward Jacobian is the midpoint matrix times diag(P(t), P(t0)),
+    the inverse and its blocks solve with diag(P(t), P(t0)), and the time
+    partials are the midpoint map of (dP/dt(t) z_new, 0).
+
+    ``p_dot`` defaults to a central difference of ``p``; supplying it
+    analytically keeps downstream generating-function coefficients exact.
+    Both must be pure functions of t: the transform evaluates and checks
+    each once per time, keeping the few most recent, and returns the
+    forward blocks of a time pair as shared read-only arrays.  A P(t) that
+    is not a finite, nonsingular (:func:`~birkhoff.core.det_nonzero`)
+    2n x 2n matrix, or a dP/dt that is not a finite 2n x 2n matrix, raises
+    :class:`EvaluationError`.
+    """
+    n = _positive_int("n", n)
+    if p_dot is None:
+        p_dot = lambda t: numdiff.time_derivative(p, t)  # noqa: E731
+    dim = 2 * n
+    eye, zero = np.eye(n), np.zeros((n, n))
+    swap = np.block([[zero, eye], [eye, zero]])
+    half = np.diag(np.repeat([0.5, -0.5], n))
+    # (w_hat, w) = mix (y1, y0), and (y1, y0) = unmix (w_hat, w)
+    mix = np.block([[swap, -swap], [half, half]])
+    unmix = np.block([[0.5 * swap, 2.0 * half], [-0.5 * swap, 2.0 * half]])
+
+    @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
+    def p_at(t: float) -> Array:
+        out = _checked("P", lambda _, s: p(s), (), t, (dim, dim))
+        if not det_nonzero(out):
+            raise EvaluationError(f"P is singular at t={t}")
+        return out
+
+    @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
+    def p_dot_at(t: float) -> Array:
+        return _checked("p_dot", lambda _, s: p_dot(s), (), t, (dim, dim))
+
+    @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
+    def pair(t: float, t0: float) -> Tuple[Array, Blocks]:
+        # diag(P(t), P(t0)) and the blocks of the forward Jacobian mix diag(P(t), P(t0))
+        p1, p0 = p_at(t), p_at(t0)
+        both = np.block([[p1, np.zeros((dim, dim))], [np.zeros((dim, dim)), p0]])
+        jac = mix @ both
+        jac.flags.writeable = False
+        return both, _split(jac, dim)
+
+    def forward(z_new, z_old, t, t0):
+        both = pair(float(t), float(t0))[0]
+        out = mix @ (both @ np.concatenate((z_new, z_old), dtype=float))
+        return out[:dim], out[dim:]
+
+    def inverse(w_hat, w, t, t0):
+        y = unmix @ np.concatenate((w_hat, w), dtype=float)
+        out = np.linalg.solve(pair(float(t), float(t0))[0], y)
+        return out[:dim], out[dim:]
+
+    def blocks(z_new, z_old, t, t0):
+        return pair(float(t), float(t0))[1]
+
+    def inverse_blocks(w_hat, w, t, t0):
+        return _split(np.linalg.solve(pair(float(t), float(t0))[0], unmix), dim)
+
+    def time_partials(z_new, z_old, t, t0):
+        # the midpoint map of (dP/dt(t) z_new, 0)
+        out = mix[:, :dim] @ (p_dot_at(float(t)) @ np.asarray(z_new, dtype=float))
+        return out[:dim], out[dim:]
+
+    return AlphaTransform(
+        n=n,
+        forward=forward,
+        inverse=inverse,
+        blocks=blocks,
+        inverse_blocks=inverse_blocks,
+        time_partials=time_partials,
+    )
+
+
+def _split(mat: Array, dim: int) -> Blocks:
+    """The four dim x dim blocks of a 2dim x 2dim matrix, as views."""
+    return mat[:dim, :dim], mat[:dim, dim:], mat[dim:, :dim], mat[dim:, dim:]
+
+
 def scaled_canonical_alpha(
     lam: Callable[[float], float],
     n: int,
     lam_dot: Optional[Callable[[float], float]] = None,
 ) -> AlphaTransform:
-    """Midpoint-type transform for structure matrices K(z, t) = lam(t) * J0.
+    """:func:`darboux_alpha` for K(z, t) = lam(t) * J0, with P(t) = diag(I, lam(t) I).
 
-    Here J0 is the 2n x 2n block form [[0, -I], [I, 0]] (so that for
-    z = (q, p) the system K dz/dt = rhs reduces to a scaled canonical
-    pair).  With z_new = (q1, p1) at t and z_old = (q0, p0) at t0:
+    For z = (q, p) the system K dz/dt = rhs then reduces to a scaled
+    canonical pair.  With z_new = (q1, p1) at t and z_old = (q0, p0) at t0:
 
         w_hat = (lam(t) p1 - lam(t0) p0,  q1 - q0)
         w     = ((q1 + q0) / 2,  -(lam(t) p1 + lam(t0) p0) / 2)
 
     ``lam`` must stay positive; ``lam_dot`` defaults to a central
-    difference of ``lam``.  Supplying it analytically keeps downstream
-    generating-function coefficients exact.  Both must be pure functions
-    of t: the transform evaluates ``lam`` once per time pair (t, t0) and
-    ``lam_dot`` once per t, keeping the few most recent, and returns the
-    forward blocks of a pair as shared read-only arrays.
+    difference of ``lam``.  Both must be pure functions of t, each
+    evaluated once per time.
     """
-    from . import numdiff
-
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     if lam_dot is None:
         lam_dot = lambda t: float(numdiff.time_derivative(lambda s: lam(s), t))  # noqa: E731
 
@@ -184,30 +272,6 @@ def scaled_canonical_alpha(
             raise EvaluationError(f"time scaling must be positive, got lam({t}) = {value}")
         return value
 
-    dim = 2 * n
-    idx = np.arange(n)
-
-    def _corner(upper_right: float, lower_left: float) -> Array:
-        out = np.zeros((dim, dim))
-        out[idx, n + idx] = upper_right
-        out[n + idx, idx] = lower_left
-        return out
-
-    def _diag(upper_left: float, lower_right: float) -> Array:
-        out = np.zeros((dim, dim))
-        out[idx, idx] = upper_left
-        out[n + idx, n + idx] = lower_right
-        return out
-
-    @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
-    def _pair(t: float, t0: float) -> Tuple[float, float, Blocks]:
-        lt, l0 = _lam(t), _lam(t0)
-        mats = (_corner(lt, 1.0), _corner(-l0, -1.0), _diag(0.5, -0.5 * lt), _diag(0.5, -0.5 * l0))
-        for mat in mats:
-            mat.flags.writeable = False
-        return lt, l0, mats
-
-    @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
     def _lam_dot(t: float) -> float:
         value = float(lam_dot(t))
         if not np.isfinite(value):
@@ -216,56 +280,8 @@ def scaled_canonical_alpha(
             )
         return value
 
-    def forward(z_new, z_old, t, t0):
-        z_new = np.asarray(z_new, dtype=float)
-        z_old = np.asarray(z_old, dtype=float)
-        lt, l0, _ = _pair(float(t), float(t0))
-        w_hat = np.empty(dim)
-        w = np.empty(dim)
-        w_hat[:n] = lt * z_new[n:] - l0 * z_old[n:]
-        w_hat[n:] = z_new[:n] - z_old[:n]
-        w[:n] = 0.5 * (z_new[:n] + z_old[:n])
-        w[n:] = -0.5 * (lt * z_new[n:] + l0 * z_old[n:])
-        return w_hat, w
-
-    def inverse(w_hat, w, t, t0):
-        w_hat = np.asarray(w_hat, dtype=float)
-        w = np.asarray(w, dtype=float)
-        lt, l0, _ = _pair(float(t), float(t0))
-        z_new = np.empty(dim)
-        z_old = np.empty(dim)
-        z_new[:n] = w[:n] + 0.5 * w_hat[n:]
-        z_old[:n] = w[:n] - 0.5 * w_hat[n:]
-        z_new[n:] = (0.5 * w_hat[:n] - w[n:]) / lt
-        z_old[n:] = (-0.5 * w_hat[:n] - w[n:]) / l0
-        return z_new, z_old
-
-    def blocks(z_new, z_old, t, t0):
-        return _pair(float(t), float(t0))[2]
-
-    def inverse_blocks(w_hat, w, t, t0):
-        lt, l0, _ = _pair(float(t), float(t0))
-        return (
-            _corner(0.5, 0.5 / lt),
-            _diag(1.0, -1.0 / lt),
-            _corner(-0.5, -0.5 / l0),
-            _diag(1.0, -1.0 / l0),
-        )
-
-    def time_partials(z_new, z_old, t, t0):
-        p1 = np.asarray(z_new, dtype=float)[n:]
-        ld = _lam_dot(float(t))
-        d_alpha1 = np.zeros(dim)
-        d_alpha2 = np.zeros(dim)
-        d_alpha1[:n] = ld * p1
-        d_alpha2[n:] = -0.5 * ld * p1
-        return d_alpha1, d_alpha2
-
-    return AlphaTransform(
-        n=n,
-        forward=forward,
-        inverse=inverse,
-        blocks=blocks,
-        inverse_blocks=inverse_blocks,
-        time_partials=time_partials,
+    return darboux_alpha(
+        lambda t: np.diag(np.repeat([1.0, _lam(t)], n)),
+        n,
+        lambda t: np.diag(np.repeat([0.0, _lam_dot(t)], n)),
     )

@@ -3,12 +3,19 @@
 q'' + nu q' + sin q + coupling (q_{i-1} + q_{i+1}) = 0 for n angles q,
 written as a Birkhoffian system in z = (q, p) with K = e^{nu t} J0,
 J0 = [[0, -I], [I, 0]]; the matching transform is
-``scaled_canonical_alpha(e^{nu t}, n)``.
+``scaled_canonical_alpha(e^{nu t}, n)``.  ``sheared_chain`` is the
+uncoupled two-angle chain through a non-diagonal Darboux matrix P(t).
 """
 
 import numpy as np
 
-from birkhoff import BirkhoffSystem, RawFirstOrderSystem, scaled_canonical_alpha, velocity
+from birkhoff import (
+    BirkhoffSystem,
+    RawFirstOrderSystem,
+    darboux_alpha,
+    scaled_canonical_alpha,
+    velocity,
+)
 
 N, NU, COUPLING = 2, 0.3, 0.1
 
@@ -54,6 +61,54 @@ def chain_system(n=N, nu=NU, coupling=COUPLING):
         lambda t: np.exp(nu * t), n, lam_dot=lambda t: nu * np.exp(nu * t)
     )
     return system, alpha
+
+
+SHEAR = np.array([[0.4, 0.1], [0.1, -0.2]])
+
+
+def sheared_chain(analytic_p_dot=True, nu=NU):
+    """The uncoupled n = 2 chain built from P(t) = e^{nu t/2} [[I, sin(t) S], [0, I]].
+
+    S = ``SHEAR`` is symmetric, so K(t) = P^T J0 P; F = -K(t) z / 2,
+    B = e^{nu t} (|p|^2 / 2 + sum(1 - cos q) + nu q.p / 2) and the analytic
+    D = -(grad B - dK/dt z / 2).  Returns the system and
+    ``darboux_alpha(P, 2)``, with the analytic dP/dt or, if
+    ``analytic_p_dot`` is false, its default central difference.
+    """
+    n = 2
+    j0 = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
+
+    def p_mat(t):
+        return np.exp(0.5 * nu * t) * np.block(
+            [[np.eye(n), np.sin(t) * SHEAR], [np.zeros((n, n)), np.eye(n)]]
+        )
+
+    def p_dot(t):
+        shear_dot = np.block([[np.zeros((n, n)), np.cos(t) * SHEAR], [np.zeros((n, 2 * n))]])
+        return 0.5 * nu * p_mat(t) + np.exp(0.5 * nu * t) * shear_dot
+
+    def K(z, t):
+        p = p_mat(t)
+        return p.T @ j0 @ p
+
+    def k_dot(t):
+        p, pd = p_mat(t), p_dot(t)
+        return pd.T @ j0 @ p + p.T @ j0 @ pd
+
+    def B(z, t):
+        return float(np.exp(nu * t) * sum(b_terms(z, n, nu, 0.0)))
+
+    def grad_b(z, t):
+        q, p = z[:n], z[n:]
+        return np.exp(nu * t) * np.concatenate([np.sin(q) + 0.5 * nu * p, p + 0.5 * nu * q])
+
+    def D(z, t):
+        return -(grad_b(z, t) - 0.5 * k_dot(t) @ z)
+
+    system = BirkhoffSystem(
+        n=n, F=lambda z, t: -0.5 * K(z, t) @ z, B=B, K=K, D=D, grad_b=grad_b
+    )
+    return system, darboux_alpha(p_mat, n, p_dot if analytic_p_dot else None)
 
 
 def chain_raw(n=N, nu=NU, coupling=COUPLING):

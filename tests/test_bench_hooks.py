@@ -2,28 +2,52 @@
 
 ``bench/tracing.py`` rebinds, for a traced run, the names listed in its
 ``PATCHES`` and records the originals in ``ORIGINALS`` when it is
-imported; a package change that removes or re-homes one of those names
-must fail here, not only in the benchmark.
+imported; ``bench/workloads.py`` rebuilds systems, transforms and schemes
+with ``dataclasses.replace`` over the fields it names.  A package change
+that removes or re-homes one of those names must fail here, not only in
+the benchmark.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import birkhoff.cli
 import birkhoff.diagnostics
+from birkhoff import (
+    AlphaTransform,
+    BirkhoffSystem,
+    GeneratingScheme,
+    darboux_alpha,
+    make_scheme,
+    oscillator_alpha,
+    oscillator_system,
+    scaled_canonical_alpha,
+)
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it loads
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)  # builds ORIGINALS: a missing name raises here
-    return module
+    return load_bench_module("tracing")  # builds ORIGINALS: a missing name raises here
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_bench_module("workloads")
 
 
 def home_object(obj):
@@ -51,3 +75,51 @@ def test_installed_tracer_wraps_and_restores_every_name(tracing):
         for owner, attr, _ in tracing.PATCHES:
             assert owner.__dict__[attr] is not tracing.ORIGINALS[(owner, attr)]
     assert tracing.originals_restored() == []
+
+
+def field_names(cls):
+    return {field.name for field in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize(
+    "make_alpha",
+    [
+        lambda: oscillator_alpha(0.5),
+        lambda: scaled_canonical_alpha(lambda t: 1.0 + t * t, 2),
+        lambda: darboux_alpha(lambda t: np.array([[1.0, t], [0.0, 1.0]]), 1),
+    ],
+    ids=["oscillator_alpha", "scaled_canonical_alpha", "darboux_alpha"],
+)
+def test_transform_callables_rebind_on_every_transform_family(workloads, make_alpha):
+    assert set(workloads.TRANSFORM_CALLABLES) <= field_names(AlphaTransform)
+    alpha = make_alpha()
+    calls = []
+
+    def wrap(fn):
+        def wrapped(*args):
+            calls.append(fn)
+            return fn(*args)
+
+        return wrapped
+
+    rebound = dataclasses.replace(
+        alpha, **{name: wrap(getattr(alpha, name)) for name in workloads.TRANSFORM_CALLABLES}
+    )
+    z = np.linspace(-1.0, 1.0, alpha.dim)
+    for name in workloads.TRANSFORM_CALLABLES:
+        got, want = getattr(rebound, name)(z, z, 0.3, 0.2), getattr(alpha, name)(z, z, 0.3, 0.2)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+    assert len(calls) == len(workloads.TRANSFORM_CALLABLES)
+
+
+def test_user_callables_and_rebase_rebind(workloads):
+    assert set(workloads.USER_CALLABLES) <= field_names(BirkhoffSystem)
+    assert "rebase" in field_names(GeneratingScheme)
+    base = oscillator_system(0.5)
+    system = dataclasses.replace(
+        base, **{name: getattr(base, name) for name in workloads.USER_CALLABLES}
+    )
+    scheme = make_scheme(system, oscillator_alpha(0.5), 0.0, 1)
+    rebased = dataclasses.replace(scheme, rebase=scheme.rebase)
+    assert rebased.at(0.1).coefficients.t0 == 0.1

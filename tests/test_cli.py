@@ -329,6 +329,9 @@ class TestErrorBoundary:
             pytest.param(["integrate"], "steps = 1.5\n", 1, id="config-int"),
             pytest.param(["integrate", "--nu", "-1"], None, 1, id="negative-nu"),
             pytest.param(["check", "--seed", "-1"], None, 1, id="negative-seed"),
+            pytest.param(
+                ["check", "--tol", "-1", "--samples", "3"], None, 1, id="negative-tol"
+            ),
             pytest.param(["check", "--nu", "1000"], None, 2, id="check-overflow"),
             pytest.param(
                 ["reconstruct", "--nu", "1000", "--t0", "1"], None, 2, id="reconstruct-overflow"

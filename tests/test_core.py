@@ -5,10 +5,13 @@ from birkhoff import (
     BirkhoffSystem,
     EvaluationError,
     PhasePoint,
+    RawFirstOrderSystem,
     RegularityError,
+    darboux_alpha,
     k_from_f,
     oscillator_system,
     regularity,
+    scaled_canonical_alpha,
     velocity,
 )
 from birkhoff.core import det_nonzero
@@ -38,10 +41,28 @@ class TestPhasePoint:
             PhasePoint([1.0, 0.0], np.inf)
 
 
+# every constructor that takes the half dimension n, as a function of n
+TAKES_N = {
+    "BirkhoffSystem": lambda n: BirkhoffSystem(n=n, F=lambda z, t: z, B=lambda z, t: 0.0),
+    "RawFirstOrderSystem": lambda n: RawFirstOrderSystem(n, lambda z, t: z, lambda z, t: z),
+    "darboux_alpha": lambda n: darboux_alpha(lambda t: np.eye(2), n),
+    "scaled_canonical_alpha": lambda n: scaled_canonical_alpha(lambda t: 1.0, n),
+}
+
+
 class TestSystemValidation:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             BirkhoffSystem(n=0, F=lambda z, t: z, B=lambda z, t: 0.0)
+
+    @pytest.mark.parametrize("build", TAKES_N.values(), ids=TAKES_N.keys())
+    def test_n_must_be_a_positive_integer(self, build):
+        # a float or a bool used to be truncated by int(n): 1.9 -> 1, True -> 1
+        for n in (1.9, 2.5, 1.5, True, 0, -1, "2"):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                build(n)
+        built = build(np.int64(2))
+        assert built.n == 2 and type(built.n) is int
 
 
 class TestKFromF:

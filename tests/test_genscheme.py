@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birkhoff import (
+    AlphaTransform,
     BirkhoffSystem,
     CoefficientSet,
     GeneratingScheme,
+    TransversalityError,
     UnsupportedOrderError,
     a_functional,
     coefficients,
@@ -156,6 +158,26 @@ class TestCoefficients:
             for jac_fn in cs.coeff_jacobians:
                 jac = jac_fn(w)
                 assert np.max(np.abs(jac - jac.T)) <= 1e-8
+
+    def test_singular_c_plus_d_at_the_identity_point_is_a_lost_transversality(self, osc_system):
+        # alpha_2(z, z) = z finds the identity point of w = 0 without a Newton
+        # update, but the blocks' C + D = 0 leaves (A + B)(C + D)^{-1} undefined;
+        # numpy's LinAlgError used to escape run without a step index
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        alpha = AlphaTransform(
+            n=1,
+            forward=lambda zh, z, t, t0: (np.array(zh, dtype=float), np.array(z, dtype=float)),
+            inverse=lambda wh, w, t, t0: (np.array(wh, dtype=float), np.array(w, dtype=float)),
+            blocks=lambda zh, z, t, t0: (eye, zero, zero, zero),
+            inverse_blocks=lambda wh, w, t, t0: (eye, zero, zero, zero),
+            time_partials=lambda zh, z, t, t0: (np.zeros(2), np.zeros(2)),
+        )
+        scheme = make_scheme(osc_system, alpha, 0.0, 1)
+        with pytest.raises(TransversalityError, match="C M \\+ D singular"):
+            scheme.coefficients.coeff_jacobians[0](np.zeros(2))
+        with pytest.raises(TransversalityError) as info:
+            run(lambda z, t: step(osc_system, scheme, z, t, 0.1), np.zeros(2), 0.0, 0.1, 2)
+        assert info.value.step_index == 0
 
     def test_orders_outside_the_cap_rejected(self, osc_system, osc_alpha):
         with pytest.raises(UnsupportedOrderError):

@@ -114,6 +114,12 @@ class TestCheckSelfAdjointness:
         assert report.antisymmetry_at is None
         assert report.time_curl_at is None
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol, rng):
+        # a negative tol used to fail a self-adjoint system, a NaN one silently
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            check_self_adjointness(oscillator_raw(), sample_points(rng, 3), tol=tol)
+
     def test_passing_is_monotone_in_tolerance(self, rng):
         raw = oscillator_raw(perturb=0.1)
         points = sample_points(rng, 10)

@@ -28,7 +28,7 @@ from birkhoff import (
     step_jacobian,
     symplectic_residual,
 )
-from pendulum_chain import chain_system, rk4_state
+from pendulum_chain import chain_system, rk4_state, sheared_chain
 
 NU = 0.5
 
@@ -447,3 +447,37 @@ class TestPendulumChainGoldens:
             self.Z0[n], 0.0, 0.1, 8, certify=certify,
         )
         assert max(traj.residuals) <= 1e-10
+
+
+@pytest.mark.parametrize("order", [1, 2])
+class TestShearedDarbouxGoldens:
+    # the uncoupled chain through the non-diagonal P(t) of sheared_chain
+    Z0 = np.array([0.5, -0.4, 0.3, 0.2])
+
+    def test_convergence_slope_against_rk4(self, order):
+        system, alpha = sheared_chain()
+        scheme = make_scheme(system, alpha, 0.0, order)
+        reference = rk4_state(system, self.Z0, 0.0, 0.8, 400)
+        report = convergence_order(
+            system,
+            lambda tau: lambda z, t_k: step(system, scheme, z, t_k, tau),
+            lambda t: reference,
+            self.Z0,
+            0.0,
+            0.8,
+            [0.2, 0.1, 0.05],
+        )
+        assert abs(report.slope - order) <= 0.2
+
+    def test_per_step_residuals(self, order):
+        system, alpha = sheared_chain()
+        scheme = make_scheme(system, alpha, 0.0, order)
+
+        def certify(z, t_k, z_next):
+            jac = step_jacobian(system, scheme, z, t_k, 0.1)
+            return symplectic_residual(system, jac, z, t_k, z_next, t_k + 0.1)
+
+        traj = run(
+            lambda z, t_k: step(system, scheme, z, t_k, 0.1), self.Z0, 0.0, 0.1, 8, certify=certify
+        )
+        assert max(traj.residuals) <= 1e-8

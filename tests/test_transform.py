@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from birkhoff import (
     AlphaTransform,
@@ -8,15 +10,18 @@ from birkhoff import (
     TransversalityError,
     alpha_verify,
     canonical_j,
+    darboux_alpha,
     make_scheme,
     numdiff,
     oscillator_system,
+    run,
     scaled_canonical_alpha,
     scheme_first_order,
     sigma,
     step,
     transversality_equivalents,
 )
+from pendulum_chain import sheared_chain
 
 NU = 0.5
 
@@ -106,40 +111,65 @@ class TestAlphaVerify:
             assert residual <= 1e-12
 
 
-class TestScaledCanonicalAlpha:
-    def test_round_trips_forward_and_inverse(self, osc_alpha, rng):
+@pytest.fixture(params=["oscillator", "sheared"])
+def midpoint_alpha(request, osc_alpha):
+    """The n = 1 oscillator transform and the n = 2 non-diagonal Darboux transform."""
+    return osc_alpha if request.param == "oscillator" else sheared_chain()[1]
+
+
+class TestMidpointStructure:
+    def test_round_trips_forward_and_inverse(self, midpoint_alpha, rng):
+        dim = midpoint_alpha.dim
         for _ in range(20):
-            zh = rng.uniform(-2, 2, 2)
-            z = rng.uniform(-2, 2, 2)
+            zh = rng.uniform(-2, 2, dim)
+            z = rng.uniform(-2, 2, dim)
             t, t0 = rng.uniform(0, 2, 2)
-            wh, w = osc_alpha.forward(zh, z, t, t0)
-            zh2, z2 = osc_alpha.inverse(wh, w, t, t0)
+            wh, w = midpoint_alpha.forward(zh, z, t, t0)
+            zh2, z2 = midpoint_alpha.inverse(wh, w, t, t0)
             assert np.max(np.abs(zh2 - zh)) <= 1e-10
             assert np.max(np.abs(z2 - z)) <= 1e-10
 
-    def test_blocks_match_finite_difference_jacobian(self, osc_alpha, rng):
-        zh = rng.uniform(-2, 2, 2)
-        z = rng.uniform(-2, 2, 2)
+    def test_blocks_match_finite_difference_jacobian(self, midpoint_alpha, rng):
+        dim = midpoint_alpha.dim
+        zh = rng.uniform(-2, 2, dim)
+        z = rng.uniform(-2, 2, dim)
         t, t0 = 0.9, 0.2
 
         def stacked(v):
-            wh, w = osc_alpha.forward(v[:2], v[2:], t, t0)
+            wh, w = midpoint_alpha.forward(v[:dim], v[dim:], t, t0)
             return np.concatenate([wh, w])
 
         fd = numdiff.jacobian(stacked, np.concatenate([zh, z]))
-        assert np.max(np.abs(osc_alpha.jacobian(zh, z, t, t0) - fd)) <= 1e-6
+        assert np.max(np.abs(midpoint_alpha.jacobian(zh, z, t, t0) - fd)) <= 1e-6
 
-    def test_inverse_blocks_invert_the_jacobian(self, osc_alpha, rng):
-        zh = rng.uniform(-2, 2, 2)
-        z = rng.uniform(-2, 2, 2)
+    def test_inverse_blocks_invert_the_jacobian(self, midpoint_alpha, rng):
+        dim = midpoint_alpha.dim
+        zh = rng.uniform(-2, 2, dim)
+        z = rng.uniform(-2, 2, dim)
         t, t0 = 1.3, 0.4
-        wh, w = osc_alpha.forward(zh, z, t, t0)
-        ai, bi, ci, di = osc_alpha.inverse_blocks(wh, w, t, t0)
+        wh, w = midpoint_alpha.forward(zh, z, t, t0)
+        ai, bi, ci, di = midpoint_alpha.inverse_blocks(wh, w, t, t0)
         inv = np.block([[ai, bi], [ci, di]])
         np.testing.assert_allclose(
-            inv @ osc_alpha.jacobian(zh, z, t, t0), np.eye(4), atol=1e-12
+            inv @ midpoint_alpha.jacobian(zh, z, t, t0), np.eye(2 * dim), atol=1e-12
         )
 
+    def test_time_partials_match_finite_differences(self, midpoint_alpha, rng):
+        dim = midpoint_alpha.dim
+        zh = rng.uniform(-2, 2, dim)
+        z = rng.uniform(-2, 2, dim)
+        t0 = 0.3
+
+        def stacked(t):
+            wh, w = midpoint_alpha.forward(zh, z, t, t0)
+            return np.concatenate([wh, w])
+
+        fd = numdiff.time_derivative(stacked, 1.1)
+        d1, d2 = midpoint_alpha.time_partials(zh, z, 1.1, t0)
+        assert np.max(np.abs(np.concatenate([d1, d2]) - fd)) <= 1e-8
+
+
+class TestScaledCanonicalAlpha:
     def test_oscillator_jacobian_entries(self, osc_alpha):
         # scaling multiplies only the momentum columns; positions carry
         # plain +/-1 and averaging halves
@@ -156,19 +186,6 @@ class TestScaledCanonicalAlpha:
         jac = osc_alpha.jacobian(np.array([1.0, 2.0]), np.array([3.0, 4.0]), t, t0)
         np.testing.assert_allclose(jac, expected, atol=1e-14)
 
-    def test_time_partials_match_finite_differences(self, osc_alpha, rng):
-        zh = rng.uniform(-2, 2, 2)
-        z = rng.uniform(-2, 2, 2)
-        t0 = 0.3
-
-        def stacked(t):
-            wh, w = osc_alpha.forward(zh, z, t, t0)
-            return np.concatenate([wh, w])
-
-        fd = numdiff.time_derivative(stacked, 1.1)
-        d1, d2 = osc_alpha.time_partials(zh, z, 1.1, t0)
-        assert np.max(np.abs(np.concatenate([d1, d2]) - fd)) <= 1e-8
-
     def test_nonpositive_scaling_rejected(self):
         alpha = scaled_canonical_alpha(lambda t: 1.0 - t, 1)
         with pytest.raises(EvaluationError, match="time scaling must be positive"):
@@ -179,11 +196,71 @@ class TestScaledCanonicalAlpha:
             scaled_canonical_alpha(lambda t: 1.0, 0)
 
 
+class TestDarbouxAlpha:
+    @pytest.mark.parametrize("analytic_p_dot", [True, False], ids=["p_dot", "default_p_dot"])
+    def test_sheared_transform_is_compatible(self, analytic_p_dot, rng):
+        system, alpha = sheared_chain(analytic_p_dot)
+        for _ in range(50):
+            zh = rng.uniform(-2, 2, 4)
+            z = rng.uniform(-2, 2, 4)
+            t, t0 = rng.uniform(0, 2, 2)
+            assert alpha_verify(alpha, system, zh, z, t, t0) <= 1e-12
+
+    def test_default_time_partials_match_the_analytic_ones(self, rng):
+        _, exact = sheared_chain()
+        _, differenced = sheared_chain(analytic_p_dot=False)
+        zh = rng.uniform(-2, 2, 4)
+        z = rng.uniform(-2, 2, 4)
+        at = (zh, z, 1.1, 0.3)
+        for a, b in zip(exact.time_partials(*at), differenced.time_partials(*at)):
+            assert np.max(np.abs(a - b)) <= 1e-8
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        n=st.sampled_from([1, 2]),
+        entries=st.lists(st.floats(-2.0, 2.0), min_size=16, max_size=16),
+        times=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_constant_darboux_matrix_is_compatible(self, n, entries, times, seed):
+        dim = 2 * n
+        p = np.array(entries[: dim * dim]).reshape(dim, dim)
+        assume(abs(np.linalg.det(p)) > 0.1)
+        k = p.T @ -canonical_j(dim) @ p
+        system = BirkhoffSystem(
+            n=n, F=lambda z, t: -0.5 * k @ z, B=lambda z, t: 0.0, K=lambda z, t: k
+        )
+        alpha = darboux_alpha(lambda t: p, n)
+        zh, z = np.random.default_rng(seed).uniform(-2, 2, (2, dim))
+        assert alpha_verify(alpha, system, zh, z, *times) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            pytest.param(np.diag([1.0, 0.0]), "P is singular", id="singular"),
+            pytest.param(np.diag([1.0, np.nan]), "P returned non-finite", id="non-finite"),
+            pytest.param(np.eye(3), "P must return shape", id="shape"),
+        ],
+    )
+    def test_bad_darboux_matrix_raises_inside_run(self, bad, message):
+        # P = I serves the undamped oscillator; from t = 0.25 on P(t) is bad,
+        # and the step from t = 0.2 is the first to read it
+        system = oscillator_system(0.0)
+        alpha = darboux_alpha(
+            lambda t: np.eye(2) if t < 0.25 else bad, 1, lambda t: np.zeros((2, 2))
+        )
+        scheme = make_scheme(system, alpha, 0.0, 1)
+        with pytest.raises(EvaluationError, match=message) as info:
+            run(lambda z, t: step(system, scheme, z, t, 0.1), np.array([1.0, 0.0]), 0.0, 0.1, 5)
+        assert info.value.step_index == 2
+        assert info.value.trajectory.steps == 2
+
+
 class TestPerTimeCache:
     def test_one_order_two_step_evaluates_lam_once_per_time_pair(self):
-        # the step reads the pairs (0.3, 0.3), (0.3 +- h, 0.3) and (0.4, 0.3),
-        # and lam_dot at 0.3 and 0.3 +- h; evaluating them on every call
-        # took 676 calls to lam and 77 to lam_dot
+        # the step reads lam at 0.3, 0.3 +- h and 0.4, and lam_dot at 0.3 and
+        # 0.3 +- h, each once; evaluating them on every call took 676 calls
+        # to lam and 77 to lam_dot
         lam_calls, lam_dot_calls = [], []
 
         def lam(t):
@@ -197,8 +274,8 @@ class TestPerTimeCache:
         system = oscillator_system(NU)
         scheme = make_scheme(system, scaled_canonical_alpha(lam, 1, lam_dot=lam_dot), 0.3, 2)
         step(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
-        assert len(lam_calls) <= 8
-        assert len(lam_dot_calls) <= 4
+        assert len(lam_calls) <= 4
+        assert len(lam_dot_calls) <= 3
 
     def test_returned_blocks_are_read_only(self, osc_alpha):
         for block in osc_alpha.blocks(np.zeros(2), np.zeros(2), 0.4, 0.3):
