@@ -73,10 +73,13 @@ def convergence_order(
 
     ``scheme_factory(tau)`` must return a map (z, t_k) -> z_new with the
     step size bound in; ``reference(t)`` is the exact state at absolute
-    time t.  Each tau must be finite, positive and divide the horizon; at
-    least three values are required for the fit.  The error metric is the
-    max-norm at the final time.
+    time t.  The horizon must be finite and positive, and each tau must be
+    finite, positive and divide it; at least three values are required for
+    the fit.  The error metric is the max-norm at the final time.
     """
+    # written so that a NaN horizon fails too
+    if not 0.0 < horizon < np.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     taus = [float(t) for t in tau_values]
     if not all(np.isfinite(tau) and tau > 0.0 for tau in taus):
         raise ValueError("tau values must be finite and positive")

@@ -17,6 +17,7 @@ the K-pairing.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -167,12 +168,22 @@ def _memoized(fn):
 def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> CoefficientSet:
     """Coefficient set up to order m (m <= 2) by the generic recursion.
 
+    phi^(0)(w) is the identity point: the w_hat that ``alpha.inverse`` at
+    (t0, t0) maps with w to a pair z_new = z_old.  It is one Newton solve
+    from w_hat = 0, which is already the solution for every
+    :func:`~birkhoff.transform.darboux_alpha`.  Any other transform that
+    passes :func:`~birkhoff.transform.alpha_verify` works too, with Newton
+    updates, as long as the inverse blocks keep |A' - C'| != 0 there.
+    The order m must be an integer; a float or bool raises ``ValueError``.
+
     Order 2 uses directional central differences of the functional in its
     gradient, Jacobian and time slots, with once-nested steps: the
     differenced quantities already carry finite-difference noise above
     machine epsilon.  Closed-form coefficient sets may be supplied by
     callers to go past the cap.
     """
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"order must be an integer, got {m!r}")
     m = int(m)
     if m < 1 or m > MAX_ORDER:
         raise UnsupportedOrderError(
@@ -183,30 +194,27 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     t0 = float(t0)
 
     @_memoized
-    def zeta_of(w: Array) -> Array:
-        # the identity point: alpha_2(zeta, zeta, t0, t0) = w, solved by
-        # Newton from zero with the exact Jacobian C + D from the blocks
-        def residual(zeta):
-            return alpha.forward(zeta, zeta, t0, t0)[1] - w
-
-        def jac(zeta):
-            _, _, c, d = alpha.blocks(zeta, zeta, t0, t0)
-            return c + d
-
-        scale = max(1.0, float(np.max(np.abs(w))))
-        return newton_solve(residual, np.zeros_like(w), scale, jacobian=jac)[0]
-
-    @_memoized
     def phi0(w: Array) -> Array:
-        zeta = zeta_of(w)
-        a1, _ = alpha.forward(zeta, zeta, t0, t0)
-        return a1
+        # (A', C') = d(z_new, z_old)/d w_hat, so A' - C' is the exact Jacobian
+        def residual(w_hat):
+            z_new, z_old = alpha.inverse(w_hat, w, t0, t0)
+            return z_new - z_old
+
+        def jac(w_hat):
+            a, _, c, _ = alpha.inverse_blocks(w_hat, w, t0, t0)
+            return a - c
+
+        start = np.zeros_like(w)
+        # the residual is a state difference: scale it by the inverse image,
+        # not by w, which the transform may stretch (e^{400} z at t0 = 800)
+        scale = max(1.0, float(np.max(np.abs(np.concatenate(alpha.inverse(start, w, t0, t0))))))
+        return newton_solve(residual, start, scale, jacobian=jac)[0]
 
     @_memoized
     def phi0_jac(w: Array) -> Array:
         # exact chain rule: the identity map's gradient-map Jacobian is
         # the Moebius image (A + B)(C + D)^{-1} of the identity matrix
-        zeta = zeta_of(w)
+        zeta = alpha.inverse(phi0(w), w, t0, t0)[1]
         return sigma(alpha.blocks(zeta, zeta, t0, t0), np.eye(w.size))
 
     @_memoized
@@ -215,8 +223,9 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
 
     @_memoized
     def phi1_jac(w: Array) -> Array:
-        # phi1 evaluations pass through the solved phi0 and its FD
-        # Jacobian, so they carry noise above machine epsilon
+        # phi1 evaluates D and dP/dt, which are differenced when not
+        # supplied (D from F and B, dP/dt from P), so it carries noise
+        # above machine epsilon
         return numdiff.jacobian(phi1, w, base=numdiff.SOLVER_FD_STEP)
 
     @_memoized
@@ -244,12 +253,9 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         # Jacobian needs the wider step to clear that noise floor
         return numdiff.jacobian(phi2, w, base=numdiff.NESTED_FD_STEP)
 
-    coeffs = [phi0, phi1]
-    jacs = [phi0_jac, phi1_jac]
-    if m >= 2:
-        coeffs.append(phi2)
-        jacs.append(phi2_jac)
-    return CoefficientSet(t0=t0, order=m, coeffs=tuple(coeffs), coeff_jacobians=tuple(jacs))
+    coeffs = (phi0, phi1, phi2)[: m + 1]
+    jacs = (phi0_jac, phi1_jac, phi2_jac)[: m + 1]
+    return CoefficientSet(t0=t0, order=m, coeffs=coeffs, coeff_jacobians=jacs)
 
 
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:

@@ -58,8 +58,6 @@ def newton_solve(residual, x0, scale, jacobian):
         # residual and its inf-norm; non-finite residuals must read as
         # "far from converged"
         res = np.asarray(residual(y), dtype=float)
-        if res.size == 0:
-            return res, 0.0
         value = float(np.max(np.abs(res)))
         return res, value if np.isfinite(value) else np.inf
 

@@ -49,7 +49,9 @@ class AlphaTransform:
     - ``inverse(w_hat, w, t, t0) -> (z_new, z_old)``
     - ``blocks(z_new, z_old, t, t0) -> (A, B, C, D)``, the 2n x 2n blocks
       of the forward Jacobian
-    - ``inverse_blocks(w_hat, w, t, t0) -> (A, B, C, D)`` of the inverse
+    - ``inverse_blocks(w_hat, w, t, t0) -> (A, B, C, D)`` of the inverse;
+      :func:`~birkhoff.genscheme.coefficients` solves for the identity
+      point with the Newton matrix A - C of these blocks at (t0, t0)
     - ``time_partials(z_new, z_old, t, t0) -> (d w_hat/dt, d w/dt)``,
       partial derivatives in the first time parameter at fixed state
     """
@@ -166,7 +168,9 @@ def darboux_alpha(
     Everything else follows from that constant midpoint map and from P:
     the forward Jacobian is the midpoint matrix times diag(P(t), P(t0)),
     the inverse and its blocks solve with diag(P(t), P(t0)), and the time
-    partials are the midpoint map of (dP/dt(t) z_new, 0).
+    partials are the midpoint map of (dP/dt(t) z_new, 0).  At t = t0 the
+    inverse sends (0, w) to a pair z_new = z_old, so the identity map's
+    gradient vanishes.
 
     ``p_dot`` defaults to a central difference of ``p``; supplying it
     analytically keeps downstream generating-function coefficients exact.

@@ -378,6 +378,26 @@ class TestErrorBoundary:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["integrate", "--steps", "0"], "n_steps must be at least 1"),
+            (["integrate", "--tau", "0"], "finite positive tau"),
+            (["check", "--samples", "0"], "sample set must be non-empty"),
+            (["convergence", "--horizon", "0"], "horizon must be finite"),
+            (["convergence", "--horizon", "-1"], "horizon must be finite"),
+            (["convergence", "--tau-list", "0.1,0.05"], "at least 3 step sizes"),
+        ],
+        ids=["steps-0", "tau-0", "samples-0", "horizon-0", "horizon-neg", "two-taus"],
+    )
+    def test_out_of_range_input_fails_the_library_check(self, argv, message, capsys):
+        # the library call that reads each input is the one place that checks it
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "tau_list", ["0.1,0.05,0", "nan,0.05,0.025", "inf,0.1,0.05", "0.1,-0.05,0.025"]
     )
     def test_step_size_that_is_not_finite_and_positive_is_a_configuration_error(

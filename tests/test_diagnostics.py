@@ -126,6 +126,21 @@ class TestConvergenceOrder:
                 [0.1, 0.05],
             )
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf])
+    def test_requires_finite_positive_horizon(self, osc_system, horizon):
+        # a negative horizon used to fail only as "not an integer multiple"
+        # of a tau, a NaN one as "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            convergence_order(
+                osc_system,
+                lambda tau: matrix_step(scheme_first_order(NU, tau)),
+                lambda t: exact_solution(NU, 1.0, 0.0, t),
+                np.array([1.0, 0.0]),
+                0.0,
+                horizon,
+                [0.1, 0.05, 0.025],
+            )
+
     def test_requires_decreasing_divisible_steps(self, osc_system):
         factory = lambda tau: matrix_step(scheme_first_order(NU, tau))  # noqa: E731
         reference = lambda t: exact_solution(NU, 1.0, 0.0, t)  # noqa: E731

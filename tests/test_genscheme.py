@@ -13,7 +13,9 @@ from birkhoff import (
     TransversalityError,
     UnsupportedOrderError,
     a_functional,
+    alpha_verify,
     coefficients,
+    convergence_order,
     exact_solution,
     hj_rhs,
     make_scheme,
@@ -30,7 +32,8 @@ from birkhoff import (
 from birkhoff import genscheme
 from birkhoff.diagnostics import fit_slope
 from birkhoff.genscheme import MEMO_SIZE, _memoized
-from pendulum_chain import chain_system
+from birkhoff.newton import newton_solve
+from pendulum_chain import chain_system, sheared_chain
 
 NU = 0.5
 
@@ -63,6 +66,50 @@ def scaled_free_system(nu, n):
     )
 
 
+def sheared_alpha(base, g):
+    """``base`` followed by the symplectic shear w_hat <- w_hat + g w, g symmetric.
+
+    The identity map's gradient becomes g w, so phi^(0) is no longer zero.
+    """
+
+    def forward(z_new, z_old, t, t0):
+        w_hat, w = base.forward(z_new, z_old, t, t0)
+        return w_hat + g @ w, w
+
+    def inverse(w_hat, w, t, t0):
+        return base.inverse(w_hat - g @ w, w, t, t0)
+
+    def blocks(z_new, z_old, t, t0):
+        a, b, c, d = base.blocks(z_new, z_old, t, t0)
+        return a + g @ c, b + g @ d, c, d
+
+    def inverse_blocks(w_hat, w, t, t0):
+        a, b, c, d = base.inverse_blocks(w_hat - g @ w, w, t, t0)
+        return a, b - a @ g, c, d - c @ g
+
+    def time_partials(z_new, z_old, t, t0):
+        d1, d2 = base.time_partials(z_new, z_old, t, t0)
+        return d1 + g @ d2, d2
+
+    return AlphaTransform(base.n, forward, inverse, blocks, inverse_blocks, time_partials)
+
+
+def count_identity_updates(monkeypatch):
+    """Updates taken by each identity solve from now on (wraps ``genscheme.newton_solve``)."""
+    updates = []
+
+    def counted(*args, **kwargs):
+        out = newton_solve(*args, **kwargs)
+        updates.append(out[2])
+        return out
+
+    monkeypatch.setattr(genscheme, "newton_solve", counted)
+    return updates
+
+
+SHEAR_G = np.array([[0.3, -0.2], [-0.2, 0.5]])
+
+
 class TestIdentityCoefficient:
     def test_oscillator_transform_cancels(self, osc_system, osc_alpha, rng):
         for _ in range(10):
@@ -81,6 +128,58 @@ class TestIdentityCoefficient:
         )
         out = identity_coefficient(scaled_free_system(0.5, 2), alpha, rng.uniform(-2, 2, 4), 0.7)
         assert np.max(np.abs(out)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (oscillator_system(NU), oscillator_alpha(NU), np.array([1.0, 0.3])),
+            lambda: (*chain_system(), np.array([0.3, -0.2, 0.1, 0.4])),
+            lambda: (*sheared_chain(), np.array([0.3, -0.2, 0.1, 0.4])),
+        ],
+        ids=["oscillator", "chain", "sheared-chain"],
+    )
+    def test_darboux_identity_point_is_the_start(self, make, monkeypatch):
+        # the inverse of a Darboux transform sends (0, w) to an identity
+        # pair, so no identity solve takes an update; solving alpha_2(z, z)
+        # = w for z instead took one per w
+        system, alpha, z0 = make()
+        updates = count_identity_updates(monkeypatch)
+        scheme = make_scheme(system, alpha, 0.2, 2)
+        step_jacobian(system, scheme, z0, 0.2, 0.1)
+        assert updates and set(updates) == {0}
+
+    def test_sheared_transform_has_a_nonzero_identity_point(self, osc_system, rng, monkeypatch):
+        alpha = sheared_alpha(oscillator_alpha(NU), SHEAR_G)
+        for _ in range(5):
+            z_new, z_old = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+            assert alpha_verify(alpha, osc_system, z_new, z_old, 0.3, 0.2) <= 1e-12
+        updates = count_identity_updates(monkeypatch)
+        cs = coefficients(osc_system, alpha, 0.4, 1)
+        for _ in range(10):
+            w = rng.uniform(-2, 2, 2)
+            assert np.max(np.abs(cs.coeffs[0](w) - SHEAR_G @ w)) <= 1e-12
+            assert np.max(np.abs(cs.coeff_jacobians[0](w) - SHEAR_G)) <= 1e-12
+        assert min(updates) >= 1
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_sheared_transform_gives_a_structure_preserving_scheme(self, osc_system, order):
+        alpha = sheared_alpha(oscillator_alpha(NU), SHEAR_G)
+        scheme = make_scheme(osc_system, alpha, 0.0, order)
+
+        def factory(tau):
+            return lambda z, t: step(osc_system, scheme, z, t, tau)
+
+        def certify(z, t_k, z_next):
+            jac = step_jacobian(osc_system, scheme, z, t_k, 0.1)
+            return symplectic_residual(osc_system, jac, z, t_k, z_next, t_k + 0.1)
+
+        traj = run(factory(0.1), np.array([1.0, 0.0]), 0.0, 0.1, 5, certify=certify)
+        assert max(traj.residuals) <= 1e-10
+        report = convergence_order(
+            osc_system, factory, lambda t: exact_solution(NU, 1.0, 0.0, t),
+            np.array([1.0, 0.0]), 0.0, 1.0, [0.1, 0.05, 0.025],
+        )
+        assert abs(report.slope - order) <= 0.2
 
 
 class TestAFunctional:
@@ -160,9 +259,10 @@ class TestCoefficients:
                 assert np.max(np.abs(jac - jac.T)) <= 1e-8
 
     def test_singular_c_plus_d_at_the_identity_point_is_a_lost_transversality(self, osc_system):
-        # alpha_2(z, z) = z finds the identity point of w = 0 without a Newton
-        # update, but the blocks' C + D = 0 leaves (A + B)(C + D)^{-1} undefined;
-        # numpy's LinAlgError used to escape run without a step index
+        # the inverse sends (0, 0) to the identity pair (0, 0), so phi0(0) = 0
+        # takes no Newton update, but the blocks' C + D = 0 leaves
+        # (A + B)(C + D)^{-1} undefined; numpy's LinAlgError used to escape
+        # run without a step index
         eye, zero = np.eye(2), np.zeros((2, 2))
         alpha = AlphaTransform(
             n=1,
@@ -179,6 +279,12 @@ class TestCoefficients:
             run(lambda z, t: step(osc_system, scheme, z, t, 0.1), np.zeros(2), 0.0, 0.1, 2)
         assert info.value.step_index == 0
 
+    @pytest.mark.parametrize("order", [1.9, 2.5, True, "2"], ids=repr)
+    def test_non_integral_order_rejected(self, osc_system, osc_alpha, order):
+        # 1.9 and True used to build order 1, 2.5 order 2
+        with pytest.raises(ValueError, match="order must be an integer"):
+            make_scheme(osc_system, osc_alpha, 0.0, order)
+
     def test_orders_outside_the_cap_rejected(self, osc_system, osc_alpha):
         with pytest.raises(UnsupportedOrderError):
             coefficients(osc_system, osc_alpha, 0.0, 3)
@@ -192,8 +298,10 @@ class TestCoefficients:
             make_scheme(chain_system(2)[0], oscillator_alpha(0.3), 0.0, 1)
 
     def test_coefficient_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need 2 coefficient callables"):
             CoefficientSet(0.0, 1, (lambda w: w,), (lambda w: np.eye(2),))
+        with pytest.raises(ValueError, match="need 2 Jacobian callables"):
+            CoefficientSet(0.0, 1, (lambda w: w, lambda w: w), (lambda w: np.eye(2),))
 
 
 class TestMemoized:

@@ -35,6 +35,19 @@ class TestNewtonSolve:
         assert info.value.residual_norm == 1.5
         assert info.value.iterations == 0
 
+    def test_singular_matrix_after_convergence_keeps_the_converged_iterate(self):
+        # x - 1 = 0 with the chord slope 2 halves the error per update, too
+        # little for a stale matrix, so every second update asks for a fresh
+        # one; the error 2^-40 meets the target on such an update, and the
+        # matrix fetched for the polishing update is singular there
+        def jacobian(x):
+            return np.array([[0.0 if abs(x[0] - 1.0) <= TOL else 2.0]])
+
+        x, rnorm, iters = newton_solve(lambda y: y - 1.0, np.zeros(1), 1.0, jacobian)
+        assert x[0] == 1.0 - 2.0**-40
+        assert rnorm == 2.0**-40
+        assert iters == 40
+
     def test_iteration_cap_raises(self):
         # a constant residual has no root: every update moves x, none helps
         with pytest.raises(NewtonError) as info:

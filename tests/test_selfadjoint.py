@@ -76,6 +76,11 @@ class TestCheckSelfAdjointness:
         with pytest.raises(ValueError):
             check_self_adjointness(oscillator_raw(), [], tol=1e-7)
 
+    def test_sample_of_another_dimension_rejected(self):
+        samples = [PhasePoint([0.5, -0.5], 0.1), PhasePoint([0.5, -0.5, 1.0, 0.0], 0.1)]
+        with pytest.raises(ValueError, match="sample dimension 4 does not match system dim"):
+            check_self_adjointness(oscillator_raw(), samples)
+
     def test_high_dimension_constant_pairing_passes(self, rng):
         # a constant antisymmetric K passes exactly over all 120 closure
         # triples of 10 phase coordinates
