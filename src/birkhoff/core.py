@@ -28,7 +28,6 @@ Array = np.ndarray
 # with R the diagonal of the row maxima max_j |M_ij|
 DET_TOLERANCE = 1e-12
 _LOG_DET_TOLERANCE = math.log(DET_TOLERANCE)
-_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,16 +162,19 @@ def k_from_f(sys: BirkhoffSystem, p: PhasePoint) -> Array:
     return 0.5 * (k - k.T)
 
 
-def _nonsingular(mat: Array, det: float) -> bool:
-    """:func:`det_nonzero` reusing det M, unless det M is not a normal float."""
+def _det_margin(mat: Array) -> float:
+    """log(|det M| / prod_i max_j |M_ij|) for the square matrix M.
+
+    -inf for a singular M, a zero row or a non-finite entry.  Computed from
+    ``slogdet`` and the log row maxima, so neither det M nor the product of
+    the row maxima has to fit in a float.
+    """
+    mat = np.asarray(mat, dtype=float)
     rowmax = np.abs(mat).max(axis=1)
     # written so that a NaN row maximum fails too
     if not (0.0 < rowmax.min() and rowmax.max() < math.inf):
-        return False
-    if not _NORMAL_MIN <= abs(det) < math.inf:
-        return abs(float(np.linalg.det(mat / rowmax[:, None]))) > DET_TOLERANCE
-    # log form: the product of the row maxima may itself overflow or underflow
-    return math.log(abs(det)) > _LOG_DET_TOLERANCE + float(np.log(rowmax).sum())
+        return -math.inf
+    return float(np.linalg.slogdet(mat)[1]) - float(np.log(rowmax).sum())
 
 
 def det_nonzero(mat: Array) -> bool:
@@ -184,21 +186,19 @@ def det_nonzero(mat: Array) -> bool:
     of order 1) do not read as singular.  A zero row or a non-finite entry
     counts as singular.
     """
-    mat = np.asarray(mat, dtype=float)
-    return _nonsingular(mat, float(np.linalg.det(mat)))
+    return _det_margin(mat) > _LOG_DET_TOLERANCE
 
 
 def regularity(sys: BirkhoffSystem, p: PhasePoint):
     """Determinant of K at p and whether K passes :func:`det_nonzero`."""
     k = sys.k_at(p.z, p.t)
-    det = float(np.linalg.det(k))
-    return det, _nonsingular(k, det)
+    return float(np.linalg.det(k)), det_nonzero(k)
 
 
 def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
     """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D."""
     k = sys.k_at(z, t)
-    det = float(np.linalg.det(k))
-    if not _nonsingular(k, det):
-        raise RegularityError(f"structure matrix singular at t={t}: |det| = {abs(det):.3e}")
+    if not det_nonzero(k):
+        det = math.exp(_det_margin(k))  # of K with each row divided by its max-abs entry
+        raise RegularityError(f"structure matrix singular at t={t}: |det| = {det:.3e}")
     return np.linalg.solve(k, -sys.d_at(z, t))

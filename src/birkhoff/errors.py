@@ -24,13 +24,13 @@ class RegularityError(BirkhoffError):
 class TransversalityError(BirkhoffError):
     """A transversality determinant vanished.
 
-    Carries the offending determinant in ``det`` (of the matrix with each
-    row scaled by its max-abs entry, the quantity the nonsingularity test
+    Carries the offending |det| in ``det`` (of the matrix with each row
+    scaled by its max-abs entry, the quantity the nonsingularity test
     uses).
     """
 
     def __init__(self, message: str, det: float):
-        super().__init__(f"{message} (|det| = {abs(det):.3e})")
+        super().__init__(f"{message} (|det| = {det:.3e})")
         self.det = det
 
 

@@ -27,7 +27,7 @@ from . import numdiff
 from .core import BirkhoffSystem, velocity
 from .errors import UnsupportedOrderError
 from .newton import newton_solve
-from .transform import AlphaTransform, sigma
+from .transform import AlphaTransform, require_transversal
 
 Array = np.ndarray
 
@@ -170,10 +170,14 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
 
     phi^(0)(w) is the identity point: the w_hat that ``alpha.inverse`` at
     (t0, t0) maps with w to a pair z_new = z_old.  It is one Newton solve
-    from w_hat = 0, which is already the solution for every
-    :func:`~birkhoff.transform.darboux_alpha`.  Any other transform that
-    passes :func:`~birkhoff.transform.alpha_verify` works too, with Newton
-    updates, as long as the inverse blocks keep |A' - C'| != 0 there.
+    of z_new = z_old from w_hat = 0, which is already the solution for
+    every :func:`~birkhoff.transform.darboux_alpha`.  Its Jacobian comes
+    from the inverse blocks (A', B', C', D') at that point: z_new = z_old
+    holds all along w_hat = phi^(0)(w), so (A' - C') d phi^(0)/dw = D' - B'.
+    Any other transform that passes
+    :func:`~birkhoff.transform.alpha_verify` works too, with Newton
+    updates, as long as |A' - C'| != 0 there; otherwise the Jacobian
+    raises :class:`~birkhoff.errors.TransversalityError`.
     The order m must be an integer; a float or bool raises ``ValueError``.
 
     Order 2 uses directional central differences of the functional in its
@@ -195,27 +199,23 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
 
     @_memoized
     def phi0(w: Array) -> Array:
-        # (A', C') = d(z_new, z_old)/d w_hat, so A' - C' is the exact Jacobian
-        def residual(w_hat):
-            z_new, z_old = alpha.inverse(w_hat, w, t0, t0)
-            return z_new - z_old
-
+        # solve z_new = z_old on the inverse image of (w_hat, w); (A', C')
+        # = d(z_new, z_old)/d w_hat, so A' - C' is the exact Jacobian
         def jac(w_hat):
             a, _, c, _ = alpha.inverse_blocks(w_hat, w, t0, t0)
             return a - c
 
         start = np.zeros_like(w)
-        # the residual is a state difference: scale it by the inverse image,
-        # not by w, which the transform may stretch (e^{400} z at t0 = 800)
-        scale = max(1.0, float(np.max(np.abs(np.concatenate(alpha.inverse(start, w, t0, t0))))))
-        return newton_solve(residual, start, scale, jacobian=jac)[0]
+        return newton_solve(lambda w_hat: alpha.inverse(w_hat, w, t0, t0), start, jac)[0]
 
     @_memoized
     def phi0_jac(w: Array) -> Array:
-        # exact chain rule: the identity map's gradient-map Jacobian is
-        # the Moebius image (A + B)(C + D)^{-1} of the identity matrix
-        zeta = alpha.inverse(phi0(w), w, t0, t0)[1]
-        return sigma(alpha.blocks(zeta, zeta, t0, t0), np.eye(w.size))
+        # z_new = z_old along w_hat = phi0(w), so differentiating the
+        # inverse image gives (A' - C') d phi0/dw = D' - B'
+        a, b, c, d = alpha.inverse_blocks(phi0(w), w, t0, t0)
+        lhs = a - c
+        require_transversal(lhs, "A' - C'")
+        return np.linalg.solve(lhs, d - b)
 
     @_memoized
     def phi1(w: Array) -> Array:

@@ -6,7 +6,8 @@ import numpy as np
 
 from .errors import NewtonError
 
-# Relative tolerance: the residual target is ``TOL * scale``.  Below
+# Relative tolerance: the residual target is ``TOL * scale``, with ``scale``
+# the size of the start point and of its terms (see newton_solve).  Below
 # ``sqrt(TOL) * scale`` the solve also ends when an update from a freshly
 # evaluated matrix no longer lowers the residual: residuals built from
 # finite-differenced quantities carry a noise floor that can sit above the
@@ -16,8 +17,8 @@ TOL = 1e-12
 MAX_ITER = 50
 
 
-def newton_solve(residual, x0, scale, jacobian):
-    """Solve ``residual(x) = 0`` starting from ``x0``.
+def newton_solve(terms, x0, jacobian):
+    """Solve ``u(x) = v(x)`` starting from ``x0``, where ``terms(x) = (u, v)``.
 
     Chord Newton with one stopping rule.  The Jacobian is evaluated at the
     start and reused, and evaluated afresh after an update with a stale
@@ -29,17 +30,20 @@ def newton_solve(residual, x0, scale, jacobian):
     kept only if it lowers the residual, which pushes the iterate to its
     roundoff floor for maps that are later differenced numerically.
 
+    The residual is u - v.  Its target scales with the terms it is the
+    difference of, read off the first evaluation, the one at ``x0``:
+    ``scale = max(1, |x0|, |u(x0)|, |v(x0)|)`` in the inf-norm, over the
+    finite entries.  A target fixed in absolute terms would sit below the
+    roundoff floor of large terms.
+
     Parameters
     ----------
-    residual : callable
-        Maps a length-d vector to a length-d residual vector.
+    terms : callable
+        Maps a length-d vector x to the pair (u, v) of length-d vectors.
     x0 : array
         Initial guess.
-    scale : float
-        Magnitude of the residual's terms; the convergence target is
-        ``TOL * scale``.
     jacobian : callable
-        Maps x to the d x d residual Jacobian.
+        Maps x to the d x d Jacobian of the residual u - v.
 
     Returns
     -------
@@ -51,17 +55,21 @@ def newton_solve(residual, x0, scale, jacobian):
     MAX_ITER iterations.
     """
     x = np.array(x0, dtype=float)
-    target = TOL * scale
-    floor = np.sqrt(TOL) * scale
 
-    def evaluate(y):
-        # residual and its inf-norm; non-finite residuals must read as
-        # "far from converged"
-        res = np.asarray(residual(y), dtype=float)
+    def residual(u, v):
+        # u - v and its inf-norm; non-finite residuals must read as "far
+        # from converged"
+        res = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
         value = float(np.max(np.abs(res)))
         return res, value if np.isfinite(value) else np.inf
 
-    r, rnorm = evaluate(x)
+    u0, v0 = terms(x)
+    r, rnorm = residual(u0, v0)
+    # a non-finite start term must not lift the target to infinity
+    sizes = np.abs(np.concatenate((x, u0, v0), dtype=float))
+    scale = max(1.0, float(np.max(sizes, where=np.isfinite(sizes), initial=0.0)))
+    target = TOL * scale
+    floor = np.sqrt(TOL) * scale
     iters = 0
     jac_mat = None
     jac_fresh = False
@@ -81,7 +89,7 @@ def newton_solve(residual, x0, scale, jacobian):
                 break
             raise NewtonError(problem, x, rnorm, iters)
         x_new = x - delta
-        r_new, new_norm = evaluate(x_new)
+        r_new, new_norm = residual(*terms(x_new))
         if new_norm >= rnorm and rnorm <= floor:
             if converged or jac_fresh:
                 break

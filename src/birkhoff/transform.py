@@ -11,13 +11,14 @@ Jacobians are related by the matrix Moebius transform
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import numdiff
-from .core import BirkhoffSystem, _checked, _positive_int, det_nonzero
+from .core import BirkhoffSystem, _checked, _det_margin, _positive_int, det_nonzero
 from .errors import EvaluationError, TransversalityError
 
 Array = np.ndarray
@@ -50,8 +51,9 @@ class AlphaTransform:
     - ``blocks(z_new, z_old, t, t0) -> (A, B, C, D)``, the 2n x 2n blocks
       of the forward Jacobian
     - ``inverse_blocks(w_hat, w, t, t0) -> (A, B, C, D)`` of the inverse;
-      :func:`~birkhoff.genscheme.coefficients` solves for the identity
-      point with the Newton matrix A - C of these blocks at (t0, t0)
+      at (t0, t0), :func:`~birkhoff.genscheme.coefficients` solves for the
+      identity point phi^(0) with the Newton matrix A - C of these blocks,
+      and takes d phi^(0)/dw = (A - C)^{-1} (D - B) from them at that point
     - ``time_partials(z_new, z_old, t, t0) -> (d w_hat/dt, d w/dt)``,
       partial derivatives in the first time parameter at fixed state
     """
@@ -112,12 +114,11 @@ def sigma(blocks: Blocks, mat: Array) -> Array:
 def require_transversal(mat: Array, name: str) -> None:
     """Raise :class:`TransversalityError` unless ``mat`` passes ``det_nonzero``.
 
-    The error reports the determinant of ``mat`` with each row divided by
-    its max-abs entry, the quantity the test uses.
+    The error reports |det| of ``mat`` with each row divided by its
+    max-abs entry, the quantity the test uses.
     """
     if not det_nonzero(mat):
-        rowmax = np.max(np.abs(mat), axis=1, keepdims=True)
-        det = float(np.linalg.det(mat / rowmax)) if np.all(rowmax > 0) else 0.0
+        det = math.exp(_det_margin(mat))
         raise TransversalityError(f"transversality condition violated: {name} singular", det)
 
 

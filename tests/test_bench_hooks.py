@@ -5,7 +5,9 @@
 imported; ``bench/workloads.py`` rebuilds systems, transforms and schemes
 with ``dataclasses.replace`` over the fields it names.  A package change
 that removes or re-homes one of those names must fail here, not only in
-the benchmark.
+the benchmark.  A traced Newton solve must also return what an untraced
+one does and count each evaluation of the solve's terms, so that
+``newton.*.residual_evals_per_solve`` keeps its meaning.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from birkhoff import (
     oscillator_system,
     scaled_canonical_alpha,
 )
+from birkhoff.newton import newton_solve
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -123,3 +126,32 @@ def test_user_callables_and_rebase_rebind(workloads):
     scheme = make_scheme(system, oscillator_alpha(0.5), 0.0, 1)
     rebased = dataclasses.replace(scheme, rebase=scheme.rebase)
     assert rebased.at(0.1).coefficients.t0 == 0.1
+
+
+def test_traced_newton_solve_matches_and_counts_its_evaluations(tracing):
+    # the traced solve hands its own counting wrapper of ``terms`` to
+    # newton_solve; the result and the number of evaluations must not move
+    evals = []
+
+    def terms(x):
+        evals.append(x.copy())
+        return np.array([x[0] ** 2 + x[1] ** 2, np.exp(x[0]) + x[1]]), np.array([4.0, 1.0])
+
+    def jacobian(x):
+        return np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0]), 1.0]])
+
+    x, rnorm, iters = newton_solve(terms, [3.0, -5.0], jacobian)
+    untraced_evals = len(evals)
+    tracer = tracing.Tracer()
+    out = tracer.wrap_newton("newton.step", newton_solve)(terms, [3.0, -5.0], jacobian)
+    np.testing.assert_array_equal(out[0], x)
+    assert out[1:] == (rnorm, iters)
+    assert [solve[:4] for solve in tracer.solves] == [("step", None, iters, untraced_evals)]
+
+
+def test_darboux_identity_solve_records_one_evaluation_and_no_update(tracing):
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        scheme = make_scheme(oscillator_system(0.5), oscillator_alpha(0.5), 0.3, 1)
+        np.testing.assert_array_equal(scheme.coefficients.coeffs[0](np.array([0.7, -1.3])), 0.0)
+    assert [solve[:4] for solve in tracer.solves] == [("identity", None, 0, 1)]

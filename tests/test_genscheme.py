@@ -259,21 +259,21 @@ class TestCoefficients:
                 assert np.max(np.abs(jac - jac.T)) <= 1e-8
 
     def test_singular_c_plus_d_at_the_identity_point_is_a_lost_transversality(self, osc_system):
-        # the inverse sends (0, 0) to the identity pair (0, 0), so phi0(0) = 0
-        # takes no Newton update, but the blocks' C + D = 0 leaves
-        # (A + B)(C + D)^{-1} undefined; numpy's LinAlgError used to escape
-        # run without a step index
+        # the inverse (w_hat, w) -> (w, w) sends every pair to an identity
+        # pair, so phi0(0) = 0 takes no Newton update, but its blocks
+        # (0, I, 0, I) give A' - C' = 0 and leave d phi0/dw undefined;
+        # numpy's LinAlgError used to escape run without a step index
         eye, zero = np.eye(2), np.zeros((2, 2))
         alpha = AlphaTransform(
             n=1,
             forward=lambda zh, z, t, t0: (np.array(zh, dtype=float), np.array(z, dtype=float)),
-            inverse=lambda wh, w, t, t0: (np.array(wh, dtype=float), np.array(w, dtype=float)),
-            blocks=lambda zh, z, t, t0: (eye, zero, zero, zero),
-            inverse_blocks=lambda wh, w, t, t0: (eye, zero, zero, zero),
+            inverse=lambda wh, w, t, t0: (np.array(w, dtype=float), np.array(w, dtype=float)),
+            blocks=lambda zh, z, t, t0: (eye, zero, zero, eye),
+            inverse_blocks=lambda wh, w, t, t0: (zero, eye, zero, eye),
             time_partials=lambda zh, z, t, t0: (np.zeros(2), np.zeros(2)),
         )
         scheme = make_scheme(osc_system, alpha, 0.0, 1)
-        with pytest.raises(TransversalityError, match="C M \\+ D singular"):
+        with pytest.raises(TransversalityError, match="A' - C' singular"):
             scheme.coefficients.coeff_jacobians[0](np.zeros(2))
         with pytest.raises(TransversalityError) as info:
             run(lambda z, t: step(osc_system, scheme, z, t, 0.1), np.zeros(2), 0.0, 0.1, 2)

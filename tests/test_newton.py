@@ -8,7 +8,13 @@ from birkhoff.newton import MAX_ITER, TOL, newton_solve
 
 
 def circle_and_exponential(x):
-    return np.array([x[0] ** 2 + x[1] ** 2 - 4.0, np.exp(x[0]) + x[1] - 1.0])
+    """x0^2 + x1^2 = 4 and e^x0 + x1 = 1 as the pair of terms (u, v)."""
+    return np.array([x[0] ** 2 + x[1] ** 2, np.exp(x[0]) + x[1]]), np.array([4.0, 1.0])
+
+
+def shifted(rhs):
+    """Terms (y, rhs) of the residual y - rhs."""
+    return lambda y: (y, np.full(np.shape(y), rhs))
 
 
 class TestNewtonSolve:
@@ -19,9 +25,11 @@ class TestNewtonSolve:
             calls.append(x.copy())
             return np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0]), 1.0]])
 
-        x, rnorm, iters = newton_solve(circle_and_exponential, [3.0, -5.0], 4.0, jacobian)
-        assert rnorm <= TOL * 4.0
-        assert np.max(np.abs(circle_and_exponential(x))) == rnorm
+        x, rnorm, iters = newton_solve(circle_and_exponential, [3.0, -5.0], jacobian)
+        # the start's terms set the scale: u(x0) = (34, e^3 - 5)
+        assert rnorm <= TOL * 34.0
+        u, v = circle_and_exponential(x)
+        assert np.max(np.abs(u - v)) == rnorm
         # the matrix is reused across iterations, and refreshed when a
         # stale one stops cutting the residual
         assert 1 < len(calls) < iters
@@ -30,7 +38,7 @@ class TestNewtonSolve:
     def test_singular_jacobian_raises_with_the_last_iterate(self):
         x0 = np.array([0.5, -0.5])
         with pytest.raises(NewtonError) as info:
-            newton_solve(lambda y: y - 1.0, x0, 1.0, lambda y: np.zeros((2, 2)))
+            newton_solve(shifted(1.0), x0, lambda y: np.zeros((2, 2)))
         np.testing.assert_array_equal(info.value.last_iterate, x0)
         assert info.value.residual_norm == 1.5
         assert info.value.iterations == 0
@@ -43,7 +51,7 @@ class TestNewtonSolve:
         def jacobian(x):
             return np.array([[0.0 if abs(x[0] - 1.0) <= TOL else 2.0]])
 
-        x, rnorm, iters = newton_solve(lambda y: y - 1.0, np.zeros(1), 1.0, jacobian)
+        x, rnorm, iters = newton_solve(shifted(1.0), np.zeros(1), jacobian)
         assert x[0] == 1.0 - 2.0**-40
         assert rnorm == 2.0**-40
         assert iters == 40
@@ -51,7 +59,7 @@ class TestNewtonSolve:
     def test_iteration_cap_raises(self):
         # a constant residual has no root: every update moves x, none helps
         with pytest.raises(NewtonError) as info:
-            newton_solve(lambda y: np.ones(1), np.zeros(1), 1.0, lambda y: np.eye(1))
+            newton_solve(lambda y: (np.ones(1), np.zeros(1)), np.zeros(1), lambda y: np.eye(1))
         assert info.value.iterations == MAX_ITER
         assert info.value.residual_norm == 1.0
         np.testing.assert_array_equal(info.value.last_iterate, [-float(MAX_ITER)])
@@ -59,22 +67,44 @@ class TestNewtonSolve:
     @pytest.mark.parametrize("scale", [1.0, 1e300])
     def test_non_finite_residual_never_counts_as_converged(self, scale):
         # the first update lands where the residual is NaN; even a target
-        # of TOL * 1e300 must not accept it
-        def residual(y):
-            return scale * (y - 2.0) if y[0] < 1.0 else np.full(1, np.nan)
+        # of TOL * 2e300, from the start's term 2 * scale, must not accept it
+        def terms(y):
+            return (scale * y if y[0] < 1.0 else np.full(1, np.nan)), np.full(1, 2.0 * scale)
 
         with pytest.raises(NewtonError) as info:
-            newton_solve(residual, np.zeros(1), scale, lambda y: scale * np.eye(1))
+            newton_solve(terms, np.zeros(1), lambda y: scale * np.eye(1))
         assert info.value.residual_norm == np.inf
         np.testing.assert_array_equal(info.value.last_iterate, [2.0])
 
     def test_noisy_residual_stops_at_its_noise_floor(self):
         # deterministic noise of size 1e-10 keeps the residual above the
         # target TOL; the solve ends once a fresh update stops lowering it
-        def residual(y):
-            return (y - 2.0) + 1e-10 * (zlib.crc32(y.tobytes()) / 2**31 - 1)
+        def terms(y):
+            return y + 1e-10 * (zlib.crc32(y.tobytes()) / 2**31 - 1), np.full(1, 2.0)
 
-        x, rnorm, iters = newton_solve(residual, np.zeros(1), 1.0, lambda y: np.eye(1))
+        x, rnorm, iters = newton_solve(terms, np.zeros(1), lambda y: np.eye(1))
         assert iters <= 5
         assert rnorm <= np.sqrt(TOL)
-        assert np.max(np.abs(residual(x))) == rnorm
+        u, v = terms(x)
+        assert np.max(np.abs(u - v)) == rnorm
+
+    def test_non_finite_start_term_does_not_lift_the_target(self):
+        # an infinite term at the start leaves the scale at its finite
+        # entries; a target of TOL * inf would accept the infinite residual
+        with pytest.raises(NewtonError) as info:
+            newton_solve(lambda y: (np.full(1, np.inf), y), np.zeros(1), lambda y: np.eye(1))
+        assert info.value.residual_norm == np.inf
+        assert info.value.iterations == 0
+
+    def test_large_terms_stop_at_the_scaled_target(self):
+        # terms of size 1e8, and a chord slope twice the true one, so every
+        # update halves the error: the residual 1e8 * 2^-k meets TOL * 1e8
+        # after about 40 updates, where the fixed target TOL would need
+        # over 60 and run into the iteration cap
+        def terms(y):
+            return 1e8 * y, np.full(1, 1e8)
+
+        x, rnorm, iters = newton_solve(terms, np.zeros(1), lambda y: np.array([[2e8]]))
+        assert TOL < rnorm <= TOL * 1e8
+        assert iters < MAX_ITER
+        assert abs(x[0] - 1.0) <= TOL
