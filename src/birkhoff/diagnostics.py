@@ -43,7 +43,12 @@ class CompareRow:
 def symplectic_residual(
     sys: BirkhoffSystem, M: Array, z: Array, t0: float, z_new: Array, t1: float
 ) -> float:
-    """|| M^T K(z_new, t1) M - K(z, t0) ||_inf for a step Jacobian M."""
+    """|| M^T K(z_new, t1) M - K(z, t0) ||_inf for a step Jacobian M.
+
+    An absolute norm: it grows with the size of K.  On the nu = 0.5
+    oscillator at t0 = 800 (K about e^400) it reads up to about 9e163 on
+    order-2 steps of size 0.01 whose states match the closed form.
+    """
     M = np.asarray(M, dtype=float)
     z = np.asarray(z, dtype=float)
     z_new = np.asarray(z_new, dtype=float)

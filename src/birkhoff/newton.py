@@ -6,12 +6,13 @@ import numpy as np
 
 from .errors import NewtonError
 
-# Relative tolerance: the residual target is ``TOL * scale``, with ``scale``
-# the size of the start point and of its terms (see newton_solve).  Below
-# ``sqrt(TOL) * scale`` the solve also ends when an update from a freshly
-# evaluated matrix no longer lowers the residual: residuals built from
-# finite-differenced quantities carry a noise floor that can sit above the
-# target, and corrections that stop contracting there have reached it.
+# Relative tolerance: the solve stops once the residual is at or below
+# ``TOL * scale``, with ``scale`` the size of the start point and of its
+# terms (see newton_solve).  Below ``sqrt(TOL) * scale`` it also stops when an
+# update from a freshly evaluated matrix no longer lowers the residual:
+# residuals built from finite-differenced quantities carry a noise floor that
+# can sit above the target, and corrections that stop contracting there have
+# reached it.  Nothing is evaluated past either stop.
 TOL = 1e-12
 # Iteration cap; exceeding it raises NewtonError.  No damping or line search.
 MAX_ITER = 50
@@ -20,15 +21,17 @@ MAX_ITER = 50
 def newton_solve(terms, x0, jacobian):
     """Solve ``u(x) = v(x)`` starting from ``x0``, where ``terms(x) = (u, v)``.
 
-    Chord Newton with one stopping rule.  The Jacobian is evaluated at the
-    start and reused, and evaluated afresh after an update with a stale
-    matrix fails to cut the residual by 4x.  Above ``sqrt(TOL) * scale``
-    every update is taken.  At or below it, an update that does not lower
-    the residual is not taken: the matrix is refreshed at the same iterate
-    if it was stale, and otherwise the solve ends there, at the noise floor.
-    Once the residual reaches ``TOL * scale``, one more update is tried and
-    kept only if it lowers the residual, which pushes the iterate to its
-    roundoff floor for maps that are later differenced numerically.
+    Chord Newton with one stopping rule: stop at ``TOL * scale``, or below
+    ``sqrt(TOL) * scale`` when an update from a fresh matrix no longer
+    lowers the residual.  The Jacobian is evaluated at the start and reused,
+    and evaluated afresh after an update with a stale matrix fails to cut
+    the residual by 4x.  Above ``sqrt(TOL) * scale`` every update is taken.
+    At or below it, an update that does not lower the residual is not
+    taken: the matrix is refreshed at the same iterate if it was stale, and
+    otherwise the solve ends there, at the noise floor.  Each update, taken
+    or turned down, costs one evaluation of ``terms`` beyond the one at
+    ``x0``, and nothing is evaluated after the stop: a start already at its
+    target returns with no update and no Jacobian.
 
     The residual is u - v.  Its target scales with the terms it is the
     difference of, read off the first evaluation, the one at ``x0``:
@@ -73,34 +76,27 @@ def newton_solve(terms, x0, jacobian):
     iters = 0
     jac_mat = None
     jac_fresh = False
-    while rnorm > 0.0:
-        converged = rnorm <= target
-        if iters >= MAX_ITER and not converged:
+    while rnorm > target:
+        if iters >= MAX_ITER:
             raise NewtonError("Newton iteration did not converge", x, rnorm, iters)
         if jac_mat is None:
             jac_mat, jac_fresh = jacobian(x), True
         try:
             delta = np.linalg.solve(jac_mat, r)
-            problem = None if np.all(np.isfinite(delta)) else "non-finite Newton update"
         except np.linalg.LinAlgError:
-            problem = "singular Jacobian in Newton iteration"
-        if problem is not None:
-            if converged:
-                break
-            raise NewtonError(problem, x, rnorm, iters)
+            raise NewtonError("singular Jacobian in Newton iteration", x, rnorm, iters) from None
+        if not np.all(np.isfinite(delta)):
+            raise NewtonError("non-finite Newton update", x, rnorm, iters)
         x_new = x - delta
         r_new, new_norm = residual(*terms(x_new))
         if new_norm >= rnorm and rnorm <= floor:
-            if converged or jac_fresh:
+            if jac_fresh:
                 break
             jac_mat = None
             continue
-        refresh = new_norm > 0.25 * rnorm and not jac_fresh
+        if new_norm > 0.25 * rnorm and not jac_fresh:
+            jac_mat = None
         x, r, rnorm = x_new, r_new, new_norm
         iters += 1
-        if converged:
-            break
-        if refresh:
-            jac_mat = None
         jac_fresh = False
     return x, rnorm, iters

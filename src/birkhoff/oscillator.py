@@ -25,11 +25,24 @@ from .transform import AlphaTransform, scaled_canonical_alpha
 Array = np.ndarray
 
 
+def _damping(nu: float) -> float:
+    """``nu`` as a float; ValueError unless it is finite and non-negative."""
+    # written so that a NaN nu fails too
+    if not 0.0 <= nu < np.inf:
+        raise ValueError(f"damping coefficient must be finite and non-negative, got {nu!r}")
+    return float(nu)
+
+
+def _check_finite(nu: float, tau: float) -> None:
+    """ValueError unless ``nu`` and ``tau`` are finite."""
+    # written so that a NaN fails too
+    if not (abs(nu) < np.inf and abs(tau) < np.inf):
+        raise ValueError(f"need finite nu and tau, got nu={nu!r}, tau={tau!r}")
+
+
 def oscillator_system(nu: float) -> BirkhoffSystem:
     """Conservative embedding of the damped oscillator, all data analytic."""
-    if nu < 0:
-        raise ValueError("damping coefficient must be non-negative")
-    nu = float(nu)
+    nu = _damping(nu)
 
     def scale(t):
         return np.exp(nu * t)
@@ -64,9 +77,7 @@ def oscillator_system(nu: float) -> BirkhoffSystem:
 
 def oscillator_alpha(nu: float) -> AlphaTransform:
     """The matching midpoint-type transform with scaling e^(nu t)."""
-    if nu < 0:
-        raise ValueError("damping coefficient must be non-negative")
-    nu = float(nu)
+    nu = _damping(nu)
     return scaled_canonical_alpha(
         lambda t: np.exp(nu * t), 1, lam_dot=lambda t: nu * np.exp(nu * t)
     )
@@ -74,6 +85,7 @@ def oscillator_alpha(nu: float) -> AlphaTransform:
 
 def scheme_first_order(nu: float, tau: float) -> Array:
     """Transition matrix of the order-1 generating scheme."""
+    _check_finite(nu, tau)
     d = 4.0 + tau * tau
     e = np.exp(-nu * tau)
     return np.array(
@@ -93,6 +105,7 @@ def scheme_second_order(nu: float, tau: float) -> Array:
     makes det equal e^(-nu tau) exactly; a symmetric choice breaks the
     structure-preservation identity for every nu > 0.
     """
+    _check_finite(nu, tau)
     a = 2.0 * tau - nu * tau * tau
     b = 2.0 * tau + nu * tau * tau
     ab = a * b
@@ -113,6 +126,7 @@ def euler_center(nu: float, tau: float) -> Array:
 
     Structure-preserving only at nu = 0; the comparison baseline.
     """
+    _check_finite(nu, tau)
     d = tau * tau + 2.0 * nu * tau + 4.0
     return np.array(
         [
@@ -127,7 +141,8 @@ def exact_solution(nu: float, r0: float, p0: float, t: float) -> Array:
 
     Requires 0 <= nu < 2 (oscillatory branch).
     """
-    if nu < 0 or nu >= 2:
+    # written so that a NaN nu fails too
+    if not 0.0 <= nu < 2.0:
         raise ValueError("exact solution implemented for the underdamped branch 0 <= nu < 2")
     omega = np.sqrt(1.0 - 0.25 * nu * nu)
     c = (p0 + 0.5 * nu * r0) / omega

@@ -43,18 +43,45 @@ class TestNewtonSolve:
         assert info.value.residual_norm == 1.5
         assert info.value.iterations == 0
 
-    def test_singular_matrix_after_convergence_keeps_the_converged_iterate(self):
+    def test_solve_meeting_its_target_evaluates_nothing_past_it(self):
         # x - 1 = 0 with the chord slope 2 halves the error per update, too
         # little for a stale matrix, so every second update asks for a fresh
-        # one; the error 2^-40 meets the target on such an update, and the
-        # matrix fetched for the polishing update is singular there
-        def jacobian(x):
-            return np.array([[0.0 if abs(x[0] - 1.0) <= TOL else 2.0]])
+        # one; the error 2^-40 meets the target on update 40, a stale one,
+        # and the solve ends there without fetching the matrix it flagged
+        evals, jac_points = [], []
 
-        x, rnorm, iters = newton_solve(shifted(1.0), np.zeros(1), jacobian)
+        def terms(y):
+            evals.append(y[0])
+            return y, np.ones(1)
+
+        def jacobian(y):
+            jac_points.append(y[0])
+            return np.array([[2.0]])
+
+        x, rnorm, iters = newton_solve(terms, np.zeros(1), jacobian)
         assert x[0] == 1.0 - 2.0**-40
         assert rnorm == 2.0**-40
         assert iters == 40
+        assert len(evals) == iters + 1
+        assert jac_points == [1.0 - 2.0**-k for k in range(0, 40, 2)]
+
+    def test_start_at_its_target_takes_no_update(self):
+        # a residual of TOL / 2, not 0, is already converged: no matrix, no
+        # second evaluation
+        evals = []
+
+        def terms(y):
+            evals.append(y.copy())
+            return y, np.full(1, 1.0 + TOL / 2)
+
+        def jacobian(y):
+            raise AssertionError("Jacobian evaluated at a converged start")
+
+        x, rnorm, iters = newton_solve(terms, np.ones(1), jacobian)
+        np.testing.assert_array_equal(x, [1.0])
+        assert 0.0 < rnorm <= TOL
+        assert iters == 0
+        assert len(evals) == 1
 
     def test_iteration_cap_raises(self):
         # a constant residual has no root: every update moves x, none helps

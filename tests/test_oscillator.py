@@ -207,3 +207,26 @@ class TestExactSolution:
     def test_overdamped_branch_rejected(self):
         with pytest.raises(ValueError):
             exact_solution(2.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (oscillator_system, (np.nan,)),
+        (oscillator_system, (np.inf,)),
+        (oscillator_alpha, (np.nan,)),
+        (exact_solution, (np.nan, 1.0, 0.0, 1.0)),
+        (scheme_first_order, (np.nan, 0.1)),
+        (scheme_first_order, (0.5, -np.inf)),
+        (scheme_second_order, (0.5, np.nan)),
+        (scheme_second_order, (np.inf, 0.1)),
+        (euler_center, (0.5, np.inf)),
+        (euler_center, (np.nan, 0.1)),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_non_finite_nu_or_tau_is_rejected(build, args):
+    # a NaN or infinite input must fail here, not as a NaN matrix or at a
+    # system's first K evaluation
+    with pytest.raises(ValueError):
+        build(*args)
