@@ -115,28 +115,27 @@ def a_functional(
     alpha: AlphaTransform,
     w_hat: Array,
     w: Array,
-    s_matrix: Array,
     t: float,
     t0: float,
-) -> Array:
-    """Time-derivative functional of the generating gradient.
+) -> Tuple[Array, Array]:
+    """Time-derivative functional of the generating gradient, as its two parts (u, g).
 
     Recovers (z_new, z_old) through the inverse transform and returns
 
-        (A - S C) v(z_new, t) + d alpha_1/dt - S d alpha_2/dt,
+        u = A v(z_new, t) + d alpha_1/dt,    g = C v(z_new, t) + d alpha_2/dt,
 
-    where v is the phase velocity and S stands in for the gradient-map
-    Jacobian d w_hat / d w.  Along the exact flow this equals the partial
-    time derivative of the generating gradient.
+    where v is the phase velocity.  The functional is affine in the
+    gradient-map Jacobian S = d w_hat / d w: its value at S is u - S g,
+    and along the exact flow that equals the partial time derivative of
+    the generating gradient.
     """
     w_hat = np.asarray(w_hat, dtype=float)
     w = np.asarray(w, dtype=float)
-    s_matrix = np.asarray(s_matrix, dtype=float)
     z_new, z_old = alpha.inverse(w_hat, w, t, t0)
     v = velocity(sys, z_new, t)
     a, _, c, _ = alpha.blocks(z_new, z_old, t, t0)
     d_alpha1, d_alpha2 = alpha.time_partials(z_new, z_old, t, t0)
-    return (a - s_matrix @ c) @ v + d_alpha1 - s_matrix @ d_alpha2
+    return a @ v + d_alpha1, c @ v + d_alpha2
 
 
 def _memoized(fn):
@@ -180,11 +179,15 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     raises :class:`~birkhoff.errors.TransversalityError`.
     The order m must be an integer; a float or bool raises ``ValueError``.
 
-    Order 2 uses directional central differences of the functional in its
-    gradient, Jacobian and time slots, with once-nested steps: the
-    differenced quantities already carry finite-difference noise above
-    machine epsilon.  Closed-form coefficient sets may be supplied by
-    callers to go past the cap.
+    Each point evaluates the functional's pair (u, g) of
+    :func:`a_functional` once at the identity point; phi^(1) = u - S g
+    with S = d phi^(0)/dw.  The functional is affine in its Jacobian slot
+    S, so order 2 takes that slot's derivative exactly, as
+    -(d phi^(1)/dw) g, and central differences only in its gradient and
+    time slots, with once-nested steps: the differenced quantities
+    already carry finite-difference noise above machine epsilon.
+    Closed-form coefficient sets may be supplied by callers to go past
+    the cap.
     """
     if isinstance(m, bool) or not isinstance(m, numbers.Integral):
         raise ValueError(f"order must be an integer, got {m!r}")
@@ -218,8 +221,14 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         return np.linalg.solve(lhs, d - b)
 
     @_memoized
+    def phi1_and_g(w: Array) -> Tuple[Array, Array]:
+        # the functional at the identity point, u - S g with S = d phi0/dw,
+        # and its S-slot factor g; _memoized stacks the pair into two rows
+        u, g = a_functional(sys, alpha, phi0(w), w, t0, t0)
+        return u - phi0_jac(w) @ g, g
+
     def phi1(w: Array) -> Array:
-        return a_functional(sys, alpha, phi0(w), w, phi0_jac(w), t0, t0)
+        return phi1_and_g(w)[0]
 
     @_memoized
     def phi1_jac(w: Array) -> Array:
@@ -228,23 +237,20 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         # above machine epsilon
         return numdiff.jacobian(phi1, w, base=numdiff.SOLVER_FD_STEP)
 
+    def rate(w_hat: Array, w: Array, t: float) -> Array:
+        # the functional with its S slot held at d phi0/dw
+        u, g = a_functional(sys, alpha, w_hat, w, t, t0)
+        return u - phi0_jac(w) @ g
+
     @_memoized
     def phi2(w: Array) -> Array:
         base = phi0(w)
-        base_jac = phi0_jac(w)
-        dir1 = phi1(w)
-        dir2 = phi1_jac(w)
+        dir1, g = phi1_and_g(w)
         h = numdiff.SOLVER_FD_STEP
-
-        term_grad = numdiff.time_derivative(
-            lambda s: a_functional(sys, alpha, base + s * dir1, w, base_jac, t0, t0), 0.0, h
-        )
-        term_jac = numdiff.time_derivative(
-            lambda s: a_functional(sys, alpha, base, w, base_jac + s * dir2, t0, t0), 0.0, h
-        )
-        term_time = numdiff.time_derivative(
-            lambda t: a_functional(sys, alpha, base, w, base_jac, t, t0), t0, h
-        )
+        term_grad = numdiff.time_derivative(lambda s: rate(base + s * dir1, w, t0), 0.0, h)
+        # the functional is affine in S, so its S-slot derivative is exact
+        term_jac = -phi1_jac(w) @ g
+        term_time = numdiff.time_derivative(lambda t: rate(base, w, t), t0, h)
         return 0.5 * (term_grad + term_jac + term_time)
 
     @_memoized

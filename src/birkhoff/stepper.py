@@ -16,6 +16,7 @@ a step map along the grid.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -121,11 +122,14 @@ def run(
 
     With ``certify``, residual k of the returned trajectory is
     ``certify(z_k, t_k, z_{k+1})``.  Raises ``ValueError`` before the first
-    step unless t0 and z0 are finite and tau is finite and positive.  A
+    step unless n_steps is an integer (not a bool) of at least 1, t0 and
+    z0 are finite and tau is finite and positive.  A
     :class:`BirkhoffError` raised at step k leaves with ``step_index = k``
     and ``trajectory`` holding the states (and residuals) accepted before
     it.
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     states = [np.asarray(z0, dtype=float)]

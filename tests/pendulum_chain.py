@@ -66,8 +66,23 @@ def chain_system(n=N, nu=NU, coupling=COUPLING):
 SHEAR = np.array([[0.4, 0.1], [0.1, -0.2]])
 
 
+def shear_p(t, nu=NU):
+    """The Darboux matrix P(t) = e^{nu t/2} [[I, sin(t) S], [0, I]] of ``sheared_chain``."""
+    n = 2
+    return np.exp(0.5 * nu * t) * np.block(
+        [[np.eye(n), np.sin(t) * SHEAR], [np.zeros((n, n)), np.eye(n)]]
+    )
+
+
+def shear_p_dot(t, nu=NU):
+    """The analytic dP/dt of :func:`shear_p`."""
+    n = 2
+    shear_dot = np.block([[np.zeros((n, n)), np.cos(t) * SHEAR], [np.zeros((n, 2 * n))]])
+    return 0.5 * nu * shear_p(t, nu) + np.exp(0.5 * nu * t) * shear_dot
+
+
 def sheared_chain(analytic_p_dot=True, nu=NU):
-    """The uncoupled n = 2 chain built from P(t) = e^{nu t/2} [[I, sin(t) S], [0, I]].
+    """The uncoupled n = 2 chain built from P(t) = ``shear_p(t, nu)``.
 
     S = ``SHEAR`` is symmetric, so K(t) = P^T J0 P; F = -K(t) z / 2,
     B = e^{nu t} (|p|^2 / 2 + sum(1 - cos q) + nu q.p / 2) and the analytic
@@ -79,13 +94,10 @@ def sheared_chain(analytic_p_dot=True, nu=NU):
     j0 = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
 
     def p_mat(t):
-        return np.exp(0.5 * nu * t) * np.block(
-            [[np.eye(n), np.sin(t) * SHEAR], [np.zeros((n, n)), np.eye(n)]]
-        )
+        return shear_p(t, nu)
 
     def p_dot(t):
-        shear_dot = np.block([[np.zeros((n, n)), np.cos(t) * SHEAR], [np.zeros((n, 2 * n))]])
-        return 0.5 * nu * p_mat(t) + np.exp(0.5 * nu * t) * shear_dot
+        return shear_p_dot(t, nu)
 
     def K(z, t):
         p = p_mat(t)

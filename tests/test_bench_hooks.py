@@ -7,12 +7,15 @@ with ``dataclasses.replace`` over the fields it names.  A package change
 that removes or re-homes one of those names must fail here, not only in
 the benchmark.  A traced Newton solve must also return what an untraced
 one does and count each evaluation of the solve's terms, so that
-``newton.*.residual_evals_per_solve`` keeps its meaning.
+``newton.*.residual_evals_per_solve`` keeps its meaning, and every
+evaluation of the generating-gradient functional must pass through the
+traced ``genscheme.a_functional``.
 """
 
 import dataclasses
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -183,3 +186,18 @@ def test_darboux_identity_solve_records_one_evaluation_and_no_update(tracing):
         scheme = make_scheme(oscillator_system(0.5), oscillator_alpha(0.5), 0.3, 1)
         np.testing.assert_array_equal(scheme.coefficients.coeffs[0](np.array([0.7, -1.3])), 0.0)
     assert [solve[:4] for solve in tracer.solves] == [("identity", None, 0, 1)]
+
+
+def test_traced_functional_calls_cover_every_evaluation(tracing):
+    # each evaluation of the functional calls K once, through the phase
+    # velocity, and the step's predictor calls it once more; a functional
+    # evaluated past genscheme.a_functional would show as an extra K call
+    tracer = tracing.Tracer()
+    base = oscillator_system(0.5)
+    system = dataclasses.replace(base, K=tracer.wrap("core.K", base.K))
+    with tracer.installed():
+        scheme = make_scheme(system, oscillator_alpha(0.5), 0.3, 2)
+        step(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["core.K"] > 1
+    assert calls["genscheme.a_functional"] == calls["core.K"] - 1

@@ -184,31 +184,31 @@ class TestIdentityCoefficient:
 
 class TestAFunctional:
     def test_closed_form_at_the_expansion_point(self, osc_system, osc_alpha, rng):
-        # with zero gradient and zero Jacobian the functional is the
-        # order-one coefficient
+        # with zero gradient u is the order-one coefficient (the functional
+        # at a zero Jacobian), and g the rate of w written out by hand
         for _ in range(10):
             w = rng.uniform(-2, 2, 2)
             t0 = rng.uniform(0, 2)
-            out = a_functional(
-                osc_system, osc_alpha, np.zeros(2), w, np.zeros((2, 2)), t0, t0
-            )
-            assert np.max(np.abs(out - closed_phi1(NU, t0, w))) <= 1e-12
+            u, g = a_functional(osc_system, osc_alpha, np.zeros(2), w, t0, t0)
+            assert np.max(np.abs(u - closed_phi1(NU, t0, w))) <= 1e-12
+            rate = 0.5 * np.array([-np.exp(-NU * t0) * w[1], np.exp(NU * t0) * w[0]])
+            assert np.max(np.abs(g - rate)) <= 1e-12
 
-    def test_vanishes_at_equilibrium_with_static_transform(self, rng):
+    def test_vanishes_at_equilibrium_with_static_transform(self):
         sys0 = oscillator_system(0.0)
         alpha0 = oscillator_alpha(0.0)
         w_hat, w = alpha0.forward(np.zeros(2), np.zeros(2), 0.4, 0.4)
-        s = rng.uniform(-1, 1, (2, 2))
-        out = a_functional(sys0, alpha0, w_hat, w, s, 0.4, 0.4)
-        np.testing.assert_allclose(out, np.zeros(2), atol=1e-14)
+        u, g = a_functional(sys0, alpha0, w_hat, w, 0.4, 0.4)
+        np.testing.assert_allclose(u, np.zeros(2), atol=1e-14)
+        np.testing.assert_allclose(g, np.zeros(2), atol=1e-14)
 
     def test_matches_direct_rate_difference(self, osc_system, osc_alpha, rng):
         # independent oracle: rates of the transformed flow written out by
-        # hand for the scaled pairing, evaluated pointwise in (w_hat, w)
+        # hand for the scaled pairing, evaluated pointwise in (w_hat, w);
+        # the functional at any Jacobian S is u - S g = rate_hat - S rate
         for _ in range(20):
             w_hat = rng.uniform(-2, 2, 2)
             w = rng.uniform(-2, 2, 2)
-            s = rng.uniform(-1, 1, (2, 2))
             t, t0 = rng.uniform(0, 2, 2)
             e_p, e_m = np.exp(NU * t), np.exp(-NU * t)
             rate_hat = np.array(
@@ -223,8 +223,9 @@ class TestAFunctional:
                     0.25 * e_p * w_hat[1] + 0.5 * e_p * w[0],
                 ]
             )
-            out = a_functional(osc_system, osc_alpha, w_hat, w, s, t, t0)
-            assert np.max(np.abs(out - (rate_hat - s @ rate))) <= 1e-8
+            u, g = a_functional(osc_system, osc_alpha, w_hat, w, t, t0)
+            assert np.max(np.abs(u - rate_hat)) <= 1e-8
+            assert np.max(np.abs(g - rate)) <= 1e-8
 
 
 class TestCoefficients:
@@ -242,6 +243,19 @@ class TestCoefficients:
         for _ in range(20):
             w = rng.uniform(-2, 2, 2)
             assert np.max(np.abs(cs.coeffs[2](w) - closed_phi2(NU, t0, w))) <= 1e-8
+
+    @pytest.mark.parametrize("t0", [0.0, 0.7])
+    def test_shear_leaves_the_higher_coefficients_unchanged(self, osc_system, osc_alpha, rng, t0):
+        # the shear adds the time-independent w^T G w / 2 to the generating
+        # function, so phi1 and phi2 stay those of the plain transform; its
+        # d phi0/dw = G is the one nonzero S slot, where d phi0/dw = 0 on
+        # every Darboux transform would hide a sign error in the S g term
+        plain = coefficients(osc_system, osc_alpha, t0, 2)
+        sheared = coefficients(osc_system, sheared_alpha(osc_alpha, SHEAR_G), t0, 2)
+        for _ in range(5):
+            w = rng.uniform(-2, 2, 2)
+            assert np.max(np.abs(sheared.coeffs[1](w) - plain.coeffs[1](w))) <= 1e-13
+            assert np.max(np.abs(sheared.coeffs[2](w) - plain.coeffs[2](w))) <= 1e-9
 
     def test_undamped_second_coefficient_vanishes(self, rng):
         sys0 = oscillator_system(0.0)

@@ -296,6 +296,19 @@ class TestRun:
         assert traj.residuals == (0.0, 0.1, 0.2)
         np.testing.assert_array_equal(traj.states[-1], [3.0, 3.0])
 
+    @pytest.mark.parametrize("n_steps", [True, 2.0, 2.5, "2"], ids=repr)
+    def test_non_integral_step_count_rejected_before_the_first_step(self, n_steps):
+        # True ran one step and 2.0 raised a bare TypeError from range
+        def advance(z, t):
+            raise AssertionError("no step may run")
+
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            run(advance, np.zeros(2), 0.0, 0.1, n_steps)
+
+    def test_numpy_integer_step_count_runs(self):
+        traj = run(lambda z, t: z + 1.0, np.zeros(2), 0.0, 0.1, np.int64(3))
+        assert traj.steps == 3
+
 
 class TestStepJacobian:
     def test_linear_scheme_jacobian_is_state_independent(self, osc_system, osc_scheme_m1):
@@ -363,7 +376,7 @@ class TestStepJacobian:
 
     @pytest.mark.parametrize(
         "fn, order, k_calls",
-        [(step_jacobian, 1, 11), (step_jacobian, 2, 111), (step, 1, 7), (step, 2, 67)],
+        [(step_jacobian, 1, 11), (step_jacobian, 2, 91), (step, 1, 7), (step, 2, 55)],
         ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
     )
     def test_calls_to_k_are_pinned(self, fn, order, k_calls):
@@ -372,7 +385,9 @@ class TestStepJacobian:
         # (order 2) calls here.  The step's Newton matrix A - Psi_ww C is
         # exact too; differencing the residual took 89 calls at order 2.
         # Newton stops at its target: one more polishing update past it
-        # took 12, 122, 8 and 78 calls here
+        # took 12, 122, 8 and 78 calls here.  phi2 takes the derivative in
+        # the functional's Jacobian slot exactly: a central difference
+        # there took 111 and 67 calls at order 2
         base = oscillator_system(NU)
         calls = []
 
@@ -390,7 +405,9 @@ class TestStepJacobian:
         # time for its scale took 5 forward, 182 inverse and 113 blocks
         # calls here, with the identity point's Jacobian read through the
         # forward blocks, and a polishing update past the step's target
-        # took 4 forward, 112 inverse, 35 inverse_blocks and 78 blocks
+        # took 4 forward, 112 inverse, 35 inverse_blocks and 78 blocks;
+        # a central difference in the functional's Jacobian slot took 96
+        # inverse and 67 blocks calls
         names = ("forward", "inverse", "inverse_blocks", "blocks")
         calls = dict.fromkeys(names, 0)
 
@@ -405,7 +422,7 @@ class TestStepJacobian:
         alpha = dataclasses.replace(base, **{n: counted(n, getattr(base, n)) for n in names})
         scheme = make_scheme(oscillator_system(NU), alpha, 0.3, 2)
         step(oscillator_system(NU), scheme, np.array([0.7, -1.3]), 0.3, 0.1)
-        assert calls == {"forward": 3, "inverse": 96, "inverse_blocks": 30, "blocks": 67}
+        assert calls == {"forward": 3, "inverse": 84, "inverse_blocks": 30, "blocks": 55}
         # one identity point and its Jacobian: one inverse image for the
         # solve, which takes no update, and one set of inverse blocks
         calls.update(dict.fromkeys(names, 0))
