@@ -12,6 +12,7 @@ form is ``K dz/dt + D = 0`` with ``D = -(grad B + dF/dt)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ Array = np.ndarray
 # with R the diagonal of the row maxima max_j |M_ij|
 DET_TOLERANCE = 1e-12
 _LOG_DET_TOLERANCE = math.log(DET_TOLERANCE)
+# distinct matrices whose determinant margin is kept, least recently used out
+_DET_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +170,18 @@ def _det_margin(mat: Array) -> float:
 
     -inf for a singular M, a zero row or a non-finite entry.  Computed from
     ``slogdet`` and the log row maxima, so neither det M nor the product of
-    the row maxima has to fit in a float.
+    the row maxima has to fit in a float.  The value is memoized by the
+    matrix's content (its shape and float64 bytes), never by identity:
+    K(t), P(t) and the identity point's A' - C' come back unchanged many
+    times per step.
     """
     mat = np.asarray(mat, dtype=float)
+    return _det_margin_of(mat.shape, mat.tobytes())
+
+
+@functools.lru_cache(maxsize=_DET_CACHE_SIZE)
+def _det_margin_of(shape: tuple, data: bytes) -> float:
+    mat = np.frombuffer(data).reshape(shape)
     rowmax = np.abs(mat).max(axis=1)
     # written so that a NaN row maximum fails too
     if not (0.0 < rowmax.min() and rowmax.max() < math.inf):

@@ -61,7 +61,16 @@ def symplectic_residual(
 
 
 def fit_slope(tau_values: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(tau)."""
+    """Least-squares slope of log(error) against log(tau).
+
+    Raises ``ValueError`` naming the first tau whose error is not positive
+    and finite, since its logarithm does not exist: an exact scheme (or a
+    start at an equilibrium) has no order to fit.
+    """
+    for tau, err in zip(tau_values, errors):
+        # written so that a NaN error fails too
+        if not 0.0 < err < np.inf:
+            raise ValueError(f"error at tau = {tau} must be positive and finite, got {err}")
     return float(np.polyfit(np.log(np.asarray(tau_values)), np.log(np.asarray(errors)), 1)[0])
 
 

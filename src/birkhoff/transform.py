@@ -168,16 +168,17 @@ def darboux_alpha(
 
     Everything else follows from that constant midpoint map and from P:
     the forward Jacobian is the midpoint matrix times diag(P(t), P(t0)),
-    the inverse and its blocks solve with diag(P(t), P(t0)), and the time
-    partials are the midpoint map of (dP/dt(t) z_new, 0).  At t = t0 the
-    inverse sends (0, w) to a pair z_new = z_old, so the identity map's
-    gradient vanishes.
+    the inverse is diag(P(t), P(t0))^{-1} times the inverse midpoint
+    matrix, and the time partials are the midpoint map of
+    (dP/dt(t) z_new, 0).  At t = t0 the inverse sends (0, w) to a pair
+    z_new = z_old, so the identity map's gradient vanishes.
 
     ``p_dot`` defaults to a central difference of ``p``; supplying it
     analytically keeps downstream generating-function coefficients exact.
     Both must be pure functions of t: the transform evaluates and checks
-    each once per time, keeping the few most recent, and returns the
-    forward blocks of a time pair as shared read-only arrays.  A P(t) that
+    each once per time, keeping the few most recent, factors
+    diag(P(t), P(t0)) once per time pair, and returns the forward and
+    inverse blocks of a time pair as shared read-only arrays.  A P(t) that
     is not a finite, nonsingular (:func:`~birkhoff.core.det_nonzero`)
     2n x 2n matrix, or a dP/dt that is not a finite 2n x 2n matrix, raises
     :class:`EvaluationError`.
@@ -205,13 +206,17 @@ def darboux_alpha(
         return _checked("p_dot", lambda _, s: p_dot(s), (), t, (dim, dim))
 
     @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
-    def pair(t: float, t0: float) -> Tuple[Array, Blocks]:
-        # diag(P(t), P(t0)) and the blocks of the forward Jacobian mix diag(P(t), P(t0))
+    def pair(t: float, t0: float) -> Tuple[Array, Blocks, Array, Blocks]:
+        # diag(P(t), P(t0)), the forward Jacobian mix diag(P(t), P(t0)) as
+        # blocks, and the inverse factor diag(P(t), P(t0))^{-1} unmix, whole
+        # and as blocks: one factorization per time pair
         p1, p0 = p_at(t), p_at(t0)
         both = np.block([[p1, np.zeros((dim, dim))], [np.zeros((dim, dim)), p0]])
         jac = mix @ both
+        inv = np.linalg.solve(both, unmix)
         jac.flags.writeable = False
-        return both, _split(jac, dim)
+        inv.flags.writeable = False
+        return both, _split(jac, dim), inv, _split(inv, dim)
 
     def forward(z_new, z_old, t, t0):
         both = pair(float(t), float(t0))[0]
@@ -219,15 +224,14 @@ def darboux_alpha(
         return out[:dim], out[dim:]
 
     def inverse(w_hat, w, t, t0):
-        y = unmix @ np.concatenate((w_hat, w), dtype=float)
-        out = np.linalg.solve(pair(float(t), float(t0))[0], y)
+        out = pair(float(t), float(t0))[2] @ np.concatenate((w_hat, w), dtype=float)
         return out[:dim], out[dim:]
 
     def blocks(z_new, z_old, t, t0):
         return pair(float(t), float(t0))[1]
 
     def inverse_blocks(w_hat, w, t, t0):
-        return _split(np.linalg.solve(pair(float(t), float(t0))[0], unmix), dim)
+        return pair(float(t), float(t0))[3]
 
     def time_partials(z_new, z_old, t, t0):
         # the midpoint map of (dP/dt(t) z_new, 0)

@@ -386,8 +386,9 @@ class TestErrorBoundary:
             (["convergence", "--horizon", "0"], "horizon must be finite"),
             (["convergence", "--horizon", "-1"], "horizon must be finite"),
             (["convergence", "--tau-list", "0.1,0.05"], "at least 3 step sizes"),
+            (["convergence", "--z0", "0,0"], "error at tau = 0.1 must be positive and finite"),
         ],
-        ids=["steps-0", "tau-0", "samples-0", "horizon-0", "horizon-neg", "two-taus"],
+        ids=["steps-0", "tau-0", "samples-0", "horizon-0", "horizon-neg", "two-taus", "zero-error"],
     )
     def test_out_of_range_input_fails_the_library_check(self, argv, message, capsys):
         # the library call that reads each input is the one place that checks it

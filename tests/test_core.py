@@ -14,7 +14,7 @@ from birkhoff import (
     scaled_canonical_alpha,
     velocity,
 )
-from birkhoff.core import det_nonzero
+from birkhoff.core import _DET_CACHE_SIZE, _det_margin, _det_margin_of, det_nonzero
 
 NU = 0.5
 
@@ -167,6 +167,51 @@ class TestRegularity:
             assert det_nonzero(rows @ regular)
             assert not det_nonzero(rows @ singular)
         assert not det_nonzero(np.full((2, 2), np.nan))
+
+
+class TestVerdictCache:
+    # the nonsingularity verdict is memoized by content: shape and float64 bytes
+
+    def test_matrix_mutated_in_place_gets_a_new_verdict(self):
+        mat = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert det_nonzero(mat)
+        mat[1] = 2.0 * mat[0]
+        assert not det_nonzero(mat)
+        mat[1] = [3.0, 4.0]
+        assert det_nonzero(mat)
+
+    def test_view_gets_the_verdict_of_its_contiguous_copy(self, rng):
+        base = rng.uniform(-1, 1, (6, 6))
+        view = base[::2, 1::2]
+        assert not view.flags.c_contiguous
+        assert _det_margin(view) == _det_margin(np.ascontiguousarray(view))
+        # a transposed view shares the buffer of its base but not its rows:
+        # a tiny row of M is a tiny column of M^T, which row scaling cannot undo
+        mat = np.diag([1e-20, 1.0]) @ np.array([[1.0, 2.0], [3.0, 5.0]])
+        assert det_nonzero(mat)
+        assert not det_nonzero(mat.T)
+        assert not det_nonzero(np.ascontiguousarray(mat.T))
+
+    def test_nan_entry_reads_singular(self):
+        mat = np.eye(3)
+        assert det_nonzero(mat)
+        mat[1, 2] = np.nan
+        for _ in range(2):
+            assert not det_nonzero(mat)
+            assert _det_margin(mat) == -np.inf
+
+    def test_error_is_raised_on_every_call_and_never_cached(self):
+        _det_margin_of.cache_clear()
+        for _ in range(3):
+            with pytest.raises(np.linalg.LinAlgError):
+                det_nonzero(np.ones((2, 3)))
+        assert _det_margin_of.cache_info().currsize == 0
+
+    def test_cache_is_bounded(self):
+        _det_margin_of.cache_clear()
+        for k in range(_DET_CACHE_SIZE + 10):
+            assert det_nonzero(np.diag([1.0, k + 1.0]))
+        assert _det_margin_of.cache_info().currsize == _DET_CACHE_SIZE
 
 
 class TestVectorField:

@@ -15,6 +15,7 @@ from birkhoff import (
     step_jacobian,
     symplectic_residual,
 )
+from birkhoff.diagnostics import fit_slope
 
 NU = 0.5
 
@@ -165,6 +166,14 @@ class TestConvergenceOrder:
             convergence_order(
                 osc_system, factory, reference, np.array([1.0, 0.0]), 0.0, 1.0, taus
             )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+    def test_error_without_a_logarithm_is_named(self, bad):
+        # an error of 0 (a start at the equilibrium) used to give slope nan
+        # and a RuntimeWarning from log
+        with pytest.raises(ValueError, match="error at tau = 0.05 must be positive and finite"):
+            fit_slope([0.1, 0.05, 0.025], [1e-2, bad, 1e-3])
 
     def test_slopes_are_reproducible(self, osc_system):
         def run():

@@ -28,6 +28,7 @@ from birkhoff import (
     step_jacobian,
     symplectic_residual,
 )
+from birkhoff.core import _det_margin_of
 from pendulum_chain import chain_system, rk4_state, sheared_chain
 
 NU = 0.5
@@ -399,6 +400,42 @@ class TestStepJacobian:
         scheme = make_scheme(system, oscillator_alpha(NU), 0.3, order)
         fn(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
         assert len(calls) == k_calls
+
+    @pytest.mark.parametrize(
+        "fn, order, solves, slogdets",
+        [
+            (step_jacobian, 1, 25, 6),
+            (step_jacobian, 2, 147, 10),
+            (step, 1, 16, 5),
+            (step, 2, 90, 9),
+        ],
+        ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
+    )
+    def test_lapack_calls_are_pinned(self, fn, order, solves, slogdets, monkeypatch):
+        # each time-only matrix is factored once: the Darboux inverse factor
+        # per time pair, the nonsingularity verdict per distinct matrix (for
+        # an order-2 step: K at three times, P at four, A' - C' and the
+        # step's Newton matrix).  Solving with diag(P(t), P(t0)) on every
+        # inverse call and testing every matrix afresh took 53, 333, 32 and
+        # 200 solves and 25, 147, 16 and 90 slogdet calls here
+        _det_margin_of.cache_clear()
+        calls = {"solve": 0, "slogdet": 0}
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        system = oscillator_system(NU)
+        scheme = make_scheme(system, oscillator_alpha(NU), 0.3, order)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        fn(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
+        assert calls == {"solve": solves, "slogdet": slogdets}
 
     def test_transform_calls_are_pinned(self):
         # one order-2 step; evaluating each solve's start point a second

@@ -21,7 +21,8 @@ from birkhoff import (
     step,
     transversality_equivalents,
 )
-from pendulum_chain import sheared_chain
+from birkhoff.transform import _TIME_CACHE_SIZE
+from pendulum_chain import shear_p, sheared_chain
 
 NU = 0.5
 
@@ -300,6 +301,54 @@ class TestPerTimeCache:
         w_hat, w = alpha.forward(z, z, 0.5, 0.0)
         np.testing.assert_allclose(w_hat, [1.0, 0.0])
         np.testing.assert_allclose(w, [1.0, -2.5])
+
+
+    def test_inverse_round_trips_as_time_pairs_leave_the_cache(self, rng):
+        # the inverse applies the factor diag(P(t), P(t0))^{-1} unmix kept per
+        # time pair; the sheared P is not diagonal, and cycling through more
+        # pairs than the cache holds recomputes evicted factors
+        _, alpha = sheared_chain()
+        pairs = [tuple(rng.uniform(0, 2, 2)) for _ in range(3 * _TIME_CACHE_SIZE)]
+        for t, t0 in pairs + pairs:
+            z_new, z_old = rng.uniform(-2, 2, (2, alpha.dim))
+            back_new, back_old = alpha.inverse(*alpha.forward(z_new, z_old, t, t0), t, t0)
+            scale = max(np.max(np.abs(z_new)), np.max(np.abs(z_old)))
+            assert np.max(np.abs(back_new - z_new)) <= 1e-14 * scale
+            assert np.max(np.abs(back_old - z_old)) <= 1e-14 * scale
+
+    def test_inverse_blocks_are_read_only_and_solve_the_darboux_matrix(self):
+        _, alpha = sheared_chain()
+        n, dim = alpha.n, alpha.dim
+        eye, zero = np.eye(n), np.zeros((n, n))
+        swap = np.block([[zero, eye], [eye, zero]])
+        half = np.diag(np.repeat([0.5, -0.5], n))
+        # (y1, y0) = unmix (w_hat, w), from the definition of darboux_alpha
+        unmix = np.block([[0.5 * swap, 2.0 * half], [-0.5 * swap, 2.0 * half]])
+        t, t0 = 1.3, 0.4
+        both = np.block([[shear_p(t), np.zeros((dim, dim))], [np.zeros((dim, dim)), shear_p(t0)]])
+        expected = np.linalg.solve(both, unmix)
+        blocks = alpha.inverse_blocks(np.zeros(dim), np.zeros(dim), t, t0)
+        got = np.block([list(blocks[:2]), list(blocks[2:])])
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+        for block in blocks:
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+
+    def test_failed_darboux_check_raises_on_every_call(self):
+        calls = []
+
+        def p(t):
+            calls.append(t)
+            return np.eye(2) if t <= 1.0 else np.diag([1.0, 0.0])
+
+        alpha = darboux_alpha(p, 1, lambda t: np.zeros((2, 2)))
+        w = np.array([1.0, 2.0])
+        for _ in range(3):
+            with pytest.raises(EvaluationError, match="P is singular"):
+                alpha.inverse(w, w, 2.0, 0.0)
+        assert calls.count(2.0) == 3
+        z_new, z_old = alpha.inverse(w, w, 0.5, 0.0)
+        np.testing.assert_allclose(alpha.forward(z_new, z_old, 0.5, 0.0), (w, w))
 
 
 class TestSigma:
