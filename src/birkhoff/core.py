@@ -102,10 +102,7 @@ class BirkhoffSystem:
         return _checked("F", self.F, z, t, (self.dim,))
 
     def b_at(self, z: Array, t: float) -> float:
-        out = float(self.B(np.asarray(z, dtype=float), t))
-        if not np.isfinite(out):
-            raise EvaluationError(f"B returned a non-finite value at t={t}")
-        return out
+        return float(_checked("B", self.B, z, t, ()))
 
     def k_at(self, z: Array, t: float) -> Array:
         """Structure matrix, analytic if supplied, else derived from F."""
@@ -165,23 +162,55 @@ def k_from_f(sys: BirkhoffSystem, p: PhasePoint) -> Array:
     return 0.5 * (k - k.T)
 
 
+def _content_cached(maxsize: int):
+    """Cache a function of one float array by content, least recently used out.
+
+    The key is the argument's shape and float64 bytes, never its identity:
+    an array mutated in place is evaluated afresh, and a view shares the
+    entry of its contiguous copy.  The function receives a read-only array
+    of that content.  Arrays in the result, returned alone or inside a
+    tuple, are made read-only in place, since every caller shares them, so
+    the function must return arrays that nothing else writes to; a raised
+    error is never kept.  ``cache_info`` and ``cache_clear`` are those of
+    the underlying ``functools.lru_cache``, which makes concurrent use
+    safe.
+    """
+
+    def decorate(fn):
+        @functools.lru_cache(maxsize=maxsize)
+        def cached(shape: tuple, data: bytes):
+            out = fn(np.frombuffer(data).reshape(shape))
+            return tuple(map(_frozen, out)) if isinstance(out, tuple) else _frozen(out)
+
+        @functools.wraps(fn)
+        def wrapped(x):
+            x = np.asarray(x, dtype=float)
+            return cached(x.shape, x.tobytes())
+
+        wrapped.cache_info = cached.cache_info
+        wrapped.cache_clear = cached.cache_clear
+        return wrapped
+
+    return decorate
+
+
+def _frozen(value):
+    """``value``, made read-only in place if it is an array."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
+
+
+@_content_cached(_DET_CACHE_SIZE)
 def _det_margin(mat: Array) -> float:
     """log(|det M| / prod_i max_j |M_ij|) for the square matrix M.
 
     -inf for a singular M, a zero row or a non-finite entry.  Computed from
     ``slogdet`` and the log row maxima, so neither det M nor the product of
-    the row maxima has to fit in a float.  The value is memoized by the
-    matrix's content (its shape and float64 bytes), never by identity:
-    K(t), P(t) and the identity point's A' - C' come back unchanged many
-    times per step.
+    the row maxima has to fit in a float.  Memoized by content: K(t), P(t)
+    and the identity point's A' - C' come back unchanged many times per
+    step.
     """
-    mat = np.asarray(mat, dtype=float)
-    return _det_margin_of(mat.shape, mat.tobytes())
-
-
-@functools.lru_cache(maxsize=_DET_CACHE_SIZE)
-def _det_margin_of(shape: tuple, data: bytes) -> float:
-    mat = np.frombuffer(data).reshape(shape)
     rowmax = np.abs(mat).max(axis=1)
     # written so that a NaN row maximum fails too
     if not (0.0 < rowmax.min() and rowmax.max() < math.inf):
@@ -201,6 +230,17 @@ def det_nonzero(mat: Array) -> bool:
     return _det_margin(mat) > _LOG_DET_TOLERANCE
 
 
+def require_nonsingular(mat: Array, error: Callable[[float], Exception]) -> None:
+    """Raise ``error(det)`` unless ``mat`` passes :func:`det_nonzero`.
+
+    ``det`` is |det| of ``mat`` with each row divided by its max-abs
+    entry, the quantity the test uses.
+    """
+    margin = _det_margin(mat)
+    if not margin > _LOG_DET_TOLERANCE:
+        raise error(math.exp(margin))
+
+
 def regularity(sys: BirkhoffSystem, p: PhasePoint):
     """Determinant of K at p and whether K passes :func:`det_nonzero`."""
     k = sys.k_at(p.z, p.t)
@@ -210,7 +250,7 @@ def regularity(sys: BirkhoffSystem, p: PhasePoint):
 def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
     """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D."""
     k = sys.k_at(z, t)
-    if not det_nonzero(k):
-        det = math.exp(_det_margin(k))  # of K with each row divided by its max-abs entry
-        raise RegularityError(f"structure matrix singular at t={t}: |det| = {det:.3e}")
+    require_nonsingular(
+        k, lambda det: RegularityError(f"structure matrix singular at t={t}: |det| = {det:.3e}")
+    )
     return np.linalg.solve(k, -sys.d_at(z, t))

@@ -65,8 +65,11 @@ def fit_slope(tau_values: Sequence[float], errors: Sequence[float]) -> float:
 
     Raises ``ValueError`` naming the first tau whose error is not positive
     and finite, since its logarithm does not exist: an exact scheme (or a
-    start at an equilibrium) has no order to fit.
+    start at an equilibrium) has no order to fit.  Lists of unequal
+    lengths raise ``ValueError`` too.
     """
+    if len(tau_values) != len(errors):
+        raise ValueError(f"got {len(tau_values)} tau values but {len(errors)} errors")
     for tau, err in zip(tau_values, errors):
         # written so that a NaN error fails too
         if not 0.0 < err < np.inf:

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import numdiff
-from .core import BirkhoffSystem, velocity
+from .core import BirkhoffSystem, _content_cached, velocity
 from .errors import UnsupportedOrderError
 from .newton import newton_solve
 from .transform import AlphaTransform, require_transversal
@@ -32,7 +32,7 @@ from .transform import AlphaTransform, require_transversal
 Array = np.ndarray
 
 MAX_ORDER = 2
-# evaluations each memoized coefficient keeps, oldest first out
+# points each coefficient memo keeps, least recently used out
 MEMO_SIZE = 4096
 
 
@@ -138,32 +138,6 @@ def a_functional(
     return a @ v + d_alpha1, c @ v + d_alpha2
 
 
-def _memoized(fn):
-    """Cache a vector -> array callable by the argument's byte image.
-
-    The recursion re-evaluates lower-order coefficients many times at the
-    same w (directly and inside finite-difference stencils); caching keeps
-    the cost of one truncated-gradient evaluation near its arithmetic
-    minimum.  Purely an evaluation cache: results are read-only arrays, and
-    once MEMO_SIZE points are held the oldest entry makes room for the next.
-    """
-    cache: dict = {}
-
-    def wrapped(w):
-        w = np.asarray(w, dtype=float)
-        key = w.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) >= MEMO_SIZE:
-                del cache[next(iter(cache))]
-            hit = np.array(fn(w), dtype=float)
-            hit.flags.writeable = False
-            cache[key] = hit
-        return hit
-
-    return wrapped
-
-
 def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> CoefficientSet:
     """Coefficient set up to order m (m <= 2) by the generic recursion.
 
@@ -179,9 +153,14 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     raises :class:`~birkhoff.errors.TransversalityError`.
     The order m must be an integer; a float or bool raises ``ValueError``.
 
-    Each point evaluates the functional's pair (u, g) of
-    :func:`a_functional` once at the identity point; phi^(1) = u - S g
-    with S = d phi^(0)/dw.  The functional is affine in its Jacobian slot
+    Each point w is evaluated once, as one record (phi^(0), S, phi^(1), g)
+    with S = d phi^(0)/dw and phi^(1) = u - S g from the functional's pair
+    (u, g) of :func:`a_functional` at the identity point; ``coeffs[0]``,
+    ``coeff_jacobians[0]`` and ``coeffs[1]`` all read it, so any of them
+    costs one Newton solve, one set of inverse blocks and one functional
+    evaluation at a fresh w.  Every memo is keyed by the content of w,
+    keeps the ``MEMO_SIZE`` most recently used points and returns
+    read-only arrays.  The functional is affine in its Jacobian slot
     S, so order 2 takes that slot's derivative exactly, as
     -(d phi^(1)/dw) g, and central differences only in its gradient and
     time slots, with once-nested steps: the differenced quantities
@@ -200,37 +179,36 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         raise ValueError(f"transform has n = {alpha.n} but the system has n = {sys.n}")
     t0 = float(t0)
 
-    @_memoized
-    def phi0(w: Array) -> Array:
-        # solve z_new = z_old on the inverse image of (w_hat, w); (A', C')
+    @_content_cached(MEMO_SIZE)
+    def identity(w: Array) -> Tuple[Array, Array, Array, Array]:
+        # phi0, S = d phi0/dw, phi1 = u - S g and g at one identity point.
+        # phi0 solves z_new = z_old on the inverse image of (w_hat, w); (A', C')
         # = d(z_new, z_old)/d w_hat, so A' - C' is the exact Jacobian
         def jac(w_hat):
             a, _, c, _ = alpha.inverse_blocks(w_hat, w, t0, t0)
             return a - c
 
         start = np.zeros_like(w)
-        return newton_solve(lambda w_hat: alpha.inverse(w_hat, w, t0, t0), start, jac)[0]
-
-    @_memoized
-    def phi0_jac(w: Array) -> Array:
+        phi0 = newton_solve(lambda w_hat: alpha.inverse(w_hat, w, t0, t0), start, jac)[0]
+        u, g = a_functional(sys, alpha, phi0, w, t0, t0)
         # z_new = z_old along w_hat = phi0(w), so differentiating the
-        # inverse image gives (A' - C') d phi0/dw = D' - B'
-        a, b, c, d = alpha.inverse_blocks(phi0(w), w, t0, t0)
+        # inverse image gives (A' - C') S = D' - B'
+        a, b, c, d = alpha.inverse_blocks(phi0, w, t0, t0)
         lhs = a - c
         require_transversal(lhs, "A' - C'")
-        return np.linalg.solve(lhs, d - b)
+        s = np.linalg.solve(lhs, d - b)
+        return phi0, s, u - s @ g, g
 
-    @_memoized
-    def phi1_and_g(w: Array) -> Tuple[Array, Array]:
-        # the functional at the identity point, u - S g with S = d phi0/dw,
-        # and its S-slot factor g; _memoized stacks the pair into two rows
-        u, g = a_functional(sys, alpha, phi0(w), w, t0, t0)
-        return u - phi0_jac(w) @ g, g
+    def phi0(w: Array) -> Array:
+        return identity(w)[0]
+
+    def phi0_jac(w: Array) -> Array:
+        return identity(w)[1]
 
     def phi1(w: Array) -> Array:
-        return phi1_and_g(w)[0]
+        return identity(w)[2]
 
-    @_memoized
+    @_content_cached(MEMO_SIZE)
     def phi1_jac(w: Array) -> Array:
         # phi1 evaluates D and dP/dt, which are differenced when not
         # supplied (D from F and B, dP/dt from P), so it carries noise
@@ -240,12 +218,11 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     def rate(w_hat: Array, w: Array, t: float) -> Array:
         # the functional with its S slot held at d phi0/dw
         u, g = a_functional(sys, alpha, w_hat, w, t, t0)
-        return u - phi0_jac(w) @ g
+        return u - identity(w)[1] @ g
 
-    @_memoized
+    @_content_cached(MEMO_SIZE)
     def phi2(w: Array) -> Array:
-        base = phi0(w)
-        dir1, g = phi1_and_g(w)
+        base, _, dir1, g = identity(w)
         h = numdiff.SOLVER_FD_STEP
         term_grad = numdiff.time_derivative(lambda s: rate(base + s * dir1, w, t0), 0.0, h)
         # the functional is affine in S, so its S-slot derivative is exact
@@ -253,7 +230,7 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         term_time = numdiff.time_derivative(lambda t: rate(base, w, t), t0, h)
         return 0.5 * (term_grad + term_jac + term_time)
 
-    @_memoized
+    @_content_cached(MEMO_SIZE)
     def phi2_jac(w: Array) -> Array:
         # phi2 is itself assembled from nested finite differences; its
         # Jacobian needs the wider step to clear that noise floor

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numdiff
-from .core import PhasePoint, _checked, _positive_int
+from .core import PhasePoint, _checked, _frozen, _positive_int
 from .errors import InconsistencyError
 
 Array = np.ndarray
@@ -96,8 +96,7 @@ def check_self_adjointness(
 
     antisym = closure = time_curl = (0.0, None)
     for idx, p in enumerate(samples):
-        if p.z.size != dim:
-            raise ValueError(f"sample dimension {p.z.size} does not match system dimension {dim}")
+        _require_dim(raw, p)
         k = raw.k_at(p.z, p.t)
         antisym = _worse(antisym, idx, np.abs(k + k.T))
 
@@ -114,6 +113,12 @@ def check_self_adjointness(
 
     values, where = zip(antisym, closure, time_curl)
     return SelfAdjointReport(*values, max(values) <= tol, samples, float(tol), *where)
+
+
+def _require_dim(raw: RawFirstOrderSystem, p: PhasePoint) -> None:
+    """ValueError unless the phase point has the system's dimension."""
+    if p.z.size != raw.dim:
+        raise ValueError(f"sample dimension {p.z.size} does not match system dimension {raw.dim}")
 
 
 def _worse(worst: tuple, idx: int, magnitudes: Array) -> tuple:
@@ -136,10 +141,7 @@ def _gauss_legendre_01(nodes: int) -> Tuple[Array, Array]:
     they are read-only.
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
-    lam, wgt = (x + 1.0) / 2.0, w / 2.0
-    lam.flags.writeable = False
-    wgt.flags.writeable = False
-    return lam, wgt
+    return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
 
 
 def _quadrature_rule(quad_nodes: int) -> Tuple[Array, Array]:
@@ -154,8 +156,10 @@ def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32)
     fixed-order Gauss-Legendre quadrature (exact for K polynomial in z of
     degree < 2*quad_nodes along the ray).  The rule is computed once per
     node count and shared read-only; ``quad_nodes`` that is not a
-    positive integer raises ``ValueError``.
+    positive integer raises ``ValueError``, and so does a point whose
+    dimension is not the system's.
     """
+    _require_dim(raw, p)
     lam, wgt = _quadrature_rule(quad_nodes)
     acc = np.zeros(raw.dim)
     for lam_i, w_i in zip(lam, wgt):
@@ -180,8 +184,10 @@ def reconstruct_b(
     that identity is verified at p, by a finite-difference gradient of B
     and one time difference of :func:`reconstruct_f`, and an
     :class:`InconsistencyError` raised when it fails, which signals a
-    non-self-adjoint input.
+    non-self-adjoint input.  A point whose dimension is not the system's
+    raises ``ValueError`` before any evaluation.
     """
+    _require_dim(raw, p)
     lam, wgt = _quadrature_rule(quad_nodes)
 
     def b_value(z: Array) -> float:

@@ -11,14 +11,13 @@ Jacobians are related by the matrix Moebius transform
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import numdiff
-from .core import BirkhoffSystem, _checked, _det_margin, _positive_int, det_nonzero
+from .core import BirkhoffSystem, _checked, _frozen, _positive_int, det_nonzero, require_nonsingular
 from .errors import EvaluationError, TransversalityError
 
 Array = np.ndarray
@@ -117,9 +116,8 @@ def require_transversal(mat: Array, name: str) -> None:
     The error reports |det| of ``mat`` with each row divided by its
     max-abs entry, the quantity the test uses.
     """
-    if not det_nonzero(mat):
-        det = math.exp(_det_margin(mat))
-        raise TransversalityError(f"transversality condition violated: {name} singular", det)
+    message = f"transversality condition violated: {name} singular"
+    require_nonsingular(mat, lambda det: TransversalityError(message, det))
 
 
 def transversality_equivalents(
@@ -212,10 +210,7 @@ def darboux_alpha(
         # and as blocks: one factorization per time pair
         p1, p0 = p_at(t), p_at(t0)
         both = np.block([[p1, np.zeros((dim, dim))], [np.zeros((dim, dim)), p0]])
-        jac = mix @ both
-        inv = np.linalg.solve(both, unmix)
-        jac.flags.writeable = False
-        inv.flags.writeable = False
+        jac, inv = _frozen(mix @ both), _frozen(np.linalg.solve(both, unmix))
         return both, _split(jac, dim), inv, _split(inv, dim)
 
     def forward(z_new, z_old, t, t0):

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from birkhoff import (
     scaled_canonical_alpha,
     velocity,
 )
-from birkhoff.core import _DET_CACHE_SIZE, _det_margin, _det_margin_of, det_nonzero
+from birkhoff.core import _DET_CACHE_SIZE, _content_cached, _det_margin, det_nonzero
 
 NU = 0.5
 
@@ -201,17 +204,117 @@ class TestVerdictCache:
             assert _det_margin(mat) == -np.inf
 
     def test_error_is_raised_on_every_call_and_never_cached(self):
-        _det_margin_of.cache_clear()
+        _det_margin.cache_clear()
         for _ in range(3):
             with pytest.raises(np.linalg.LinAlgError):
                 det_nonzero(np.ones((2, 3)))
-        assert _det_margin_of.cache_info().currsize == 0
+        assert _det_margin.cache_info().currsize == 0
 
     def test_cache_is_bounded(self):
-        _det_margin_of.cache_clear()
+        _det_margin.cache_clear()
         for k in range(_DET_CACHE_SIZE + 10):
             assert det_nonzero(np.diag([1.0, k + 1.0]))
-        assert _det_margin_of.cache_info().currsize == _DET_CACHE_SIZE
+        assert _det_margin.cache_info().currsize == _DET_CACHE_SIZE
+
+
+class TestContentCache:
+    # the one memo of the package: functools.lru_cache keyed by content
+
+    def test_entry_read_again_survives_the_overflow(self):
+        calls = []
+
+        @_content_cached(3)
+        def double(x):
+            calls.append(float(x[0]))
+            return 2.0 * x
+
+        for v in (0.0, 1.0, 2.0, 0.0, 3.0):
+            double(np.array([v]))
+        assert calls == [0.0, 1.0, 2.0, 3.0]
+        # 1 was least recently used, so 3 pushed it out; 0 was read again
+        double(np.array([0.0]))
+        double(np.array([1.0]))
+        assert calls == [0.0, 1.0, 2.0, 3.0, 1.0]
+        assert double.cache_info().currsize == 3
+
+    def test_arrays_in_the_result_are_read_only(self):
+        @_content_cached(4)
+        def parts(x):
+            return x + 1.0, 2.0 * x, "label"
+
+        @_content_cached(4)
+        def single(x):
+            return x + 1.0
+
+        x = np.array([1.0, 2.0])
+        first, second, label = parts(x)
+        for out in (first, second, single(x)):
+            with pytest.raises(ValueError):
+                out[0] = 0.0
+        assert label == "label"
+        np.testing.assert_array_equal(parts(x)[0], [2.0, 3.0])
+        assert parts(x)[0] is first
+
+    def test_shape_is_part_of_the_key(self):
+        calls = []
+
+        @_content_cached(4)
+        def total(x):
+            calls.append(x.shape)
+            return float(x.sum())
+
+        x = np.arange(4.0)
+        assert total(x) == total(list(x)) == total(x.reshape(2, 2)) == 6.0
+        assert calls == [(4,), (2, 2)]
+
+    def test_error_is_not_kept(self):
+        calls = []
+
+        @_content_cached(4)
+        def failing(x):
+            calls.append(1)
+            raise EvaluationError("no value here")
+
+        for count in (1, 2):
+            with pytest.raises(EvaluationError):
+                failing(np.zeros(2))
+            assert len(calls) == count
+        assert failing.cache_info().currsize == 0
+
+    def test_threads_share_a_full_memo(self):
+        # 8 threads read 8 points through 4 entries, so nearly every call
+        # evicts; a short switch interval interleaves them mid-call
+        @_content_cached(4)
+        def double(x):
+            return 2.0 * x
+
+        points = [np.array([float(k), -float(k)]) for k in range(8)]
+        barrier = threading.Barrier(8)
+        errors, wrong = [], []
+
+        def hammer(offset):
+            try:
+                barrier.wait()
+                for i in range(400):
+                    w = points[(i + offset) % len(points)]
+                    if not np.array_equal(double(w), 2.0 * w):
+                        wrong.append(w)
+            except Exception as exc:  # any error fails the test
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+        assert double.cache_info().currsize == 4
 
 
 class TestVectorField:

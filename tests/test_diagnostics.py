@@ -175,6 +175,11 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError, match="error at tau = 0.05 must be positive and finite"):
             fit_slope([0.1, 0.05, 0.025], [1e-2, bad, 1e-3])
 
+    def test_lists_of_unequal_lengths_are_named(self):
+        # used to raise numpy's TypeError from inside polyfit
+        with pytest.raises(ValueError, match="got 3 tau values but 2 errors"):
+            fit_slope([0.1, 0.05, 0.025], [1e-2, 1e-3])
+
     def test_slopes_are_reproducible(self, osc_system):
         def run():
             return convergence_order(

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import weakref
 
 import numpy as np
@@ -31,7 +33,8 @@ from birkhoff import (
 )
 from birkhoff import genscheme
 from birkhoff.diagnostics import fit_slope
-from birkhoff.genscheme import MEMO_SIZE, _memoized
+from birkhoff.core import _content_cached
+from birkhoff.genscheme import MEMO_SIZE
 from birkhoff.newton import newton_solve
 from pendulum_chain import chain_system, sheared_chain
 
@@ -331,7 +334,7 @@ class TestMemoized:
     def test_overflow_evicts_only_the_oldest_point(self):
         calls = []
 
-        @_memoized
+        @_content_cached(MEMO_SIZE)
         def double(w):
             calls.append(w[0])
             return 2.0 * w
@@ -344,6 +347,36 @@ class TestMemoized:
         assert len(calls) == MEMO_SIZE + 1
         double(points[0])
         assert len(calls) == MEMO_SIZE + 2
+
+    @pytest.mark.parametrize("order", itertools.permutations(range(3)), ids=str)
+    def test_one_record_per_identity_point(self, order, monkeypatch):
+        # phi0, its Jacobian and phi1 read one record: at a fresh w, the
+        # first of them, and any order of all three, costs one identity
+        # solve, one set of inverse blocks and one evaluation of the functional
+        calls = dict.fromkeys(("newton_solve", "a_functional", "inverse_blocks"), 0)
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        for name in ("newton_solve", "a_functional"):
+            monkeypatch.setattr(genscheme, name, counted(name, getattr(genscheme, name)))
+        base = oscillator_alpha(NU)
+        alpha = dataclasses.replace(
+            base, inverse_blocks=counted("inverse_blocks", base.inverse_blocks)
+        )
+        cs = coefficients(oscillator_system(NU), alpha, 0.3, 1)
+        readers = (cs.coeffs[0], cs.coeff_jacobians[0], cs.coeffs[1])
+        w = np.array([0.25, -0.5])
+        once = {"newton_solve": 1, "a_functional": 1, "inverse_blocks": 1}
+        readers[order[0]](w)
+        assert calls == once
+        for k in order[1:]:
+            readers[k](w)
+        assert calls == once
 
 
 class TestAssemblePsi:

@@ -267,3 +267,23 @@ class TestQuadratureRule:
         with pytest.raises(ValueError, match="quad_nodes"):
             fn(oscillator_raw(), PhasePoint([1.0, 1.0], 0.0), quad_nodes=quad_nodes)
 
+
+
+@pytest.mark.parametrize("fn", [reconstruct_f, reconstruct_b], ids=lambda f: f.__name__)
+def test_point_of_another_dimension_rejected_before_evaluation(fn):
+    # a 4-vector on the 1-dof oscillator used to fail inside numpy's matmul
+    # or inside the user's D
+    calls = []
+    base = oscillator_raw()
+
+    def counted(name, f):
+        def wrapped(z, t):
+            calls.append(name)
+            return f(z, t)
+
+        return wrapped
+
+    raw = RawFirstOrderSystem(1, counted("K", base.K), counted("D", base.D))
+    with pytest.raises(ValueError, match="sample dimension 4 does not match system dimension 2"):
+        fn(raw, PhasePoint(np.ones(4), 0.0))
+    assert calls == []

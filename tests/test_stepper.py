@@ -28,7 +28,7 @@ from birkhoff import (
     step_jacobian,
     symplectic_residual,
 )
-from birkhoff.core import _det_margin_of
+from birkhoff.core import _det_margin
 from pendulum_chain import chain_system, rk4_state, sheared_chain
 
 NU = 0.5
@@ -205,11 +205,35 @@ class TestIntegrate:
             "B": {"D": None, "grad_b": None},
             "F": {"D": None, "df_dt": None},
         }.get(name, {})
-        message = f"{name} returned non-finite values"
-        if name == "B":
-            message = "B returned a non-finite value"
         system = dataclasses.replace(base, **{name: poisoned}, **dropped)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.0, order)
+        with pytest.raises(EvaluationError, match=f"{name} returned non-finite values") as info:
+            integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
+        assert info.value.step_index == 3
+        assert info.value.trajectory.steps == 3
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.ones(2), r"B must return shape \(\), got \(2,\)"),
+            (np.ones((1, 1)), r"B must return shape \(\), got \(1, 1\)"),
+            (None, "B returned non-finite values"),
+        ],
+        ids=["shape-2", "shape-1x1", "none"],
+    )
+    def test_misshapen_b_raises_evaluation_error(self, bad, message):
+        # B is read through the check every callable shares; it used to
+        # raise a bare TypeError here, with no step index attached.  B is
+        # differenced when neither D nor grad_b is supplied
+        base = oscillator_system(NU)
+
+        def broken(z, t):
+            return bad if t > 0.29 else base.B(z, t)
+
+        system = dataclasses.replace(base, B=broken, D=None, grad_b=None)
+        with pytest.raises(EvaluationError, match=message):
+            system.b_at(np.array([1.0, 0.0]), 0.3)
+        scheme = make_scheme(system, oscillator_alpha(NU), 0.0, 1)
         with pytest.raises(EvaluationError, match=message) as info:
             integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
         assert info.value.step_index == 3
@@ -418,7 +442,7 @@ class TestStepJacobian:
         # step's Newton matrix).  Solving with diag(P(t), P(t0)) on every
         # inverse call and testing every matrix afresh took 53, 333, 32 and
         # 200 solves and 25, 147, 16 and 90 slogdet calls here
-        _det_margin_of.cache_clear()
+        _det_margin.cache_clear()
         calls = {"solve": 0, "slogdet": 0}
 
         def counted(name):
@@ -460,11 +484,14 @@ class TestStepJacobian:
         scheme = make_scheme(oscillator_system(NU), alpha, 0.3, 2)
         step(oscillator_system(NU), scheme, np.array([0.7, -1.3]), 0.3, 0.1)
         assert calls == {"forward": 3, "inverse": 84, "inverse_blocks": 30, "blocks": 55}
-        # one identity point and its Jacobian: one inverse image for the
-        # solve, which takes no update, and one set of inverse blocks
+        # one identity point's record (phi0, its Jacobian and phi1): one
+        # inverse image for the solve, which takes no update, one set of
+        # inverse blocks, and the functional's inverse image and blocks.
+        # Reading the Jacobian alone, before phi1 joined the record, took
+        # 1 inverse and 0 blocks calls
         calls.update(dict.fromkeys(names, 0))
         scheme.coefficients.coeff_jacobians[0](np.array([0.25, -0.5]))
-        assert calls == {"forward": 0, "inverse": 1, "inverse_blocks": 1, "blocks": 0}
+        assert calls == {"forward": 0, "inverse": 2, "inverse_blocks": 1, "blocks": 1}
 
     def test_lost_transversality_raises(self):
         # zero gradient coefficients make the step a fixed point of the
