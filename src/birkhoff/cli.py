@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import stepper
-from .core import BirkhoffSystem, PhasePoint
-from .diagnostics import convergence_order, symplectic_residual
+from .core import BirkhoffSystem, PhasePoint, _require_dim
+from .diagnostics import _fmt, convergence_order, symplectic_residual
 from .errors import BirkhoffError, InconsistencyError
 from .genscheme import make_scheme
 from .oscillator import (
@@ -61,6 +61,9 @@ class SystemBundle:
 
 
 def _damped_oscillator(nu: float, perturb: float) -> SystemBundle:
+    # perturb is the one input no library call reads
+    if not np.isfinite(perturb):
+        raise ConfigError(f"perturb must be finite, got {perturb!r}")
     system = oscillator_system(nu)
     alpha = oscillator_alpha(nu)
     if perturb:
@@ -91,16 +94,6 @@ def _parse_vector(text: str) -> Tuple[float, ...]:
         raise ConfigError(f"cannot parse vector {text!r}; expected comma-separated floats")
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not np.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {text!r}")
-    return value
-
-
 class Option(NamedTuple):
     """One option: flag ``--name`` (underscores as dashes) and config key ``name``."""
 
@@ -116,22 +109,22 @@ STATE_COMMANDS = ("integrate", "convergence", "reconstruct")
 # the subcommand flags in --help order; a config file may set any of them
 OPTIONS = (
     Option("system", str, "damped-oscillator", "built-in system selector (damped-oscillator)"),
-    Option("nu", _finite_float, 0.5, "damping coefficient of the built-in system"),
+    Option("nu", float, 0.5, "damping coefficient of the built-in system"),
     Option("config", str, None, "optional key=value config file; flags win"),
-    Option("perturb", _finite_float, 0.0, "perturb D_2 by this factor times z_1",
+    Option("perturb", float, 0.0, "perturb D_2 by this factor times z_1",
            ("check", "reconstruct")),
     Option("out", str, None, "output file path (default: stdout)", ("integrate", "convergence")),
     Option("scheme", str, "generating-2", "|".join(SCHEME_CHOICES), ("integrate", "convergence")),
     Option("z0", _parse_vector, (1.0, 0.0), "initial state or phase point, comma separated",
            STATE_COMMANDS),
-    Option("t0", _finite_float, 0.0, "initial time or time of the phase point", STATE_COMMANDS),
-    Option("tau", _finite_float, 0.01, "step size", ("integrate",)),
+    Option("t0", float, 0.0, "initial time or time of the phase point", STATE_COMMANDS),
+    Option("tau", float, 0.01, "step size", ("integrate",)),
     Option("steps", int, 100, "number of steps", ("integrate",)),
-    Option("tol", _finite_float, 1e-7, "violation tolerance", ("check",)),
+    Option("tol", float, 1e-7, "violation tolerance", ("check",)),
     Option("samples", int, 50, "number of random sample points", ("check",)),
     Option("seed", int, 0, "sampling seed", ("check",)),
     Option("tau_list", _parse_vector, (), "decreasing step sizes", ("convergence",)),
-    Option("horizon", _finite_float, 1.0, "integration horizon from t0", ("convergence",)),
+    Option("horizon", float, 1.0, "integration horizon from t0", ("convergence",)),
 )
 # the keys a config file may set: every option but the config file itself
 OPTION_TYPES = {opt.name: opt.type for opt in OPTIONS if opt.name != "config"}
@@ -187,20 +180,6 @@ def _build_step_maps(bundle: SystemBundle, cfg: argparse.Namespace, tau: float):
     return (lambda z, t: matrix @ z), (lambda z, t: matrix)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _phase_vector(cfg: argparse.Namespace, dim: int) -> np.ndarray:
-    """``cfg.z0`` as an array, which must have length ``dim`` and finite entries."""
-    z0 = np.asarray(cfg.z0, dtype=float)
-    if z0.shape != (dim,):
-        raise ConfigError(f"z0 must have length {dim} for system {cfg.system!r}")
-    if not np.isfinite(z0).all():
-        raise ConfigError(f"z0 entries must be finite, got {','.join(map(str, cfg.z0))}")
-    return z0
-
-
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -212,7 +191,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 def cmd_integrate(cfg: argparse.Namespace) -> int:
     bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
     dim = bundle.system.dim
-    z0 = _phase_vector(cfg, dim)
+    z0 = _require_dim(bundle.system, cfg.z0)
     advance, jacobian = _build_step_maps(bundle, cfg, cfg.tau)
 
     def certify(z, t_k, z_next):
@@ -274,7 +253,7 @@ def cmd_check(cfg: argparse.Namespace) -> int:
 def cmd_convergence(cfg: argparse.Namespace) -> int:
     taus = tuple(cfg.tau_list) or (0.1, 0.05, 0.025, 0.0125)
     bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
-    z0 = _phase_vector(cfg, bundle.system.dim)
+    z0 = _require_dim(bundle.system, cfg.z0)
 
     def factory(tau: float):
         advance, _ = _build_step_maps(bundle, cfg, tau)
@@ -293,7 +272,7 @@ def cmd_convergence(cfg: argparse.Namespace) -> int:
 
 def cmd_reconstruct(cfg: argparse.Namespace) -> int:
     bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
-    point = PhasePoint(_phase_vector(cfg, bundle.raw.dim), cfg.t0)
+    point = PhasePoint(cfg.z0, cfg.t0)
     f_vec = reconstruct_f(bundle.raw, point)
     print("F = (" + ", ".join(f"{v:.12g}" for v in f_vec) + ")")
     try:

@@ -141,9 +141,31 @@ def _positive_int(name: str, value) -> int:
     return int(value)
 
 
+def _require_dim(sys, z) -> Array:
+    """``z`` as a float array; ValueError unless it is a state vector of ``sys.dim`` entries.
+
+    ``sys`` is any system with a ``dim``.  Checked before any evaluation,
+    so a state of another length never reaches the user's callables.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.shape != (sys.dim,):
+        raise ValueError(f"state of shape {z.shape} does not match system dimension {sys.dim}")
+    return z
+
+
 def _checked(name: str, fn: Callable, z: Array, t: float, shape: tuple) -> Array:
-    """``fn(z, t)`` as a float array; EvaluationError unless of ``shape`` and finite."""
-    out = np.asarray(fn(np.asarray(z, dtype=float), t), dtype=float)
+    """``fn(z, t)`` as a float array; EvaluationError unless real, of ``shape`` and finite.
+
+    A result of any dtype but bool, integer or float is rejected before
+    conversion: text would be parsed as numbers and a complex value would
+    lose its imaginary part.
+    """
+    out = np.asarray(fn(np.asarray(z, dtype=float), t))
+    # a float result, the usual one, skips the dtype test and the conversion
+    if out.dtype != float:
+        if out.dtype.kind not in "biuf":
+            raise EvaluationError(f"{name} must return real numbers, got dtype {out.dtype}")
+        out = out.astype(float)
     if out.shape != shape:
         raise EvaluationError(f"{name} must return shape {shape}, got {out.shape}")
     if not np.isfinite(out).all():
@@ -154,12 +176,12 @@ def _checked(name: str, fn: Callable, z: Array, t: float, shape: tuple) -> Array
 def k_from_f(sys: BirkhoffSystem, p: PhasePoint) -> Array:
     """Structure matrix from the antisymmetrized Jacobian of F.
 
-    K[i, j] = dF_j/dz_i - dF_i/dz_j, by central differences.  The result
-    is symmetrized as (M - M^T)/2 so antisymmetry holds exactly.
+    K[i, j] = dF_j/dz_i - dF_i/dz_j, by central differences; as the
+    difference of a matrix and its transpose, the result is exactly
+    antisymmetric.
     """
     jac = numdiff.jacobian(lambda y: sys.f_at(y, p.t), p.z)  # jac[i, j] = dF_i/dz_j
-    k = jac.T - jac
-    return 0.5 * (k - k.T)
+    return jac.T - jac
 
 
 def _content_cached(maxsize: int):
@@ -242,8 +264,11 @@ def require_nonsingular(mat: Array, error: Callable[[float], Exception]) -> None
 
 
 def regularity(sys: BirkhoffSystem, p: PhasePoint):
-    """Determinant of K at p and whether K passes :func:`det_nonzero`."""
-    k = sys.k_at(p.z, p.t)
+    """Determinant of K at p and whether K passes :func:`det_nonzero`.
+
+    A point whose length is not the system's raises ``ValueError``.
+    """
+    k = sys.k_at(_require_dim(sys, p.z), p.t)
     return float(np.linalg.det(k)), det_nonzero(k)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BirkhoffSystem
+from .core import BirkhoffSystem, _require_dim
 from .stepper import StepMap, run
 
 Array = np.ndarray
@@ -50,13 +50,9 @@ def symplectic_residual(
     order-2 steps of size 0.01 whose states match the closed form.
     """
     M = np.asarray(M, dtype=float)
-    z = np.asarray(z, dtype=float)
-    z_new = np.asarray(z_new, dtype=float)
-    dim = sys.dim
-    if M.shape != (dim, dim) or z.shape != (dim,) or z_new.shape != (dim,):
-        raise ValueError(
-            f"dimension mismatch: expected ({dim}, {dim}) Jacobian and length-{dim} states"
-        )
+    z, z_new = _require_dim(sys, z), _require_dim(sys, z_new)
+    if M.shape != (sys.dim, sys.dim):
+        raise ValueError(f"expected a ({sys.dim}, {sys.dim}) Jacobian, got shape {M.shape}")
     return float(np.linalg.norm(M.T @ sys.k_at(z_new, t1) @ M - sys.k_at(z, t0), np.inf))
 
 
@@ -159,16 +155,18 @@ def compare(
     return rows
 
 
+def _fmt(value: Optional[float]) -> str:
+    """``value`` to 17 significant digits, which round-trip a float; "" for None."""
+    return "" if value is None else format(float(value), ".17g")
+
+
 def rows_to_csv(rows: Sequence[CompareRow]) -> str:
     """Comparison rows as CSV with full-precision numeric columns."""
-    def fmt(value):
-        return "" if value is None else format(float(value), ".17g")
-
     lines = ["name,final_error,max_residual,runtime_s,error"]
     for row in rows:
         message = "" if row.error is None else row.error.replace("\n", " ").replace(",", ";")
         lines.append(
-            f"{row.name},{fmt(row.final_error)},{fmt(row.max_residual)},"
-            f"{fmt(row.runtime_s)},{message}"
+            f"{row.name},{_fmt(row.final_error)},{_fmt(row.max_residual)},"
+            f"{_fmt(row.runtime_s)},{message}"
         )
     return "\n".join(lines) + "\n"

@@ -27,7 +27,7 @@ from . import numdiff
 from .core import BirkhoffSystem, _content_cached, velocity
 from .errors import UnsupportedOrderError
 from .newton import newton_solve
-from .transform import AlphaTransform, require_transversal
+from .transform import AlphaTransform, require_same_n, require_transversal
 
 Array = np.ndarray
 
@@ -51,14 +51,9 @@ class CoefficientSet:
     coeff_jacobians: Tuple[Callable[[Array], Array], ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"need {self.order + 1} coefficient callables, got {len(self.coeffs)}"
-            )
-        if len(self.coeff_jacobians) != self.order + 1:
-            raise ValueError(
-                f"need {self.order + 1} Jacobian callables, got {len(self.coeff_jacobians)}"
-            )
+        for kind, fns in (("coefficient", self.coeffs), ("Jacobian", self.coeff_jacobians)):
+            if len(fns) != self.order + 1:
+                raise ValueError(f"need {self.order + 1} {kind} callables, got {len(fns)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,11 +68,6 @@ class GeneratingScheme:
     alpha: AlphaTransform
     coefficients: CoefficientSet
     rebase: Optional[Callable[[float], CoefficientSet]] = None
-
-    @property
-    def order(self) -> int:
-        """Truncation order, that of the coefficient set."""
-        return self.coefficients.order
 
     def psi_w(self, w: Array, tau: float) -> Array:
         """Truncated gradient sum_k tau^k phi_w^(k)(w)."""
@@ -175,8 +165,7 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         raise UnsupportedOrderError(
             f"generic coefficient recursion supports orders 1..{MAX_ORDER}, got {m}"
         )
-    if alpha.n != sys.n:
-        raise ValueError(f"transform has n = {alpha.n} but the system has n = {sys.n}")
+    require_same_n(alpha, sys)
     t0 = float(t0)
 
     @_content_cached(MEMO_SIZE)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numdiff
-from .core import PhasePoint, _checked, _frozen, _positive_int
+from .core import PhasePoint, _checked, _frozen, _positive_int, _require_dim
 from .errors import InconsistencyError
 
 Array = np.ndarray
@@ -96,7 +96,7 @@ def check_self_adjointness(
 
     antisym = closure = time_curl = (0.0, None)
     for idx, p in enumerate(samples):
-        _require_dim(raw, p)
+        _require_dim(raw, p.z)
         k = raw.k_at(p.z, p.t)
         antisym = _worse(antisym, idx, np.abs(k + k.T))
 
@@ -113,12 +113,6 @@ def check_self_adjointness(
 
     values, where = zip(antisym, closure, time_curl)
     return SelfAdjointReport(*values, max(values) <= tol, samples, float(tol), *where)
-
-
-def _require_dim(raw: RawFirstOrderSystem, p: PhasePoint) -> None:
-    """ValueError unless the phase point has the system's dimension."""
-    if p.z.size != raw.dim:
-        raise ValueError(f"sample dimension {p.z.size} does not match system dimension {raw.dim}")
 
 
 def _worse(worst: tuple, idx: int, magnitudes: Array) -> tuple:
@@ -159,7 +153,7 @@ def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32)
     positive integer raises ``ValueError``, and so does a point whose
     dimension is not the system's.
     """
-    _require_dim(raw, p)
+    _require_dim(raw, p.z)
     lam, wgt = _quadrature_rule(quad_nodes)
     acc = np.zeros(raw.dim)
     for lam_i, w_i in zip(lam, wgt):
@@ -187,7 +181,7 @@ def reconstruct_b(
     non-self-adjoint input.  A point whose dimension is not the system's
     raises ``ValueError`` before any evaluation.
     """
-    _require_dim(raw, p)
+    _require_dim(raw, p.z)
     lam, wgt = _quadrature_rule(quad_nodes)
 
     def b_value(z: Array) -> float:

@@ -16,13 +16,12 @@ a step map along the grid.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .core import BirkhoffSystem, velocity
+from .core import BirkhoffSystem, _positive_int, _require_dim, velocity
 from .errors import BirkhoffError, NewtonError, StepFailure
 from .genscheme import GeneratingScheme
 from .newton import newton_solve
@@ -84,12 +83,13 @@ def step(
 ) -> Array:
     """Advance z from t_k to t_k + tau through the implicit relation.
 
-    Raises :class:`StepFailure` when the Newton iteration does not
-    converge; the exception carries the last iterate and residual norm.
-    Raises :class:`TransversalityError` when the Newton matrix
-    A - Psi_ww C at an iterate fails the nonsingularity test.
+    A z whose length is not the system's raises ``ValueError`` before any
+    evaluation.  Raises :class:`StepFailure` when the Newton iteration
+    does not converge; the exception carries the last iterate and
+    residual norm.  Raises :class:`TransversalityError` when the Newton
+    matrix A - Psi_ww C at an iterate fails the nonsingularity test.
     """
-    z = np.asarray(z, dtype=float)
+    z = _require_dim(sys, z)
     if tau == 0.0:
         return z.copy()
     sch = scheme.at(t_k)
@@ -128,10 +128,7 @@ def run(
     and ``trajectory`` holding the states (and residuals) accepted before
     it.
     """
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
+    n_steps = _positive_int("n_steps", n_steps)
     states = [np.asarray(z0, dtype=float)]
     _check_grid(t0, tau, states[0])
     residuals = None if certify is None else []
@@ -206,11 +203,11 @@ def step_jacobian(
     condition |A - Psi_ww C| != 0 raises :class:`TransversalityError`.
     The coefficients at the converged w are already memoized by the
     solve, so beyond the step itself only the Hessian of the top-order
-    coefficient is new work.
+    coefficient is new work.  :func:`step` checks z.
     """
-    z = np.asarray(z, dtype=float)
-    if tau == 0.0:
-        return np.eye(z.size)
     z_new = step(sys, scheme, z, t_k, tau)
+    if tau == 0.0:
+        return np.eye(z_new.size)
+    z = np.asarray(z, dtype=float)
     lhs, rhs = _linearization(scheme.at(t_k), z_new, z, t_k, tau)
     return np.linalg.solve(lhs, rhs)

@@ -17,7 +17,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import numdiff
-from .core import BirkhoffSystem, _checked, _frozen, _positive_int, det_nonzero, require_nonsingular
+from .core import (
+    BirkhoffSystem, _checked, _frozen, _positive_int, _require_dim, det_nonzero, require_nonsingular
+)
 from .errors import EvaluationError, TransversalityError
 
 Array = np.ndarray
@@ -30,8 +32,8 @@ _TIME_CACHE_SIZE = 4
 
 def canonical_j(dim: int) -> Array:
     """The canonical antisymmetric pairing [[0, I], [-I, 0]] of even size dim."""
-    if dim < 2 or dim % 2:
-        raise ValueError("dim must be a positive even integer")
+    if _positive_int("dim", dim) % 2:
+        raise ValueError(f"dim must be even, got {dim}")
     half = dim // 2
     j = np.zeros((dim, dim))
     j[:half, half:] = np.eye(half)
@@ -86,8 +88,12 @@ def alpha_verify(
 
     Returns ``|| alpha_*^T J_4n alpha_* - diag(K(z_new,t), -K(z_old,t0)) ||_inf``.
     Zero (to roundoff) certifies that alpha carries graphs of
-    K-structure-preserving maps to graphs of gradient maps.
+    K-structure-preserving maps to graphs of gradient maps.  A transform
+    whose n is not the system's, or a state whose length is not, raises
+    ``ValueError``.
     """
+    require_same_n(alpha, sys)
+    z_new, z_old = _require_dim(sys, z_new), _require_dim(sys, z_old)
     jac = alpha.jacobian(z_new, z_old, t, t0)
     j4n = canonical_j(4 * alpha.n)
     dim = alpha.dim
@@ -95,6 +101,12 @@ def alpha_verify(
     ktilde[:dim, :dim] = sys.k_at(z_new, t)
     ktilde[dim:, dim:] = -sys.k_at(z_old, t0)
     return float(np.linalg.norm(jac.T @ j4n @ jac - ktilde, np.inf))
+
+
+def require_same_n(alpha: AlphaTransform, sys: BirkhoffSystem) -> None:
+    """ValueError unless the transform and the system have the same n."""
+    if alpha.n != sys.n:
+        raise ValueError(f"transform has n = {alpha.n} but the system has n = {sys.n}")
 
 
 def sigma(blocks: Blocks, mat: Array) -> Array:
@@ -261,31 +273,21 @@ def scaled_canonical_alpha(
         w_hat = (lam(t) p1 - lam(t0) p0,  q1 - q0)
         w     = ((q1 + q0) / 2,  -(lam(t) p1 + lam(t0) p0) / 2)
 
-    ``lam`` must stay positive; ``lam_dot`` defaults to a central
-    difference of ``lam``.  Both must be pure functions of t, each
-    evaluated once per time.
+    ``lam`` must stay positive; with ``lam_dot``, dP/dt(t) is
+    diag(0, lam_dot(t) I), and without it :func:`darboux_alpha`
+    differences P.  Both must be pure functions of t, each evaluated once
+    per time; darboux_alpha checks that P and dP/dt are finite.
     """
-    if lam_dot is None:
-        lam_dot = lambda t: float(numdiff.time_derivative(lambda s: lam(s), t))  # noqa: E731
 
-    def _lam(t: float) -> float:
+    def p(t: float) -> Array:
         value = float(lam(t))
-        if not np.isfinite(value):
-            raise EvaluationError(f"time scaling evaluated non-finite: lam({t}) = {value}")
+        # the row-normalized determinant of diag(1, lam) does not see a
+        # lam that crosses zero, so its sign is checked here; a NaN passes
+        # on to darboux_alpha's finiteness check
         if value <= 0.0:
             raise EvaluationError(f"time scaling must be positive, got lam({t}) = {value}")
-        return value
+        return np.diag(np.repeat([1.0, value], n))
 
-    def _lam_dot(t: float) -> float:
-        value = float(lam_dot(t))
-        if not np.isfinite(value):
-            raise EvaluationError(
-                f"time scaling derivative evaluated non-finite: lam_dot({t}) = {value}"
-            )
-        return value
-
-    return darboux_alpha(
-        lambda t: np.diag(np.repeat([1.0, _lam(t)], n)),
-        n,
-        lambda t: np.diag(np.repeat([0.0, _lam_dot(t)], n)),
-    )
+    if lam_dot is None:
+        return darboux_alpha(p, n)
+    return darboux_alpha(p, n, lambda t: np.diag(np.repeat([0.0, float(lam_dot(t))], n)))

@@ -274,10 +274,18 @@ class TestReconstruct:
     def test_perturbed_system_fails_consistency(self, capsys):
         assert main(["reconstruct", "--nu", "0.5", "--z0", "1,1", "--perturb", "0.1"]) == 3
 
-    @pytest.mark.parametrize("z0", ["1,1,1", "1,nan"])
-    def test_bad_phase_point_is_a_configuration_error(self, z0, capsys):
+    @pytest.mark.parametrize(
+        "z0, message",
+        [
+            pytest.param("1,1,1", "phase vector must have even positive length, got shape (3,)",
+                         id="1,1,1"),
+            pytest.param("1,nan", "phase point entries must be finite", id="1,nan"),
+        ],
+    )
+    def test_bad_phase_point_is_a_configuration_error(self, z0, message, capsys):
+        # PhasePoint, which reads z0, checks it
         assert main(["reconstruct", "--nu", "0.5", "--z0", z0]) == 1
-        assert capsys.readouterr().err.startswith("configuration error: z0 ")
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_point_fails_consistency(self, capsys):
@@ -361,6 +369,7 @@ class TestErrorBoundary:
             pytest.param(["integrate", "--steps", "2", "--tau", "nan"], None, id="tau-nan"),
             pytest.param(["integrate", "--steps", "2", "--t0", "inf"], None, id="t0-inf"),
             pytest.param(["check", "--nu", "nan"], None, id="nu-nan"),
+            pytest.param(["check", "--perturb", "inf"], None, id="perturb-inf"),
             pytest.param(["check", "--tol", "nan"], None, id="tol-nan"),
             pytest.param(["convergence", "--horizon", "nan"], None, id="horizon-nan"),
             pytest.param(["integrate", "--steps", "2"], "tau = inf\n", id="config-tau-inf"),
@@ -380,15 +389,22 @@ class TestErrorBoundary:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["integrate", "--steps", "0"], "n_steps must be at least 1"),
+            (["integrate", "--steps", "0"], "n_steps must be a positive integer, got 0"),
             (["integrate", "--tau", "0"], "finite positive tau"),
             (["check", "--samples", "0"], "sample set must be non-empty"),
             (["convergence", "--horizon", "0"], "horizon must be finite"),
             (["convergence", "--horizon", "-1"], "horizon must be finite"),
             (["convergence", "--tau-list", "0.1,0.05"], "at least 3 step sizes"),
             (["convergence", "--z0", "0,0"], "error at tau = 0.1 must be positive and finite"),
+            (
+                ["integrate", "--z0", "1,2,3", "--scheme", "closed-first"],
+                "state of shape (3,) does not match system dimension 2",
+            ),
         ],
-        ids=["steps-0", "tau-0", "samples-0", "horizon-0", "horizon-neg", "two-taus", "zero-error"],
+        ids=[
+            "steps-0", "tau-0", "samples-0", "horizon-0", "horizon-neg", "two-taus", "zero-error",
+            "z0-length",
+        ],
     )
     def test_out_of_range_input_fails_the_library_check(self, argv, message, capsys):
         # the library call that reads each input is the one place that checks it

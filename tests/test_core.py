@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -68,6 +69,25 @@ class TestSystemValidation:
         assert built.n == 2 and type(built.n) is int
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        pytest.param("B", lambda z, t: "1.5", id="text-B"),
+        pytest.param("F", lambda z, t: ["1", "2"], id="string-list-F"),
+        pytest.param("K", lambda z, t: np.array([[0.0, -1j], [1j, 0.0]]), id="complex-K"),
+        pytest.param("D", lambda z, t: np.array([1.0, None]), id="object-D"),
+    ],
+)
+def test_user_output_that_is_not_real_numbers_rejected(name, bad):
+    # "1.5" and ["1", "2"] used to be parsed as numbers and a complex K
+    # lost its imaginary part with only a ComplexWarning
+    system = dataclasses.replace(oscillator_system(NU), **{name: bad})
+    read = {"B": system.b_at, "F": system.f_at, "K": system.k_at, "D": system.d_at}[name]
+    message = f"{name} must return real numbers, got dtype {np.asarray(bad(None, 0.0)).dtype}"
+    with pytest.raises(EvaluationError, match=message):
+        read(np.array([1.0, 0.0]), 0.3)
+
+
 class TestKFromF:
     def test_damped_oscillator_at_time_zero(self, osc_system):
         k = k_from_f(osc_system, PhasePoint([1.0, 2.0], 0.0))
@@ -118,6 +138,11 @@ class TestRegularity:
         det, regular = regularity(osc_system, PhasePoint([1.0, 0.0], 0.0))
         assert regular
         assert det == pytest.approx(1.0, abs=1e-14)
+
+    def test_point_of_another_length_rejected(self, osc_system):
+        # the oscillator's K does not read z, so a 4-vector used to read regular
+        with pytest.raises(ValueError, match=r"state of shape \(4,\) does not match"):
+            regularity(osc_system, PhasePoint(np.zeros(4), 0.0))
 
     def test_determinant_grows_with_the_time_scaling(self, osc_system, rng):
         # det of the scaled canonical pair is the squared scaling factor

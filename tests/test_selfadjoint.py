@@ -78,7 +78,7 @@ class TestCheckSelfAdjointness:
 
     def test_sample_of_another_dimension_rejected(self):
         samples = [PhasePoint([0.5, -0.5], 0.1), PhasePoint([0.5, -0.5, 1.0, 0.0], 0.1)]
-        with pytest.raises(ValueError, match="sample dimension 4 does not match system dim"):
+        with pytest.raises(ValueError, match=r"state of shape \(4,\) does not match system dim"):
             check_self_adjointness(oscillator_raw(), samples)
 
     def test_high_dimension_constant_pairing_passes(self, rng):
@@ -284,6 +284,7 @@ def test_point_of_another_dimension_rejected_before_evaluation(fn):
         return wrapped
 
     raw = RawFirstOrderSystem(1, counted("K", base.K), counted("D", base.D))
-    with pytest.raises(ValueError, match="sample dimension 4 does not match system dimension 2"):
+    message = r"state of shape \(4,\) does not match system dimension 2"
+    with pytest.raises(ValueError, match=message):
         fn(raw, PhasePoint(np.ones(4), 0.0))
     assert calls == []

@@ -182,6 +182,39 @@ class TestIntegrate:
         assert failure.trajectory.steps == 3
         np.testing.assert_array_equal(failure.trajectory.states[0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda s, sch, z: step(s, sch, z, 0.0, 0.1), id="step"),
+            pytest.param(lambda s, sch, z: integrate(s, sch, z, 0.0, 0.1, 2), id="integrate"),
+            pytest.param(
+                lambda s, sch, z: step_jacobian(s, sch, z, 0.0, 0.1), id="step_jacobian"
+            ),
+        ],
+    )
+    def test_state_of_another_length_rejected_before_evaluation(self, call, size):
+        # a 3- or 4-vector on the 1-dof oscillator used to reach the user's
+        # D, which raised "too many values to unpack"
+        base = oscillator_system(NU)
+        calls = []
+
+        def counted(name):
+            fn = getattr(base, name)
+
+            def wrapped(z, t):
+                calls.append(name)
+                return fn(z, t)
+
+            return wrapped
+
+        system = dataclasses.replace(base, K=counted("K"), D=counted("D"))
+        scheme = make_scheme(system, oscillator_alpha(NU), 0.0, 1)
+        message = rf"state of shape \({size},\) does not match system dimension 2"
+        with pytest.raises(ValueError, match=message):
+            call(system, scheme, np.ones(size))
+        assert calls == []
+
     @pytest.mark.parametrize(
         "name, order",
         [(name, order) for name in ("K", "D", "grad_b", "df_dt") for order in (1, 2)]
@@ -217,7 +250,7 @@ class TestIntegrate:
         [
             (np.ones(2), r"B must return shape \(\), got \(2,\)"),
             (np.ones((1, 1)), r"B must return shape \(\), got \(1, 1\)"),
-            (None, "B returned non-finite values"),
+            (None, "B must return real numbers, got dtype object"),
         ],
         ids=["shape-2", "shape-1x1", "none"],
     )
@@ -280,7 +313,8 @@ class TestIntegrate:
         )
         system = oscillator_system(NU)
         scheme = make_scheme(system, alpha, 0.0, order)
-        with pytest.raises(EvaluationError, match=r"lam_dot\(0\.3") as info:
+        message = r"p_dot returned non-finite values at t=0\.3"
+        with pytest.raises(EvaluationError, match=message) as info:
             integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
         assert info.value.step_index == 3
         assert info.value.trajectory.steps == 3
@@ -327,7 +361,7 @@ class TestRun:
         def advance(z, t):
             raise AssertionError("no step may run")
 
-        with pytest.raises(ValueError, match="n_steps must be an integer"):
+        with pytest.raises(ValueError, match="n_steps must be a positive integer"):
             run(advance, np.zeros(2), 0.0, 0.1, n_steps)
 
     def test_numpy_integer_step_count_runs(self):

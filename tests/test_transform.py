@@ -61,6 +61,11 @@ class TestStructureMatrices:
         with pytest.raises(ValueError):
             canonical_j(3)
 
+    def test_float_dimension_rejected(self):
+        # 4.0 used to raise a bare TypeError from np.eye
+        with pytest.raises(ValueError, match="dim must be a positive integer, got 4.0"):
+            canonical_j(4.0)
+
 
 class TestAlphaVerify:
     def test_oscillator_transform_is_compatible(self, osc_alpha, osc_system, rng):
@@ -83,6 +88,19 @@ class TestAlphaVerify:
             identity_alpha(), sys1, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 0.0
         )
         assert residual == pytest.approx(2.0, abs=1e-15)
+
+    def test_transform_of_another_dimension_rejected(self, osc_system):
+        # a 2-dof transform on the 1-dof oscillator used to fail inside
+        # numpy on an array broadcast
+        alpha = scaled_canonical_alpha(lambda t: 1.0, 2)
+        with pytest.raises(ValueError, match="transform has n = 2 but the system has n = 1"):
+            alpha_verify(alpha, osc_system, np.zeros(4), np.zeros(4), 0.1, 0.0)
+
+    def test_state_of_another_length_rejected(self, osc_alpha, osc_system):
+        # the oscillator's blocks and K do not read z, so 3-vectors used to
+        # certify the transform with a residual of 0.0
+        with pytest.raises(ValueError, match="state of shape"):
+            alpha_verify(osc_alpha, osc_system, np.zeros(3), np.zeros(3), 0.1, 0.0)
 
     def test_unscaled_transform_matches_constant_pairing(self, rng):
         alpha = scaled_canonical_alpha(lambda t: 1.0, 1, lam_dot=lambda t: 0.0)
