@@ -70,12 +70,10 @@ class BirkhoffSystem:
         Structure matrix; derived from F by central differences when
         omitted.
     D : callable (z, t) -> vector, optional
-        Homogeneous-form right-hand side; ``-(grad B + dF/dt)`` when
-        omitted.
-    grad_b, df_dt : callables, optional
-        Analytic gradient of B and time derivative of F.  Analytic
-        callables always take precedence over finite differences; the
-        derived versions exist for consistency checking.
+        Homogeneous-form right-hand side; ``-(grad B + dF/dt)`` by central
+        differences of B and F when omitted.  A caller with analytic
+        derivatives of B and F passes
+        ``D=lambda z, t: -(grad_b(z, t) + df_dt(z, t))``.
 
     All evaluations are pure; instances are immutable and safe to share
     across threads.
@@ -86,8 +84,6 @@ class BirkhoffSystem:
     B: Callable[[Array, float], float]
     K: Optional[Callable[[Array, float], Array]] = None
     D: Optional[Callable[[Array, float], Array]] = None
-    grad_b: Optional[Callable[[Array, float], Array]] = None
-    df_dt: Optional[Callable[[Array, float], Array]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "n", _positive_int("n", self.n))
@@ -113,21 +109,14 @@ class BirkhoffSystem:
     def d_at(self, z: Array, t: float) -> Array:
         """Homogeneous-form right-hand side D, so that K dz/dt + D = 0.
 
-        The analytic D if supplied, else -(grad B + dF/dt) with analytic
-        ``grad_b``/``df_dt`` preferred over central differences of B and F.
+        The analytic D if supplied, else -(grad B + dF/dt) by central
+        differences of B and F.
         """
         if self.D is not None:
             return _checked("D", self.D, z, t, (self.dim,))
         z = np.asarray(z, dtype=float)
-        if self.grad_b is not None:
-            gb = _checked("grad_b", self.grad_b, z, t, (self.dim,))
-        else:
-            gb = numdiff.gradient(lambda y: self.b_at(y, t), z)
-        if self.df_dt is not None:
-            ft = _checked("df_dt", self.df_dt, z, t, (self.dim,))
-        else:
-            ft = numdiff.time_derivative(lambda s: self.f_at(z, s), t)
-        return -(gb + ft)
+        gb = numdiff.gradient(lambda y: self.b_at(y, t), z)
+        return -(gb + numdiff.time_derivative(lambda s: self.f_at(z, s), t))
 
 
 def _positive_int(name: str, value) -> int:
@@ -273,7 +262,12 @@ def regularity(sys: BirkhoffSystem, p: PhasePoint):
 
 
 def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
-    """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D."""
+    """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D.
+
+    A z whose length is not the system's raises ``ValueError`` before any
+    evaluation.
+    """
+    z = _require_dim(sys, z)
     k = sys.k_at(z, t)
     require_nonsingular(
         k, lambda det: RegularityError(f"structure matrix singular at t={t}: |det| = {det:.3e}")

@@ -14,7 +14,10 @@ class BirkhoffError(Exception):
 
 
 class EvaluationError(BirkhoffError):
-    """A user-supplied callable returned non-finite or misshaped values."""
+    """A user-supplied callable returned non-finite or misshaped values.
+
+    Also raised when no identity point of a transform's inverse is found.
+    """
 
 
 class RegularityError(BirkhoffError):
@@ -47,13 +50,18 @@ class NewtonError(BirkhoffError):
 
 
 class StepFailure(BirkhoffError):
-    """A one-step solve did not converge; carries the last iterate and residual norm."""
+    """A one-step solve did not converge.
 
-    def __init__(self, message: str, last_iterate, residual_norm: float, t: float):
+    Carries that solve's last iterate, residual norm and iteration count,
+    and the step's start time ``t``.
+    """
+
+    def __init__(self, message: str, last_iterate, residual_norm: float, t: float, iterations: int):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual_norm = residual_norm
         self.t = t
+        self.iterations = iterations
 
 
 class InconsistencyError(BirkhoffError):

@@ -19,13 +19,13 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from . import numdiff
 from .core import BirkhoffSystem, _content_cached, velocity
-from .errors import UnsupportedOrderError
+from .errors import EvaluationError, NewtonError, UnsupportedOrderError
 from .newton import newton_solve
 from .transform import AlphaTransform, require_same_n, require_transversal
 
@@ -42,32 +42,33 @@ class CoefficientSet:
 
     ``coeffs[k]`` maps w to the order-k coefficient vector;
     ``coeff_jacobians[k]`` maps w to its 2n x 2n Jacobian (each
-    coefficient is a gradient, so these are symmetric).
+    coefficient is a gradient, so these are symmetric).  The order m is
+    ``len(coeffs) - 1``; a set needs at least one coefficient and one
+    Jacobian per coefficient.
     """
 
     t0: float
-    order: int
     coeffs: Tuple[Callable[[Array], Array], ...]
     coeff_jacobians: Tuple[Callable[[Array], Array], ...]
 
     def __post_init__(self):
-        for kind, fns in (("coefficient", self.coeffs), ("Jacobian", self.coeff_jacobians)):
-            if len(fns) != self.order + 1:
-                raise ValueError(f"need {self.order + 1} {kind} callables, got {len(fns)}")
+        n_coeffs, n_jacs = len(self.coeffs), len(self.coeff_jacobians)
+        if not n_coeffs or n_jacs != n_coeffs:
+            raise ValueError(f"need 1+ coefficients, a Jacobian each, got {n_coeffs} and {n_jacs}")
 
 
 @dataclass(frozen=True, eq=False)
 class GeneratingScheme:
     """A truncated generating gradient bound to an alpha transform.
 
-    ``rebase`` (optional) rebuilds the coefficient set at a new expansion
-    time; steppers use it to re-expand at each grid point of a
-    nonautonomous integration.
+    ``rebase`` rebuilds the coefficient set at a new expansion time;
+    steppers use it to re-expand at each grid point of a nonautonomous
+    integration.
     """
 
     alpha: AlphaTransform
     coefficients: CoefficientSet
-    rebase: Optional[Callable[[float], CoefficientSet]] = None
+    rebase: Callable[[float], CoefficientSet]
 
     def psi_w(self, w: Array, tau: float) -> Array:
         """Truncated gradient sum_k tau^k phi_w^(k)(w)."""
@@ -81,11 +82,6 @@ class GeneratingScheme:
         """This scheme re-expanded at t0 (identity when t0 already matches)."""
         if t0 == self.coefficients.t0:
             return self
-        if self.rebase is None:
-            raise ValueError(
-                f"scheme expanded at t0={self.coefficients.t0} has no rebase factory; "
-                f"cannot re-expand at t0={t0}"
-            )
         return GeneratingScheme(self.alpha, self.rebase(t0), self.rebase)
 
 
@@ -140,7 +136,9 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     Any other transform that passes
     :func:`~birkhoff.transform.alpha_verify` works too, with Newton
     updates, as long as |A' - C'| != 0 there; otherwise the Jacobian
-    raises :class:`~birkhoff.errors.TransversalityError`.
+    raises :class:`~birkhoff.errors.TransversalityError`.  A Newton
+    failure there raises :class:`~birkhoff.errors.EvaluationError` naming
+    w and t0, chained to the :class:`~birkhoff.errors.NewtonError`.
     The order m must be an integer; a float or bool raises ``ValueError``.
 
     Each point w is evaluated once, as one record (phi^(0), S, phi^(1), g)
@@ -178,7 +176,10 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
             return a - c
 
         start = np.zeros_like(w)
-        phi0 = newton_solve(lambda w_hat: alpha.inverse(w_hat, w, t0, t0), start, jac)[0]
+        try:
+            phi0 = newton_solve(lambda w_hat: alpha.inverse(w_hat, w, t0, t0), start, jac)[0]
+        except NewtonError as exc:
+            raise EvaluationError(f"no identity point at w={w.tolist()}, t0={t0}: {exc}") from exc
         u, g = a_functional(sys, alpha, phi0, w, t0, t0)
         # z_new = z_old along w_hat = phi0(w), so differentiating the
         # inverse image gives (A' - C') S = D' - B'
@@ -227,7 +228,7 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
 
     coeffs = (phi0, phi1, phi2)[: m + 1]
     jacs = (phi0_jac, phi1_jac, phi2_jac)[: m + 1]
-    return CoefficientSet(t0=t0, order=m, coeffs=coeffs, coeff_jacobians=jacs)
+    return CoefficientSet(t0=t0, coeffs=coeffs, coeff_jacobians=jacs)
 
 
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:

@@ -59,20 +59,12 @@ def oscillator_system(nu: float) -> BirkhoffSystem:
         r, p = z
         return 0.5 * scale(t) * (r * r + nu * r * p + p * p)
 
-    def grad_b(z, t):
-        r, p = z
-        s = scale(t)
-        return np.array([s * (r + 0.5 * nu * p), s * (p + 0.5 * nu * r)])
-
-    def df_dt(z, t):
-        return nu * F(z, t)
-
     def D(z, t):
         r, p = z
         s = scale(t)
         return np.array([-s * (nu * p + r), -s * p])
 
-    return BirkhoffSystem(n=1, F=F, B=B, K=K, D=D, grad_b=grad_b, df_dt=df_dt)
+    return BirkhoffSystem(n=1, F=F, B=B, K=K, D=D)
 
 
 def oscillator_alpha(nu: float) -> AlphaTransform:

@@ -84,9 +84,9 @@ def step(
     """Advance z from t_k to t_k + tau through the implicit relation.
 
     A z whose length is not the system's raises ``ValueError`` before any
-    evaluation.  Raises :class:`StepFailure` when the Newton iteration
-    does not converge; the exception carries the last iterate and
-    residual norm.  Raises :class:`TransversalityError` when the Newton
+    evaluation.  Raises :class:`StepFailure` when the step's own Newton
+    iteration does not converge; the exception carries its last iterate,
+    residual norm and iteration count.  Raises :class:`TransversalityError` when the Newton
     matrix A - Psi_ww C at an iterate fails the nonsingularity test.
     """
     z = _require_dim(sys, z)
@@ -105,7 +105,8 @@ def step(
         z_new, _, _ = newton_solve(terms, guess, lambda y: _linearization(sch, y, z, t_k, tau)[0])
     except NewtonError as exc:
         raise StepFailure(
-            f"implicit step at t={t_k} failed: {exc}", exc.last_iterate, exc.residual_norm, t_k
+            f"implicit step at t={t_k} failed: {exc}",
+            exc.last_iterate, exc.residual_norm, t_k, exc.iterations,
         ) from exc
     return z_new
 

@@ -146,13 +146,19 @@ def transversality_equivalents(
 
         |C M + D| != 0,   |M C' - A'| != 0,
         |C' N + D'| != 0, |N C - A| != 0.
+
+    States whose length is not the transform's ``dim``, or an M or N
+    that is not ``dim`` x ``dim``, raise ``ValueError`` before any
+    evaluation.
     """
     z_new, z_old, t, t0 = at
+    z_new, z_old = _require_dim(alpha, z_new), _require_dim(alpha, z_old)
+    mat, nmat = np.asarray(mat, dtype=float), np.asarray(nmat, dtype=float)
+    if mat.shape != (alpha.dim, alpha.dim) or nmat.shape != mat.shape:
+        raise ValueError(f"need {alpha.dim} x {alpha.dim} M and N, got {mat.shape}, {nmat.shape}")
     a, b, c, d = alpha.blocks(z_new, z_old, t, t0)
     w_hat, w = alpha.forward(z_new, z_old, t, t0)
     ai, bi, ci, di = alpha.inverse_blocks(w_hat, w, t, t0)
-    mat = np.asarray(mat, dtype=float)
-    nmat = np.asarray(nmat, dtype=float)
     return (
         det_nonzero(c @ mat + d),
         det_nonzero(mat @ ci - ai),

@@ -117,9 +117,7 @@ def sheared_chain(analytic_p_dot=True, nu=NU):
     def D(z, t):
         return -(grad_b(z, t) - 0.5 * k_dot(t) @ z)
 
-    system = BirkhoffSystem(
-        n=n, F=lambda z, t: -0.5 * K(z, t) @ z, B=B, K=K, D=D, grad_b=grad_b
-    )
+    system = BirkhoffSystem(n=n, F=lambda z, t: -0.5 * K(z, t) @ z, B=B, K=K, D=D)
     return system, darboux_alpha(p_mat, n, p_dot if analytic_p_dot else None)
 
 

@@ -11,7 +11,9 @@ from birkhoff import (
     AlphaTransform,
     BirkhoffSystem,
     CoefficientSet,
+    EvaluationError,
     GeneratingScheme,
+    NewtonError,
     TransversalityError,
     UnsupportedOrderError,
     a_functional,
@@ -296,6 +298,22 @@ class TestCoefficients:
             run(lambda z, t: step(osc_system, scheme, z, t, 0.1), np.zeros(2), 0.0, 0.1, 2)
         assert info.value.step_index == 0
 
+    def test_identity_point_failure_is_not_the_step_failure(self, osc_system, osc_alpha):
+        # an inverse that, at t = t0, always lands one off the diagonal:
+        # the identity solve cannot converge, and its iterate w_hat is no
+        # state, so the error names w and t0 rather than a failed step
+        def inverse(w_hat, w, t, t0):
+            if t != t0:
+                return osc_alpha.inverse(w_hat, w, t, t0)
+            return np.asarray(w, dtype=float) + 1.0, np.asarray(w, dtype=float)
+
+        alpha = dataclasses.replace(osc_alpha, inverse=inverse)
+        scheme = make_scheme(osc_system, alpha, 0.0, 1)
+        with pytest.raises(EvaluationError, match=r"no identity point at w=\[.*\], t0=0.0") as info:
+            run(lambda z, t: step(osc_system, scheme, z, t, 0.1), np.ones(2), 0.0, 0.1, 2)
+        assert info.value.step_index == 0
+        assert isinstance(info.value.__cause__, NewtonError)
+
     @pytest.mark.parametrize("order", [1.9, 2.5, True, "2"], ids=repr)
     def test_non_integral_order_rejected(self, osc_system, osc_alpha, order):
         # 1.9 and True used to build order 1, 2.5 order 2
@@ -314,11 +332,30 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="n = 1 .* n = 2"):
             make_scheme(chain_system(2)[0], oscillator_alpha(0.3), 0.0, 1)
 
-    def test_coefficient_count_validated(self):
-        with pytest.raises(ValueError, match="need 2 coefficient callables"):
-            CoefficientSet(0.0, 1, (lambda w: w,), (lambda w: np.eye(2),))
-        with pytest.raises(ValueError, match="need 2 Jacobian callables"):
-            CoefficientSet(0.0, 1, (lambda w: w, lambda w: w), (lambda w: np.eye(2),))
+    @pytest.mark.parametrize(
+        "n_coeffs, n_jacs", [(2, 1), (1, 2), (0, 0)], ids=["short-jacs", "short-coeffs", "empty"]
+    )
+    def test_coefficient_count_validated(self, n_coeffs, n_jacs):
+        # the order is len(coeffs) - 1, so a set needs at least one
+        # coefficient and exactly one Jacobian per coefficient
+        coeffs, jacs = (lambda w: w,) * n_coeffs, (lambda w: np.eye(2),) * n_jacs
+        with pytest.raises(ValueError, match=f"got {n_coeffs} and {n_jacs}"):
+            CoefficientSet(0.0, coeffs, jacs)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda sys, alpha: BirkhoffSystem(1, sys.F, sys.B, grad_b=lambda z, t: z),
+            lambda sys, alpha: BirkhoffSystem(1, sys.F, sys.B, df_dt=lambda z, t: z),
+            lambda sys, alpha: GeneratingScheme(alpha, coefficients(sys, alpha, 0.0, 1)),
+        ],
+        ids=["grad_b", "df_dt", "scheme-without-rebase"],
+    )
+    def test_restated_inputs_are_not_accepted(self, osc_system, osc_alpha, build):
+        # D is the one source of the right-hand side, and every scheme
+        # carries the factory that re-expands it
+        with pytest.raises(TypeError):
+            build(osc_system, osc_alpha)
 
 
 class TestMemoized:
@@ -413,12 +450,6 @@ class TestAssemblePsi:
         assert rebased.coefficients.t0 == 0.8
         w = rng.uniform(-1, 1, 2)
         assert np.max(np.abs(rebased.coefficients.coeffs[1](w) - closed_phi1(NU, 0.8, w))) <= 1e-8
-
-    def test_rebase_without_factory_rejected(self, osc_system, osc_alpha):
-        cs = coefficients(osc_system, osc_alpha, 0.0, 1)
-        scheme = GeneratingScheme(osc_alpha, cs)
-        with pytest.raises(ValueError):
-            scheme.at(1.0)
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_truncation_error_has_the_right_order(self, osc_system, osc_alpha, order):

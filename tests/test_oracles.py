@@ -79,9 +79,7 @@ def scaled_phi1(scheme, factor):
         cs = scheme.rebase(t0)
         c0, c1 = cs.coeffs
         j0, j1 = cs.coeff_jacobians
-        return CoefficientSet(
-            cs.t0, 1, (c0, lambda w: factor * c1(w)), (j0, lambda w: factor * j1(w))
-        )
+        return CoefficientSet(cs.t0, (c0, lambda w: factor * c1(w)), (j0, lambda w: factor * j1(w)))
 
     return GeneratingScheme(scheme.alpha, rebase(scheme.coefficients.t0), rebase)
 

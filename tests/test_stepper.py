@@ -27,6 +27,7 @@ from birkhoff import (
     step,
     step_jacobian,
     symplectic_residual,
+    velocity,
 )
 from birkhoff.core import _det_margin
 from pendulum_chain import chain_system, rk4_state, sheared_chain
@@ -171,7 +172,7 @@ class TestIntegrate:
                 return np.array([-w[0] + poison, -w[1]])
 
             return CoefficientSet(
-                t0, 1, (lambda w: np.zeros(2), phi1), (lambda w: np.zeros((2, 2)),) * 2
+                t0, (lambda w: np.zeros(2), phi1), (lambda w: np.zeros((2, 2)),) * 2
             )
 
         scheme = GeneratingScheme(osc_alpha, bad_coeffs(0.0), bad_coeffs)
@@ -179,6 +180,8 @@ class TestIntegrate:
             integrate(osc_system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
         failure = info.value
         assert failure.step_index == 3
+        # the step's own solve: its iteration count travels with the failure
+        assert failure.iterations == failure.__cause__.iterations
         assert failure.trajectory.steps == 3
         np.testing.assert_array_equal(failure.trajectory.states[0], [1.0, 0.0])
 
@@ -191,6 +194,7 @@ class TestIntegrate:
             pytest.param(
                 lambda s, sch, z: step_jacobian(s, sch, z, 0.0, 0.1), id="step_jacobian"
             ),
+            pytest.param(lambda s, sch, z: velocity(s, z, 0.0), id="velocity"),
         ],
     )
     def test_state_of_another_length_rejected_before_evaluation(self, call, size):
@@ -217,14 +221,12 @@ class TestIntegrate:
 
     @pytest.mark.parametrize(
         "name, order",
-        [(name, order) for name in ("K", "D", "grad_b", "df_dt") for order in (1, 2)]
-        + [(name, order) for name in ("B", "F") for order in (1, 2)],
+        [(name, order) for name in ("K", "D", "B", "F") for order in (1, 2)],
     )
     def test_non_finite_user_output_raises_evaluation_error(self, name, order):
-        # the analytic K, D, grad_b, df_dt, B or F turns NaN from t = 0.3 on,
-        # so the step from t = 0.3 (index 3) fails, with the three steps
-        # before it kept; grad_b and df_dt are only read when D is not
-        # supplied, and B and F are differenced when grad_b or df_dt is not
+        # the analytic K or D, or B or F, turns NaN from t = 0.3 on, so the
+        # step from t = 0.3 (index 3) fails, with the three steps before it
+        # kept; B and F are differenced only when D is not supplied
         base = oscillator_system(NU)
         healthy = getattr(base, name)
 
@@ -232,12 +234,7 @@ class TestIntegrate:
             out = np.asarray(healthy(z, t), dtype=float)
             return out * np.nan if t > 0.29 else out
 
-        dropped = {
-            "grad_b": {"D": None},
-            "df_dt": {"D": None},
-            "B": {"D": None, "grad_b": None},
-            "F": {"D": None, "df_dt": None},
-        }.get(name, {})
+        dropped = {"D": None} if name in ("B", "F") else {}
         system = dataclasses.replace(base, **{name: poisoned}, **dropped)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.0, order)
         with pytest.raises(EvaluationError, match=f"{name} returned non-finite values") as info:
@@ -257,13 +254,13 @@ class TestIntegrate:
     def test_misshapen_b_raises_evaluation_error(self, bad, message):
         # B is read through the check every callable shares; it used to
         # raise a bare TypeError here, with no step index attached.  B is
-        # differenced when neither D nor grad_b is supplied
+        # differenced when D is not supplied
         base = oscillator_system(NU)
 
         def broken(z, t):
             return bad if t > 0.29 else base.B(z, t)
 
-        system = dataclasses.replace(base, B=broken, D=None, grad_b=None)
+        system = dataclasses.replace(base, B=broken, D=None)
         with pytest.raises(EvaluationError, match=message):
             system.b_at(np.array([1.0, 0.0]), 0.3)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.0, 1)
@@ -273,10 +270,10 @@ class TestIntegrate:
         assert info.value.trajectory.steps == 3
 
     def test_second_order_runs_from_f_and_b_alone(self):
-        # K, D, grad_b and df_dt all differenced: the step residual carries
-        # a noise floor above Newton's residual target, where the solve ends
+        # K and D both differenced: the step residual carries a noise floor
+        # above Newton's residual target, where the solve ends
         base = oscillator_system(NU)
-        system = dataclasses.replace(base, K=None, D=None, grad_b=None, df_dt=None)
+        system = dataclasses.replace(base, K=None, D=None)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.0, 2)
         traj = integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 20)
         matrix = scheme_second_order(NU, 0.1)
@@ -537,7 +534,7 @@ class TestStepJacobian:
         def coeffs(t0):
             zero = lambda w: np.zeros(2)  # noqa: E731
             return CoefficientSet(
-                t0, 1, (zero, zero),
+                t0, (zero, zero),
                 (lambda w: np.array([[0.0, 2.0], [2.0, 0.0]]), lambda w: np.zeros((2, 2))),
             )
 

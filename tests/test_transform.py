@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -432,6 +434,26 @@ class TestTransversalityEquivalents:
         n = mat.copy()
         flags = transversality_equivalents(alpha, mat, n, (np.zeros(2), np.zeros(2), 0.0, 0.0))
         assert flags[0]
+
+    @pytest.mark.parametrize(
+        "states, size, message",
+        [
+            ((np.zeros(5), np.zeros(5)), 2, r"state of shape \(5,\) does not match"),
+            ((np.zeros(2), np.zeros(2)), 3, r"need 2 x 2 M and N, got \(3, 3\), \(3, 3\)"),
+        ],
+        ids=["state-5", "matrix-3x3"],
+    )
+    def test_inputs_of_another_size_rejected_before_evaluation(
+        self, osc_alpha, states, size, message
+    ):
+        # both shapes are checked before any transform callable runs
+        def unreachable(*args):
+            raise AssertionError("a transform callable was evaluated")
+
+        alpha = dataclasses.replace(osc_alpha, blocks=unreachable, forward=unreachable)
+        mat = np.eye(size)
+        with pytest.raises(ValueError, match=message):
+            transversality_equivalents(alpha, mat, mat, (*states, 0.1, 0.0))
 
     def test_all_four_agree_on_random_trials(self, osc_alpha, rng):
         agreements = 0
