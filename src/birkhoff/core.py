@@ -55,7 +55,25 @@ class PhasePoint:
 
 
 @dataclass(frozen=True, eq=False)
-class BirkhoffSystem:
+class _HalfDim:
+    """A record on R^(2n): the positive integer ``n`` and ``dim = 2n``.
+
+    The one owner of that rule for systems and transforms; a subclass's
+    fields follow ``n``.
+    """
+
+    n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _positive_int("n", self.n))
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.n
+
+
+@dataclass(frozen=True, eq=False)
+class BirkhoffSystem(_HalfDim):
     """The quadruple (n, F, B, K, D) defining the continuous problem.
 
     Parameters
@@ -79,18 +97,10 @@ class BirkhoffSystem:
     across threads.
     """
 
-    n: int
     F: Callable[[Array, float], Array]
     B: Callable[[Array, float], float]
     K: Optional[Callable[[Array, float], Array]] = None
     D: Optional[Callable[[Array, float], Array]] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _positive_int("n", self.n))
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
 
     # -- validated evaluation helpers ------------------------------------
 

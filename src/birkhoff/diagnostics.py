@@ -86,9 +86,11 @@ def convergence_order(
 
     ``scheme_factory(tau)`` must return a map (z, t_k) -> z_new with the
     step size bound in; ``reference(t)`` is the exact state at absolute
-    time t.  The horizon must be finite and positive, and each tau must be
-    finite, positive and divide it; at least three values are required for
-    the fit.  The error metric is the max-norm at the final time.
+    time t.  ``z0`` must be a state of the system's dimension, the horizon
+    finite and positive, and each tau finite, positive and a divisor of
+    it; at least three values are required for the fit.  All but the
+    divisor test, made per tau, are checked before the first run.  The
+    error metric is the max-norm at the final time.
     """
     # written so that a NaN horizon fails too
     if not 0.0 < horizon < np.inf:
@@ -100,6 +102,7 @@ def convergence_order(
         raise ValueError("need at least 3 step sizes to fit a slope")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau values must be strictly decreasing")
+    z0 = _require_dim(sys, z0)
 
     errors = []
     for tau in taus:

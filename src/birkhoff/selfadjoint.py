@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numdiff
-from .core import PhasePoint, _checked, _frozen, _positive_int, _require_dim
+from .core import PhasePoint, _checked, _frozen, _HalfDim, _positive_int, _require_dim
 from .errors import InconsistencyError
 
 Array = np.ndarray
@@ -27,19 +27,11 @@ _GRAD_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
-class RawFirstOrderSystem:
-    """A first-order system given directly by callables K and D."""
+class RawFirstOrderSystem(_HalfDim):
+    """A first-order system (n, K, D) given directly by callables K and D."""
 
-    n: int
     K: Callable[[Array, float], Array]
     D: Callable[[Array, float], Array]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _positive_int("n", self.n))
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
 
     def k_at(self, z: Array, t: float) -> Array:
         return _checked("K", self.K, z, t, (self.dim, self.dim))

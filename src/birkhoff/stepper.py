@@ -25,7 +25,7 @@ from .core import BirkhoffSystem, _positive_int, _require_dim, velocity
 from .errors import BirkhoffError, NewtonError, StepFailure
 from .genscheme import GeneratingScheme
 from .newton import newton_solve
-from .transform import require_transversal
+from .transform import require_same_n, require_transversal
 
 Array = np.ndarray
 StepMap = Callable[[Array, float], Array]
@@ -83,13 +83,15 @@ def step(
 ) -> Array:
     """Advance z from t_k to t_k + tau through the implicit relation.
 
-    A z whose length is not the system's raises ``ValueError`` before any
-    evaluation.  Raises :class:`StepFailure` when the step's own Newton
-    iteration does not converge; the exception carries its last iterate,
-    residual norm and iteration count.  Raises :class:`TransversalityError` when the Newton
+    A z whose length is not the system's, or a scheme whose transform has
+    another n, raises ``ValueError`` before any evaluation.  Raises
+    :class:`StepFailure` when the step's own Newton iteration does not
+    converge; the exception carries its last iterate, residual norm and
+    iteration count.  Raises :class:`TransversalityError` when the Newton
     matrix A - Psi_ww C at an iterate fails the nonsingularity test.
     """
     z = _require_dim(sys, z)
+    require_same_n(scheme.alpha, sys)
     if tau == 0.0:
         return z.copy()
     sch = scheme.at(t_k)
@@ -204,7 +206,7 @@ def step_jacobian(
     condition |A - Psi_ww C| != 0 raises :class:`TransversalityError`.
     The coefficients at the converged w are already memoized by the
     solve, so beyond the step itself only the Hessian of the top-order
-    coefficient is new work.  :func:`step` checks z.
+    coefficient is new work.  :func:`step` checks z and the scheme's n.
     """
     z_new = step(sys, scheme, z, t_k, tau)
     if tau == 0.0:

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import numdiff
 from .core import (
-    BirkhoffSystem, _checked, _frozen, _positive_int, _require_dim, det_nonzero, require_nonsingular
+    BirkhoffSystem, _checked, _frozen, _HalfDim, _positive_int, _require_dim, det_nonzero,
+    require_nonsingular,
 )
 from .errors import EvaluationError, TransversalityError
 
@@ -42,10 +43,11 @@ def canonical_j(dim: int) -> Array:
 
 
 @dataclass(frozen=True, eq=False)
-class AlphaTransform:
+class AlphaTransform(_HalfDim):
     """A two-parameter change of coordinates on the doubled phase space.
 
-    Fields are callables:
+    ``n`` is the system's half dimension, so the transform acts on
+    R^(4n) = R^(2 dim).  The other fields are callables:
 
     - ``forward(z_new, z_old, t, t0) -> (w_hat, w)``
     - ``inverse(w_hat, w, t, t0) -> (z_new, z_old)``
@@ -59,16 +61,11 @@ class AlphaTransform:
       partial derivatives in the first time parameter at fixed state
     """
 
-    n: int
     forward: Callable[[Array, Array, float, float], Tuple[Array, Array]]
     inverse: Callable[[Array, Array, float, float], Tuple[Array, Array]]
     blocks: Callable[[Array, Array, float, float], Blocks]
     inverse_blocks: Callable[[Array, Array, float, float], Blocks]
     time_partials: Callable[[Array, Array, float, float], Tuple[Array, Array]]
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
 
     def jacobian(self, z_new: Array, z_old: Array, t: float, t0: float) -> Array:
         """Full 4n x 4n forward Jacobian assembled from the blocks."""

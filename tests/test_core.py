@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from birkhoff import (
+    AlphaTransform,
     BirkhoffSystem,
     EvaluationError,
     PhasePoint,
@@ -49,6 +50,7 @@ class TestPhasePoint:
 TAKES_N = {
     "BirkhoffSystem": lambda n: BirkhoffSystem(n=n, F=lambda z, t: z, B=lambda z, t: 0.0),
     "RawFirstOrderSystem": lambda n: RawFirstOrderSystem(n, lambda z, t: z, lambda z, t: z),
+    "AlphaTransform": lambda n: AlphaTransform(n, *[lambda *args: None] * 5),
     "darboux_alpha": lambda n: darboux_alpha(lambda t: np.eye(2), n),
     "scaled_canonical_alpha": lambda n: scaled_canonical_alpha(lambda t: 1.0, n),
 }
@@ -68,6 +70,28 @@ class TestSystemValidation:
         built = build(np.int64(2))
         assert built.n == 2 and type(built.n) is int
 
+    @pytest.mark.parametrize(
+        "record, names",
+        [
+            (BirkhoffSystem, ["n", "F", "B", "K", "D"]),
+            (RawFirstOrderSystem, ["n", "K", "D"]),
+            (
+                AlphaTransform,
+                ["n", "forward", "inverse", "blocks", "inverse_blocks", "time_partials"],
+            ),
+        ],
+        ids=["BirkhoffSystem", "RawFirstOrderSystem", "AlphaTransform"],
+    )
+    def test_records_on_r_2n_share_one_n_rule(self, record, names):
+        # n leads the fields, so positional construction is unchanged, and
+        # dataclasses.replace runs the same check as the constructor
+        assert [f.name for f in dataclasses.fields(record)] == names
+        built = record(2, *[lambda *args: None] * (len(names) - 1))
+        assert built.dim == 4
+        assert dataclasses.replace(built, n=np.int64(3)).dim == 6
+        with pytest.raises(ValueError, match="n must be a positive integer, got 1.5"):
+            dataclasses.replace(built, n=1.5)
+
 
 @pytest.mark.parametrize(
     "name, bad",
@@ -86,6 +110,25 @@ def test_user_output_that_is_not_real_numbers_rejected(name, bad):
     message = f"{name} must return real numbers, got dtype {np.asarray(bad(None, 0.0)).dtype}"
     with pytest.raises(EvaluationError, match=message):
         read(np.array([1.0, 0.0]), 0.3)
+
+
+def test_integer_and_bool_output_is_read_as_float():
+    # K with integer entries and B as a Python int are converted, not rejected
+    system = oscillator_system(NU)
+    exact = dataclasses.replace(
+        system, K=lambda z, t: np.array([[0.0, -1.0], [1.0, 0.0]]), B=lambda z, t: 3.0
+    )
+    integral = dataclasses.replace(
+        system, K=lambda z, t: np.array([[0, -1], [1, 0]]), B=lambda z, t: 3
+    )
+    z = np.array([1.0, 0.0])
+    k = integral.k_at(z, 0.3)
+    assert k.dtype == float
+    np.testing.assert_array_equal(k, exact.k_at(z, 0.3))
+    b = integral.b_at(z, 0.3)
+    assert type(b) is float and b == exact.b_at(z, 0.3)
+    flags = dataclasses.replace(system, F=lambda z, t: np.array([True, False]))
+    np.testing.assert_array_equal(flags.f_at(z, 0.3), [1.0, 0.0])
 
 
 class TestKFromF:

@@ -167,6 +167,28 @@ class TestConvergenceOrder:
                 osc_system, factory, reference, np.array([1.0, 0.0]), 0.0, 1.0, taus
             )
 
+    def test_state_of_another_length_rejected_before_the_first_run(self, osc_system):
+        # sys used to be unread, so a 3-vector reached the step map and
+        # failed there with numpy's matmul mismatch
+        calls = []
+
+        def factory(tau):
+            mat = scheme_first_order(NU, tau)
+
+            def advance(z, t):
+                calls.append(t)
+                return mat @ z
+
+            return advance
+
+        message = r"state of shape \(3,\) does not match system dimension 2"
+        with pytest.raises(ValueError, match=message):
+            convergence_order(
+                osc_system, factory, lambda t: np.zeros(3), np.ones(3), 0.0, 1.0,
+                [0.1, 0.05, 0.025],
+            )
+        assert calls == []
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
     def test_error_without_a_logarithm_is_named(self, bad):

@@ -78,6 +78,11 @@ class TestClosedFormSchemes:
     def test_second_order_frozen_values(self):
         np.testing.assert_allclose(scheme_second_order(0.5, 0.1), SECOND_ORDER_05_01, atol=1e-14)
 
+    def test_second_order_degenerate_step_size_rejected(self):
+        # at nu = 2 this tau makes 16 + ab exactly 0.0 in floating point
+        with pytest.raises(ValueError, match="degenerate step size: 16 \\+ ab vanished"):
+            scheme_second_order(2.0, 1.600485180440241)
+
     def test_euler_center_frozen_values(self):
         np.testing.assert_allclose(euler_center(0.5, 0.1), EULER_CENTER_05_01, atol=1e-14)
 

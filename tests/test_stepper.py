@@ -35,6 +35,21 @@ from pendulum_chain import chain_system, rk4_state, sheared_chain
 NU = 0.5
 
 
+def counting(base, calls):
+    """``base`` with its K and D wrapped to append their names to ``calls``."""
+
+    def wrap(name):
+        fn = getattr(base, name)
+
+        def wrapped(z, t):
+            calls.append(name)
+            return fn(z, t)
+
+        return wrapped
+
+    return dataclasses.replace(base, K=wrap("K"), D=wrap("D"))
+
+
 class TestTrajectory:
     def test_grid_times_are_fused_multiply_adds(self):
         traj = Trajectory(0.5, 0.1, tuple(np.zeros(2) for _ in range(4)))
@@ -200,23 +215,37 @@ class TestIntegrate:
     def test_state_of_another_length_rejected_before_evaluation(self, call, size):
         # a 3- or 4-vector on the 1-dof oscillator used to reach the user's
         # D, which raised "too many values to unpack"
-        base = oscillator_system(NU)
         calls = []
-
-        def counted(name):
-            fn = getattr(base, name)
-
-            def wrapped(z, t):
-                calls.append(name)
-                return fn(z, t)
-
-            return wrapped
-
-        system = dataclasses.replace(base, K=counted("K"), D=counted("D"))
+        system = counting(oscillator_system(NU), calls)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.0, 1)
         message = rf"state of shape \({size},\) does not match system dimension 2"
         with pytest.raises(ValueError, match=message):
             call(system, scheme, np.ones(size))
+        assert calls == []
+
+    @pytest.mark.parametrize("system_n, scheme_n", [(2, 1), (1, 2)])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda s, sch, z: step(s, sch, z, 0.5, 0.1), id="step"),
+            pytest.param(lambda s, sch, z: integrate(s, sch, z, 0.5, 0.1, 2), id="integrate"),
+            pytest.param(
+                lambda s, sch, z: step_jacobian(s, sch, z, 0.5, 0.1), id="step_jacobian"
+            ),
+        ],
+    )
+    def test_scheme_for_another_n_rejected_before_evaluation(self, call, system_n, scheme_n):
+        # a scheme built on the 1-dof oscillator used to run on the 2-dof
+        # chain until numpy's matmul failed, after the predictor had
+        # already called the chain's K and D
+        calls = []
+        pairs = {1: (oscillator_system(NU), oscillator_alpha(NU)), 2: chain_system(2)}
+        system = counting(pairs[system_n][0], calls)
+        scheme = make_scheme(counting(pairs[scheme_n][0], calls), pairs[scheme_n][1], 0.0, 1)
+        calls.clear()
+        message = f"transform has n = {scheme_n} but the system has n = {system_n}"
+        with pytest.raises(ValueError, match=message):
+            call(system, scheme, 0.1 * np.ones(2 * system_n))
         assert calls == []
 
     @pytest.mark.parametrize(
