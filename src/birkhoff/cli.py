@@ -1,19 +1,20 @@
 """Command-line front end.
 
 Subcommands: ``integrate``, ``check``, ``convergence``, ``reconstruct``.
-Only built-in systems are selectable here; arbitrary systems enter through
-the library API.  Each option is declared once, in :data:`OPTIONS`, which
-feeds the parser's flags, the defaults and the conversion of config-file
-values.  Exit codes, all assigned in :func:`main` except where noted: 0
-success, 1 usage or configuration error, 2 numerical failure (``integrate``
-still writes the steps accepted before it), 3 check failure.
+The CLI runs the built-in damped oscillator; arbitrary systems enter
+through the library API.  Each option is declared once, in
+:data:`OPTIONS`, which feeds the parser's flags, the defaults and the
+conversion of config-file values; a config key the running subcommand
+does not take (``perturb`` for ``integrate``) is ignored.  Exit codes,
+all assigned in :func:`main` except where noted: 0 success, 1 usage or
+configuration error, 2 numerical failure (``integrate`` still writes the
+steps accepted before it), 3 check failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +33,6 @@ from .oscillator import (
     scheme_second_order,
 )
 from .selfadjoint import RawFirstOrderSystem, check_self_adjointness, reconstruct_b, reconstruct_f
-from .transform import AlphaTransform
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,44 +52,27 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class SystemBundle:
-    system: BirkhoffSystem
-    alpha: AlphaTransform
-    raw: RawFirstOrderSystem
-    reference: Callable
-
-
-def _damped_oscillator(nu: float, perturb: float) -> SystemBundle:
+def _raw_system(nu: float, perturb: float) -> RawFirstOrderSystem:
+    """The oscillator's K and D, with D_2 perturbed by ``perturb`` times z_1."""
     # perturb is the one input no library call reads
     if not np.isfinite(perturb):
         raise ConfigError(f"perturb must be finite, got {perturb!r}")
     system = oscillator_system(nu)
-    alpha = oscillator_alpha(nu)
-    if perturb:
-        base_d = system.D
 
-        def d_perturbed(z, t):
-            d = np.array(base_d(z, t), dtype=float)
-            d[1] += perturb * z[0]
-            return d
+    def d_perturbed(z, t):
+        d = np.array(system.D(z, t), dtype=float)
+        d[1] += perturb * z[0]
+        return d
 
-        raw = RawFirstOrderSystem(1, system.K, d_perturbed)
-    else:
-        raw = RawFirstOrderSystem(1, system.K, system.D)
-
-    def reference(z0, t0):
-        return lambda t: exact_solution(nu, z0[0], z0[1], t - t0)
-
-    return SystemBundle(system, alpha, raw, reference)
-
-
-SYSTEMS = {"damped-oscillator": _damped_oscillator}
+    return RawFirstOrderSystem(1, system.K, d_perturbed if perturb else system.D)
 
 
 def _parse_vector(text: str) -> Tuple[float, ...]:
+    """Comma-separated floats; an empty string is the empty vector, an empty field an error."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(float(part) for part in text.split(",") if part.strip() != "")
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse vector {text!r}; expected comma-separated floats")
 
@@ -108,7 +91,6 @@ STATE_COMMANDS = ("integrate", "convergence", "reconstruct")
 
 # the subcommand flags in --help order; a config file may set any of them
 OPTIONS = (
-    Option("system", str, "damped-oscillator", "built-in system selector (damped-oscillator)"),
     Option("nu", float, 0.5, "damping coefficient of the built-in system"),
     Option("config", str, None, "optional key=value config file; flags win"),
     Option("perturb", float, 0.0, "perturb D_2 by this factor times z_1",
@@ -156,10 +138,6 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
         values[key] = OPTION_TYPES[key](raw)
     values.update((k, v) for k, v in vars(args).items() if k in values and v is not None)
     cfg = argparse.Namespace(**values)
-    if cfg.system not in SYSTEMS:
-        raise ConfigError(
-            f"unknown system {cfg.system!r}; available: {', '.join(sorted(SYSTEMS))}"
-        )
     if cfg.scheme not in SCHEME_CHOICES:
         raise ConfigError(
             f"unknown scheme {cfg.scheme!r}; available: {', '.join(SCHEME_CHOICES)}"
@@ -167,14 +145,14 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     return cfg
 
 
-def _build_step_maps(bundle: SystemBundle, cfg: argparse.Namespace, tau: float):
+def _build_step_maps(system: BirkhoffSystem, cfg: argparse.Namespace, tau: float):
     """(advance, jacobian) callables of signature (z, t_k) for the selected scheme."""
     if cfg.scheme in GENERATING_SCHEMES:
         order = int(cfg.scheme[-1])
-        scheme = make_scheme(bundle.system, bundle.alpha, cfg.t0, order)
+        scheme = make_scheme(system, oscillator_alpha(cfg.nu), cfg.t0, order)
         return (
-            lambda z, t: stepper.step(bundle.system, scheme, z, t, tau),
-            lambda z, t: stepper.step_jacobian(bundle.system, scheme, z, t, tau),
+            lambda z, t: stepper.step(system, scheme, z, t, tau),
+            lambda z, t: stepper.step_jacobian(system, scheme, z, t, tau),
         )
     matrix = MATRIX_SCHEMES[cfg.scheme](cfg.nu, tau)
     return (lambda z, t: matrix @ z), (lambda z, t: matrix)
@@ -189,15 +167,12 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def cmd_integrate(cfg: argparse.Namespace) -> int:
-    bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
-    dim = bundle.system.dim
-    z0 = _require_dim(bundle.system, cfg.z0)
-    advance, jacobian = _build_step_maps(bundle, cfg, cfg.tau)
+    system = oscillator_system(cfg.nu)
+    z0 = _require_dim(system, cfg.z0)
+    advance, jacobian = _build_step_maps(system, cfg, cfg.tau)
 
     def certify(z, t_k, z_next):
-        return symplectic_residual(
-            bundle.system, jacobian(z, t_k), z, t_k, z_next, t_k + cfg.tau
-        )
+        return symplectic_residual(system, jacobian(z, t_k), z, t_k, z_next, t_k + cfg.tau)
 
     failure = None
     try:
@@ -205,7 +180,7 @@ def cmd_integrate(cfg: argparse.Namespace) -> int:
     except BirkhoffError as exc:
         failure, traj = exc, exc.trajectory
 
-    header = "step,t," + ",".join(f"z{i + 1}" for i in range(dim)) + ",residual"
+    header = "step,t," + ",".join(f"z{i + 1}" for i in range(system.dim)) + ",residual"
     lines = [header, f"0,{_fmt(cfg.t0)}," + ",".join(_fmt(v) for v in z0) + ","]
     for k, (z, residual) in enumerate(zip(traj.states[1:], traj.residuals)):
         # the row time stays t_k + tau, which can differ from traj.time(k + 1)
@@ -229,9 +204,9 @@ def _sample_points(dim: int, count: int, seed: int):
 
 
 def cmd_check(cfg: argparse.Namespace) -> int:
-    bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
-    points = _sample_points(bundle.raw.dim, cfg.samples, cfg.seed)
-    report = check_self_adjointness(bundle.raw, points, tol=cfg.tol)
+    raw = _raw_system(cfg.nu, cfg.perturb)
+    points = _sample_points(raw.dim, cfg.samples, cfg.seed)
+    report = check_self_adjointness(raw, points, tol=cfg.tol)
     print(f"antisymmetry violation: {report.antisymmetry_violation:.6g}")
     print(f"closure violation:      {report.closure_violation:.6g}")
     print(f"time-curl violation:    {report.time_curl_violation:.6g}")
@@ -252,16 +227,17 @@ def cmd_check(cfg: argparse.Namespace) -> int:
 
 def cmd_convergence(cfg: argparse.Namespace) -> int:
     taus = tuple(cfg.tau_list) or (0.1, 0.05, 0.025, 0.0125)
-    bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
-    z0 = _require_dim(bundle.system, cfg.z0)
+    system = oscillator_system(cfg.nu)
+    z0 = _require_dim(system, cfg.z0)
 
     def factory(tau: float):
-        advance, _ = _build_step_maps(bundle, cfg, tau)
+        advance, _ = _build_step_maps(system, cfg, tau)
         return advance
 
-    report = convergence_order(
-        bundle.system, factory, bundle.reference(z0, cfg.t0), z0, cfg.t0, cfg.horizon, taus
-    )
+    def reference(t: float):
+        return exact_solution(cfg.nu, z0[0], z0[1], t - cfg.t0)
+
+    report = convergence_order(system, factory, reference, z0, cfg.t0, cfg.horizon, taus)
     lines = ["tau,error"]
     for tau, err in zip(report.tau_values, report.errors):
         lines.append(f"{_fmt(tau)},{_fmt(err)}")
@@ -271,12 +247,12 @@ def cmd_convergence(cfg: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(cfg: argparse.Namespace) -> int:
-    bundle = SYSTEMS[cfg.system](cfg.nu, cfg.perturb)
+    raw = _raw_system(cfg.nu, cfg.perturb)
     point = PhasePoint(cfg.z0, cfg.t0)
-    f_vec = reconstruct_f(bundle.raw, point)
+    f_vec = reconstruct_f(raw, point)
     print("F = (" + ", ".join(f"{v:.12g}" for v in f_vec) + ")")
     try:
-        b_val = reconstruct_b(bundle.raw, point)
+        b_val = reconstruct_b(raw, point)
     except InconsistencyError as exc:
         print(f"B reconstruction failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILURE

@@ -88,9 +88,9 @@ def convergence_order(
     step size bound in; ``reference(t)`` is the exact state at absolute
     time t.  ``z0`` must be a state of the system's dimension, the horizon
     finite and positive, and each tau finite, positive and a divisor of
-    it; at least three values are required for the fit.  All but the
-    divisor test, made per tau, are checked before the first run.  The
-    error metric is the max-norm at the final time.
+    it; at least three values are required for the fit.  All of these
+    are checked before the first run.  The error metric is the max-norm
+    at the final time.
     """
     # written so that a NaN horizon fails too
     if not 0.0 < horizon < np.inf:
@@ -102,14 +102,15 @@ def convergence_order(
         raise ValueError("need at least 3 step sizes to fit a slope")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau values must be strictly decreasing")
+    steps = [round(horizon / tau) for tau in taus]
+    for tau, n_steps in zip(taus, steps):
+        ratio = horizon / tau
+        if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
+            raise ValueError(f"horizon {horizon} is not an integer multiple of tau {tau}")
     z0 = _require_dim(sys, z0)
 
     errors = []
-    for tau in taus:
-        ratio = horizon / tau
-        n_steps = round(ratio)
-        if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
-            raise ValueError(f"horizon {horizon} is not an integer multiple of tau {tau}")
+    for tau, n_steps in zip(taus, steps):
         z = run(scheme_factory(tau), z0, t0, tau, n_steps).states[-1]
         errors.append(float(np.max(np.abs(z - reference(t0 + horizon)))))
 

@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +23,7 @@ from birkhoff import (
 from birkhoff.cli import OPTIONS, main
 
 NU = 0.5
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_csv(path):
@@ -314,13 +321,20 @@ class TestConfigMerging:
     def test_missing_config_file_rejected(self, tmp_path):
         assert main(["reconstruct", "--config", str(tmp_path / "absent.cfg")]) == 1
 
+    def test_readme_documents_exactly_the_option_table(self):
+        # every flag in README's "Command line" section, and no other
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        flags = {"--" + opt.name.replace("_", "-") for opt in OPTIONS} | {"--help"}
+        assert set(re.findall(r"--[a-z0-9][a-z0-9-]*", section)) == flags
+
     def test_help_exits_cleanly(self):
         assert main(["--help"]) == 0
         assert main([]) == 1
 
     def test_config_may_name_another_subcommands_option(self, tmp_path, capsys):
         cfg = tmp_path / "check.cfg"
-        cfg.write_text("tol = 1e-3\nsamples = 7\n")
+        cfg.write_text("tol = 1e-3\nsamples = 7\nperturb = inf\n")
         argv = ["integrate", "--tau", "0.1", "--steps", "2"]
         assert main(argv) == 0
         plain = capsys.readouterr()
@@ -415,6 +429,20 @@ class TestErrorBoundary:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["reconstruct", "--nu", "1", "--z0", "1,,1"], id="z0"),
+            pytest.param(["convergence", "--tau-list", "0.1,,0.05,0.025"], id="tau-list"),
+        ],
+    )
+    def test_empty_vector_field_is_a_configuration_error(self, argv, capsys):
+        # empty fields used to be dropped, so 1,,1 read as (1, 1)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: cannot parse vector")
+
+    @pytest.mark.parametrize(
         "tau_list", ["0.1,0.05,0", "nan,0.05,0.025", "inf,0.1,0.05", "0.1,-0.05,0.025"]
     )
     def test_step_size_that_is_not_finite_and_positive_is_a_configuration_error(
@@ -464,3 +492,15 @@ class TestErrorBoundary:
         path = tmp_path_factory.mktemp("cfg") / "run.cfg"
         path.write_text("".join(f"{key} = {value}\n" for key, value in lines))
         assert main(["reconstruct", "--config", str(path)]) in (0, 1, 2, 3)
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["reconstruct", "--nu", "1", "--z0", "1,1"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "birkhoff.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.out, expected.err)

@@ -189,6 +189,29 @@ class TestConvergenceOrder:
             )
         assert calls == []
 
+    def test_step_that_does_not_divide_the_horizon_rejected_before_the_first_run(
+        self, osc_system
+    ):
+        # the divisor test used to run per tau inside the run loop, so the
+        # two dividing taus cost 30 step-map calls before the error
+        calls = []
+
+        def factory(tau):
+            mat = scheme_first_order(NU, tau)
+
+            def advance(z, t):
+                calls.append(t)
+                return mat @ z
+
+            return advance
+
+        with pytest.raises(ValueError, match="horizon 1.0 is not an integer multiple of tau 0.03"):
+            convergence_order(
+                osc_system, factory, lambda t: exact_solution(NU, 1.0, 0.0, t),
+                np.array([1.0, 0.0]), 0.0, 1.0, [0.1, 0.05, 0.03],
+            )
+        assert calls == []
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
     def test_error_without_a_logarithm_is_named(self, bad):
