@@ -4,15 +4,11 @@ from .core import (
     BirkhoffSystem,
     PhasePoint,
     k_from_f,
-    regularity,
     velocity,
 )
 from .diagnostics import (
-    CompareRow,
     ConvergenceReport,
-    compare,
     convergence_order,
-    rows_to_csv,
     symplectic_residual,
 )
 from .errors import (
@@ -66,7 +62,6 @@ __all__ = [
     "BirkhoffError",
     "BirkhoffSystem",
     "CoefficientSet",
-    "CompareRow",
     "ConvergenceReport",
     "EvaluationError",
     "GeneratingScheme",
@@ -85,7 +80,6 @@ __all__ = [
     "canonical_j",
     "check_self_adjointness",
     "coefficients",
-    "compare",
     "convergence_order",
     "darboux_alpha",
     "euler_center",
@@ -98,8 +92,6 @@ __all__ = [
     "oscillator_system",
     "reconstruct_b",
     "reconstruct_f",
-    "regularity",
-    "rows_to_csv",
     "run",
     "scaled_canonical_alpha",
     "scheme_first_order",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import stepper
 from .core import BirkhoffSystem, PhasePoint, _require_dim
-from .diagnostics import _fmt, convergence_order, symplectic_residual
+from .diagnostics import convergence_order, symplectic_residual
 from .errors import BirkhoffError, InconsistencyError
 from .genscheme import make_scheme
 from .oscillator import (
@@ -137,16 +137,15 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = OPTION_TYPES[key](raw)
     values.update((k, v) for k, v in vars(args).items() if k in values and v is not None)
-    cfg = argparse.Namespace(**values)
-    if cfg.scheme not in SCHEME_CHOICES:
-        raise ConfigError(
-            f"unknown scheme {cfg.scheme!r}; available: {', '.join(SCHEME_CHOICES)}"
-        )
-    return cfg
+    return argparse.Namespace(**values)
 
 
 def _build_step_maps(system: BirkhoffSystem, cfg: argparse.Namespace, tau: float):
     """(advance, jacobian) callables of signature (z, t_k) for the selected scheme."""
+    if cfg.scheme not in SCHEME_CHOICES:
+        raise ConfigError(
+            f"unknown scheme {cfg.scheme!r}; available: {', '.join(SCHEME_CHOICES)}"
+        )
     if cfg.scheme in GENERATING_SCHEMES:
         order = int(cfg.scheme[-1])
         scheme = make_scheme(system, oscillator_alpha(cfg.nu), cfg.t0, order)
@@ -158,12 +157,20 @@ def _build_step_maps(system: BirkhoffSystem, cfg: argparse.Namespace, tau: float
     return (lambda z, t: matrix @ z), (lambda z, t: matrix)
 
 
+def _fmt(value: float) -> str:
+    """``value`` to 17 significant digits, which round-trip a float."""
+    return format(float(value), ".17g")
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}")
 
 
 def cmd_integrate(cfg: argparse.Namespace) -> int:
@@ -183,8 +190,8 @@ def cmd_integrate(cfg: argparse.Namespace) -> int:
     header = "step,t," + ",".join(f"z{i + 1}" for i in range(system.dim)) + ",residual"
     lines = [header, f"0,{_fmt(cfg.t0)}," + ",".join(_fmt(v) for v in z0) + ","]
     for k, (z, residual) in enumerate(zip(traj.states[1:], traj.residuals)):
-        # the row time stays t_k + tau, which can differ from traj.time(k + 1)
-        # in the last bit
+        # the step's own end time t_k + tau, which can differ in the last bit
+        # from the grid formula t0 + (k + 1) * tau
         t = cfg.t0 + k * cfg.tau + cfg.tau
         lines.append(f"{k + 1},{_fmt(t)}," + ",".join(_fmt(v) for v in z) + f",{_fmt(residual)}")
     _write_text(cfg.out, "\n".join(lines) + "\n")

@@ -262,15 +262,6 @@ def require_nonsingular(mat: Array, error: Callable[[float], Exception]) -> None
         raise error(math.exp(margin))
 
 
-def regularity(sys: BirkhoffSystem, p: PhasePoint):
-    """Determinant of K at p and whether K passes :func:`det_nonzero`.
-
-    A point whose length is not the system's raises ``ValueError``.
-    """
-    k = sys.k_at(_require_dim(sys, p.z), p.t)
-    return float(np.linalg.det(k)), det_nonzero(k)
-
-
 def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
     """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D.
 

@@ -1,16 +1,17 @@
-"""Quantitative verification: structure residuals, convergence order, comparison.
+"""Quantitative verification: structure residuals and convergence order.
 
 The pointwise certificate of a structure-preserving step map with
 Jacobian M is ``M^T K(z_new, t1) M = K(z_old, t0)``; the residual is its
-max-norm defect.  Convergence order is estimated from a log-log fit of
+max-norm defect.  A certified run passes it to
+:func:`~birkhoff.stepper.run` as ``certify``, as the CLI ``integrate``
+does per row.  Convergence order is estimated from a log-log fit of
 final-time error against step size.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -27,17 +28,6 @@ class ConvergenceReport:
     tau_values: Tuple[float, ...]
     errors: Tuple[float, ...]
     slope: float
-
-
-@dataclass(frozen=True, eq=False)
-class CompareRow:
-    """One scheme's run summary; ``error`` holds a failure message, if any."""
-
-    name: str
-    final_error: Optional[float]
-    max_residual: Optional[float]
-    runtime_s: float
-    error: Optional[str] = None
 
 
 def symplectic_residual(
@@ -88,9 +78,9 @@ def convergence_order(
     step size bound in; ``reference(t)`` is the exact state at absolute
     time t.  ``z0`` must be a state of the system's dimension, the horizon
     finite and positive, and each tau finite, positive and a divisor of
-    it; at least three values are required for the fit.  All of these
-    are checked before the first run.  The error metric is the max-norm
-    at the final time.
+    it whose quotient horizon / tau is finite; at least three values are
+    required for the fit.  All of these are checked before the first run.
+    The error metric is the max-norm at the final time.
     """
     # written so that a NaN horizon fails too
     if not 0.0 < horizon < np.inf:
@@ -102,11 +92,15 @@ def convergence_order(
         raise ValueError("need at least 3 step sizes to fit a slope")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau values must be strictly decreasing")
-    steps = [round(horizon / tau) for tau in taus]
-    for tau, n_steps in zip(taus, steps):
+    steps = []
+    for tau in taus:
         ratio = horizon / tau
+        if ratio == np.inf:
+            raise ValueError(f"horizon {horizon} over tau {tau} overflows the step count")
+        n_steps = round(ratio)
         if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
             raise ValueError(f"horizon {horizon} is not an integer multiple of tau {tau}")
+        steps.append(n_steps)
     z0 = _require_dim(sys, z0)
 
     errors = []
@@ -115,62 +109,3 @@ def convergence_order(
         errors.append(float(np.max(np.abs(z - reference(t0 + horizon)))))
 
     return ConvergenceReport(tuple(taus), tuple(errors), fit_slope(taus, errors))
-
-
-def compare(
-    sys: BirkhoffSystem,
-    schemes: Mapping[str, Tuple[StepMap, StepMap]],
-    z0: Array,
-    t0: float,
-    tau: float,
-    n_steps: int,
-    reference: Optional[Callable[[float], Array]] = None,
-) -> list[CompareRow]:
-    """Run each named scheme on the same grid and summarize.
-
-    Each scheme is a pair ``(advance, jacobian)`` of callables of (z, t_k):
-    the step map and its exact step Jacobian (the matrix of a closed-form
-    scheme; :func:`~birkhoff.stepper.step_jacobian` for a generating
-    scheme).  Per step, :func:`symplectic_residual` certifies that
-    Jacobian; the row records the worst residual, the final-time error
-    against ``reference`` (when given) and the wall-clock time.  A failing
-    scheme, or a grid that :func:`~birkhoff.stepper.run` rejects, yields a
-    row with its error message instead of aborting the comparison.
-    """
-    rows = []
-    for name, (advance, jacobian) in schemes.items():
-
-        def certify(z, t_k, z_next):
-            return symplectic_residual(sys, jacobian(z, t_k), z, t_k, z_next, t_k + tau)
-
-        start = time.perf_counter()
-        try:
-            traj = run(advance, z0, t0, tau, n_steps, certify=certify)
-        except Exception as exc:  # recorded in-row, not fatal
-            rows.append(
-                CompareRow(name, None, None, time.perf_counter() - start, error=str(exc))
-            )
-            continue
-        final_error = None
-        if reference is not None:
-            final_error = float(np.max(np.abs(traj.states[-1] - reference(t0 + n_steps * tau))))
-        max_residual = max((0.0,) + traj.residuals)
-        rows.append(CompareRow(name, final_error, max_residual, time.perf_counter() - start))
-    return rows
-
-
-def _fmt(value: Optional[float]) -> str:
-    """``value`` to 17 significant digits, which round-trip a float; "" for None."""
-    return "" if value is None else format(float(value), ".17g")
-
-
-def rows_to_csv(rows: Sequence[CompareRow]) -> str:
-    """Comparison rows as CSV with full-precision numeric columns."""
-    lines = ["name,final_error,max_residual,runtime_s,error"]
-    for row in rows:
-        message = "" if row.error is None else row.error.replace("\n", " ").replace(",", ";")
-        lines.append(
-            f"{row.name},{_fmt(row.final_error)},{_fmt(row.max_residual)},"
-            f"{_fmt(row.runtime_s)},{message}"
-        )
-    return "\n".join(lines) + "\n"

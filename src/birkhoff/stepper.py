@@ -37,8 +37,10 @@ class Trajectory:
 
     ``residuals[k]``, when present, is the structure-preservation residual
     of the step from state k to state k+1, filled only by :func:`run` from
-    its ``certify`` callable (``compare`` and the CLI ``integrate`` pass
-    one that feeds the exact step Jacobian to ``symplectic_residual``).
+    its ``certify`` callable (the CLI ``integrate`` passes one that feeds
+    the exact step Jacobian to ``symplectic_residual``).  The grid times
+    are not stored: :func:`run` computes t_k itself and hands it to the
+    step map.
     """
 
     t0: float
@@ -58,13 +60,6 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return len(self.states) - 1
-
-    def time(self, k: int) -> float:
-        return self.t0 + k * self.tau
-
-    @property
-    def times(self) -> Array:
-        return self.t0 + self.tau * np.arange(len(self.states))
 
 
 def _check_grid(t0: float, tau: float, z0: Array) -> None:

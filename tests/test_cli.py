@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birkhoff import (
-    compare,
     exact_solution,
     make_scheme,
     oscillator_alpha,
@@ -66,20 +65,23 @@ class TestIntegrate:
         assert float(rows[-1][2]) == final[0]
 
     def test_residual_column_is_the_compare_certificate(self, readme_trajectory):
-        # compare and the CLI certify each step with the same exact Jacobian,
-        # so the generating-2 row's worst residual is the column's maximum
+        # a library run certified by the exact step Jacobian reproduces the
+        # column: its worst residual is the column's maximum
         code, out = readme_trajectory
         assert code == 0
         _, rows = read_csv(out)
         system = oscillator_system(NU)
         scheme = make_scheme(system, oscillator_alpha(NU), 0.0, 2)
-        pair = (
-            lambda z, t: step(system, scheme, z, t, 0.01),
-            lambda z, t: step_jacobian(system, scheme, z, t, 0.01),
+
+        def certify(z, t_k, z_next):
+            jacobian = step_jacobian(system, scheme, z, t_k, 0.01)
+            return symplectic_residual(system, jacobian, z, t_k, z_next, t_k + 0.01)
+
+        traj = run(
+            lambda z, t_k: step(system, scheme, z, t_k, 0.01),
+            np.array([1.0, 0.0]), 0.0, 0.01, 100, certify=certify,
         )
-        compared = compare(system, {"generating-2": pair}, np.array([1.0, 0.0]), 0.0, 0.01, 100)
-        assert compared[0].error is None
-        assert compared[0].max_residual == max(float(row[4]) for row in rows[1:])
+        assert max(traj.residuals) == max(float(row[4]) for row in rows[1:])
 
     def test_line_endings_are_lf(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -257,6 +259,14 @@ class TestConvergence:
     def test_too_few_step_sizes_rejected(self):
         assert main(["convergence", "--tau-list", "0.1,0.05"]) == 1
 
+    def test_empty_tau_list_is_the_default_ladder(self, tmp_path, capsys):
+        runs = []
+        for extra in ([], ["--tau-list", ""]):
+            out = tmp_path / f"conv{len(extra)}.csv"
+            assert main(["convergence", "--scheme", "closed-first", "--out", str(out)] + extra) == 0
+            runs.append((capsys.readouterr(), out.read_bytes()))
+        assert runs[0] == runs[1]
+
 
 class TestReconstruct:
     def test_unit_damping_point(self, capsys):
@@ -341,6 +351,15 @@ class TestConfigMerging:
         assert main(argv + ["--config", str(cfg)]) == 0
         assert capsys.readouterr() == plain
 
+    @pytest.mark.parametrize("argv", [["check", "--samples", "5"], ["reconstruct"]])
+    def test_scheme_key_is_ignored_where_no_scheme_runs(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "scheme.cfg"
+        cfg.write_text("scheme = bogus\n")
+        code = main(argv)
+        plain = capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == code
+        assert capsys.readouterr() == plain
+
 
 class TestErrorBoundary:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -349,6 +368,14 @@ class TestErrorBoundary:
         [
             pytest.param(["integrate"], "nu = abc\n", 1, id="config-float"),
             pytest.param(["integrate"], "steps = 1.5\n", 1, id="config-int"),
+            pytest.param(["integrate"], "scheme = bogus\n", 1, id="config-scheme"),
+            pytest.param(["convergence"], "scheme = bogus\n", 1, id="convergence-scheme"),
+            pytest.param(
+                ["convergence", "--horizon", "1e300", "--tau-list", "1e-10,1e-20,1e-30"],
+                None,
+                1,
+                id="convergence-step-count",
+            ),
             pytest.param(["integrate", "--nu", "-1"], None, 1, id="negative-nu"),
             pytest.param(["check", "--seed", "-1"], None, 1, id="negative-seed"),
             pytest.param(
@@ -376,6 +403,19 @@ class TestErrorBoundary:
         err = capsys.readouterr().err
         assert err.startswith(prefix)
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["integrate", "--steps", "2"], ["convergence", "--scheme", "closed-first"]],
+        ids=["integrate", "convergence"],
+    )
+    def test_unwritable_output_file_is_a_configuration_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "absent" / "x.csv"
+        assert main(argv + ["--out", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"configuration error: cannot write output file {path}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, config",

@@ -15,7 +15,6 @@ from birkhoff import (
     darboux_alpha,
     k_from_f,
     oscillator_system,
-    regularity,
     scaled_canonical_alpha,
     velocity,
 )
@@ -177,32 +176,6 @@ class TestKFromF:
 
 
 class TestRegularity:
-    def test_oscillator_at_time_zero(self, osc_system):
-        det, regular = regularity(osc_system, PhasePoint([1.0, 0.0], 0.0))
-        assert regular
-        assert det == pytest.approx(1.0, abs=1e-14)
-
-    def test_point_of_another_length_rejected(self, osc_system):
-        # the oscillator's K does not read z, so a 4-vector used to read regular
-        with pytest.raises(ValueError, match=r"state of shape \(4,\) does not match"):
-            regularity(osc_system, PhasePoint(np.zeros(4), 0.0))
-
-    def test_determinant_grows_with_the_time_scaling(self, osc_system, rng):
-        # det of the scaled canonical pair is the squared scaling factor
-        for _ in range(5):
-            t = rng.uniform(0, 2)
-            det, regular = regularity(osc_system, PhasePoint([0.2, -1.0], t))
-            assert regular
-            assert det == pytest.approx(np.exp(2 * NU * t), rel=1e-12)
-
-    def test_zero_matrix_not_regular(self):
-        sys1 = BirkhoffSystem(
-            n=1, F=lambda z, t: np.zeros(2), B=lambda z, t: 0.0, K=lambda z, t: np.zeros((2, 2))
-        )
-        det, regular = regularity(sys1, PhasePoint([1.0, 1.0]))
-        assert det == 0.0
-        assert not regular
-
     def test_small_well_conditioned_matrix_is_regular(self):
         # n = 2, K = 1e-3 J0: det K = 1e-12, yet K is a scaled rotation
         k = 1e-3 * np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
@@ -211,18 +184,9 @@ class TestRegularity:
             n=2, F=lambda z, t: np.zeros(4), B=lambda z, t: 0.0,
             K=lambda z, t: k, D=lambda z, t: -rhs,
         )
-        det, regular = regularity(sys2, PhasePoint(np.ones(4)))
-        assert det == pytest.approx(1e-12, rel=1e-9)
-        assert regular
+        assert np.linalg.det(k) == pytest.approx(1e-12, rel=1e-9)
+        assert det_nonzero(k)
         np.testing.assert_allclose(k @ velocity(sys2, np.ones(4), 0.0), rhs, atol=1e-15)
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
-    def test_velocity_where_det_k_overflows(self, osc_system):
-        # at t=800, K = e^{400} J0: det K is past the float range, K is regular
-        z = np.array([0.2, -1.0])
-        np.testing.assert_allclose(
-            velocity(osc_system, z, 800.0), velocity(osc_system, z, 0.0), rtol=1e-12, atol=1e-14
-        )
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
     @pytest.mark.filterwarnings("ignore:overflow encountered in det")
@@ -416,6 +380,14 @@ class TestVectorField:
         )
         with pytest.raises(RegularityError):
             velocity(sys1, np.array([1.0, 0.0]), 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
+    def test_velocity_where_det_k_overflows(self, osc_system):
+        # at t=800, K = e^{400} J0: det K is past the float range, K is regular
+        z = np.array([0.2, -1.0])
+        np.testing.assert_allclose(
+            velocity(osc_system, z, 800.0), velocity(osc_system, z, 0.0), rtol=1e-12, atol=1e-14
+        )
 
     def test_finite_difference_fallbacks_match_analytic_data(self, rng):
         # same oscillator but with only (F, B, K) given: grad B and dF/dt

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from birkhoff import (
-    compare,
     convergence_order,
     euler_center,
     exact_solution,
     integrate,
-    rows_to_csv,
     run,
     scheme_first_order,
     scheme_second_order,
@@ -26,11 +24,6 @@ EULER_RESIDUAL_05_01 = 1.1435202682586434e-4
 
 def matrix_step(matrix):
     return lambda z, t: matrix @ z
-
-
-def matrix_scheme(matrix):
-    """(advance, jacobian) pair of a closed-form scheme: the map and its matrix."""
-    return matrix_step(matrix), lambda z, t: matrix
 
 
 def generating_scheme(system, scheme, tau):
@@ -212,6 +205,21 @@ class TestConvergenceOrder:
             )
         assert calls == []
 
+    def test_step_count_that_overflows_rejected_before_the_first_run(self, osc_system):
+        # 1e300 / 1e-10 is inf, which round() turns into an OverflowError
+        calls = []
+
+        def factory(tau):
+            calls.append(tau)
+            return matrix_step(scheme_first_order(NU, tau))
+
+        with pytest.raises(ValueError, match="over tau 1e-10 overflows the step count"):
+            convergence_order(
+                osc_system, factory, lambda t: exact_solution(NU, 1.0, 0.0, t),
+                np.array([1.0, 0.0]), 0.0, 1e300, [1e-10, 1e-20, 1e-30],
+            )
+        assert calls == []
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
     def test_error_without_a_logarithm_is_named(self, bad):
@@ -245,88 +253,25 @@ class TestCompare:
         # order-1/order-2 one-step maps against the center-difference
         # baseline; the residual grows like the pairing scale on the
         # baseline only
-        schemes = {
-            "order-1": matrix_scheme(scheme_first_order(NU, 0.1)),
-            "order-2": matrix_scheme(scheme_second_order(NU, 0.1)),
-            "euler-center": matrix_scheme(euler_center(NU, 0.1)),
-        }
-        rows = compare(
-            osc_system,
-            schemes,
-            np.array([1.0, 0.0]),
-            0.0,
-            0.1,
-            100,
-            reference=lambda t: exact_solution(NU, 1.0, 0.0, t),
-        )
-        by_name = {row.name: row for row in rows}
-        assert by_name["euler-center"].max_residual > 1e-3
-        assert by_name["order-1"].max_residual <= 1e-6
-        assert by_name["order-2"].max_residual <= 1e-6
-        assert by_name["order-2"].final_error < by_name["order-1"].final_error
-        assert all(row.runtime_s >= 0 for row in rows)
-
-    def test_generating_scheme_rows_match_the_stepper(self, osc_system, osc_scheme_m2):
-        rows = compare(
-            osc_system,
-            {"generating-2": generating_scheme(osc_system, osc_scheme_m2, 0.1)},
-            np.array([1.0, 0.0]),
-            0.0,
-            0.1,
-            5,
-            reference=lambda t: exact_solution(NU, 1.0, 0.0, t),
-        )
-        assert rows[0].max_residual <= 1e-6
-        assert rows[0].final_error <= 1e-2
-
-    def test_single_scheme_single_step_matches_step(self, osc_system, osc_scheme_m1):
         z0 = np.array([1.0, 0.0])
-        rows = compare(
-            osc_system,
-            {"one": generating_scheme(osc_system, osc_scheme_m1, 0.1)},
-            z0,
-            0.0,
-            0.1,
-            1,
-            reference=lambda t: exact_solution(NU, 1.0, 0.0, t),
-        )
-        assert len(rows) == 1
-        direct = step(osc_system, osc_scheme_m1, z0, 0.0, 0.1)
-        expected_err = np.max(np.abs(direct - exact_solution(NU, 1.0, 0.0, 0.1)))
-        assert rows[0].final_error == pytest.approx(expected_err, rel=1e-9)
+        reference = exact_solution(NU, 1.0, 0.0, 10.0)
+        max_residual, final_error = {}, {}
+        for name, matrix in (
+            ("order-1", scheme_first_order(NU, 0.1)),
+            ("order-2", scheme_second_order(NU, 0.1)),
+            ("euler-center", euler_center(NU, 0.1)),
+        ):
 
-    def test_rows_serialize_to_csv(self, osc_system):
-        rows = compare(
-            osc_system,
-            {"one": matrix_scheme(scheme_first_order(NU, 0.1))},
-            np.array([1.0, 0.0]),
-            0.0,
-            0.1,
-            3,
-        )
-        text = rows_to_csv(rows)
-        lines = text.split("\n")
-        assert lines[0] == "name,final_error,max_residual,runtime_s,error"
-        assert lines[1].startswith("one,,")  # no reference, empty final error
-        assert float(lines[1].split(",")[2]) == rows[0].max_residual
+            def certify(z, t_k, z_next, matrix=matrix):
+                return symplectic_residual(osc_system, matrix, z, t_k, z_next, t_k + 0.1)
 
-    def test_failures_are_recorded_in_row(self, osc_system):
-        def broken(z, t):
-            raise RuntimeError("deliberately broken scheme")
-
-        rows = compare(
-            osc_system,
-            {"broken": (broken, broken), "ok": matrix_scheme(scheme_first_order(NU, 0.1))},
-            np.array([1.0, 0.0]),
-            0.0,
-            0.1,
-            3,
-        )
-        by_name = {row.name: row for row in rows}
-        assert "deliberately broken" in by_name["broken"].error
-        assert by_name["broken"].final_error is None
-        assert by_name["ok"].error is None
-        assert by_name["ok"].max_residual <= 1e-10
+            traj = run(matrix_step(matrix), z0, 0.0, 0.1, 100, certify=certify)
+            max_residual[name] = max(traj.residuals)
+            final_error[name] = np.max(np.abs(traj.states[-1] - reference))
+        assert max_residual["euler-center"] > 1e-3
+        assert max_residual["order-1"] <= 1e-6
+        assert max_residual["order-2"] <= 1e-6
+        assert final_error["order-2"] < final_error["order-1"]
 
 
 class TestExactCertificate:

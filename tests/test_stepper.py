@@ -51,11 +51,6 @@ def counting(base, calls):
 
 
 class TestTrajectory:
-    def test_grid_times_are_fused_multiply_adds(self):
-        traj = Trajectory(0.5, 0.1, tuple(np.zeros(2) for _ in range(4)))
-        assert traj.time(3) == 0.5 + 3 * 0.1
-        np.testing.assert_array_equal(traj.times, 0.5 + 0.1 * np.arange(4))
-
     def test_validates_shapes(self):
         with pytest.raises(ValueError):
             Trajectory(0.0, 0.1, ())
