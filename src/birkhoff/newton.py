@@ -18,20 +18,21 @@ TOL = 1e-12
 MAX_ITER = 50
 
 
-def newton_solve(terms, x0, jacobian):
+def newton_solve(terms, x0, jacobian, _start=None):
     """Solve ``u(x) = v(x)`` starting from ``x0``, where ``terms(x) = (u, v)``.
 
     Chord Newton with one stopping rule: stop at ``TOL * scale``, or below
     ``sqrt(TOL) * scale`` when an update from a fresh matrix no longer
-    lowers the residual.  The Jacobian is evaluated at the start and reused,
-    and evaluated afresh after an update with a stale matrix fails to cut
-    the residual by 4x.  Above ``sqrt(TOL) * scale`` every update is taken.
-    At or below it, an update that does not lower the residual is not
-    taken: the matrix is refreshed at the same iterate if it was stale, and
-    otherwise the solve ends there, at the noise floor.  Each update, taken
-    or turned down, costs one evaluation of ``terms`` beyond the one at
-    ``x0``, and nothing is evaluated after the stop: a start already at its
-    target returns with no update and no Jacobian.
+    lowers the residual.  The first matrix is evaluated at the start and
+    reused, and the Jacobian evaluated afresh after an update with a stale
+    matrix fails to cut the residual by 4x.  Above ``sqrt(TOL) * scale``
+    every update is taken.  At or below it, an update that does not lower
+    the residual is not taken: the matrix is refreshed at the same iterate
+    if it was stale, and otherwise the solve ends there, at the noise
+    floor.  Each update, taken or turned down, costs one evaluation of
+    ``terms`` beyond the one at ``x0``, and nothing is evaluated after the
+    stop: a start already at its target returns with no update and no
+    Jacobian.
 
     The residual is u - v.  Its target scales with the terms it is the
     difference of, read off the first evaluation, the one at ``x0``:
@@ -47,6 +48,13 @@ def newton_solve(terms, x0, jacobian):
         Initial guess.
     jacobian : callable
         Maps x to the d x d Jacobian of the residual u - v.
+    _start : callable, optional
+        Private hook: maps ``x0`` to the first matrix, in place of
+        ``jacobian``.  A chord solve needs only a matrix that contracts,
+        so this may be a cheap approximation.  It counts as stale from
+        the outset: ``jacobian`` replaces it after an update that fails
+        to cut the residual 4x, and before any stop at the noise floor,
+        so only the target stop is ever taken on it.
 
     Returns
     -------
@@ -79,7 +87,9 @@ def newton_solve(terms, x0, jacobian):
     while rnorm > target:
         if iters >= MAX_ITER:
             raise NewtonError("Newton iteration did not converge", x, rnorm, iters)
-        if jac_mat is None:
+        if jac_mat is None and _start is not None:
+            jac_mat, _start = _start(x), None
+        elif jac_mat is None:
             jac_mat, jac_fresh = jacobian(x), True
         try:
             delta = np.linalg.solve(jac_mat, r)

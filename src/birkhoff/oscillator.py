@@ -17,6 +17,8 @@ exact underdamped solution.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .core import BirkhoffSystem
@@ -33,11 +35,27 @@ def _damping(nu: float) -> float:
     return float(nu)
 
 
-def _check_finite(nu: float, tau: float) -> None:
-    """ValueError unless ``nu`` and ``tau`` are finite."""
-    # written so that a NaN fails too
-    if not (abs(nu) < np.inf and abs(tau) < np.inf):
-        raise ValueError(f"need finite nu and tau, got nu={nu!r}, tau={tau!r}")
+def _finite_matrix(build):
+    """``build(nu, tau)``, with ValueError unless its inputs and its matrix are finite.
+
+    A finite tau can still overflow (tau * tau for a huge tau, e^(-nu tau)
+    for a large negative one) or zero a divisor (euler_center at nu = 2,
+    tau = -2); the matrix it builds is then not finite.
+    """
+
+    @functools.wraps(build)
+    def checked(nu: float, tau: float) -> Array:
+        # written so that a NaN fails too
+        if not (abs(nu) < np.inf and abs(tau) < np.inf):
+            raise ValueError(f"need finite nu and tau, got nu={nu!r}, tau={tau!r}")
+        with np.errstate(all="ignore"):
+            # numpy scalars, so that a zero divisor gives inf or NaN too
+            matrix = build(np.float64(nu), np.float64(tau))
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{build.__name__} is not finite at nu={nu!r}, tau={tau!r}")
+        return matrix
+
+    return checked
 
 
 def oscillator_system(nu: float) -> BirkhoffSystem:
@@ -75,9 +93,9 @@ def oscillator_alpha(nu: float) -> AlphaTransform:
     )
 
 
+@_finite_matrix
 def scheme_first_order(nu: float, tau: float) -> Array:
     """Transition matrix of the order-1 generating scheme."""
-    _check_finite(nu, tau)
     d = 4.0 + tau * tau
     e = np.exp(-nu * tau)
     return np.array(
@@ -88,6 +106,7 @@ def scheme_first_order(nu: float, tau: float) -> Array:
     )
 
 
+@_finite_matrix
 def scheme_second_order(nu: float, tau: float) -> Array:
     """Transition matrix of the order-2 generating scheme.
 
@@ -97,7 +116,6 @@ def scheme_second_order(nu: float, tau: float) -> Array:
     makes det equal e^(-nu tau) exactly; a symmetric choice breaks the
     structure-preservation identity for every nu > 0.
     """
-    _check_finite(nu, tau)
     a = 2.0 * tau - nu * tau * tau
     b = 2.0 * tau + nu * tau * tau
     ab = a * b
@@ -113,12 +131,12 @@ def scheme_second_order(nu: float, tau: float) -> Array:
     )
 
 
+@_finite_matrix
 def euler_center(nu: float, tau: float) -> Array:
     """Center-difference (midpoint) scheme applied to the raw first-order form.
 
     Structure-preserving only at nu = 0; the comparison baseline.
     """
-    _check_finite(nu, tau)
     d = tau * tau + 2.0 * nu * tau + 4.0
     return np.array(
         [

@@ -8,10 +8,13 @@ for z_new by chord Newton from an explicit-Euler predictor.  Coefficients
 are re-expanded at each grid time through the scheme's rebase factory, so
 nonautonomous systems keep their stated order.  Differentiating the
 relation through the Moebius form gives one linearization,
-A - Psi_ww C in z_new and Psi_ww D - B in z: the first is the exact
-Newton matrix of :func:`step`, and the two together give the exact step
-Jacobian of :func:`step_jacobian`.  :func:`run` is the one loop that walks
-a step map along the grid.
+A - Psi_ww C in z_new and Psi_ww D - B in z: the two together give the
+exact step Jacobian of :func:`step_jacobian`, and the first is the Newton
+matrix of :func:`step`.  Newton only needs a matrix that contracts, so
+:func:`step` starts from A - Psi_ww C with Psi_ww's series cut after
+phi_ww^(1), which skips the nested finite-difference Hessian phi_ww^(2);
+every refresh of that matrix is exact.  :func:`run` is the one loop that
+walks a step map along the grid.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .core import BirkhoffSystem, _positive_int, _require_dim, velocity
 from .errors import BirkhoffError, NewtonError, StepFailure
-from .genscheme import GeneratingScheme
+from .genscheme import GeneratingScheme, _tau_series
 from .newton import newton_solve
 from .transform import require_same_n, require_transversal
 
@@ -82,8 +85,14 @@ def step(
     another n, raises ``ValueError`` before any evaluation.  Raises
     :class:`StepFailure` when the step's own Newton iteration does not
     converge; the exception carries its last iterate, residual norm and
-    iteration count.  Raises :class:`TransversalityError` when the Newton
-    matrix A - Psi_ww C at an iterate fails the nonsingularity test.
+    iteration count.  Raises :class:`TransversalityError` when a Newton
+    matrix fails the nonsingularity test.
+
+    Above order 1 the first Newton matrix is A - (phi_ww^(0) + tau
+    phi_ww^(1)) C at the predictor, which the solve treats as stale: it
+    is replaced by the exact A - Psi_ww C after an update that fails to
+    cut the residual 4x, and before any stop at the noise floor.  Only
+    :func:`step_jacobian` always pays for the exact matrix.
     """
     z = _require_dim(sys, z)
     require_same_n(scheme.alpha, sys)
@@ -97,9 +106,15 @@ def step(
         a1, a2 = alpha.forward(z_new, z, t1, t_k)
         return a1, sch.psi_w(a2, tau)
 
+    def newton_matrix(order=None):
+        return lambda y: _linearization(sch, y, z, t_k, tau, order)[0]
+
+    # up to order 1 the cut series is the whole one, and a start matrix
+    # that counts as stale would only add refreshes
+    start = newton_matrix(1) if len(sch.coefficients.coeffs) > 2 else None
     guess = z + tau * velocity(sys, z, t_k)
     try:
-        z_new, _, _ = newton_solve(terms, guess, lambda y: _linearization(sch, y, z, t_k, tau)[0])
+        z_new, _, _ = newton_solve(terms, guess, newton_matrix(), _start=start)
     except NewtonError as exc:
         raise StepFailure(
             f"implicit step at t={t_k} failed: {exc}",
@@ -162,13 +177,19 @@ def integrate(
 
 
 def _linearization(
-    sch: GeneratingScheme, z_new: Array, z: Array, t_k: float, tau: float
+    sch: GeneratingScheme,
+    z_new: Array,
+    z: Array,
+    t_k: float,
+    tau: float,
+    order: Optional[int] = None,
 ) -> Tuple[Array, Array]:
     """(A - Psi_ww C, Psi_ww D - B): the step relation differentiated in z_new and in z.
 
     (A, B, C, D) are the forward blocks of the transform at
     (z_new, z, t_k + tau, t_k) and Psi_ww = ``sch.psi_ww(w, tau)`` at
-    w = alpha_2(z_new, z, t_k + tau, t_k).  Raises
+    w = alpha_2(z_new, z, t_k + tau, t_k).  With ``order``, Psi_ww's
+    series is cut after that order, and the pair is no longer exact.  Raises
     :class:`TransversalityError` when A - Psi_ww C fails
     :func:`~birkhoff.core.det_nonzero` (the fourth condition of
     :func:`~birkhoff.transform.transversality_equivalents`).
@@ -176,7 +197,10 @@ def _linearization(
     t1 = t_k + tau
     a, b, c, d = sch.alpha.blocks(z_new, z, t1, t_k)
     _, w = sch.alpha.forward(z_new, z, t1, t_k)
-    psi_ww = sch.psi_ww(w, tau)
+    if order is None:
+        psi_ww = sch.psi_ww(w, tau)
+    else:
+        psi_ww = _tau_series(sch.coefficients.coeff_jacobians[: order + 1], w, tau)
     lhs = a - psi_ww @ c
     require_transversal(lhs, "A - Psi_ww C")
     return lhs, psi_ww @ d - b
@@ -196,12 +220,13 @@ def step_jacobian(
 
         M = (A - Psi_ww C)^{-1} (Psi_ww D - B),
 
-    with both factors from the linearization at the solved z_new that
-    :func:`step` uses as its Newton matrix.  A lost transversality
+    with both factors from the exact linearization at the solved z_new,
+    the full series Psi_ww: the matrix that :func:`step`'s Newton
+    refreshes use, not its cheaper first matrix.  A lost transversality
     condition |A - Psi_ww C| != 0 raises :class:`TransversalityError`.
     The coefficients at the converged w are already memoized by the
-    solve, so beyond the step itself only the Hessian of the top-order
-    coefficient is new work.  :func:`step` checks z and the scheme's n.
+    solve, so beyond the step itself only their Hessians there are new
+    work.  :func:`step` checks z and the scheme's n.
     """
     z_new = step(sys, scheme, z, t_k, tau)
     if tau == 0.0:

@@ -158,23 +158,24 @@ def test_traced_step_solve_matches_and_counts_one_evaluation_per_update(tracing,
     # the Newton solve of one order-2 oscillator step, run untraced and
     # then traced on the same relation: the step stops at its target, so
     # the solve evaluates its terms once at the start and once per update.
-    # The relation is linear in z_new and its matrix exact, so one update
-    # meets the target, and none follows it
+    # The relation is linear in z_new; its first matrix drops phi2's
+    # Hessian, so four updates meet the target (one did with the exact
+    # matrix), and none follows it
     solves = []
 
-    def recorded(*args):
-        out = newton_solve(*args)
-        solves.append((args, out))
+    def recorded(*args, **kwargs):
+        out = newton_solve(*args, **kwargs)
+        solves.append((args, kwargs, out))
         return out
 
     monkeypatch.setattr(birkhoff.stepper, "newton_solve", recorded)
     system = oscillator_system(0.5)
     scheme = make_scheme(system, oscillator_alpha(0.5), 0.3, 2)
     step(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
-    [(args, (x, rnorm, iters))] = solves
-    assert iters == 1
+    [(args, kwargs, (x, rnorm, iters))] = solves
+    assert iters == 4
     tracer = tracing.Tracer()
-    out = tracer.wrap_newton("newton.step", newton_solve)(*args)
+    out = tracer.wrap_newton("newton.step", newton_solve)(*args, **kwargs)
     np.testing.assert_array_equal(out[0], x)
     assert out[1:] == (rnorm, iters)
     assert [solve[:4] for solve in tracer.solves] == [("step", None, iters, iters + 1)]

@@ -135,3 +135,43 @@ class TestNewtonSolve:
         assert TOL < rnorm <= TOL * 1e8
         assert iters < MAX_ITER
         assert abs(x[0] - 1.0) <= TOL
+
+    def test_slowly_contracting_start_matrix_takes_one_exact_refresh(self):
+        # x - 1 = 0 from 0: the start matrix 2 halves the error, too little
+        # for a stale matrix, so the exact slope 1 is fetched once, at the
+        # first iterate, and lands on the root
+        starts, jac_points = [], []
+
+        def start(y):
+            starts.append(y[0])
+            return np.array([[2.0]])
+
+        def jacobian(y):
+            jac_points.append(y[0])
+            return np.eye(1)
+
+        x, rnorm, iters = newton_solve(shifted(1.0), np.zeros(1), jacobian, _start=start)
+        assert (x[0], rnorm, iters) == (1.0, 0.0, 2)
+        assert starts == [0.0]
+        assert jac_points == [0.5]
+
+    def test_start_matrix_at_the_noise_floor_is_refreshed_before_the_stop(self):
+        # a start 1e-9 from the root of x - 1 sits below the noise floor
+        # sqrt(TOL) and above the target TOL; the matrix -1 moves away from
+        # the root.  As a fresh matrix it ends the solve there, as a start
+        # matrix it is stale, so the exact one is fetched at the same point
+        # and meets the target
+        x0 = np.array([1.0 + 1e-9])
+        x, rnorm, iters = newton_solve(shifted(1.0), x0, lambda y: -np.eye(1))
+        np.testing.assert_array_equal(x, x0)
+        assert (rnorm, iters) == (x0[0] - 1.0, 0)
+
+        jac_points = []
+
+        def jacobian(y):
+            jac_points.append(y.copy())
+            return np.eye(1)
+
+        x, rnorm, iters = newton_solve(shifted(1.0), x0, jacobian, _start=lambda y: -np.eye(1))
+        assert (x[0], rnorm, iters) == (1.0, 0.0, 1)
+        np.testing.assert_array_equal(jac_points, [x0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,3 +237,23 @@ def test_non_finite_nu_or_tau_is_rejected(build, args):
     # system's first K evaluation
     with pytest.raises(ValueError):
         build(*args)
+
+
+@pytest.mark.parametrize(
+    "build, nu, tau",
+    [
+        (scheme_first_order, 0.5, 1e200),
+        (scheme_second_order, 0.5, 1e200),
+        (euler_center, 0.5, 1e200),
+        (euler_center, 2.0, -2.0),
+    ],
+    ids=["scheme_first_order", "scheme_second_order", "euler_center", "euler_center-zero-divisor"],
+)
+def test_matrix_that_is_not_finite_is_rejected(build, nu, tau):
+    # tau * tau overflows to inf and inf / inf is NaN: each of these gave a
+    # NaN matrix, at most with a RuntimeWarning, and the zero divisor
+    # (tau + 2)^2 of euler_center at nu = 2 raised ZeroDivisionError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            build(nu, tau)

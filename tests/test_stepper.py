@@ -29,7 +29,9 @@ from birkhoff import (
     symplectic_residual,
     velocity,
 )
+from birkhoff import stepper
 from birkhoff.core import _det_margin
+from birkhoff.newton import MAX_ITER, newton_solve
 from pendulum_chain import chain_system, rk4_state, sheared_chain
 
 NU = 0.5
@@ -456,7 +458,7 @@ class TestStepJacobian:
 
     @pytest.mark.parametrize(
         "fn, order, k_calls",
-        [(step_jacobian, 1, 11), (step_jacobian, 2, 91), (step, 1, 7), (step, 2, 55)],
+        [(step_jacobian, 1, 11), (step_jacobian, 2, 82), (step, 1, 7), (step, 2, 46)],
         ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
     )
     def test_calls_to_k_are_pinned(self, fn, order, k_calls):
@@ -467,7 +469,9 @@ class TestStepJacobian:
         # Newton stops at its target: one more polishing update past it
         # took 12, 122, 8 and 78 calls here.  phi2 takes the derivative in
         # the functional's Jacobian slot exactly: a central difference
-        # there took 111 and 67 calls at order 2
+        # there took 111 and 67 calls at order 2.  The order-2 step's first
+        # Newton matrix drops phi2's Hessian and takes 4 updates, not 1:
+        # starting from the exact matrix took 91 and 55 calls
         base = oscillator_system(NU)
         calls = []
 
@@ -484,9 +488,9 @@ class TestStepJacobian:
         "fn, order, solves, slogdets",
         [
             (step_jacobian, 1, 25, 6),
-            (step_jacobian, 2, 147, 10),
+            (step_jacobian, 2, 136, 10),
             (step, 1, 16, 5),
-            (step, 2, 90, 9),
+            (step, 2, 79, 9),
         ],
         ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
     )
@@ -496,7 +500,11 @@ class TestStepJacobian:
         # an order-2 step: K at three times, P at four, A' - C' and the
         # step's Newton matrix).  Solving with diag(P(t), P(t0)) on every
         # inverse call and testing every matrix afresh took 53, 333, 32 and
-        # 200 solves and 25, 147, 16 and 90 slogdet calls here
+        # 200 solves and 25, 147, 16 and 90 slogdet calls here.  The
+        # order-2 step's first Newton matrix, cut after phi1's Hessian,
+        # stands in for the exact one (no refresh on the oscillator), so
+        # the slogdets stay; starting from the exact matrix took 147 and
+        # 90 solves
         _det_margin.cache_clear()
         calls = {"solve": 0, "slogdet": 0}
 
@@ -523,7 +531,10 @@ class TestStepJacobian:
         # forward blocks, and a polishing update past the step's target
         # took 4 forward, 112 inverse, 35 inverse_blocks and 78 blocks;
         # a central difference in the functional's Jacobian slot took 96
-        # inverse and 67 blocks calls
+        # inverse and 67 blocks calls.  A first Newton matrix cut after
+        # phi1's Hessian takes 4 updates, not 1, and skips phi2's Hessian:
+        # starting from the exact matrix took 3 forward, 84 inverse, 30
+        # inverse_blocks and 55 blocks calls
         names = ("forward", "inverse", "inverse_blocks", "blocks")
         calls = dict.fromkeys(names, 0)
 
@@ -538,7 +549,7 @@ class TestStepJacobian:
         alpha = dataclasses.replace(base, **{n: counted(n, getattr(base, n)) for n in names})
         scheme = make_scheme(oscillator_system(NU), alpha, 0.3, 2)
         step(oscillator_system(NU), scheme, np.array([0.7, -1.3]), 0.3, 0.1)
-        assert calls == {"forward": 3, "inverse": 84, "inverse_blocks": 30, "blocks": 55}
+        assert calls == {"forward": 6, "inverse": 70, "inverse_blocks": 25, "blocks": 46}
         # one identity point's record (phi0, its Jacobian and phi1): one
         # inverse image for the solve, which takes no update, one set of
         # inverse blocks, and the functional's inverse image and blocks.
@@ -575,6 +586,72 @@ class TestStepJacobian:
             run(lambda z, t: step(sys0, scheme, z, t, 0.1), z0, 0.0, 0.1, 3, certify=certify)
         assert info.value.step_index == 0
         assert info.value.trajectory.steps == 0
+
+
+class TestFirstNewtonMatrix:
+    """The order-2 step starts Newton from A - (phi0_ww + tau phi1_ww) C."""
+
+    def test_chain_step_cost_grows_about_linearly_in_n(self, monkeypatch):
+        # with phi2's Hessian in its first matrix the step took 1296 calls
+        # to K here; a solve on the exact matrix alone is the reference
+        base, alpha = chain_system(8)
+        calls = []
+        system = counting(base, calls)
+        scheme = make_scheme(system, alpha, 0.0, 2)
+        z = np.random.default_rng(8).uniform(-0.5, 0.5, 16)
+        z_new = step(system, scheme, z, 0.0, 0.05)
+        assert calls.count("K") <= 200
+
+        def exact_only(terms, x0, jacobian, _start=None):
+            return newton_solve(terms, x0, jacobian)
+
+        monkeypatch.setattr(stepper, "newton_solve", exact_only)
+        reference = step(system, scheme, z, 0.0, 0.05)
+        assert np.max(np.abs(z_new - reference)) <= 1e-12
+
+    def test_singular_first_matrix_raises_transversality_error(self):
+        # on the undamped transform A = [[0, 1], [1, 0]], C = diag(0.5, -0.5):
+        # phi0_ww = [[0, 2], [2, 0]] and phi1_ww = 0 make the first matrix
+        # [[0, 2], [0, 0]] singular, though tau^2 phi2_ww = I makes the
+        # exact one [[-0.5, 2], [0, 0.5]] regular
+        sys0 = oscillator_system(0.0)
+
+        def coeffs(t0):
+            zero = lambda w: np.zeros(2)  # noqa: E731
+            return CoefficientSet(
+                t0, (zero,) * 3,
+                (
+                    lambda w: np.array([[0.0, 2.0], [2.0, 0.0]]),
+                    lambda w: np.zeros((2, 2)),
+                    lambda w: 100.0 * np.eye(2),
+                ),
+            )
+
+        scheme = GeneratingScheme(oscillator_alpha(0.0), coeffs(0.0), coeffs)
+        with pytest.raises(TransversalityError, match="A - Psi_ww C"):
+            step(sys0, scheme, np.array([0.5, 0.5]), 0.0, 0.1)
+
+    def test_diverging_step_raises_step_failure_with_its_iterations(self):
+        # tau^2 phi2 = (w1^2 + 2, 0) on the undamped transform asks
+        # u - z1 = (u + z1)^2 / 4 + 2 of u = z_new[1], which has no real
+        # root, so the solve runs into its iteration cap whichever matrix
+        # it starts from
+        sys0 = oscillator_system(0.0)
+        tau = 0.1
+
+        def coeffs(t0):
+            zero = lambda w: np.zeros(2)  # noqa: E731
+            zeros = lambda w: np.zeros((2, 2))  # noqa: E731
+            return CoefficientSet(
+                t0,
+                (zero, zero, lambda w: np.array([w[1] ** 2 + 2.0, 0.0]) / tau**2),
+                (zeros, zeros, lambda w: np.array([[0.0, 2.0 * w[1]], [0.0, 0.0]]) / tau**2),
+            )
+
+        scheme = GeneratingScheme(oscillator_alpha(0.0), coeffs(0.0), coeffs)
+        with pytest.raises(StepFailure) as info:
+            step(sys0, scheme, np.array([0.3, -0.2]), 0.0, tau)
+        assert info.value.iterations == info.value.__cause__.iterations == MAX_ITER
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=lambda n: f"n{n}")
