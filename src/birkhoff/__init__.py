@@ -17,9 +17,7 @@ from .errors import (
     InconsistencyError,
     NewtonError,
     RegularityError,
-    StepFailure,
     TransversalityError,
-    UnsupportedOrderError,
 )
 from .genscheme import (
     CoefficientSet,
@@ -71,10 +69,8 @@ __all__ = [
     "RawFirstOrderSystem",
     "RegularityError",
     "SelfAdjointReport",
-    "StepFailure",
     "Trajectory",
     "TransversalityError",
-    "UnsupportedOrderError",
     "a_functional",
     "alpha_verify",
     "canonical_j",

@@ -79,8 +79,11 @@ def convergence_order(
     time t.  ``z0`` must be a state of the system's dimension, the horizon
     finite and positive, and each tau finite, positive and a divisor of
     it whose quotient horizon / tau is finite; at least three values are
-    required for the fit.  All of these are checked before the first run.
-    The error metric is the max-norm at the final time.
+    required for the fit.  The reference is evaluated once, at
+    t0 + horizon, and must give a finite state of the system's dimension.
+    All of these are checked before the first run, so a reference that
+    raises does so before any step.  The error metric is the max-norm at
+    the final time.
     """
     # written so that a NaN horizon fails too
     if not 0.0 < horizon < np.inf:
@@ -102,10 +105,13 @@ def convergence_order(
             raise ValueError(f"horizon {horizon} is not an integer multiple of tau {tau}")
         steps.append(n_steps)
     z0 = _require_dim(sys, z0)
+    z_ref = _require_dim(sys, reference(t0 + horizon))
+    if not np.isfinite(z_ref).all():
+        raise ValueError(f"reference state at t = {t0 + horizon} must be finite, got {z_ref}")
 
     errors = []
     for tau, n_steps in zip(taus, steps):
         z = run(scheme_factory(tau), z0, t0, tau, n_steps).states[-1]
-        errors.append(float(np.max(np.abs(z - reference(t0 + horizon)))))
+        errors.append(float(np.max(np.abs(z - z_ref))))
 
     return ConvergenceReport(tuple(taus), tuple(errors), fit_slope(taus, errors))

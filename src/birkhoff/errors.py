@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each numerical failure raises the type of its cause: a failed Newton
+solve a :class:`NewtonError`, a bad value from a user callable an
+:class:`EvaluationError`, and so on.  An argument the package rejects
+before any evaluation (a state of the wrong length, an order outside
+1..2) raises ``ValueError`` instead.
+"""
 
 
 class BirkhoffError(Exception):
@@ -38,7 +45,7 @@ class TransversalityError(BirkhoffError):
 
 
 class NewtonError(BirkhoffError):
-    """Newton iteration failed; carries the last iterate and residual norm."""
+    """Newton iteration failed; carries the last iterate, residual norm and iteration count."""
 
     def __init__(self, message: str, last_iterate, residual_norm: float, iterations: int):
         super().__init__(
@@ -49,24 +56,6 @@ class NewtonError(BirkhoffError):
         self.iterations = iterations
 
 
-class StepFailure(BirkhoffError):
-    """A one-step solve did not converge.
-
-    Carries that solve's last iterate, residual norm and iteration count,
-    and the step's start time ``t``.
-    """
-
-    def __init__(self, message: str, last_iterate, residual_norm: float, t: float, iterations: int):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual_norm = residual_norm
-        self.t = t
-        self.iterations = iterations
-
-
 class InconsistencyError(BirkhoffError):
     """A reconstruction consistency check failed; input is likely not self-adjoint."""
 
-
-class UnsupportedOrderError(BirkhoffError):
-    """Requested expansion order lies above the implemented cap."""

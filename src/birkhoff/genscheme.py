@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numdiff
 from .core import BirkhoffSystem, _content_cached, velocity
-from .errors import EvaluationError, NewtonError, UnsupportedOrderError
+from .errors import EvaluationError, NewtonError
 from .newton import newton_solve
 from .transform import AlphaTransform, require_same_n, require_transversal
 
@@ -73,10 +73,6 @@ class GeneratingScheme:
     def psi_w(self, w: Array, tau: float) -> Array:
         """Truncated gradient sum_k tau^k phi_w^(k)(w)."""
         return _tau_series(self.coefficients.coeffs, w, tau)
-
-    def psi_ww(self, w: Array, tau: float) -> Array:
-        """Jacobian of the truncated gradient."""
-        return _tau_series(self.coefficients.coeff_jacobians, w, tau)
 
     def at(self, t0: float) -> "GeneratingScheme":
         """This scheme re-expanded at t0 (identity when t0 already matches)."""
@@ -139,7 +135,8 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     raises :class:`~birkhoff.errors.TransversalityError`.  A Newton
     failure there raises :class:`~birkhoff.errors.EvaluationError` naming
     w and t0, chained to the :class:`~birkhoff.errors.NewtonError`.
-    The order m must be an integer; a float or bool raises ``ValueError``.
+    The order m must be an integer in 1..``MAX_ORDER``; any other value,
+    a float or bool included, raises ``ValueError`` before any evaluation.
 
     Each point w is evaluated once, as one record (phi^(0), S, phi^(1), g)
     with S = d phi^(0)/dw and phi^(1) = u - S g from the functional's pair
@@ -159,10 +156,8 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     if isinstance(m, bool) or not isinstance(m, numbers.Integral):
         raise ValueError(f"order must be an integer, got {m!r}")
     m = int(m)
-    if m < 1 or m > MAX_ORDER:
-        raise UnsupportedOrderError(
-            f"generic coefficient recursion supports orders 1..{MAX_ORDER}, got {m}"
-        )
+    if not 1 <= m <= MAX_ORDER:
+        raise ValueError(f"generic coefficient recursion supports orders 1..{MAX_ORDER}, got {m}")
     require_same_n(alpha, sys)
     t0 = float(t0)
 

@@ -8,13 +8,16 @@ for z_new by chord Newton from an explicit-Euler predictor.  Coefficients
 are re-expanded at each grid time through the scheme's rebase factory, so
 nonautonomous systems keep their stated order.  Differentiating the
 relation through the Moebius form gives one linearization,
-A - Psi_ww C in z_new and Psi_ww D - B in z: the two together give the
-exact step Jacobian of :func:`step_jacobian`, and the first is the Newton
-matrix of :func:`step`.  Newton only needs a matrix that contracts, so
-:func:`step` starts from A - Psi_ww C with Psi_ww's series cut after
-phi_ww^(1), which skips the nested finite-difference Hessian phi_ww^(2);
-every refresh of that matrix is exact.  :func:`run` is the one loop that
-walks a step map along the grid.
+A - Psi_ww C in z_new and Psi_ww D - B in z, with Psi_ww = sum_k tau^k
+phi_ww^(k) summed in :func:`_linearization` alone: the two together give
+the exact step Jacobian of :func:`step_jacobian`, and the first is the
+Newton matrix of :func:`step`.  Newton only needs a matrix that
+contracts, so :func:`step` starts from A - Psi_ww C with Psi_ww's series
+cut after phi_ww^(1), which skips the nested finite-difference Hessian
+phi_ww^(2); every refresh of that matrix is exact.  A step that fails
+raises the error of its cause; a solve that does not converge raises the
+solver's own :class:`~birkhoff.errors.NewtonError`.  :func:`run` is the
+one loop that walks a step map along the grid.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .core import BirkhoffSystem, _positive_int, _require_dim, velocity
-from .errors import BirkhoffError, NewtonError, StepFailure
+from .errors import BirkhoffError
 from .genscheme import GeneratingScheme, _tau_series
 from .newton import newton_solve
 from .transform import require_same_n, require_transversal
@@ -83,10 +86,13 @@ def step(
 
     A z whose length is not the system's, or a scheme whose transform has
     another n, raises ``ValueError`` before any evaluation.  Raises
-    :class:`StepFailure` when the step's own Newton iteration does not
-    converge; the exception carries its last iterate, residual norm and
+    :class:`NewtonError` when the step's own Newton iteration does not
+    converge; it carries that solve's last iterate, residual norm and
     iteration count.  Raises :class:`TransversalityError` when a Newton
-    matrix fails the nonsingularity test.
+    matrix fails the nonsingularity test.  A failed identity-point solve
+    inside the coefficients leaves as an :class:`EvaluationError` chained
+    to its :class:`NewtonError`, so ``except NewtonError`` catches only
+    the step's own solve.
 
     Above order 1 the first Newton matrix is A - (phi_ww^(0) + tau
     phi_ww^(1)) C at the predictor, which the solve treats as stale: it
@@ -106,21 +112,16 @@ def step(
         a1, a2 = alpha.forward(z_new, z, t1, t_k)
         return a1, sch.psi_w(a2, tau)
 
-    def newton_matrix(order=None):
-        return lambda y: _linearization(sch, y, z, t_k, tau, order)[0]
+    jacs = sch.coefficients.coeff_jacobians
+
+    def newton_matrix(series):
+        return lambda y: _linearization(sch, series, y, z, t_k, tau)[0]
 
     # up to order 1 the cut series is the whole one, and a start matrix
     # that counts as stale would only add refreshes
-    start = newton_matrix(1) if len(sch.coefficients.coeffs) > 2 else None
+    start = newton_matrix(jacs[:2]) if len(jacs) > 2 else None
     guess = z + tau * velocity(sys, z, t_k)
-    try:
-        z_new, _, _ = newton_solve(terms, guess, newton_matrix(), _start=start)
-    except NewtonError as exc:
-        raise StepFailure(
-            f"implicit step at t={t_k} failed: {exc}",
-            exc.last_iterate, exc.residual_norm, t_k, exc.iterations,
-        ) from exc
-    return z_new
+    return newton_solve(terms, guess, newton_matrix(jacs), _start=start)[0]
 
 
 def run(
@@ -178,18 +179,19 @@ def integrate(
 
 def _linearization(
     sch: GeneratingScheme,
+    coeff_jacobians: Tuple[Callable[[Array], Array], ...],
     z_new: Array,
     z: Array,
     t_k: float,
     tau: float,
-    order: Optional[int] = None,
 ) -> Tuple[Array, Array]:
     """(A - Psi_ww C, Psi_ww D - B): the step relation differentiated in z_new and in z.
 
     (A, B, C, D) are the forward blocks of the transform at
-    (z_new, z, t_k + tau, t_k) and Psi_ww = ``sch.psi_ww(w, tau)`` at
-    w = alpha_2(z_new, z, t_k + tau, t_k).  With ``order``, Psi_ww's
-    series is cut after that order, and the pair is no longer exact.  Raises
+    (z_new, z, t_k + tau, t_k) and Psi_ww = sum_k tau^k
+    ``coeff_jacobians[k](w)`` at w = alpha_2(z_new, z, t_k + tau, t_k).
+    The pair is exact when ``coeff_jacobians`` is the scheme's whole
+    tuple; :func:`step`'s first matrix passes only its first two.  Raises
     :class:`TransversalityError` when A - Psi_ww C fails
     :func:`~birkhoff.core.det_nonzero` (the fourth condition of
     :func:`~birkhoff.transform.transversality_equivalents`).
@@ -197,10 +199,7 @@ def _linearization(
     t1 = t_k + tau
     a, b, c, d = sch.alpha.blocks(z_new, z, t1, t_k)
     _, w = sch.alpha.forward(z_new, z, t1, t_k)
-    if order is None:
-        psi_ww = sch.psi_ww(w, tau)
-    else:
-        psi_ww = _tau_series(sch.coefficients.coeff_jacobians[: order + 1], w, tau)
+    psi_ww = _tau_series(coeff_jacobians, w, tau)
     lhs = a - psi_ww @ c
     require_transversal(lhs, "A - Psi_ww C")
     return lhs, psi_ww @ d - b
@@ -232,5 +231,6 @@ def step_jacobian(
     if tau == 0.0:
         return np.eye(z_new.size)
     z = np.asarray(z, dtype=float)
-    lhs, rhs = _linearization(scheme.at(t_k), z_new, z, t_k, tau)
+    sch = scheme.at(t_k)
+    lhs, rhs = _linearization(sch, sch.coefficients.coeff_jacobians, z_new, z, t_k, tau)
     return np.linalg.solve(lhs, rhs)

@@ -220,6 +220,46 @@ class TestConvergenceOrder:
             )
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "reference, message",
+        [
+            # the exact solution of the overdamped branch is not implemented
+            (lambda t: exact_solution(2.5, 1.0, 0.0, t), "underdamped branch"),
+            (lambda t: np.zeros(3), r"state of shape \(3,\) does not match"),
+            (lambda t: np.array([np.nan, 0.0]), "reference state at t = 1.0 must be finite"),
+        ],
+        ids=["raises", "wrong-length", "non-finite"],
+    )
+    def test_reference_rejected_before_the_first_run(self, osc_system, reference, message):
+        # the reference used to be read only after each run, so a raising one
+        # cost a full integration at the first tau before its error
+        calls = []
+
+        def factory(tau):
+            calls.append(tau)
+            return matrix_step(scheme_first_order(NU, tau))
+
+        with pytest.raises(ValueError, match=message):
+            convergence_order(
+                osc_system, factory, reference, np.array([1.0, 0.0]), 0.0, 1.0,
+                [0.1, 0.05, 0.025],
+            )
+        assert calls == []
+
+    def test_reference_evaluated_once_at_the_final_time(self, osc_system):
+        # it used to be evaluated again after every run, at the same time
+        times = []
+
+        def reference(t):
+            times.append(t)
+            return exact_solution(NU, 1.0, 0.0, t)
+
+        convergence_order(
+            osc_system, lambda tau: matrix_step(scheme_first_order(NU, tau)), reference,
+            np.array([1.0, 0.0]), 0.25, 1.0, [0.1, 0.05, 0.025],
+        )
+        assert times == [1.25]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
     def test_error_without_a_logarithm_is_named(self, bad):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from birkhoff import (
     AlphaTransform,
+    BirkhoffError,
     BirkhoffSystem,
     CoefficientSet,
     EvaluationError,
     GeneratingScheme,
     NewtonError,
     TransversalityError,
-    UnsupportedOrderError,
     a_functional,
     alpha_verify,
     coefficients,
@@ -321,10 +321,34 @@ class TestCoefficients:
             make_scheme(osc_system, osc_alpha, 0.0, order)
 
     def test_orders_outside_the_cap_rejected(self, osc_system, osc_alpha):
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(ValueError, match="orders 1..2, got 3"):
             coefficients(osc_system, osc_alpha, 0.0, 3)
-        with pytest.raises(UnsupportedOrderError):
+        with pytest.raises(ValueError, match="orders 1..2, got 0"):
             coefficients(osc_system, osc_alpha, 0.0, 0)
+
+    @pytest.mark.parametrize("order", [0, 3, 2.5, True, "2"], ids=repr)
+    @pytest.mark.parametrize("build", [coefficients, make_scheme], ids=lambda f: f.__name__)
+    def test_bad_order_is_a_usage_error_raised_before_any_evaluation(
+        self, osc_system, osc_alpha, order, build
+    ):
+        # an order outside 1..2 used to raise a BirkhoffError, which the CLI
+        # reports as a numerical failure rather than a usage error
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(z, t):
+                calls.append(name)
+                return fn(z, t)
+
+            return wrapped
+
+        sys0 = dataclasses.replace(
+            osc_system, K=counted("K", osc_system.k_at), D=counted("D", osc_system.d_at)
+        )
+        with pytest.raises(ValueError) as info:
+            build(sys0, osc_alpha, 0.0, order)
+        assert not isinstance(info.value, BirkhoffError)
+        assert calls == []
 
     def test_transform_of_another_dimension_rejected(self):
         # a 2-dof system with the 1-dof oscillator transform; the first

@@ -1,6 +1,8 @@
 """The public surface of the birkhoff package."""
 
 import ast
+import builtins
+import re
 import types
 from pathlib import Path
 
@@ -38,3 +40,16 @@ def test_every_public_name_has_a_caller_beyond_the_unit_tests():
                 used.add(node.name)
     unused = set(birkhoff.__all__) - used - {"hj_rhs"}
     assert not unused, f"public names with no caller outside the unit tests: {sorted(unused)}"
+
+
+def test_readme_names_only_exported_classes_and_errors():
+    # a class or error the package drops must leave README with it: every
+    # backticked CamelCase name, and every name ending in Error or Failure,
+    # must be a public name of the package or a Python builtin
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    camel, error = r"[A-Z][a-z0-9]+(?:[A-Z][A-Za-z0-9]*)+", r"[A-Za-z_]\w*(?:Error|Failure)"
+    pattern = re.compile(rf"\b(?:{camel}|{error})\b")
+    names = {name for span in re.findall(r"`([^`\n]+)`", readme) for name in pattern.findall(span)}
+    unknown = sorted(n for n in names if n not in birkhoff.__all__ and not hasattr(builtins, n))
+    assert not unknown, f"README names what the package does not export: {unknown}"
