@@ -143,13 +143,19 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     (u, g) of :func:`a_functional` at the identity point; ``coeffs[0]``,
     ``coeff_jacobians[0]`` and ``coeffs[1]`` all read it, so any of them
     costs one Newton solve, one set of inverse blocks and one functional
-    evaluation at a fresh w.  Every memo is keyed by the content of w,
-    keeps the ``MEMO_SIZE`` most recently used points and returns
-    read-only arrays.  The functional is affine in its Jacobian slot
-    S, so order 2 takes that slot's derivative exactly, as
-    -(d phi^(1)/dw) g, and central differences only in its gradient and
-    time slots, with once-nested steps: the differenced quantities
-    already carry finite-difference noise above machine epsilon.
+    evaluation at a fresh w.  That record and phi^(2) are memoized by the
+    content of w, keeping the ``MEMO_SIZE`` most recently used points and
+    returning read-only arrays; the differenced Jacobians of phi^(1) and
+    phi^(2) are built afresh on each call.  phi^(2) is half the total
+    derivative of the functional along the flow, one central difference
+    in s at s = 0 of
+
+        u - S g at (phi^(0) + s phi^(1), w, t0 + s),  minus  phi^(1)(w + s g):
+
+    along the flow the S slot moves by d phi^(1)/dw, and the functional,
+    affine in S, meets it only as (d phi^(1)/dw) g, the derivative of
+    phi^(1) along g.  Its step is the once-nested one: phi^(1) already
+    carries finite-difference noise above machine epsilon.
     Closed-form coefficient sets may be supplied by callers to go past
     the cap.
     """
@@ -193,32 +199,27 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     def phi1(w: Array) -> Array:
         return identity(w)[2]
 
-    @_content_cached(MEMO_SIZE)
     def phi1_jac(w: Array) -> Array:
         # phi1 evaluates D and dP/dt, which are differenced when not
         # supplied (D from F and B, dP/dt from P), so it carries noise
         # above machine epsilon
         return numdiff.jacobian(phi1, w, base=numdiff.SOLVER_FD_STEP)
 
-    def rate(w_hat: Array, w: Array, t: float) -> Array:
-        # the functional with its S slot held at d phi0/dw
-        u, g = a_functional(sys, alpha, w_hat, w, t, t0)
-        return u - identity(w)[1] @ g
-
     @_content_cached(MEMO_SIZE)
     def phi2(w: Array) -> Array:
-        base, _, dir1, g = identity(w)
-        h = numdiff.SOLVER_FD_STEP
-        term_grad = numdiff.time_derivative(lambda s: rate(base + s * dir1, w, t0), 0.0, h)
-        # the functional is affine in S, so its S-slot derivative is exact
-        term_jac = -phi1_jac(w) @ g
-        term_time = numdiff.time_derivative(lambda t: rate(base, w, t), t0, h)
-        return 0.5 * (term_grad + term_jac + term_time)
+        # along the flow the S slot moves by d phi1/dw, and the functional
+        # meets that only as (d phi1/dw) g, the derivative of phi1 along g
+        base, s_mat, dir1, g = identity(w)
 
-    @_content_cached(MEMO_SIZE)
+        def along(s):
+            u, g_s = a_functional(sys, alpha, base + s * dir1, w, t0 + s, t0)
+            return u - s_mat @ g_s - phi1(w + s * g)
+
+        return 0.5 * numdiff.time_derivative(along, 0.0, numdiff.SOLVER_FD_STEP)
+
     def phi2_jac(w: Array) -> Array:
-        # phi2 is itself assembled from nested finite differences; its
-        # Jacobian needs the wider step to clear that noise floor
+        # phi2 is a difference of phi1, itself noisy above machine epsilon;
+        # its Jacobian needs the wider step to clear that noise floor
         return numdiff.jacobian(phi2, w, base=numdiff.NESTED_FD_STEP)
 
     coeffs = (phi0, phi1, phi2)[: m + 1]

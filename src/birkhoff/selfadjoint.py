@@ -56,7 +56,6 @@ class SelfAdjointReport:
     time_curl_violation: float
     passed: bool
     samples: Tuple[PhasePoint, ...]
-    tol: float
     antisymmetry_at: Optional[Tuple[int, Tuple[int, ...]]] = None
     closure_at: Optional[Tuple[int, Tuple[int, ...]]] = None
     time_curl_at: Optional[Tuple[int, Tuple[int, ...]]] = None
@@ -104,7 +103,7 @@ def check_self_adjointness(
         time_curl = _worse(time_curl, idx, np.abs(dk_dt - curl))
 
     values, where = zip(antisym, closure, time_curl)
-    return SelfAdjointReport(*values, max(values) <= tol, samples, float(tol), *where)
+    return SelfAdjointReport(*values, max(values) <= tol, samples, *where)
 
 
 def _worse(worst: tuple, idx: int, magnitudes: Array) -> tuple:
