@@ -154,6 +154,18 @@ class TestIntegrate:
         final_error = np.max(np.abs(traj.states[-1] - exact_solution(NU, 1.0, 0.0, 1.0)))
         assert final_error <= 1e-4
 
+    def test_first_order_run_tracks_its_closed_form(self, osc_system, osc_scheme_m1):
+        # the step's chord solve stops at its target on a first matrix
+        # without phi1's Hessian: 20 steps stayed 4.3e-12 from the closed
+        # form here, and 2.7e-15 on the exact matrix alone
+        z0 = np.array([0.7, -1.3])
+        traj = integrate(osc_system, osc_scheme_m1, z0, 0.0, 0.05, 20)
+        closed = scheme_first_order(NU, 0.05)
+        expected = [z0]
+        for _ in range(20):
+            expected.append(closed @ expected[-1])
+        assert np.max(np.abs(np.array(traj.states) - expected)) <= 1e-11
+
     def test_higher_order_is_more_accurate_on_the_same_grid(
         self, osc_system, osc_scheme_m1, osc_scheme_m2
     ):
@@ -465,7 +477,7 @@ class TestStepJacobian:
 
     @pytest.mark.parametrize(
         "fn, order, k_calls",
-        [(step_jacobian, 1, 11), (step_jacobian, 2, 54), (step, 1, 7), (step, 2, 30)],
+        [(step_jacobian, 1, 14), (step_jacobian, 2, 54), (step, 1, 10), (step, 2, 30)],
         ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
     )
     def test_calls_to_k_are_pinned(self, fn, order, k_calls):
@@ -480,7 +492,10 @@ class TestStepJacobian:
         # Newton matrix drops phi2's Hessian and takes 4 updates, not 1:
         # starting from the exact matrix took 91 and 55 calls.  phi2 is one
         # central difference along the flow: summing a gradient-slot and a
-        # time-slot difference with phi1's Hessian times g took 82 and 46
+        # time-slot difference with phi1's Hessian times g took 82 and 46.
+        # The order-1 step's first matrix drops phi1's Hessian, which keeps
+        # the chain's cost flat in n but takes 8 updates, not 1, on this
+        # n = 1 step: starting from the exact matrix took 11 and 7 calls
         base = oscillator_system(NU)
         calls = []
 
@@ -496,9 +511,9 @@ class TestStepJacobian:
     @pytest.mark.parametrize(
         "fn, order, solves, slogdets",
         [
-            (step_jacobian, 1, 25, 6),
+            (step_jacobian, 1, 38, 6),
             (step_jacobian, 2, 98, 10),
-            (step, 1, 16, 5),
+            (step, 1, 29, 5),
             (step, 2, 57, 9),
         ],
         ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
@@ -515,7 +530,10 @@ class TestStepJacobian:
         # the slogdets stay; starting from the exact matrix took 147 and
         # 90 solves.  phi2 as one central difference along the flow, not
         # three pieces with phi1's Hessian, leaves the slogdets too; the
-        # three pieces took 136 and 79 solves
+        # three pieces took 136 and 79 solves.  The order-1 step's first
+        # matrix, cut before phi1's Hessian, takes 8 updates, not 1, on
+        # this n = 1 step and leaves the slogdets; starting from the exact
+        # matrix took 25 and 16 solves
         _det_margin.cache_clear()
         calls = {"solve": 0, "slogdet": 0}
 
@@ -602,7 +620,7 @@ class TestStepJacobian:
 
 
 class TestFirstNewtonMatrix:
-    """The order-2 step starts Newton from A - (phi0_ww + tau phi1_ww) C."""
+    """The step starts Newton from A - Psi_ww C with Psi_ww's last term dropped."""
 
     def test_chain_step_cost_grows_about_linearly_in_n(self, monkeypatch):
         # with phi2's Hessian in its first matrix the step took 1296 calls
@@ -683,6 +701,52 @@ class TestOrderTwoCostInN:
         step_jacobian(system, scheme, z, 0.0, 0.05)
         step(system, scheme, z, 0.0, 0.05)
         assert calls.count("K") <= 400
+
+
+class TestOrderOneCostInN:
+    @staticmethod
+    def calls_to_k(n, certified):
+        # calls to K for one order-1 step of the chain at tau = 0.05, and
+        # with ``certified`` for step_jacobian plus step
+        base, alpha = chain_system(n)
+        z = np.random.default_rng(8).uniform(-0.5, 0.5, 2 * n)
+        calls = []
+        system = counting(base, calls)
+        scheme = make_scheme(system, alpha, 0.0, 1)
+        if certified:
+            step_jacobian(system, scheme, z, 0.0, 0.05)
+        step(system, scheme, z, 0.0, 0.05)
+        return calls.count("K")
+
+    def test_chain_step_and_its_jacobian_stay_within_budget(self):
+        # on the n = 8 chain (16 states), a first matrix with phi1's
+        # Hessian took 36 calls to K for a step and 69 for step_jacobian
+        # plus step; without it they take 8 and 41
+        assert self.calls_to_k(8, certified=False) <= 12
+        assert self.calls_to_k(8, certified=True) <= 50
+
+    def test_chain_step_cost_is_flat_in_n(self):
+        # a first matrix with phi1's Hessian took 12 calls at n = 2 and 36
+        # at n = 8; without it both take 8
+        assert self.calls_to_k(8, certified=False) <= self.calls_to_k(2, certified=False) + 2
+
+    def test_step_builds_no_stencil(self, monkeypatch):
+        # phi1's Hessian is a 2 dim-point stencil of phi1: the step's first
+        # matrix drops it, and only the exact step Jacobian builds it, once
+        calls = []
+        jacobian = numdiff.jacobian
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(numdiff, "jacobian", counted)
+        system, alpha = chain_system(2)
+        z = np.array([0.5, -0.4, 0.3, 0.2])
+        step(system, make_scheme(system, alpha, 0.0, 1), z, 0.0, 0.05)
+        assert len(calls) == 0
+        step_jacobian(system, make_scheme(system, alpha, 0.0, 1), z, 0.0, 0.05)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=lambda n: f"n{n}")
