@@ -3,7 +3,6 @@
 from .core import (
     BirkhoffSystem,
     PhasePoint,
-    k_from_f,
     velocity,
 )
 from .diagnostics import (
@@ -82,7 +81,6 @@ __all__ = [
     "exact_solution",
     "hj_rhs",
     "integrate",
-    "k_from_f",
     "make_scheme",
     "oscillator_alpha",
     "oscillator_system",

@@ -235,16 +235,15 @@ def cmd_check(cfg: argparse.Namespace) -> int:
 def cmd_convergence(cfg: argparse.Namespace) -> int:
     taus = tuple(cfg.tau_list) or (0.1, 0.05, 0.025, 0.0125)
     system = oscillator_system(cfg.nu)
-    z0 = _require_dim(system, cfg.z0)
 
     def factory(tau: float):
         advance, _ = _build_step_maps(system, cfg, tau)
         return advance
 
     def reference(t: float):
-        return exact_solution(cfg.nu, z0[0], z0[1], t - cfg.t0)
+        return exact_solution(cfg.nu, cfg.z0[0], cfg.z0[1], t - cfg.t0)
 
-    report = convergence_order(system, factory, reference, z0, cfg.t0, cfg.horizon, taus)
+    report = convergence_order(system, factory, reference, cfg.z0, cfg.t0, cfg.horizon, taus)
     lines = ["tau,error"]
     for tau, err in zip(report.tau_values, report.errors):
         lines.append(f"{_fmt(tau)},{_fmt(err)}")

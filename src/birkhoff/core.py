@@ -111,10 +111,16 @@ class BirkhoffSystem(_HalfDim):
         return float(_checked("B", self.B, z, t, ()))
 
     def k_at(self, z: Array, t: float) -> Array:
-        """Structure matrix, analytic if supplied, else derived from F."""
+        """Structure matrix, analytic if supplied, else derived from F.
+
+        The derived K[i, j] = dF_j/dz_i - dF_i/dz_j is taken by central
+        differences of F; as the difference of a matrix and its transpose,
+        it is exactly antisymmetric.
+        """
         if self.K is not None:
             return _checked("K", self.K, z, t, (self.dim, self.dim))
-        return k_from_f(self, PhasePoint(z, t))
+        jac = numdiff.jacobian(lambda y: self.f_at(y, t), z)  # jac[i, j] = dF_i/dz_j
+        return jac.T - jac
 
     def d_at(self, z: Array, t: float) -> Array:
         """Homogeneous-form right-hand side D, so that K dz/dt + D = 0.
@@ -170,17 +176,6 @@ def _checked(name: str, fn: Callable, z: Array, t: float, shape: tuple) -> Array
     if not np.isfinite(out).all():
         raise EvaluationError(f"{name} returned non-finite values at t={t}")
     return out
-
-
-def k_from_f(sys: BirkhoffSystem, p: PhasePoint) -> Array:
-    """Structure matrix from the antisymmetrized Jacobian of F.
-
-    K[i, j] = dF_j/dz_i - dF_i/dz_j, by central differences; as the
-    difference of a matrix and its transpose, the result is exactly
-    antisymmetric.
-    """
-    jac = numdiff.jacobian(lambda y: sys.f_at(y, p.t), p.z)  # jac[i, j] = dF_i/dz_j
-    return jac.T - jac
 
 
 def _content_cached(maxsize: int):
@@ -266,11 +261,10 @@ def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
     """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D.
 
     A z whose length is not the system's raises ``ValueError`` before any
-    evaluation.
+    evaluation; a K that fails :func:`det_nonzero` raises
+    :class:`RegularityError` carrying that test's |det| in ``det``.
     """
     z = _require_dim(sys, z)
     k = sys.k_at(z, t)
-    require_nonsingular(
-        k, lambda det: RegularityError(f"structure matrix singular at t={t}: |det| = {det:.3e}")
-    )
+    require_nonsingular(k, lambda det: RegularityError(f"structure matrix singular at t={t}", det))
     return np.linalg.solve(k, -sys.d_at(z, t))

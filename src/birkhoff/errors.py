@@ -27,21 +27,24 @@ class EvaluationError(BirkhoffError):
     """
 
 
-class RegularityError(BirkhoffError):
-    """The structure matrix is numerically singular where regularity is required."""
-
-
-class TransversalityError(BirkhoffError):
-    """A transversality determinant vanished.
+class _SingularMatrixError(BirkhoffError):
+    """A matrix failed the nonsingularity test.
 
     Carries the offending |det| in ``det`` (of the matrix with each row
-    scaled by its max-abs entry, the quantity the nonsingularity test
-    uses).
+    scaled by its max-abs entry, the quantity the test uses).
     """
 
     def __init__(self, message: str, det: float):
         super().__init__(f"{message} (|det| = {det:.3e})")
         self.det = det
+
+
+class RegularityError(_SingularMatrixError):
+    """The structure matrix is numerically singular where regularity is required."""
+
+
+class TransversalityError(_SingularMatrixError):
+    """A transversality determinant vanished."""
 
 
 class NewtonError(BirkhoffError):

@@ -43,8 +43,9 @@ class CoefficientSet:
     ``coeffs[k]`` maps w to the order-k coefficient vector;
     ``coeff_jacobians[k]`` maps w to its 2n x 2n Jacobian (each
     coefficient is a gradient, so these are symmetric).  The order m is
-    ``len(coeffs) - 1``; a set needs at least one coefficient and one
-    Jacobian per coefficient.
+    ``len(coeffs) - 1``; a set needs at least two coefficients (order
+    m >= 1, the range :func:`coefficients` builds) and one Jacobian per
+    coefficient.
     """
 
     t0: float
@@ -53,8 +54,8 @@ class CoefficientSet:
 
     def __post_init__(self):
         n_coeffs, n_jacs = len(self.coeffs), len(self.coeff_jacobians)
-        if not n_coeffs or n_jacs != n_coeffs:
-            raise ValueError(f"need 1+ coefficients, a Jacobian each, got {n_coeffs} and {n_jacs}")
+        if n_coeffs < 2 or n_jacs != n_coeffs:
+            raise ValueError(f"need 2+ coefficients, a Jacobian each, got {n_coeffs} and {n_jacs}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +76,11 @@ class GeneratingScheme:
         return _tau_series(self.coefficients.coeffs, w, tau)
 
     def at(self, t0: float) -> "GeneratingScheme":
-        """This scheme re-expanded at t0 (identity when t0 already matches)."""
-        if t0 == self.coefficients.t0:
-            return self
+        """This scheme re-expanded at t0, with the set that ``rebase(t0)`` returns.
+
+        A scheme from :func:`make_scheme` gets back the set it already
+        holds when t0 is its own expansion time.
+        """
         return GeneratingScheme(self.alpha, self.rebase(t0), self.rebase)
 
 
@@ -230,10 +233,10 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:
     """Generic order-m scheme with a rebase factory wired to ``coefficients``.
 
-    The latest rebased coefficient set is kept, so a step and its step
-    Jacobian from one grid point share their coefficient evaluations; a
-    run asks for each grid time in turn and never goes back, so older sets
-    are dropped.
+    The latest rebased coefficient set is kept, at first the one built at
+    t0, so a step and its step Jacobian from one grid point share their
+    coefficient evaluations; a run asks for each grid time in turn and
+    never goes back, so older sets are dropped.
     """
 
     @functools.lru_cache(maxsize=1)

@@ -15,12 +15,11 @@ Newton matrix of :func:`step`.  Newton only needs a matrix that
 contracts, so at every order :func:`step` starts from A - Psi_ww C with
 the series' last, most-differenced term dropped: an order-1 step builds
 no phi_ww^(1) stencil and an order-2 step no nested phi_ww^(2), which
-keeps the order-1 step's calls to the user's K flat in n (8 per step of
-the pendulum chain at n = 1 to 8, against 7.8 to 36 with phi_ww^(1) in
-the first matrix); every refresh of that matrix is exact.  A step that fails
-raises the error of its cause; a solve that does not converge raises the
-solver's own :class:`~birkhoff.errors.NewtonError`.  :func:`run` is the
-one loop that walks a step map along the grid.
+keeps the order-1 step's calls to the user's K flat in n; every refresh
+of that matrix is exact.  A step that fails raises the error of its
+cause; a solve that does not converge raises the solver's own
+:class:`~birkhoff.errors.NewtonError`.  :func:`run` is the one loop that
+walks a step map along the grid.
 """
 
 from __future__ import annotations
@@ -87,15 +86,17 @@ def step(
 ) -> Array:
     """Advance z from t_k to t_k + tau through the implicit relation.
 
-    A z whose length is not the system's, or a scheme whose transform has
-    another n, raises ``ValueError`` before any evaluation.  Raises
-    :class:`NewtonError` when the step's own Newton iteration does not
-    converge; it carries that solve's last iterate, residual norm and
-    iteration count.  Raises :class:`TransversalityError` when a Newton
-    matrix fails the nonsingularity test.  A failed identity-point solve
-    inside the coefficients leaves as an :class:`EvaluationError` chained
-    to its :class:`NewtonError`, so ``except NewtonError`` catches only
-    the step's own solve.
+    A z whose length is not the system's, a scheme whose transform has
+    another n, or a non-finite t_k or tau raises ``ValueError`` before any
+    evaluation; a zero tau returns a copy of z, and a negative one steps
+    back.  Raises :class:`NewtonError` when the step's own Newton
+    iteration does not converge; it carries that solve's last iterate,
+    residual norm and iteration count.  Raises
+    :class:`TransversalityError` when a Newton matrix fails the
+    nonsingularity test.  A failed identity-point solve inside the
+    coefficients leaves as an :class:`EvaluationError` chained to its
+    :class:`NewtonError`, so ``except NewtonError`` catches only the
+    step's own solve.
 
     The first Newton matrix is A - Psi_ww C at the predictor with the
     series' last, most-differenced term dropped, at every order (A -
@@ -106,6 +107,8 @@ def step(
     """
     z = _require_dim(sys, z)
     require_same_n(scheme.alpha, sys)
+    if not (np.isfinite(t_k) and np.isfinite(tau)):
+        raise ValueError(f"need finite t_k and tau, got t_k={t_k}, tau={tau}")
     if tau == 0.0:
         return z.copy()
     sch = scheme.at(t_k)
@@ -122,7 +125,7 @@ def step(
         return lambda y: _linearization(sch, series, y, z, t_k, tau)[0]
 
     # the first matrix drops the series' last, most-differenced term
-    start = newton_matrix(jacs[:-1]) if len(jacs) > 1 else None
+    start = newton_matrix(jacs[:-1])
     guess = z + tau * velocity(sys, z, t_k)
     return newton_solve(terms, guess, newton_matrix(jacs), _start=start)[0]
 

@@ -13,7 +13,6 @@ from birkhoff import (
     RawFirstOrderSystem,
     RegularityError,
     darboux_alpha,
-    k_from_f,
     oscillator_system,
     scaled_canonical_alpha,
     velocity,
@@ -130,14 +129,19 @@ def test_integer_and_bool_output_is_read_as_float():
     np.testing.assert_array_equal(flags.f_at(z, 0.3), [1.0, 0.0])
 
 
+def derived_k(system, z, t=0.0):
+    """The structure matrix that ``k_at`` derives from F, whether or not K is given."""
+    return dataclasses.replace(system, K=None).k_at(z, t)
+
+
 class TestKFromF:
     def test_damped_oscillator_at_time_zero(self, osc_system):
-        k = k_from_f(osc_system, PhasePoint([1.0, 2.0], 0.0))
+        k = derived_k(osc_system, [1.0, 2.0], 0.0)
         np.testing.assert_allclose(k, [[0.0, -1.0], [1.0, 0.0]], atol=1e-8)
 
     def test_zero_functions_give_zero_matrix(self):
         sys1 = BirkhoffSystem(n=1, F=lambda z, t: np.zeros(2), B=lambda z, t: 0.0)
-        k = k_from_f(sys1, PhasePoint([0.3, -0.7]))
+        k = derived_k(sys1, [0.3, -0.7])
         np.testing.assert_array_equal(k, np.zeros((2, 2)))
 
     def test_quadratic_component_functions(self):
@@ -145,7 +149,7 @@ class TestKFromF:
         sys1 = BirkhoffSystem(
             n=1, F=lambda z, t: np.array([z[1] ** 2, 0.0]), B=lambda z, t: 0.0
         )
-        k = k_from_f(sys1, PhasePoint([1.0, 1.0]))
+        k = derived_k(sys1, [1.0, 1.0])
         np.testing.assert_allclose(k, [[0.0, -2.0], [2.0, 0.0]], atol=1e-8)
 
     def test_output_exactly_antisymmetric(self, rng):
@@ -157,13 +161,13 @@ class TestKFromF:
             B=lambda z, t: 0.0,
         )
         for _ in range(10):
-            k = k_from_f(sys1, PhasePoint(rng.uniform(-2, 2, 4), rng.uniform(0, 1)))
+            k = derived_k(sys1, rng.uniform(-2, 2, 4), rng.uniform(0, 1))
             np.testing.assert_array_equal(k.T, -k)
 
     def test_matches_analytic_structure_matrix(self, osc_system, rng):
         for _ in range(20):
             p = PhasePoint(rng.uniform(-2, 2, 2), rng.uniform(0, 1))
-            derived = k_from_f(osc_system, p)
+            derived = derived_k(osc_system, p.z, p.t)
             analytic = osc_system.k_at(p.z, p.t)
             assert np.max(np.abs(derived - analytic)) <= 1e-6
 
@@ -172,7 +176,19 @@ class TestKFromF:
             n=1, F=lambda z, t: np.array([np.nan, 0.0]), B=lambda z, t: 0.0
         )
         with pytest.raises(EvaluationError):
-            k_from_f(sys1, PhasePoint([1.0, 0.0]))
+            derived_k(sys1, [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "z, t", [([np.nan, 0.0], 0.0), ([1.0, np.inf], 0.0), ([1.0, 0.0], np.nan)],
+        ids=["nan-z", "inf-z", "nan-t"],
+    )
+    def test_nonfinite_point_raises_evaluation_error(self, osc_system, z, t):
+        # as the analytic K does: F returns non-finite values there
+        derived = dataclasses.replace(osc_system, K=None)
+        with pytest.raises(EvaluationError, match="F returned non-finite"):
+            derived.k_at(z, t)
+        with pytest.raises(EvaluationError, match="F returned non-finite"):
+            velocity(derived, z, t)
 
 
 class TestRegularity:
@@ -378,8 +394,11 @@ class TestVectorField:
             B=lambda z, t: float(z[0]),
             K=lambda z, t: np.zeros((2, 2)),
         )
-        with pytest.raises(RegularityError):
+        message = r"structure matrix singular at t=0.0 \(\|det\| = 0.000e\+00\)"
+        with pytest.raises(RegularityError, match=message) as info:
             velocity(sys1, np.array([1.0, 0.0]), 0.0)
+        # the row-normalized |det| that the nonsingularity test reads
+        assert info.value.det == 0.0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in det")
     def test_velocity_where_det_k_overflows(self, osc_system):

@@ -357,11 +357,13 @@ class TestCoefficients:
             make_scheme(chain_system(2)[0], oscillator_alpha(0.3), 0.0, 1)
 
     @pytest.mark.parametrize(
-        "n_coeffs, n_jacs", [(2, 1), (1, 2), (0, 0)], ids=["short-jacs", "short-coeffs", "empty"]
+        "n_coeffs, n_jacs",
+        [(2, 1), (1, 2), (0, 0), (1, 1)],
+        ids=["short-jacs", "short-coeffs", "empty", "order-0"],
     )
     def test_coefficient_count_validated(self, n_coeffs, n_jacs):
-        # the order is len(coeffs) - 1, so a set needs at least one
-        # coefficient and exactly one Jacobian per coefficient
+        # the order is len(coeffs) - 1 >= 1, so a set needs at least two
+        # coefficients and exactly one Jacobian per coefficient
         coeffs, jacs = (lambda w: w,) * n_coeffs, (lambda w: np.eye(2),) * n_jacs
         with pytest.raises(ValueError, match=f"got {n_coeffs} and {n_jacs}"):
             CoefficientSet(0.0, coeffs, jacs)
@@ -469,6 +471,12 @@ class TestAssemblePsi:
             assert scheme.psi_w(w, tau)[0] == pytest.approx(
                 -(tau + NU * tau**2 / 2) * np.exp(NU * t0) * w[0], abs=1e-9
             )
+
+    def test_scheme_at_its_own_time_reuses_its_coefficient_set(self, osc_system, osc_alpha):
+        # make_scheme's rebase keeps the set it built, so a step at t0
+        # re-expands nothing
+        scheme = make_scheme(osc_system, osc_alpha, 0.3, 2)
+        assert scheme.at(0.3).coefficients is scheme.coefficients
 
     def test_rebase_reexpands_at_new_time(self, osc_system, osc_alpha, rng):
         scheme = make_scheme(osc_system, osc_alpha, 0.0, 1)

@@ -121,6 +121,15 @@ class TestStep:
         z = np.array([0.7, -0.3])
         np.testing.assert_array_equal(step(osc_system, osc_scheme_m1, z, 0.4, 0.0), z)
 
+    @pytest.mark.parametrize(
+        "order, closed", [(1, scheme_first_order), (2, scheme_second_order)], ids=["1", "2"]
+    )
+    def test_negative_step_matches_the_closed_forms(self, osc_system, osc_alpha, order, closed):
+        # a backward substep is a step like any other
+        z = np.array([0.2, -1.0])
+        z1 = step(osc_system, make_scheme(osc_system, osc_alpha, 0.0, order), z, 0.3, -0.1)
+        assert np.max(np.abs(z1 - closed(NU, -0.1) @ z)) <= 1e-10
+
     def test_step_away_from_expansion_time_reuses_rebased_coefficients(
         self, osc_system, osc_scheme_m2
     ):
@@ -261,6 +270,23 @@ class TestIntegrate:
         message = f"transform has n = {scheme_n} but the system has n = {system_n}"
         with pytest.raises(ValueError, match=message):
             call(system, scheme, 0.1 * np.ones(2 * system_n))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "t_k, tau",
+        [(np.nan, 0.1), (np.inf, 0.1), (0.0, np.nan), (0.0, np.inf), (0.0, -np.inf)],
+        ids=["nan-t", "inf-t", "nan-tau", "inf-tau", "minus-inf-tau"],
+    )
+    @pytest.mark.parametrize("fn", [step, step_jacobian], ids=["step", "step_jacobian"])
+    def test_non_finite_time_or_step_rejected_before_evaluation(self, fn, t_k, tau):
+        # checked before the predictor: a NaN tau would otherwise reach the
+        # transform's P and tau = -inf a zero time scaling
+        calls = []
+        system = counting(oscillator_system(NU), calls)
+        scheme = make_scheme(system, oscillator_alpha(NU), 0.0, 1)
+        calls.clear()
+        with pytest.raises(ValueError, match="need finite t_k and tau"):
+            fn(system, scheme, np.array([1.0, 0.0]), t_k, tau)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -482,20 +508,15 @@ class TestStepJacobian:
     )
     def test_calls_to_k_are_pinned(self, fn, order, k_calls):
         # one exact Jacobian solves the step once and adds the top-order
-        # Hessian; re-solving per stencil point took 32 (order 1) and 345
-        # (order 2) calls here.  The step's Newton matrix A - Psi_ww C is
-        # exact too; differencing the residual took 89 calls at order 2.
-        # Newton stops at its target: one more polishing update past it
-        # took 12, 122, 8 and 78 calls here.  phi2 takes the derivative in
-        # the functional's Jacobian slot exactly: a central difference
-        # there took 111 and 67 calls at order 2.  The order-2 step's first
-        # Newton matrix drops phi2's Hessian and takes 4 updates, not 1:
-        # starting from the exact matrix took 91 and 55 calls.  phi2 is one
-        # central difference along the flow: summing a gradient-slot and a
-        # time-slot difference with phi1's Hessian times g took 82 and 46.
-        # The order-1 step's first matrix drops phi1's Hessian, which keeps
-        # the chain's cost flat in n but takes 8 updates, not 1, on this
-        # n = 1 step: starting from the exact matrix took 11 and 7 calls
+        # Hessian, with no re-solve per stencil point.  The step's Newton
+        # matrix is formed from A - Psi_ww C, not by differencing the
+        # residual, and Newton stops at its target with no polishing update.
+        # phi2 is one central difference along the flow, exact in the
+        # functional's Jacobian slot and reading no Hessian of phi1.  The
+        # first Newton matrix drops Psi_ww's last term, which keeps the
+        # chain's cost flat in n at order 1 and skips phi2's Hessian at
+        # order 2, but takes 8 (order 1) and 4 (order 2) updates, not 1, on
+        # this linear n = 1 step
         base = oscillator_system(NU)
         calls = []
 
@@ -522,18 +543,10 @@ class TestStepJacobian:
         # each time-only matrix is factored once: the Darboux inverse factor
         # per time pair, the nonsingularity verdict per distinct matrix (for
         # an order-2 step: K at three times, P at four, A' - C' and the
-        # step's Newton matrix).  Solving with diag(P(t), P(t0)) on every
-        # inverse call and testing every matrix afresh took 53, 333, 32 and
-        # 200 solves and 25, 147, 16 and 90 slogdet calls here.  The
-        # order-2 step's first Newton matrix, cut after phi1's Hessian,
-        # stands in for the exact one (no refresh on the oscillator), so
-        # the slogdets stay; starting from the exact matrix took 147 and
-        # 90 solves.  phi2 as one central difference along the flow, not
-        # three pieces with phi1's Hessian, leaves the slogdets too; the
-        # three pieces took 136 and 79 solves.  The order-1 step's first
-        # matrix, cut before phi1's Hessian, takes 8 updates, not 1, on
-        # this n = 1 step and leaves the slogdets; starting from the exact
-        # matrix took 25 and 16 solves
+        # step's Newton matrix).  The first Newton matrix, with Psi_ww's
+        # last term dropped, stands in for the exact one at both orders (no
+        # refresh on the oscillator), so it adds no slogdet; its extra
+        # updates (8 at order 1, 4 at order 2) add the solves
         _det_margin.cache_clear()
         calls = {"solve": 0, "slogdet": 0}
 
@@ -554,18 +567,12 @@ class TestStepJacobian:
         assert calls == {"solve": solves, "slogdet": slogdets}
 
     def test_transform_calls_are_pinned(self):
-        # one order-2 step; evaluating each solve's start point a second
-        # time for its scale took 5 forward, 182 inverse and 113 blocks
-        # calls here, with the identity point's Jacobian read through the
-        # forward blocks, and a polishing update past the step's target
-        # took 4 forward, 112 inverse, 35 inverse_blocks and 78 blocks;
-        # a central difference in the functional's Jacobian slot took 96
-        # inverse and 67 blocks calls.  A first Newton matrix cut after
-        # phi1's Hessian takes 4 updates, not 1, and skips phi2's Hessian:
-        # starting from the exact matrix took 3 forward, 84 inverse, 30
-        # inverse_blocks and 55 blocks calls.  phi2 as one central
-        # difference along the flow, not three pieces with phi1's Hessian:
-        # the pieces took 70 inverse, 25 inverse_blocks and 46 blocks calls
+        # one order-2 step: each solve evaluates its start point once for
+        # its scale and takes no polishing update past its target, the
+        # identity point's Jacobian comes from the inverse blocks, phi2 is
+        # one central difference along the flow, and the first Newton
+        # matrix, cut after phi1's Hessian, takes 4 updates, not 1, and
+        # skips phi2's Hessian
         names = ("forward", "inverse", "inverse_blocks", "blocks")
         calls = dict.fromkeys(names, 0)
 
@@ -583,9 +590,7 @@ class TestStepJacobian:
         assert calls == {"forward": 6, "inverse": 48, "inverse_blocks": 19, "blocks": 30}
         # one identity point's record (phi0, its Jacobian and phi1): one
         # inverse image for the solve, which takes no update, one set of
-        # inverse blocks, and the functional's inverse image and blocks.
-        # Reading the Jacobian alone, before phi1 joined the record, took
-        # 1 inverse and 0 blocks calls
+        # inverse blocks, and the functional's inverse image and blocks
         calls.update(dict.fromkeys(names, 0))
         scheme.coefficients.coeff_jacobians[0](np.array([0.25, -0.5]))
         assert calls == {"forward": 0, "inverse": 2, "inverse_blocks": 1, "blocks": 1}
@@ -623,8 +628,9 @@ class TestFirstNewtonMatrix:
     """The step starts Newton from A - Psi_ww C with Psi_ww's last term dropped."""
 
     def test_chain_step_cost_grows_about_linearly_in_n(self, monkeypatch):
-        # with phi2's Hessian in its first matrix the step took 1296 calls
-        # to K here; a solve on the exact matrix alone is the reference
+        # the first matrix skips phi2's nested Hessian, whose cost grows
+        # as the square of n; a solve on the exact matrix alone is the
+        # reference
         base, alpha = chain_system(8)
         calls = []
         system = counting(base, calls)
@@ -687,9 +693,8 @@ class TestFirstNewtonMatrix:
 
 class TestOrderTwoCostInN:
     def test_chain_step_and_its_jacobian_stay_within_budget(self):
-        # on the n = 8 chain (16 states), phi2 summed from three pieces with
-        # phi1's Hessian took 149 calls to K for a step and 1334 for
-        # step_jacobian plus step
+        # on the n = 8 chain (16 states): phi2 reads no Hessian of phi1, so
+        # a step and step_jacobian plus step cost calls to K linear in n
         base, alpha = chain_system(8)
         z = np.random.default_rng(8).uniform(-0.5, 0.5, 16)
         calls = []
