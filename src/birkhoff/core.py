@@ -49,10 +49,6 @@ class PhasePoint:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "t", float(self.t))
 
-    @property
-    def n(self) -> int:
-        return self.z.size // 2
-
 
 @dataclass(frozen=True, eq=False)
 class _HalfDim:

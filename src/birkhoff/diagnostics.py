@@ -16,7 +16,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .core import BirkhoffSystem, _require_dim
-from .stepper import StepMap, run
+from .stepper import StepMap, _check_grid, run
 
 Array = np.ndarray
 
@@ -36,7 +36,7 @@ def symplectic_residual(
     """|| M^T K(z_new, t1) M - K(z, t0) ||_inf for a step Jacobian M.
 
     An absolute norm: it grows with the size of K.  On the nu = 0.5
-    oscillator at t0 = 800 (K about e^400) it reads up to about 9e163 on
+    oscillator at t0 = 800 (K about e^400) it reads up to about 9e161 on
     order-2 steps of size 0.01 whose states match the closed form.
     """
     M = np.asarray(M, dtype=float)
@@ -76,13 +76,14 @@ def convergence_order(
 
     ``scheme_factory(tau)`` must return a map (z, t_k) -> z_new with the
     step size bound in; ``reference(t)`` is the exact state at absolute
-    time t.  ``z0`` must be a state of the system's dimension, the horizon
-    finite and positive, and each tau finite, positive and a divisor of
-    it whose quotient horizon / tau is finite; at least three values are
-    required for the fit.  The reference is evaluated once, at
-    t0 + horizon, and must give a finite state of the system's dimension.
-    All of these are checked before the first run, so a reference that
-    raises does so before any step.  The error metric is the max-norm at
+    time t.  ``z0`` must be a finite state of the system's dimension, t0
+    finite, the horizon finite and positive, and each tau finite,
+    positive and a divisor of it whose quotient horizon / tau is finite;
+    at least three values are required for the fit.  The reference is
+    evaluated once, at t0 + horizon, after the checks on z0 and t0, and
+    must give a finite state of the system's dimension.  All of these are
+    checked before the first run, so a reference that raises does so
+    before any step.  The error metric is the max-norm at
     the final time.
     """
     # written so that a NaN horizon fails too
@@ -105,6 +106,7 @@ def convergence_order(
             raise ValueError(f"horizon {horizon} is not an integer multiple of tau {tau}")
         steps.append(n_steps)
     z0 = _require_dim(sys, z0)
+    _check_grid(t0, taus[0], z0)
     z_ref = _require_dim(sys, reference(t0 + horizon))
     if not np.isfinite(z_ref).all():
         raise ValueError(f"reference state at t = {t0 + horizon} must be finite, got {z_ref}")

@@ -31,15 +31,16 @@ def partial(f, x, i, base=FD_STEP):
 
 
 def jacobian(f, x, base=FD_STEP):
-    """Jacobian J[i, j] = d f_i / d x_j of a vector-valued callable."""
+    """Partials d f / d x_j of a callable of one vector argument, stacked on a last axis j.
+
+    J[i, j] = d f_i / d x_j for a vector-valued f; the gradient of a scalar
+    one, and J[i, k, j] = d f_ik / d x_j of a matrix-valued one.
+    """
     x = np.asarray(x, dtype=float)
-    return np.column_stack([partial(f, x, j, base) for j in range(x.size)])
+    return np.stack([partial(f, x, j, base) for j in range(x.size)], axis=-1)
 
 
-def gradient(f, x, base=FD_STEP):
-    """Gradient of a scalar-valued callable of one vector argument."""
-    x = np.asarray(x, dtype=float)
-    return np.array([float(partial(f, x, j, base)) for j in range(x.size)])
+gradient = jacobian
 
 
 def time_derivative(f, t, base=FD_STEP):

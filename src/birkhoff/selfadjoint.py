@@ -91,10 +91,10 @@ def check_self_adjointness(
         k = raw.k_at(p.z, p.t)
         antisym = _worse(antisym, idx, np.abs(k + k.T))
 
-        # dk_dz[m] = dK/dz_m as a full matrix; cyc[i, j, m] is the cyclic sum
-        # dk_dz[m][i, j] + dk_dz[i][j, m] + dk_dz[j][m, i]
-        dk_dz = np.array([numdiff.partial(lambda y: raw.k_at(y, p.t), p.z, m) for m in range(dim)])
-        cyc = dk_dz.transpose(1, 2, 0) + dk_dz + dk_dz.transpose(2, 0, 1)
+        # dk[i, j, m] = dK_ij/dz_m; cyc[i, j, m] is the cyclic sum
+        # dk[i, j, m] + dk[j, m, i] + dk[m, i, j]
+        dk = numdiff.jacobian(lambda y: raw.k_at(y, p.t), p.z)
+        cyc = dk + dk.transpose(2, 0, 1) + dk.transpose(1, 2, 0)
         closure = _worse(closure, idx, np.where(ordered, np.abs(cyc), 0.0))
 
         dk_dt = numdiff.time_derivative(lambda s: raw.k_at(p.z, s), p.t)

@@ -65,10 +65,6 @@ class Trajectory:
         if self.residuals is not None and len(self.residuals) != len(states) - 1:
             raise ValueError("need one residual per step")
 
-    @property
-    def steps(self) -> int:
-        return len(self.states) - 1
-
 
 def _check_grid(t0: float, tau: float, z0: Array) -> None:
     """ValueError unless t0 and z0 are finite and tau is finite and positive."""
@@ -88,15 +84,15 @@ def step(
 
     A z whose length is not the system's, a scheme whose transform has
     another n, or a non-finite t_k or tau raises ``ValueError`` before any
-    evaluation; a zero tau returns a copy of z, and a negative one steps
-    back.  Raises :class:`NewtonError` when the step's own Newton
-    iteration does not converge; it carries that solve's last iterate,
-    residual norm and iteration count.  Raises
-    :class:`TransversalityError` when a Newton matrix fails the
-    nonsingularity test.  A failed identity-point solve inside the
-    coefficients leaves as an :class:`EvaluationError` chained to its
-    :class:`NewtonError`, so ``except NewtonError`` catches only the
-    step's own solve.
+    evaluation; a zero tau solves phi^(0)'s identity relation, which z
+    satisfies, and a negative one steps back.  Raises
+    :class:`NewtonError` when the step's own Newton iteration does not
+    converge; it carries that solve's last iterate, residual norm and
+    iteration count.  Raises :class:`TransversalityError` when a Newton
+    matrix fails the nonsingularity test.  A failed identity-point solve
+    inside the coefficients leaves as an :class:`EvaluationError` chained
+    to its :class:`NewtonError`, so ``except NewtonError`` catches only
+    the step's own solve.
 
     The first Newton matrix is A - Psi_ww C at the predictor with the
     series' last, most-differenced term dropped, at every order (A -
@@ -109,8 +105,6 @@ def step(
     require_same_n(scheme.alpha, sys)
     if not (np.isfinite(t_k) and np.isfinite(tau)):
         raise ValueError(f"need finite t_k and tau, got t_k={t_k}, tau={tau}")
-    if tau == 0.0:
-        return z.copy()
     sch = scheme.at(t_k)
     alpha = sch.alpha
     t1 = t_k + tau
@@ -234,8 +228,6 @@ def step_jacobian(
     work.  :func:`step` checks z and the scheme's n.
     """
     z_new = step(sys, scheme, z, t_k, tau)
-    if tau == 0.0:
-        return np.eye(z_new.size)
     z = np.asarray(z, dtype=float)
     sch = scheme.at(t_k)
     lhs, rhs = _linearization(sch, sch.coefficients.coeff_jacobians, z_new, z, t_k, tau)

@@ -19,7 +19,7 @@ from birkhoff import (
     step_jacobian,
     symplectic_residual,
 )
-from birkhoff.cli import OPTIONS, main
+from birkhoff.cli import OPTIONS, console_main, main
 
 NU = 0.5
 ROOT = Path(__file__).resolve().parents[1]
@@ -256,6 +256,22 @@ class TestConvergence:
         slope = float(capsys.readouterr().out.split("slope =")[1].splitlines()[0])
         assert 1.8 <= slope <= 2.2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "start",
+        [["--z0", "nan,0"], ["--z0", "inf,0"], ["--t0", "nan"], ["--t0", "inf"]],
+        ids=["z0-nan", "z0-inf", "t0-nan", "t0-inf"],
+    )
+    def test_non_finite_start_is_named_before_the_reference(self, start, capsys):
+        # the reference used to be evaluated first: it was blamed for the
+        # start, and an infinite z0 leaked numpy's RuntimeWarning
+        argv = ["convergence", "--nu", "0.5", "--scheme", "closed-first", "--horizon", "1"]
+        assert main(argv + start) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: need finite t0 and z0 and a finite positive")
+        assert err.count("\n") == 1
+
     def test_too_few_step_sizes_rejected(self):
         assert main(["convergence", "--tau-list", "0.1,0.05"]) == 1
 
@@ -359,6 +375,21 @@ class TestConfigMerging:
         plain = capsys.readouterr()
         assert main(argv + ["--config", str(cfg)]) == code
         assert capsys.readouterr() == plain
+
+
+class TestConsoleMain:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["integrate", "--scheme", "closed-first", "--steps", "2"], 0),
+         (["integrate", "--steps", "0"], 1)],
+        ids=["valid", "invalid"],
+    )
+    def test_exits_with_the_code_of_main(self, argv, code, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["birkhoff"] + argv)
+        with pytest.raises(SystemExit) as info:
+            console_main()
+        assert info.value.code == code
+        assert main(argv) == code
 
 
 class TestErrorBoundary:

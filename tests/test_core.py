@@ -25,7 +25,7 @@ NU = 0.5
 class TestPhasePoint:
     def test_stores_vector_and_time(self):
         p = PhasePoint([1.0, 2.0], 0.5)
-        assert p.n == 1
+        assert p.z.size // 2 == 1
         assert p.t == 0.5
         np.testing.assert_array_equal(p.z, [1.0, 2.0])
 

@@ -221,6 +221,26 @@ class TestConvergenceOrder:
         assert calls == []
 
     @pytest.mark.parametrize(
+        "z0, t0",
+        [([np.nan, 0.0], 0.0), ([np.inf, 0.0], 0.0), ([1.0, 0.0], np.nan), ([1.0, 0.0], np.inf)],
+        ids=["nan-z0", "inf-z0", "nan-t0", "inf-t0"],
+    )
+    def test_non_finite_start_rejected_before_the_reference(self, osc_system, z0, t0):
+        # the reference used to be evaluated first and blamed for the bad start
+        calls = []
+
+        def reference(t):
+            calls.append(t)
+            return exact_solution(NU, 1.0, 0.0, t)
+
+        with pytest.raises(ValueError, match="need finite t0 and z0"):
+            convergence_order(
+                osc_system, lambda tau: matrix_step(scheme_first_order(NU, tau)), reference,
+                np.array(z0), t0, 1.0, [0.1, 0.05, 0.025],
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize(
         "reference, message",
         [
             # the exact solution of the overdamped branch is not implemented

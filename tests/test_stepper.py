@@ -52,6 +52,17 @@ def counting(base, calls):
     return dataclasses.replace(base, K=wrap("K"), D=wrap("D"))
 
 
+def zero_step_systems():
+    """(system, transform) pairs whose zero steps must return the state itself.
+
+    The sheared chain's K depends on t, and the oscillator without K and D
+    differences both from F and B.
+    """
+    sheared, sheared_alpha = sheared_chain()
+    derived = dataclasses.replace(oscillator_system(NU), K=None, D=None)
+    return ((sheared, sheared_alpha), (derived, oscillator_alpha(NU)))
+
+
 class TestTrajectory:
     def test_validates_shapes(self):
         with pytest.raises(ValueError):
@@ -120,6 +131,12 @@ class TestStep:
     def test_zero_step_is_identity(self, osc_system, osc_scheme_m1):
         z = np.array([0.7, -0.3])
         np.testing.assert_array_equal(step(osc_system, osc_scheme_m1, z, 0.4, 0.0), z)
+        # phi^(0)'s identity relation holds at z itself, on every system
+        for system, alpha in zero_step_systems():
+            z = np.linspace(0.7, -0.3, system.dim)
+            for order in (1, 2):
+                scheme = make_scheme(system, alpha, 0.4, order)
+                np.testing.assert_array_equal(step(system, scheme, z, 0.4, 0.0), z)
 
     @pytest.mark.parametrize(
         "order, closed", [(1, scheme_first_order), (2, scheme_second_order)], ids=["1", "2"]
@@ -221,7 +238,7 @@ class TestIntegrate:
         # the step's own solve raises its NewtonError as it is: the first
         # update is already non-finite
         assert failure.iterations == 0
-        assert failure.trajectory.steps == 3
+        assert len(failure.trajectory.states) - 1 == 3
         np.testing.assert_array_equal(failure.trajectory.states[0], [1.0, 0.0])
 
     @pytest.mark.parametrize("size", [3, 4])
@@ -310,7 +327,7 @@ class TestIntegrate:
         with pytest.raises(EvaluationError, match=f"{name} returned non-finite values") as info:
             integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
         assert info.value.step_index == 3
-        assert info.value.trajectory.steps == 3
+        assert len(info.value.trajectory.states) - 1 == 3
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -337,7 +354,7 @@ class TestIntegrate:
         with pytest.raises(EvaluationError, match=message) as info:
             integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
         assert info.value.step_index == 3
-        assert info.value.trajectory.steps == 3
+        assert len(info.value.trajectory.states) - 1 == 3
 
     def test_second_order_runs_from_f_and_b_alone(self):
         # K and D both differenced: the step residual carries a noise floor
@@ -367,7 +384,7 @@ class TestIntegrate:
         with pytest.raises(EvaluationError, match="time scaling must be positive") as info:
             integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 12)
         assert info.value.step_index == 9
-        assert info.value.trajectory.steps == 9
+        assert len(info.value.trajectory.states) - 1 == 9
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_non_finite_scaling_derivative_raises_evaluation_error(self, order):
@@ -384,7 +401,7 @@ class TestIntegrate:
         with pytest.raises(EvaluationError, match=message) as info:
             integrate(system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
         assert info.value.step_index == 3
-        assert info.value.trajectory.steps == 3
+        assert len(info.value.trajectory.states) - 1 == 3
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_any_package_error_carries_partial_trajectory(self, osc_system, osc_scheme_m1):
@@ -392,7 +409,7 @@ class TestIntegrate:
         with pytest.raises(EvaluationError) as info:
             integrate(osc_system, osc_scheme_m1, np.array([1.0, 0.0]), 0.0, 2000.0, 3)
         assert info.value.step_index == 0
-        assert info.value.trajectory.steps == 0
+        assert len(info.value.trajectory.states) - 1 == 0
 
 
 class TestRun:
@@ -403,7 +420,7 @@ class TestRun:
             return symplectic_residual(osc_system, mat, z, t_k, z_next, t_k + 0.1)
 
         traj = run(lambda z, t: mat @ z, np.array([1.0, 0.0]), 0.2, 0.1, 4, certify=certify)
-        assert traj.steps == 4
+        assert len(traj.states) - 1 == 4
         assert len(traj.residuals) == 4
         assert max(traj.residuals) <= 1e-13
         assert run(lambda z, t: mat @ z, np.array([1.0, 0.0]), 0.2, 0.1, 4).residuals is None
@@ -418,7 +435,7 @@ class TestRun:
             run(lambda z, t: z + 1.0, np.zeros(2), 0.0, 0.1, 10, certify=certify)
         traj = info.value.trajectory
         assert info.value.step_index == 3
-        assert traj.steps == 3
+        assert len(traj.states) - 1 == 3
         assert traj.residuals == (0.0, 0.1, 0.2)
         np.testing.assert_array_equal(traj.states[-1], [3.0, 3.0])
 
@@ -433,7 +450,7 @@ class TestRun:
 
     def test_numpy_integer_step_count_runs(self):
         traj = run(lambda z, t: z + 1.0, np.zeros(2), 0.0, 0.1, np.int64(3))
-        assert traj.steps == 3
+        assert len(traj.states) - 1 == 3
 
 
 class TestStepJacobian:
@@ -446,6 +463,12 @@ class TestStepJacobian:
     def test_zero_step_gives_identity(self, osc_system, osc_scheme_m1):
         jac = step_jacobian(osc_system, osc_scheme_m1, np.array([0.3, 0.4]), 0.0, 0.0)
         np.testing.assert_allclose(jac, np.eye(2), atol=1e-10)
+        for system, alpha in zero_step_systems():
+            z = np.linspace(0.3, 0.4, system.dim)
+            for order in (1, 2):
+                scheme = make_scheme(system, alpha, 0.0, order)
+                jac = step_jacobian(system, scheme, z, 0.0, 0.0)
+                np.testing.assert_array_equal(jac, np.eye(system.dim))
 
     def test_undamped_first_order_is_the_cayley_matrix(self):
         from birkhoff import make_scheme, oscillator_alpha, oscillator_system
@@ -621,7 +644,7 @@ class TestStepJacobian:
         with pytest.raises(TransversalityError) as info:
             run(lambda z, t: step(sys0, scheme, z, t, 0.1), z0, 0.0, 0.1, 3, certify=certify)
         assert info.value.step_index == 0
-        assert info.value.trajectory.steps == 0
+        assert len(info.value.trajectory.states) - 1 == 0
 
 
 class TestFirstNewtonMatrix:
