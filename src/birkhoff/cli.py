@@ -226,7 +226,7 @@ def cmd_check(cfg: argparse.Namespace) -> int:
     ):
         if value > cfg.tol and at is not None:
             k, entry = at
-            p = report.samples[k]
+            p = points[k]
             z = ", ".join(f"{x:.6g}" for x in p.z)
             print(f"worst {name} violation: entry {entry} at sample {k} (z = ({z}), t = {p.t:.6g})")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
@@ -245,7 +245,7 @@ def cmd_convergence(cfg: argparse.Namespace) -> int:
 
     report = convergence_order(system, factory, reference, cfg.z0, cfg.t0, cfg.horizon, taus)
     lines = ["tau,error"]
-    for tau, err in zip(report.tau_values, report.errors):
+    for tau, err in zip(taus, report.errors):
         lines.append(f"{_fmt(tau)},{_fmt(err)}")
     _write_text(cfg.out, "\n".join(lines) + "\n")
     print(f"slope = {report.slope:.3f}")

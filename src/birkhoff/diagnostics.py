@@ -23,9 +23,12 @@ Array = np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    """Final-time errors against a reference over a decreasing tau ladder."""
+    """Final-time errors against a reference over a decreasing tau ladder.
 
-    tau_values: Tuple[float, ...]
+    ``errors[k]`` belongs to the k-th tau that the caller passed to
+    :func:`convergence_order`; the ladder itself is not stored.
+    """
+
     errors: Tuple[float, ...]
     slope: float
 
@@ -116,4 +119,4 @@ def convergence_order(
         z = run(scheme_factory(tau), z0, t0, tau, n_steps).states[-1]
         errors.append(float(np.max(np.abs(z - z_ref))))
 
-    return ConvergenceReport(tuple(taus), tuple(errors), fit_slope(taus, errors))
+    return ConvergenceReport(tuple(errors), fit_slope(taus, errors))

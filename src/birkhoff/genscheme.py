@@ -38,17 +38,18 @@ MEMO_SIZE = 4096
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Generating-gradient coefficients phi_w^(0..m) expanded at t0.
+    """Generating-gradient coefficients phi_w^(0..m) expanded at one time.
 
     ``coeffs[k]`` maps w to the order-k coefficient vector;
     ``coeff_jacobians[k]`` maps w to its 2n x 2n Jacobian (each
     coefficient is a gradient, so these are symmetric).  The order m is
     ``len(coeffs) - 1``; a set needs at least two coefficients (order
     m >= 1, the range :func:`coefficients` builds) and one Jacobian per
-    coefficient.
+    coefficient.  The expansion time is not stored: it is the t0 that
+    the set's builder (:func:`coefficients`, or a scheme's ``rebase``)
+    was given.
     """
 
-    t0: float
     coeffs: Tuple[Callable[[Array], Array], ...]
     coeff_jacobians: Tuple[Callable[[Array], Array], ...]
 
@@ -227,7 +228,7 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
 
     coeffs = (phi0, phi1, phi2)[: m + 1]
     jacs = (phi0_jac, phi1_jac, phi2_jac)[: m + 1]
-    return CoefficientSet(t0=t0, coeffs=coeffs, coeff_jacobians=jacs)
+    return CoefficientSet(coeffs, jacs)
 
 
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:

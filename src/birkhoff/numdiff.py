@@ -20,14 +20,15 @@ NESTED_FD_STEP = EPS ** (1.0 / 6.0)
 
 
 def partial(f, x, i, base=FD_STEP):
-    """d f / d x_i of a callable of one vector argument."""
+    """d f / d x_i of a callable of one vector argument: :func:`time_derivative` along x_i."""
     x = np.asarray(x, dtype=float)
-    h = base * max(1.0, abs(float(x[i])))
-    xp = x.copy()
-    xm = x.copy()
-    xp[i] += h
-    xm[i] -= h
-    return (np.asarray(f(xp), dtype=float) - np.asarray(f(xm), dtype=float)) / (2.0 * h)
+
+    def along(s):
+        y = x.copy()
+        y[i] = s
+        return f(y)
+
+    return time_derivative(along, x[i], base)
 
 
 def jacobian(f, x, base=FD_STEP):

@@ -45,17 +45,17 @@ class SelfAdjointReport:
     """Worst-case violations of the three self-adjointness conditions.
 
     ``*_at`` names where each worst violation sits, as (k, entry) with k
-    the index into ``samples``: entry (i, j) of K + K^T for antisymmetry,
-    the triple (i, j, m), i < j < m, of the cyclic sum for closure, and
-    entry (i, j) of dK/dt - curl D for the time curl.  It is ``None``
-    where that violation is 0.
+    the index into the sample sequence that the caller passed to
+    :func:`check_self_adjointness` (the samples are not stored): entry
+    (i, j) of K + K^T for antisymmetry, the triple (i, j, m), i < j < m,
+    of the cyclic sum for closure, and entry (i, j) of dK/dt - curl D for
+    the time curl.  It is ``None`` where that violation is 0.
     """
 
     antisymmetry_violation: float
     closure_violation: float
     time_curl_violation: float
     passed: bool
-    samples: Tuple[PhasePoint, ...]
     antisymmetry_at: Optional[Tuple[int, Tuple[int, ...]]] = None
     closure_at: Optional[Tuple[int, Tuple[int, ...]]] = None
     time_curl_at: Optional[Tuple[int, Tuple[int, ...]]] = None
@@ -103,7 +103,7 @@ def check_self_adjointness(
         time_curl = _worse(time_curl, idx, np.abs(dk_dt - curl))
 
     values, where = zip(antisym, closure, time_curl)
-    return SelfAdjointReport(*values, max(values) <= tol, samples, *where)
+    return SelfAdjointReport(*values, max(values) <= tol, *where)
 
 
 def _worse(worst: tuple, idx: int, magnitudes: Array) -> tuple:

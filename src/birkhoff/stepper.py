@@ -41,18 +41,16 @@ StepMap = Callable[[Array, float], Array]
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States on the uniform grid t_k = t0 + k * tau.
+    """States on the uniform grid t_k = t0 + k * tau of the :func:`run` that made them.
 
     ``residuals[k]``, when present, is the structure-preservation residual
     of the step from state k to state k+1, filled only by :func:`run` from
     its ``certify`` callable (the CLI ``integrate`` passes one that feeds
-    the exact step Jacobian to ``symplectic_residual``).  The grid times
-    are not stored: :func:`run` computes t_k itself and hands it to the
-    step map.
+    the exact step Jacobian to ``symplectic_residual``).  The grid is not
+    stored: t0 and tau are the caller's own inputs to :func:`run`, which
+    checks them and hands each t_k to the step map.
     """
 
-    t0: float
-    tau: float
     states: Tuple[Array, ...]
     residuals: Optional[Tuple[float, ...]] = None
 
@@ -60,7 +58,6 @@ class Trajectory:
         if not self.states:
             raise ValueError("a trajectory needs at least the initial state")
         states = tuple(np.asarray(s, dtype=float) for s in self.states)
-        _check_grid(self.t0, self.tau, states[0])
         object.__setattr__(self, "states", states)
         if self.residuals is not None and len(self.residuals) != len(states) - 1:
             raise ValueError("need one residual per step")
@@ -148,7 +145,7 @@ def run(
     residuals = None if certify is None else []
 
     def trajectory():
-        return Trajectory(t0, tau, tuple(states), None if residuals is None else tuple(residuals))
+        return Trajectory(tuple(states), None if residuals is None else tuple(residuals))
 
     for k in range(n_steps):
         t_k = t0 + k * tau

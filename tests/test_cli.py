@@ -19,7 +19,7 @@ from birkhoff import (
     step_jacobian,
     symplectic_residual,
 )
-from birkhoff.cli import OPTIONS, console_main, main
+from birkhoff.cli import OPTIONS, _sample_points, console_main, main
 
 NU = 0.5
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,6 +204,12 @@ class TestCheck:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5
         assert lines[4].startswith("worst time-curl violation: entry (0, 1) at sample ")
+        # the report gives the index k; z and t are those of the k-th point
+        # the CLI drew, with the default 50 samples and seed 0
+        k = int(re.search(r"at sample (\d+) ", lines[4]).group(1))
+        p = _sample_points(2, 50, 0)[k]
+        z = ", ".join(f"{x:.6g}" for x in p.z)
+        assert lines[4].endswith(f"at sample {k} (z = ({z}), t = {p.t:.6g})")
 
     def test_perturbed_system_fails_with_the_curl_magnitude(self, capsys):
         assert main(["check", "--nu", "0.5", "--perturb", "0.1"]) == 3
@@ -271,6 +277,18 @@ class TestConvergence:
         assert out == ""
         assert err.startswith("configuration error: need finite t0 and z0 and a finite positive")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "extra, taus",
+        [(["--tau-list", "0.2,0.1,0.05"], (0.2, 0.1, 0.05)), ([], (0.1, 0.05, 0.025, 0.0125))],
+        ids=["given", "default"],
+    )
+    def test_tau_column_is_the_callers_ladder(self, extra, taus, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--scheme", "closed-first", "--out", str(out)] + extra) == 0
+        capsys.readouterr()
+        _, rows = read_csv(out)
+        assert tuple(float(row[0]) for row in rows) == taus
 
     def test_too_few_step_sizes_rejected(self):
         assert main(["convergence", "--tau-list", "0.1,0.05"]) == 1

@@ -75,13 +75,14 @@ def midpoint_step(system, p, p_dot, z, t_k, tau):
 def scaled_phi1(scheme, factor):
     """``scheme`` at order 1 with phi^(1) and its Jacobian scaled by ``factor``."""
 
-    def rebase(t0):
-        cs = scheme.rebase(t0)
+    def scaled(cs):
         c0, c1 = cs.coeffs
         j0, j1 = cs.coeff_jacobians
-        return CoefficientSet(cs.t0, (c0, lambda w: factor * c1(w)), (j0, lambda w: factor * j1(w)))
+        return CoefficientSet((c0, lambda w: factor * c1(w)), (j0, lambda w: factor * j1(w)))
 
-    return GeneratingScheme(scheme.alpha, rebase(scheme.coefficients.t0), rebase)
+    return GeneratingScheme(
+        scheme.alpha, scaled(scheme.coefficients), lambda t0: scaled(scheme.rebase(t0))
+    )
 
 
 def worst_midpoint_deviation(system, scheme, p, p_dot, rng, draws=10):

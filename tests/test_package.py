@@ -2,11 +2,17 @@
 
 import ast
 import builtins
+import dataclasses
+import os
 import re
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import birkhoff
+from birkhoff import cli
 
 
 def test_all_is_sorted_unique_and_names_every_public_binding():
@@ -40,6 +46,46 @@ def test_every_public_name_has_a_caller_beyond_the_unit_tests():
                 used.add(node.name)
     unused = set(birkhoff.__all__) - used - {"hj_rhs"}
     assert not unused, f"public names with no caller outside the unit tests: {sorted(unused)}"
+
+
+def test_every_dataclass_field_is_read_by_package_code(monkeypatch, capsys):
+    # a field that no package code reads, or only the instance's own
+    # __post_init__, echoes an input its caller already holds; each field of
+    # a public dataclass must be read on some library or CLI path below
+    package = os.path.dirname(birkhoff.__file__)
+    classes = [v for v in map(vars(birkhoff).get, birkhoff.__all__) if dataclasses.is_dataclass(v)]
+    read = set()
+
+    def spy(self, name):
+        caller = sys._getframe(1)
+        if os.path.dirname(caller.f_code.co_filename) == package and not (
+            caller.f_code.co_name == "__post_init__" and caller.f_locals.get("self") is self
+        ):
+            read.add((type(self), name))
+        return object.__getattribute__(self, name)
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__getattribute__", spy)
+    system, alpha, z0 = birkhoff.oscillator_system(0.5), birkhoff.oscillator_alpha(0.5), [1.0, 0.0]
+    for order in (1, 2):
+        birkhoff.integrate(system, birkhoff.make_scheme(system, alpha, 0.0, order), z0, 0.0, 0.1, 1)
+    derived = dataclasses.replace(system, K=None, D=None)
+    birkhoff.step(derived, birkhoff.make_scheme(derived, alpha, 0.0, 1), np.array(z0), 0.0, 0.1)
+    for argv in (
+        ["integrate", "--steps", "2"],
+        ["check", "--perturb", "0.1", "--samples", "3"],
+        ["reconstruct"],
+        ["convergence", "--scheme", "closed-first"],
+    ):
+        cli.main(argv)
+    capsys.readouterr()
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in classes
+        for field in dataclasses.fields(cls)
+        if (cls, field.name) not in read
+    ]
+    assert not unread, f"dataclass fields no package code reads: {unread}"
 
 
 def test_readme_names_only_exported_classes_and_errors():
