@@ -219,9 +219,9 @@ def _det_margin(mat: Array) -> float:
 
     -inf for a singular M, a zero row or a non-finite entry.  Computed from
     ``slogdet`` and the log row maxima, so neither det M nor the product of
-    the row maxima has to fit in a float.  Memoized by content: K(t), P(t)
-    and the identity point's A' - C' come back unchanged many times per
-    step.
+    the row maxima has to fit in a float.  Memoized by content: K(t) in
+    ``velocity`` and the identity point's A' - C' come back unchanged many
+    times per step.
     """
     rowmax = np.abs(mat).max(axis=1)
     # written so that a NaN row maximum fails too

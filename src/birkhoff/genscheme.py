@@ -17,14 +17,13 @@ the K-pairing.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
 
 from . import numdiff
-from .core import BirkhoffSystem, _content_cached, velocity
+from .core import BirkhoffSystem, _content_cached, _positive_int, velocity
 from .errors import EvaluationError, NewtonError
 from .newton import newton_solve
 from .transform import AlphaTransform, require_same_n, require_transversal
@@ -135,10 +134,13 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     holds all along w_hat = phi^(0)(w), so (A' - C') d phi^(0)/dw = D' - B'.
     Any other transform that passes
     :func:`~birkhoff.transform.alpha_verify` works too, with Newton
-    updates, as long as |A' - C'| != 0 there; otherwise the Jacobian
-    raises :class:`~birkhoff.errors.TransversalityError`.  A Newton
-    failure there raises :class:`~birkhoff.errors.EvaluationError` naming
-    w and t0, chained to the :class:`~birkhoff.errors.NewtonError`.
+    updates whose matrix is A' - C', as long as |A' - C'| != 0.  The one
+    helper that builds A' - C' gates it, so a singular A' - C' raises
+    :class:`~birkhoff.errors.TransversalityError` wherever it is met: at
+    the solve's start, at a later iterate, or at phi^(0) itself.  Any
+    other Newton failure there raises
+    :class:`~birkhoff.errors.EvaluationError` naming w and t0, chained to
+    the :class:`~birkhoff.errors.NewtonError`.
     The order m must be an integer in 1..``MAX_ORDER``; any other value,
     a float or bool included, raises ``ValueError`` before any evaluation.
 
@@ -163,10 +165,8 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     Closed-form coefficient sets may be supplied by callers to go past
     the cap.
     """
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise ValueError(f"order must be an integer, got {m!r}")
-    m = int(m)
-    if not 1 <= m <= MAX_ORDER:
+    m = _positive_int("order", m)
+    if m > MAX_ORDER:
         raise ValueError(f"generic coefficient recursion supports orders 1..{MAX_ORDER}, got {m}")
     require_same_n(alpha, sys)
     t0 = float(t0)
@@ -174,24 +174,23 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     @_content_cached(MEMO_SIZE)
     def identity(w: Array) -> Tuple[Array, Array, Array, Array]:
         # phi0, S = d phi0/dw, phi1 = u - S g and g at one identity point.
-        # phi0 solves z_new = z_old on the inverse image of (w_hat, w); (A', C')
-        # = d(z_new, z_old)/d w_hat, so A' - C' is the exact Jacobian
-        def jac(w_hat):
-            a, _, c, _ = alpha.inverse_blocks(w_hat, w, t0, t0)
-            return a - c
+        # phi0 solves z_new = z_old on the inverse image of (w_hat, w)
+        def s_system(w_hat):
+            # (A', C') = d(z_new, z_old)/d w_hat, so A' - C' is the solve's
+            # exact Jacobian; along w_hat = phi0(w), (A' - C') S = D' - B'
+            a, b, c, d = alpha.inverse_blocks(w_hat, w, t0, t0)
+            require_transversal(a - c, "A' - C'")
+            return a - c, d - b
 
         start = np.zeros_like(w)
         try:
-            phi0 = newton_solve(lambda w_hat: alpha.inverse(w_hat, w, t0, t0), start, jac)[0]
+            phi0 = newton_solve(
+                lambda w_hat: alpha.inverse(w_hat, w, t0, t0), start, lambda x: s_system(x)[0]
+            )[0]
         except NewtonError as exc:
             raise EvaluationError(f"no identity point at w={w.tolist()}, t0={t0}: {exc}") from exc
         u, g = a_functional(sys, alpha, phi0, w, t0, t0)
-        # z_new = z_old along w_hat = phi0(w), so differentiating the
-        # inverse image gives (A' - C') S = D' - B'
-        a, b, c, d = alpha.inverse_blocks(phi0, w, t0, t0)
-        lhs = a - c
-        require_transversal(lhs, "A' - C'")
-        s = np.linalg.solve(lhs, d - b)
+        s = np.linalg.solve(*s_system(phi0))
         return phi0, s, u - s @ g, g
 
     def phi0(w: Array) -> Array:

@@ -2,10 +2,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from birkhoff import make_scheme, oscillator_alpha, oscillator_system
 
 NU = 0.5
+
+# every property test draws the same examples on every run and keeps no
+# example database; a test sets only its own max_examples
+settings.register_profile("birkhoff", derandomize=True, deadline=None)
+settings.load_profile("birkhoff")
 
 _SUITE_START = time.perf_counter()
 

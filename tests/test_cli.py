@@ -562,7 +562,7 @@ class TestErrorBoundary:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(max_examples=60)
     @given(
         lines=st.lists(
             st.tuples(

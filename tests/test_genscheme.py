@@ -314,16 +314,70 @@ class TestCoefficients:
         assert info.value.step_index == 0
         assert isinstance(info.value.__cause__, NewtonError)
 
+    def test_singular_a_minus_c_at_the_identity_solve_start_is_a_lost_transversality(
+        self, osc_system, osc_alpha
+    ):
+        # at t = t0 the inverse misses the diagonal by 0.1 at w_hat = 0, so
+        # the identity solve needs an update, and its matrix A' - C' =
+        # diag(1, 0) is singular there; numpy's LinAlgError used to leave as
+        # an EvaluationError chained to a NewtonError
+        eye, mask = np.eye(2), np.diag([1.0, 0.0])
+
+        def inverse(w_hat, w, t, t0):
+            if t != t0:
+                return osc_alpha.inverse(w_hat, w, t, t0)
+            w = np.asarray(w, dtype=float)
+            return w + mask @ w_hat + 0.1, w
+
+        def inverse_blocks(w_hat, w, t, t0):
+            if t != t0:
+                return osc_alpha.inverse_blocks(w_hat, w, t, t0)
+            return mask, eye, np.zeros((2, 2)), eye
+
+        alpha = dataclasses.replace(osc_alpha, inverse=inverse, inverse_blocks=inverse_blocks)
+        scheme = make_scheme(osc_system, alpha, 0.3, 1)
+        with pytest.raises(TransversalityError, match="A' - C' singular") as info:
+            run(lambda z, t: step(osc_system, scheme, z, t, 0.1), np.ones(2), 0.3, 0.1, 2)
+        assert info.value.det == 0.0
+        assert info.value.step_index == 0
+
+    def test_singular_a_minus_c_at_a_later_identity_iterate_is_a_lost_transversality(
+        self, osc_system, osc_alpha
+    ):
+        # A' - C' is I at the start w_hat = 0 and diag(1, 0) anywhere else;
+        # the residual 0.1 + w_hat / 2 only halves per update with I, short
+        # of the 4x cut, so after two updates the solve refreshes its matrix
+        # at an iterate where A' - C' is singular
+        eye, mask = np.eye(2), np.diag([1.0, 0.0])
+
+        def inverse(w_hat, w, t, t0):
+            if t != t0:
+                return osc_alpha.inverse(w_hat, w, t, t0)
+            w = np.asarray(w, dtype=float)
+            return w + 0.5 * np.asarray(w_hat, dtype=float) + 0.1, w
+
+        def inverse_blocks(w_hat, w, t, t0):
+            if t != t0:
+                return osc_alpha.inverse_blocks(w_hat, w, t, t0)
+            return (eye if not np.any(w_hat) else mask), eye, np.zeros((2, 2)), eye
+
+        alpha = dataclasses.replace(osc_alpha, inverse=inverse, inverse_blocks=inverse_blocks)
+        scheme = make_scheme(osc_system, alpha, 0.3, 1)
+        with pytest.raises(TransversalityError, match="A' - C' singular") as info:
+            run(lambda z, t: step(osc_system, scheme, z, t, 0.1), np.ones(2), 0.3, 0.1, 2)
+        assert info.value.det == 0.0
+        assert info.value.step_index == 0
+
     @pytest.mark.parametrize("order", [1.9, 2.5, True, "2"], ids=repr)
     def test_non_integral_order_rejected(self, osc_system, osc_alpha, order):
         # 1.9 and True used to build order 1, 2.5 order 2
-        with pytest.raises(ValueError, match="order must be an integer"):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
             make_scheme(osc_system, osc_alpha, 0.0, order)
 
     def test_orders_outside_the_cap_rejected(self, osc_system, osc_alpha):
         with pytest.raises(ValueError, match="orders 1..2, got 3"):
             coefficients(osc_system, osc_alpha, 0.0, 3)
-        with pytest.raises(ValueError, match="orders 1..2, got 0"):
+        with pytest.raises(ValueError, match="order must be a positive integer, got 0"):
             coefficients(osc_system, osc_alpha, 0.0, 0)
 
     @pytest.mark.parametrize("order", [0, 3, 2.5, True, "2"], ids=repr)
@@ -574,7 +628,7 @@ class TestHamiltonJacobiRightSide:
         grad = numdiff.gradient(lambda y: hj_rhs(sys, alpha, y, phi0(y), t0), w)
         return float(np.max(np.abs(grad - phi1(w))))
 
-    @settings(derandomize=True, deadline=None, max_examples=20)
+    @settings(max_examples=20)
     @given(
         n=st.sampled_from([1, 2]),
         w=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),

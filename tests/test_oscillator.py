@@ -114,7 +114,7 @@ class TestSymplecticityIdentity:
         assert res <= 1e-13
 
     # the bounds of acceptance criterion 2, over random draws
-    @settings(derandomize=True, deadline=None, max_examples=100)
+    @settings(max_examples=100)
     @given(
         nu=st.floats(0.0, 1.5),
         tau=st.floats(1e-3, 0.2),
@@ -129,7 +129,7 @@ class TestSymplecticityIdentity:
             assert symplectic_residual(sys_nu, mat, z, t0, mat @ z, t0 + tau) <= 1e-13
             assert abs(np.linalg.det(mat) - np.exp(-nu * tau)) <= 1e-14
 
-    @settings(derandomize=True, deadline=None, max_examples=10)
+    @settings(max_examples=10)
     @given(
         nu=st.floats(0.0, 1.5),
         tau=st.floats(1e-3, 0.2),

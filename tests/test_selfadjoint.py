@@ -227,7 +227,7 @@ class TestReconstructB:
         reconstruct_b(raw, PhasePoint([0.4, -0.3, 0.2, 0.5], 0.2), quad_nodes=32, check=True)
         assert (len(k_calls), len(d_calls)) == (64, 289)
 
-    @settings(derandomize=True, deadline=None, max_examples=30)
+    @settings(max_examples=30)
     @given(
         nu=st.floats(0.0, 1.5),
         z=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),

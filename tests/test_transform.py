@@ -236,7 +236,7 @@ class TestDarbouxAlpha:
         for a, b in zip(exact.time_partials(*at), differenced.time_partials(*at)):
             assert np.max(np.abs(a - b)) <= 1e-8
 
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(
         n=st.sampled_from([1, 2]),
         entries=st.lists(st.floats(-2.0, 2.0), min_size=16, max_size=16),
