@@ -129,9 +129,14 @@ def _gauss_legendre_01(nodes: int) -> Tuple[Array, Array]:
     return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
 
 
-def _quadrature_rule(quad_nodes: int) -> Tuple[Array, Array]:
-    """The [0, 1] rule for ``quad_nodes``, which must be a positive integer."""
-    return _gauss_legendre_01(_positive_int("quad_nodes", quad_nodes))
+def _ray_integral(integrand: Callable[[Array], Array], z: Array, quad_nodes: int):
+    """int_0^1 integrand(lam * z) dlam by the ``quad_nodes``-point Gauss-Legendre rule.
+
+    ``quad_nodes`` must be a positive integer; it is checked before the
+    cached rule is looked up, since ``True`` hashes like 1.
+    """
+    lam, wgt = _gauss_legendre_01(_positive_int("quad_nodes", quad_nodes))
+    return sum(w_i * integrand(lam_i * z) for lam_i, w_i in zip(lam, wgt))
 
 
 def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32) -> Array:
@@ -145,11 +150,7 @@ def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32)
     dimension is not the system's.
     """
     _require_dim(raw, p.z)
-    lam, wgt = _quadrature_rule(quad_nodes)
-    acc = np.zeros(raw.dim)
-    for lam_i, w_i in zip(lam, wgt):
-        acc += w_i * (raw.k_at(lam_i * p.z, p.t).T @ p.z)
-    return 0.5 * acc
+    return 0.5 * _ray_integral(lambda y: raw.k_at(y, p.t).T @ p.z, p.z, quad_nodes)
 
 
 def reconstruct_b(
@@ -173,13 +174,9 @@ def reconstruct_b(
     raises ``ValueError`` before any evaluation.
     """
     _require_dim(raw, p.z)
-    lam, wgt = _quadrature_rule(quad_nodes)
 
     def b_value(z: Array) -> float:
-        acc = 0.0
-        for lam_i, w_i in zip(lam, wgt):
-            acc += w_i * float(z @ raw.d_at(lam_i * z, p.t))
-        return -acc
+        return -_ray_integral(lambda y: float(z @ raw.d_at(y, p.t)), z, quad_nodes)
 
     value = b_value(p.z)
     if check:

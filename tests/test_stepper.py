@@ -15,6 +15,7 @@ from birkhoff import (
     Trajectory,
     TransversalityError,
     convergence_order,
+    darboux_alpha,
     exact_solution,
     integrate,
     make_scheme,
@@ -34,7 +35,7 @@ from birkhoff import stepper
 from birkhoff.core import _det_margin
 from birkhoff.newton import MAX_ITER, newton_solve
 from pendulum_chain import NU as CHAIN_NU
-from pendulum_chain import chain_system, rk4_state, sheared_chain
+from pendulum_chain import chain_system, rk4_state, shear_p, shear_p_dot, sheared_chain
 
 NU = 0.5
 
@@ -903,9 +904,108 @@ class TestScaleRelation:
     """
 
     @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("c", [1e-200, 1e-8, 1e8, 1e300], ids=repr)
-    def test_states_and_step_jacobians_do_not_move(self, c, order):
+    @settings(max_examples=6)
+    @given(e=st.floats(-200.0, 300.0))
+    @example(e=-200.0)
+    @example(e=-8.0)
+    @example(e=8.0)
+    @example(e=300.0)
+    def test_states_and_step_jacobians_do_not_move(self, e, order):
+        # c = 10**e spans 1e-200 .. 1e300
+        c = 10.0**e
         states, jacobians = scaled_chain_path(c, order)
         ref_states, ref_jacobians = scaled_chain_path(1.0, order)
         assert np.max(np.abs(states - ref_states)) <= 1e-11
         assert np.max(np.abs(jacobians - ref_jacobians)) <= 1e-11
+
+
+def chain_p(t):
+    """The chain's Darboux matrix P(t) = diag(I, e^{nu t} I) for n = 2."""
+    return np.diag([1.0, 1.0, np.exp(CHAIN_NU * t), np.exp(CHAIN_NU * t)])
+
+
+def chain_p_dot(t):
+    """The analytic dP/dt of :func:`chain_p`."""
+    return np.diag([0.0, 0.0, CHAIN_NU * np.exp(CHAIN_NU * t), CHAIN_NU * np.exp(CHAIN_NU * t)])
+
+
+@functools.lru_cache(maxsize=None)
+def linear_change_path(system, p, p_dot, order, draw=None):
+    """Q, states and step Jacobians of 3 steps of ``system`` in z' = Q z.
+
+    Q = I + 0.3 U(-1, 1) from ``default_rng(draw)``, or I if draw is None.
+    The system in z' has F' = Q^-T F(Q^-1 z'), B' = B(Q^-1 z'),
+    K' = Q^-T K(Q^-1 z') Q^-1 and D' = Q^-T D(Q^-1 z'), and its transform is
+    ``darboux_alpha`` of P' = P Q^-1, so y = P' z' = P z.  tau = 0.05 from
+    t0 = 0.2; the states start at Q z0 with z0 from ``default_rng(0)``.
+    """
+    q = np.eye(system.dim)
+    if draw is not None:
+        q += 0.3 * np.random.default_rng(draw).uniform(-1.0, 1.0, q.shape)
+    q_inv = np.linalg.inv(q)
+    changed = BirkhoffSystem(
+        n=system.n,
+        F=lambda z, t: q_inv.T @ system.F(q_inv @ z, t),
+        B=lambda z, t: system.B(q_inv @ z, t),
+        K=lambda z, t: q_inv.T @ system.K(q_inv @ z, t) @ q_inv,
+        D=lambda z, t: q_inv.T @ system.D(q_inv @ z, t),
+    )
+    alpha = darboux_alpha(lambda t: p(t) @ q_inv, system.n, lambda t: p_dot(t) @ q_inv)
+    scheme = make_scheme(changed, alpha, 0.2, order)
+    states, jacobians = [q @ np.random.default_rng(0).uniform(-0.5, 0.5, system.dim)], []
+    for k in range(3):
+        t_k = 0.2 + 0.05 * k
+        jacobians.append(step_jacobian(changed, scheme, states[-1], t_k, 0.05))
+        states.append(step(changed, scheme, states[-1], t_k, 0.05))
+    return q, np.array(states), np.array(jacobians)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "system, p, p_dot",
+    [(chain_system(2)[0], chain_p, chain_p_dot), (sheared_chain()[0], shear_p, shear_p_dot)],
+    ids=["chain", "sheared"],
+)
+class TestLinearChangeOfVariables:
+    """A constant change of variables z' = Q z commutes with the step map.
+
+    The step relation is built in the Darboux coordinates y = P(t) z, and
+    P' = P Q^-1 gives the same y, so step'(Q z) = Q step(z) and the step
+    Jacobians are similar under Q, up to roundoff.
+    """
+
+    @pytest.mark.parametrize("draw", range(3))
+    def test_step_and_step_jacobian_are_conjugate_under_q(self, system, p, p_dot, order, draw):
+        _, states, jacobians = linear_change_path(system, p, p_dot, order)
+        q, changed_states, changed_jacobians = linear_change_path(system, p, p_dot, order, draw)
+        mapped = states @ q.T
+        scale = max(1.0, np.max(np.abs(mapped)))
+        assert np.max(np.abs(changed_states - mapped)) <= 1e-12 * scale
+        similar = q @ jacobians @ np.linalg.inv(q)
+        assert np.max(np.abs(changed_jacobians - similar)) <= 1e-10
+
+
+def circle_drift(advance):
+    """Largest |r^2 + p^2 - 1| over 300 steps of tau = 0.5 from (0.6, -0.8) at t0 = 0."""
+    states = np.array(run(advance, np.array([0.6, -0.8]), 0.0, 0.5, 300).states)
+    return np.max(np.abs(np.sum(states**2, axis=1) - 1.0))
+
+
+class TestQuadraticInvariant:
+    """The undamped oscillator's r^2 + p^2 is a quadratic invariant.
+
+    K = J0 there, so y = z and the order-1 step is the midpoint rule,
+    which keeps every quadratic invariant; the order-2 step is symplectic
+    and linear, and keeps this one too.  RK4 is the control the bound must
+    reject.
+    """
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_generic_scheme_keeps_the_circle(self, order):
+        system = oscillator_system(0.0)
+        scheme = make_scheme(system, oscillator_alpha(0.0), 0.0, order)
+        assert circle_drift(lambda z, t_k: step(system, scheme, z, t_k, 0.5)) <= 1e-11
+
+    def test_rk4_control_leaves_the_circle(self):
+        system = oscillator_system(0.0)
+        assert circle_drift(lambda z, t_k: rk4_state(system, z, t_k, 0.5, 1)) > 1e-11

@@ -63,3 +63,22 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
 )
 def test_code_lines_small_cases(source, expected):
     assert count_code_lines.code_lines(source) == expected
+
+
+def test_default_package_does_not_depend_on_the_working_directory(monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(_PATH.parents[1])
+    assert count_code_lines.main(["count_code_lines.py"]) == 0
+    from_root = capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert count_code_lines.main(["count_code_lines.py"]) == 0
+    elsewhere = capsys.readouterr().out
+    assert elsewhere == from_root
+    total = int(from_root.splitlines()[-1].split()[0])
+    assert total > 0
+
+
+def test_directory_without_modules_is_an_error(capsys, tmp_path):
+    assert count_code_lines.main(["count_code_lines.py", str(tmp_path)]) != 0
+    captured = capsys.readouterr()
+    assert "total" not in captured.out
+    assert "no *.py modules" in captured.err

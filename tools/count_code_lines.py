@@ -5,7 +5,10 @@ part of a module, class or function docstring; blank lines do not count.
 
 Usage::
 
-    python3 tools/count_code_lines.py [DIRECTORY]   # default: src/birkhoff
+    python3 tools/count_code_lines.py [DIRECTORY]   # default: the repo's src/birkhoff
+
+A directory that holds no ``*.py`` module is an error (exit status 1),
+so a mistyped path cannot pass for an empty package.
 """
 
 from __future__ import annotations
@@ -54,9 +57,16 @@ def code_lines(source: str) -> int:
 
 
 def main(argv) -> int:
-    root = Path(argv[1] if len(argv) > 1 else "src/birkhoff")
+    if len(argv) > 1:
+        root = Path(argv[1])
+    else:
+        root = Path(__file__).resolve().parents[1] / "src" / "birkhoff"
+    paths = sorted(root.glob("*.py"))
+    if not paths:
+        print(f"error: no *.py modules in {root}", file=sys.stderr)
+        return 1
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in paths:
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
