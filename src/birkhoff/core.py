@@ -16,7 +16,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -214,20 +214,22 @@ def _frozen(value):
 
 
 @_content_cached(_DET_CACHE_SIZE)
-def _det_margin(mat: Array) -> float:
-    """log(|det M| / prod_i max_j |M_ij|) for the square matrix M.
+def _det_gate(mat: Array) -> Tuple[float, Optional[Array]]:
+    """(log(|det M| / prod_i max_j |M_ij|), M^{-1} if that passes the test, else None).
 
-    -inf for a singular M, a zero row or a non-finite entry.  Computed from
-    ``slogdet`` and the log row maxima, so neither det M nor the product of
-    the row maxima has to fit in a float.  Memoized by content: K(t) in
+    The margin is -inf for a singular M, a zero row or a non-finite entry.
+    It is computed from ``slogdet`` and the log row maxima, so neither
+    det M nor the product of the row maxima has to fit in a float.  Only a
+    matrix whose margin passes is inverted.  Memoized by content: K(t) in
     ``velocity`` and the identity point's A' - C' come back unchanged many
-    times per step.
+    times per step, and each pays one ``slogdet`` and one ``inv``.
     """
     rowmax = np.abs(mat).max(axis=1)
     # written so that a NaN row maximum fails too
     if not (0.0 < rowmax.min() and rowmax.max() < math.inf):
-        return -math.inf
-    return float(np.linalg.slogdet(mat)[1]) - float(np.log(rowmax).sum())
+        return -math.inf, None
+    margin = float(np.linalg.slogdet(mat)[1]) - float(np.log(rowmax).sum())
+    return margin, np.linalg.inv(mat) if margin > _LOG_DET_TOLERANCE else None
 
 
 def det_nonzero(mat: Array) -> bool:
@@ -239,28 +241,34 @@ def det_nonzero(mat: Array) -> bool:
     of order 1) do not read as singular.  A zero row or a non-finite entry
     counts as singular.
     """
-    return _det_margin(mat) > _LOG_DET_TOLERANCE
+    return _det_gate(mat)[1] is not None
 
 
-def require_nonsingular(mat: Array, error: Callable[[float], Exception]) -> None:
-    """Raise ``error(det)`` unless ``mat`` passes :func:`det_nonzero`.
+def require_nonsingular(mat: Array, error: Callable[[float], Exception]) -> Array:
+    """M^{-1} for a ``mat`` M that passes :func:`det_nonzero`; else raise ``error(det)``.
 
     ``det`` is |det| of ``mat`` with each row divided by its max-abs
-    entry, the quantity the test uses.
+    entry, the quantity the test uses.  The inverse is memoized with the
+    verdict by the content of ``mat`` and shared, so it is read-only.
     """
-    margin = _det_margin(mat)
-    if not margin > _LOG_DET_TOLERANCE:
+    margin, inv = _det_gate(mat)
+    if inv is None:
         raise error(math.exp(margin))
+    return inv
 
 
 def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
-    """Phase velocity K^{-1} (grad B + dF/dt), i.e. the solution of K v = -D.
+    """Phase velocity K^{-1} (grad B + dF/dt), the solution of K v = -D.
 
     A z whose length is not the system's raises ``ValueError`` before any
     evaluation; a K that fails :func:`det_nonzero` raises
-    :class:`RegularityError` carrying that test's |det| in ``det``.
+    :class:`RegularityError` carrying that test's |det| in ``det``.  v is
+    the product of -D with the inverse that the test keeps for K, so a K
+    that comes back unchanged (a time-only K, at one t) is inverted once.
     """
     z = _require_dim(sys, z)
     k = sys.k_at(z, t)
-    require_nonsingular(k, lambda det: RegularityError(f"structure matrix singular at t={t}", det))
-    return np.linalg.solve(k, -sys.d_at(z, t))
+    k_inv = require_nonsingular(
+        k, lambda det: RegularityError(f"structure matrix singular at t={t}", det)
+    )
+    return k_inv @ -sys.d_at(z, t)

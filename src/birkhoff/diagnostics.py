@@ -20,6 +20,9 @@ from .stepper import StepMap, _check_grid, run
 
 Array = np.ndarray
 
+# the most steps convergence_order takes over its whole tau ladder
+MAX_TOTAL_STEPS = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
@@ -82,7 +85,8 @@ def convergence_order(
     time t.  ``z0`` must be a finite state of the system's dimension, t0
     finite, the horizon finite and positive, and each tau finite,
     positive and a divisor of it whose quotient horizon / tau is finite;
-    at least three values are required for the fit.  The reference is
+    at least three values are required for the fit, and their step
+    counts may sum to at most ``MAX_TOTAL_STEPS``.  The reference is
     evaluated once, at t0 + horizon, after the checks on z0 and t0, and
     must give a finite state of the system's dimension.  All of these are
     checked before the first run, so a reference that raises does so
@@ -108,6 +112,8 @@ def convergence_order(
         if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
             raise ValueError(f"horizon {horizon} is not an integer multiple of tau {tau}")
         steps.append(n_steps)
+    if sum(steps) > MAX_TOTAL_STEPS:
+        raise ValueError(f"the tau ladder takes {sum(steps)} steps, more than {MAX_TOTAL_STEPS}")
     z0 = _require_dim(sys, z0)
     _check_grid(t0, taus[0], z0)
     z_ref = _require_dim(sys, reference(t0 + horizon))

@@ -131,7 +131,9 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     of z_new = z_old from w_hat = 0, which is already the solution for
     every :func:`~birkhoff.transform.darboux_alpha`.  Its Jacobian comes
     from the inverse blocks (A', B', C', D') at that point: z_new = z_old
-    holds all along w_hat = phi^(0)(w), so (A' - C') d phi^(0)/dw = D' - B'.
+    holds all along w_hat = phi^(0)(w), so (A' - C') d phi^(0)/dw = D' - B',
+    and d phi^(0)/dw is D' - B' times the inverse of A' - C' that its gate
+    returns (for a ``darboux_alpha``, one inversion serves every w).
     Any other transform that passes
     :func:`~birkhoff.transform.alpha_verify` works too, with Newton
     updates whose matrix is A' - C', as long as |A' - C'| != 0.  The one
@@ -177,10 +179,9 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         # phi0 solves z_new = z_old on the inverse image of (w_hat, w)
         def s_system(w_hat):
             # (A', C') = d(z_new, z_old)/d w_hat, so A' - C' is the solve's
-            # exact Jacobian; along w_hat = phi0(w), (A' - C') S = D' - B'
+            # exact Jacobian; along w_hat = phi0(w), S = (A' - C')^{-1} (D' - B')
             a, b, c, d = alpha.inverse_blocks(w_hat, w, t0, t0)
-            require_transversal(a - c, "A' - C'")
-            return a - c, d - b
+            return a - c, require_transversal(a - c, "A' - C'"), d - b
 
         start = np.zeros_like(w)
         try:
@@ -190,7 +191,8 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         except NewtonError as exc:
             raise EvaluationError(f"no identity point at w={w.tolist()}, t0={t0}: {exc}") from exc
         u, g = a_functional(sys, alpha, phi0, w, t0, t0)
-        s = np.linalg.solve(*s_system(phi0))
+        _, lhs_inv, rhs = s_system(phi0)
+        s = lhs_inv @ rhs
         return phi0, s, u - s @ g, g
 
     def phi0(w: Array) -> Array:

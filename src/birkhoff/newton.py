@@ -76,9 +76,13 @@ def newton_solve(terms, x0, jacobian, _start=None):
 
     u0, v0 = terms(x)
     r, rnorm = residual(u0, v0)
-    # a non-finite start term must not lift the target to infinity
     sizes = np.abs(np.concatenate((x, u0, v0), dtype=float))
-    scale = max(1.0, float(np.max(sizes, where=np.isfinite(sizes), initial=0.0)))
+    top = float(sizes.max())
+    # a non-finite start term must not lift the target to infinity; written
+    # so that a NaN maximum takes the masked one too
+    if not top < np.inf:
+        top = float(np.max(sizes, where=np.isfinite(sizes), initial=0.0))
+    scale = max(1.0, top)
     target = TOL * scale
     floor = np.sqrt(TOL) * scale
     iters = 0

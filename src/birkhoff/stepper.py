@@ -181,13 +181,16 @@ def _linearization(
     z: Array,
     t_k: float,
     tau: float,
-) -> Tuple[Array, Array]:
-    """(A - Psi_ww C, Psi_ww D - B): the step relation differentiated in z_new and in z.
+) -> Tuple[Array, Array, Array]:
+    """(A - Psi_ww C, Psi_ww D - B, (A - Psi_ww C)^{-1}): the step relation differentiated.
+
+    The first two are its derivatives in z_new and in z; the inverse is
+    the one the nonsingularity test returns, shared and read-only.
 
     (A, B, C, D) are the forward blocks of the transform at
     (z_new, z, t_k + tau, t_k) and Psi_ww = sum_k tau^k
     ``coeff_jacobians[k](w)`` at w = alpha_2(z_new, z, t_k + tau, t_k).
-    The pair is exact when ``coeff_jacobians`` is the scheme's whole
+    They are exact when ``coeff_jacobians`` is the scheme's whole
     tuple; :func:`step`'s first matrix passes all but its last.  Raises
     :class:`TransversalityError` when A - Psi_ww C fails
     :func:`~birkhoff.core.det_nonzero` (the fourth condition of
@@ -198,8 +201,7 @@ def _linearization(
     _, w = sch.alpha.forward(z_new, z, t1, t_k)
     psi_ww = _tau_series(coeff_jacobians, w, tau)
     lhs = a - psi_ww @ c
-    require_transversal(lhs, "A - Psi_ww C")
-    return lhs, psi_ww @ d - b
+    return lhs, psi_ww @ d - b, require_transversal(lhs, "A - Psi_ww C")
 
 
 def step_jacobian(
@@ -216,7 +218,8 @@ def step_jacobian(
 
         M = (A - Psi_ww C)^{-1} (Psi_ww D - B),
 
-    with both factors from the exact linearization at the solved z_new,
+    with both factors from the exact linearization at the solved z_new
+    (the inverse is the one its nonsingularity test keeps),
     the full series Psi_ww: the matrix that :func:`step`'s Newton
     refreshes use, not its cheaper first matrix.  A lost transversality
     condition |A - Psi_ww C| != 0 raises :class:`TransversalityError`.
@@ -227,5 +230,5 @@ def step_jacobian(
     z_new = step(sys, scheme, z, t_k, tau)
     z = np.asarray(z, dtype=float)
     sch = scheme.at(t_k)
-    lhs, rhs = _linearization(sch, sch.coefficients.coeff_jacobians, z_new, z, t_k, tau)
-    return np.linalg.solve(lhs, rhs)
+    _, rhs, lhs_inv = _linearization(sch, sch.coefficients.coeff_jacobians, z_new, z, t_k, tau)
+    return lhs_inv @ rhs

@@ -110,23 +110,24 @@ def sigma(blocks: Blocks, mat: Array) -> Array:
     """Matrix Moebius transform N = (A M + B)(C M + D)^{-1}.
 
     Raises :class:`TransversalityError` when C M + D is numerically
-    singular (fails :func:`birkhoff.core.det_nonzero`).
+    singular (fails :func:`birkhoff.core.det_nonzero`); otherwise N is
+    (A M + B) times the inverse that test keeps.
     """
     a, b, c, d = (np.asarray(x, dtype=float) for x in blocks)
     mat = np.asarray(mat, dtype=float)
-    denom = c @ mat + d
-    require_transversal(denom, "C M + D")
-    return np.linalg.solve(denom.T, (a @ mat + b).T).T
+    return (a @ mat + b) @ require_transversal(c @ mat + d, "C M + D")
 
 
-def require_transversal(mat: Array, name: str) -> None:
-    """Raise :class:`TransversalityError` unless ``mat`` passes ``det_nonzero``.
+def require_transversal(mat: Array, name: str) -> Array:
+    """``mat``'s inverse; :class:`TransversalityError` unless ``mat`` passes ``det_nonzero``.
 
     The error reports |det| of ``mat`` with each row divided by its
-    max-abs entry, the quantity the test uses.
+    max-abs entry, the quantity the test uses.  The inverse is the one
+    :func:`~birkhoff.core.require_nonsingular` keeps: shared and
+    read-only.
     """
     message = f"transversality condition violated: {name} singular"
-    require_nonsingular(mat, lambda det: TransversalityError(message, det))
+    return require_nonsingular(mat, lambda det: TransversalityError(message, det))
 
 
 def transversality_equivalents(
@@ -189,11 +190,13 @@ def darboux_alpha(
     ``p_dot`` defaults to a central difference of ``p``; supplying it
     analytically keeps downstream generating-function coefficients exact.
     Both must be pure functions of t: the transform evaluates and checks
-    each once per time, keeping the few most recent, factors
-    diag(P(t), P(t0)) once per time pair, and returns the forward and
-    inverse blocks of a time pair as shared read-only arrays.  A P(t) that
-    is not a finite, nonsingular (:func:`~birkhoff.core.det_nonzero`)
-    2n x 2n matrix, or a dP/dt that is not a finite 2n x 2n matrix, raises
+    each once per time, keeping the few most recent with the inverse of
+    P(t) that the check of P returns, builds the inverse factor
+    diag(P(t)^{-1}, P(t0)^{-1}) times the inverse midpoint matrix from
+    those once per time pair, and returns the forward and inverse blocks
+    of a time pair as shared read-only arrays.  A P(t) that is not a
+    finite, nonsingular (:func:`~birkhoff.core.det_nonzero`) 2n x 2n
+    matrix, or a dP/dt that is not a finite 2n x 2n matrix, raises
     :class:`EvaluationError`.
     """
     n = _positive_int("n", n)
@@ -208,11 +211,10 @@ def darboux_alpha(
     unmix = np.block([[0.5 * swap, 2.0 * half], [-0.5 * swap, 2.0 * half]])
 
     @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
-    def p_at(t: float) -> Array:
+    def p_at(t: float) -> Tuple[Array, Array]:
+        # P(t) and its inverse, which the nonsingularity check returns
         out = _checked("P", lambda _, s: p(s), (), t, (dim, dim))
-        if not det_nonzero(out):
-            raise EvaluationError(f"P is singular at t={t}")
-        return out
+        return out, require_nonsingular(out, lambda _: EvaluationError(f"P is singular at t={t}"))
 
     @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
     def p_dot_at(t: float) -> Array:
@@ -220,17 +222,17 @@ def darboux_alpha(
 
     @functools.lru_cache(maxsize=_TIME_CACHE_SIZE)
     def pair(t: float, t0: float) -> Tuple[Array, Blocks, Array, Blocks]:
-        # diag(P(t), P(t0)), the forward Jacobian mix diag(P(t), P(t0)) as
-        # blocks, and the inverse factor diag(P(t), P(t0))^{-1} unmix, whole
-        # and as blocks: one factorization per time pair
-        p1, p0 = p_at(t), p_at(t0)
-        both = np.block([[p1, np.zeros((dim, dim))], [np.zeros((dim, dim)), p0]])
-        jac, inv = _frozen(mix @ both), _frozen(np.linalg.solve(both, unmix))
-        return both, _split(jac, dim), inv, _split(inv, dim)
+        # the forward Jacobian mix diag(P(t), P(t0)) and the inverse factor
+        # diag(P(t)^{-1}, P(t0)^{-1}) unmix, each whole and as blocks, from
+        # P and the inverse its check returned, kept per time
+        (p1, p1_inv), (p0, p0_inv) = p_at(t), p_at(t0)
+        jac = _frozen(np.concatenate((mix[:, :dim] @ p1, mix[:, dim:] @ p0), axis=1))
+        inv = _frozen(np.concatenate((p1_inv @ unmix[:dim], p0_inv @ unmix[dim:])))
+        return jac, _split(jac, dim), inv, _split(inv, dim)
 
     def forward(z_new, z_old, t, t0):
-        both = pair(float(t), float(t0))[0]
-        out = mix @ (both @ np.concatenate((z_new, z_old), dtype=float))
+        # the map is linear in the states: its Jacobian times (z_new, z_old)
+        out = pair(float(t), float(t0))[0] @ np.concatenate((z_new, z_old), dtype=float)
         return out[:dim], out[dim:]
 
     def inverse(w_hat, w, t, t0):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,18 @@ class TestConvergence:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("configuration error: need finite t0 and z0 and a finite positive")
+        assert err.count("\n") == 1
+
+    def test_huge_finite_step_count_exits_at_once(self, capsys):
+        # 10^9 + 10^10 + 10^11 steps: each count is finite, so only the
+        # bound on their sum stops the run before it starts
+        argv = ["convergence", "--scheme", "closed-first", "--horizon", "1e300"]
+        start = time.perf_counter()
+        assert main(argv + ["--tau-list", "1e291,1e290,1e289"]) == 1
+        assert time.perf_counter() - start < 5.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("configuration error: the tau ladder takes 111")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

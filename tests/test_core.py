@@ -17,7 +17,10 @@ from birkhoff import (
     scaled_canonical_alpha,
     velocity,
 )
-from birkhoff.core import _DET_CACHE_SIZE, _content_cached, _det_margin, det_nonzero
+from birkhoff.core import (
+    _DET_CACHE_SIZE, _content_cached, _det_gate, det_nonzero, require_nonsingular,
+)
+from birkhoff.transform import canonical_j
 
 NU = 0.5
 
@@ -221,7 +224,8 @@ class TestRegularity:
 
 
 class TestVerdictCache:
-    # the nonsingularity verdict is memoized by content: shape and float64 bytes
+    # the nonsingularity verdict, with the inverse of a matrix that passes,
+    # is memoized by content: shape and float64 bytes
 
     def test_matrix_mutated_in_place_gets_a_new_verdict(self):
         mat = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -235,7 +239,7 @@ class TestVerdictCache:
         base = rng.uniform(-1, 1, (6, 6))
         view = base[::2, 1::2]
         assert not view.flags.c_contiguous
-        assert _det_margin(view) == _det_margin(np.ascontiguousarray(view))
+        assert _det_gate(view)[0] == _det_gate(np.ascontiguousarray(view))[0]
         # a transposed view shares the buffer of its base but not its rows:
         # a tiny row of M is a tiny column of M^T, which row scaling cannot undo
         mat = np.diag([1e-20, 1.0]) @ np.array([[1.0, 2.0], [3.0, 5.0]])
@@ -249,20 +253,68 @@ class TestVerdictCache:
         mat[1, 2] = np.nan
         for _ in range(2):
             assert not det_nonzero(mat)
-            assert _det_margin(mat) == -np.inf
+            assert _det_gate(mat) == (-np.inf, None)
 
     def test_error_is_raised_on_every_call_and_never_cached(self):
-        _det_margin.cache_clear()
+        _det_gate.cache_clear()
         for _ in range(3):
             with pytest.raises(np.linalg.LinAlgError):
                 det_nonzero(np.ones((2, 3)))
-        assert _det_margin.cache_info().currsize == 0
+        assert _det_gate.cache_info().currsize == 0
 
     def test_cache_is_bounded(self):
-        _det_margin.cache_clear()
+        _det_gate.cache_clear()
         for k in range(_DET_CACHE_SIZE + 10):
             assert det_nonzero(np.diag([1.0, k + 1.0]))
-        assert _det_margin.cache_info().currsize == _DET_CACHE_SIZE
+        assert _det_gate.cache_info().currsize == _DET_CACHE_SIZE
+
+
+class TestGateInverse:
+    # the inverse that the nonsingularity test keeps replaces a solve
+    # wherever a gated matrix is solved with
+
+    def test_velocity_residual_is_backward_small(self):
+        # K = P^T J0 P with P's singular values log-spaced from 1 to 1e-5
+        # (K's condition number reaches about 4e6 on these draws); a solve
+        # reads at most 2e-16 here, the inverse at most 1.1e-15
+        rng = np.random.default_rng(5)
+        j0, sv = -canonical_j(4), np.logspace(0.0, -5.0, 4)
+        checked = 0
+        for _ in range(100):
+            u, v = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+            p = u @ np.diag(sv) @ v.T
+            k, d = p.T @ j0 @ p, rng.normal(size=4)
+            if not det_nonzero(k):
+                continue
+            system = BirkhoffSystem(
+                n=2, F=lambda z, t: z, B=lambda z, t: 0.0,
+                K=lambda z, t, k=k: k, D=lambda z, t, d=d: d,
+            )
+            vel = velocity(system, np.zeros(4), 0.0)
+            residual = np.linalg.norm(k @ vel + d) / (np.linalg.norm(k, 2) * np.linalg.norm(vel))
+            assert residual <= 1e-14
+            checked += 1
+        assert checked >= 80
+
+    def test_returned_inverse_is_read_only(self, rng):
+        mat = rng.uniform(-1, 1, (4, 4)) + 4.0 * np.eye(4)
+        inv = require_nonsingular(mat, lambda det: AssertionError(det))
+        assert not inv.flags.writeable
+        with pytest.raises(ValueError):
+            inv[0, 0] = 0.0
+        np.testing.assert_allclose(inv @ mat, np.eye(4), atol=1e-14)
+
+    def test_matrix_mutated_in_place_gets_a_fresh_inverse(self):
+        mat = np.diag([2.0, 4.0])
+        first = require_nonsingular(mat, lambda det: AssertionError(det))
+        mat[0, 0] = 8.0
+        second = require_nonsingular(mat, lambda det: AssertionError(det))
+        np.testing.assert_array_equal(first, np.diag([0.5, 0.25]))
+        np.testing.assert_array_equal(second, np.diag([0.125, 0.25]))
+        mat[0, 0] = 0.0
+        with pytest.raises(RegularityError):
+            require_nonsingular(mat, lambda det: RegularityError("singular", det))
+        assert _det_gate(mat) == (-np.inf, None)
 
 
 class TestContentCache:

@@ -13,7 +13,7 @@ from birkhoff import (
     step_jacobian,
     symplectic_residual,
 )
-from birkhoff.diagnostics import fit_slope
+from birkhoff.diagnostics import MAX_TOTAL_STEPS, fit_slope
 
 NU = 0.5
 
@@ -217,6 +217,26 @@ class TestConvergenceOrder:
             convergence_order(
                 osc_system, factory, lambda t: exact_solution(NU, 1.0, 0.0, t),
                 np.array([1.0, 0.0]), 0.0, 1e300, [1e-10, 1e-20, 1e-30],
+            )
+        assert calls == []
+
+    def test_ladder_over_the_step_bound_rejected_before_the_reference(self, osc_system):
+        # a finite but huge step count used to run without bound; here the
+        # ladder takes 1.75 MAX_TOTAL_STEPS steps
+        calls = []
+
+        def reference(t):
+            calls.append(t)
+            return exact_solution(NU, 1.0, 0.0, t)
+
+        def factory(tau):
+            calls.append(tau)
+            return matrix_step(scheme_first_order(NU, tau))
+
+        with pytest.raises(ValueError, match="the tau ladder takes 1750000 steps, more than"):
+            convergence_order(
+                osc_system, factory, reference, np.array([1.0, 0.0]), 0.0,
+                float(MAX_TOTAL_STEPS), [4.0, 2.0, 1.0],
             )
         assert calls == []
 

@@ -32,7 +32,7 @@ from birkhoff import (
     velocity,
 )
 from birkhoff import stepper
-from birkhoff.core import _det_margin
+from birkhoff.core import _det_gate
 from birkhoff.newton import MAX_ITER, newton_solve
 from pendulum_chain import NU as CHAIN_NU
 from pendulum_chain import chain_system, rk4_state, shear_p, shear_p_dot, sheared_chain
@@ -550,25 +550,28 @@ class TestStepJacobian:
         assert len(calls) == k_calls
 
     @pytest.mark.parametrize(
-        "fn, order, solves, slogdets",
+        "fn, order, solves, inverses",
         [
-            (step_jacobian, 1, 38, 6),
-            (step_jacobian, 2, 98, 10),
-            (step, 1, 29, 5),
-            (step, 2, 57, 9),
+            (step_jacobian, 1, 8, 6),
+            (step_jacobian, 2, 4, 10),
+            (step, 1, 8, 5),
+            (step, 2, 4, 9),
         ],
         ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
     )
-    def test_lapack_calls_are_pinned(self, fn, order, solves, slogdets, monkeypatch):
-        # each time-only matrix is factored once: the Darboux inverse factor
-        # per time pair, the nonsingularity verdict per distinct matrix (for
-        # an order-2 step: K at three times, P at four, A' - C' and the
-        # step's Newton matrix).  The first Newton matrix, with Psi_ww's
-        # last term dropped, stands in for the exact one at both orders (no
-        # refresh on the oscillator), so it adds no slogdet; its extra
-        # updates (8 at order 1, 4 at order 2) add the solves
-        _det_margin.cache_clear()
-        calls = {"solve": 0, "slogdet": 0}
+    def test_lapack_calls_are_pinned(self, fn, order, solves, inverses, monkeypatch):
+        # each time-only matrix is factored once: the nonsingularity test
+        # inverts each distinct matrix that passes it, once (for an order-2
+        # step: K at three times, P at four, A' - C' and the step's Newton
+        # matrix), and every gated product reads that inverse; the Darboux
+        # inverse factor per time pair is built from P's inverses.  What
+        # solves remain are Newton's own updates: the first Newton matrix,
+        # with Psi_ww's last term dropped, stands in for the exact one at
+        # both orders (no refresh on the oscillator), so a step inverts one
+        # Newton matrix, and Newton solves with it 8 times at order 1 and 4
+        # times at order 2
+        _det_gate.cache_clear()
+        calls = {"solve": 0, "inv": 0, "slogdet": 0}
 
         def counted(name):
             original = getattr(np.linalg, name)
@@ -584,7 +587,7 @@ class TestStepJacobian:
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counted(name))
         fn(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
-        assert calls == {"solve": solves, "slogdet": slogdets}
+        assert calls == {"solve": solves, "inv": inverses, "slogdet": inverses}
 
     def test_transform_calls_are_pinned(self):
         # one order-2 step: each solve evaluates its start point once for
