@@ -136,8 +136,9 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     returns (for a ``darboux_alpha``, one inversion serves every w).
     Any other transform that passes
     :func:`~birkhoff.transform.alpha_verify` works too, with Newton
-    updates whose matrix is A' - C', as long as |A' - C'| != 0.  The one
-    helper that builds A' - C' gates it, so a singular A' - C' raises
+    updates by the inverse of A' - C' that the same gate returns, as long
+    as |A' - C'| != 0.  The one helper that builds A' - C' gates it, so a
+    singular A' - C' raises
     :class:`~birkhoff.errors.TransversalityError` wherever it is met: at
     the solve's start, at a later iterate, or at phi^(0) itself.  Any
     other Newton failure there raises
@@ -181,7 +182,7 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
             # (A', C') = d(z_new, z_old)/d w_hat, so A' - C' is the solve's
             # exact Jacobian; along w_hat = phi0(w), S = (A' - C')^{-1} (D' - B')
             a, b, c, d = alpha.inverse_blocks(w_hat, w, t0, t0)
-            return a - c, require_transversal(a - c, "A' - C'"), d - b
+            return require_transversal(a - c, "A' - C'"), d - b
 
         start = np.zeros_like(w)
         try:
@@ -191,7 +192,7 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         except NewtonError as exc:
             raise EvaluationError(f"no identity point at w={w.tolist()}, t0={t0}: {exc}") from exc
         u, g = a_functional(sys, alpha, phi0, w, t0, t0)
-        _, lhs_inv, rhs = s_system(phi0)
+        lhs_inv, rhs = s_system(phi0)
         s = lhs_inv @ rhs
         return phi0, s, u - s @ g, g
 

@@ -1,4 +1,10 @@
-"""Dense Newton solver for the small implicit systems in this package."""
+"""Chord Newton solver for the small implicit systems in this package.
+
+Every update is a product with an inverse that the caller hands in: each
+caller gates its Newton matrix with the nonsingularity test, which returns
+the inverse it certified, so a singular matrix leaves as the caller's own
+error and this module solves no linear system.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ TOL = 1e-12
 MAX_ITER = 50
 
 
-def newton_solve(terms, x0, jacobian, _start=None):
+def newton_solve(terms, x0, inverse, _start=None):
     """Solve ``u(x) = v(x)`` starting from ``x0``, where ``terms(x) = (u, v)``.
 
     Chord Newton with one stopping rule: stop at ``TOL * scale``, or below
@@ -32,7 +38,8 @@ def newton_solve(terms, x0, jacobian, _start=None):
     floor.  Each update, taken or turned down, costs one evaluation of
     ``terms`` beyond the one at ``x0``, and nothing is evaluated after the
     stop: a start already at its target returns with no update and no
-    Jacobian.
+    matrix.  An update subtracts the inverse of the matrix in use times
+    u - v.
 
     The residual is u - v.  Its target scales with the terms it is the
     difference of, read off the first evaluation, the one at ``x0``:
@@ -46,15 +53,15 @@ def newton_solve(terms, x0, jacobian, _start=None):
         Maps a length-d vector x to the pair (u, v) of length-d vectors.
     x0 : array
         Initial guess.
-    jacobian : callable
-        Maps x to the d x d Jacobian of the residual u - v.
+    inverse : callable
+        Maps x to the inverse of the d x d Jacobian of the residual u - v.
     _start : callable, optional
-        Private hook: maps ``x0`` to the first matrix, in place of
-        ``jacobian``.  A chord solve needs only a matrix that contracts,
-        so this may be a cheap approximation.  It counts as stale from
-        the outset: ``jacobian`` replaces it after an update that fails
-        to cut the residual 4x, and before any stop at the noise floor,
-        so only the target stop is ever taken on it.
+        Private hook: maps ``x0`` to the inverse of the first matrix, in
+        place of ``inverse``.  A chord solve needs only a matrix that
+        contracts, so this may be a cheap approximation.  It counts as
+        stale from the outset: ``inverse`` replaces it after an update
+        that fails to cut the residual 4x, and before any stop at the
+        noise floor, so only the target stop is ever taken on it.
 
     Returns
     -------
@@ -62,8 +69,7 @@ def newton_solve(terms, x0, jacobian, _start=None):
         ``iterations`` counts the updates taken.
 
     Raises :class:`NewtonError`, carrying the last iterate and its residual
-    norm, on a singular Jacobian, a non-finite update, or more than
-    MAX_ITER iterations.
+    norm, on a non-finite update or more than MAX_ITER iterations.
     """
     x = np.array(x0, dtype=float)
 
@@ -86,31 +92,28 @@ def newton_solve(terms, x0, jacobian, _start=None):
     target = TOL * scale
     floor = np.sqrt(TOL) * scale
     iters = 0
-    jac_mat = None
-    jac_fresh = False
+    inv = None
+    fresh = False
     while rnorm > target:
         if iters >= MAX_ITER:
             raise NewtonError("Newton iteration did not converge", x, rnorm, iters)
-        if jac_mat is None and _start is not None:
-            jac_mat, _start = _start(x), None
-        elif jac_mat is None:
-            jac_mat, jac_fresh = jacobian(x), True
-        try:
-            delta = np.linalg.solve(jac_mat, r)
-        except np.linalg.LinAlgError:
-            raise NewtonError("singular Jacobian in Newton iteration", x, rnorm, iters) from None
+        if inv is None and _start is not None:
+            inv, _start = _start(x), None
+        elif inv is None:
+            inv, fresh = inverse(x), True
+        delta = inv @ r
         if not np.all(np.isfinite(delta)):
             raise NewtonError("non-finite Newton update", x, rnorm, iters)
         x_new = x - delta
         r_new, new_norm = residual(*terms(x_new))
         if new_norm >= rnorm and rnorm <= floor:
-            if jac_fresh:
+            if fresh:
                 break
-            jac_mat = None
+            inv = None
             continue
-        if new_norm > 0.25 * rnorm and not jac_fresh:
-            jac_mat = None
+        if new_norm > 0.25 * rnorm and not fresh:
+            inv = None
         x, r, rnorm = x_new, r_new, new_norm
         iters += 1
-        jac_fresh = False
+        fresh = False
     return x, rnorm, iters

@@ -9,14 +9,15 @@ are re-expanded at each grid time through the scheme's rebase factory, so
 nonautonomous systems keep their stated order.  Differentiating the
 relation through the Moebius form gives one linearization,
 A - Psi_ww C in z_new and Psi_ww D - B in z, with Psi_ww = sum_k tau^k
-phi_ww^(k) summed in :func:`_linearization` alone: the two together give
-the exact step Jacobian of :func:`step_jacobian`, and the first is the
-Newton matrix of :func:`step`.  Newton only needs a matrix that
-contracts, so at every order :func:`step` starts from A - Psi_ww C with
-the series' last, most-differenced term dropped: an order-1 step builds
-no phi_ww^(1) stencil and an order-2 step no nested phi_ww^(2), which
-keeps the order-1 step's calls to the user's K flat in n; every refresh
-of that matrix is exact.  A step that fails raises the error of its
+phi_ww^(k) summed in :func:`_linearization` alone, which returns the
+first as the inverse its nonsingularity test certified: the inverse and
+the second give the exact step Jacobian of :func:`step_jacobian`, and
+every Newton update of :func:`step` multiplies by the inverse.  Newton
+only needs a matrix that contracts, so at every order :func:`step`
+starts from A - Psi_ww C with the series' last, most-differenced term
+dropped: an order-1 step builds no phi_ww^(1) stencil and an order-2
+step no nested phi_ww^(2), which keeps the order-1 step's calls to the
+user's K flat in n; every refresh of that matrix is exact.  A step that fails raises the error of its
 cause; a solve that does not converge raises the solver's own
 :class:`~birkhoff.errors.NewtonError`.  :func:`run` is the one loop that
 walks a step map along the grid.
@@ -181,11 +182,13 @@ def _linearization(
     z: Array,
     t_k: float,
     tau: float,
-) -> Tuple[Array, Array, Array]:
-    """(A - Psi_ww C, Psi_ww D - B, (A - Psi_ww C)^{-1}): the step relation differentiated.
+) -> Tuple[Array, Array]:
+    """((A - Psi_ww C)^{-1}, Psi_ww D - B): the step relation differentiated.
 
-    The first two are its derivatives in z_new and in z; the inverse is
-    the one the nonsingularity test returns, shared and read-only.
+    A - Psi_ww C and Psi_ww D - B are its derivatives in z_new and in z.
+    The first is returned as the inverse its nonsingularity test
+    certified, shared and read-only, never as the matrix itself: every
+    Newton update and the step Jacobian multiply by it.
 
     (A, B, C, D) are the forward blocks of the transform at
     (z_new, z, t_k + tau, t_k) and Psi_ww = sum_k tau^k
@@ -200,8 +203,7 @@ def _linearization(
     a, b, c, d = sch.alpha.blocks(z_new, z, t1, t_k)
     _, w = sch.alpha.forward(z_new, z, t1, t_k)
     psi_ww = _tau_series(coeff_jacobians, w, tau)
-    lhs = a - psi_ww @ c
-    return lhs, psi_ww @ d - b, require_transversal(lhs, "A - Psi_ww C")
+    return require_transversal(a - psi_ww @ c, "A - Psi_ww C"), psi_ww @ d - b
 
 
 def step_jacobian(
@@ -230,5 +232,5 @@ def step_jacobian(
     z_new = step(sys, scheme, z, t_k, tau)
     z = np.asarray(z, dtype=float)
     sch = scheme.at(t_k)
-    _, rhs, lhs_inv = _linearization(sch, sch.coefficients.coeff_jacobians, z_new, z, t_k, tau)
+    lhs_inv, rhs = _linearization(sch, sch.coefficients.coeff_jacobians, z_new, z, t_k, tau)
     return lhs_inv @ rhs

@@ -149,13 +149,13 @@ def test_traced_newton_solve_matches_and_counts_its_evaluations(tracing):
         evals.append(x.copy())
         return np.array([x[0] ** 2 + x[1] ** 2, np.exp(x[0]) + x[1]]), np.array([4.0, 1.0])
 
-    def jacobian(x):
-        return np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0]), 1.0]])
+    def inverse(x):
+        return np.linalg.inv(np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0]), 1.0]]))
 
-    x, rnorm, iters = newton_solve(terms, [3.0, -5.0], jacobian)
+    x, rnorm, iters = newton_solve(terms, [3.0, -5.0], inverse)
     untraced_evals = len(evals)
     tracer = tracing.Tracer()
-    out = tracer.wrap_newton("newton.step", newton_solve)(terms, [3.0, -5.0], jacobian)
+    out = tracer.wrap_newton("newton.step", newton_solve)(terms, [3.0, -5.0], inverse)
     np.testing.assert_array_equal(out[0], x)
     assert out[1:] == (rnorm, iters)
     assert [solve[:4] for solve in tracer.solves] == [("step", None, iters, untraced_evals)]

@@ -21,11 +21,11 @@ class TestNewtonSolve:
     def test_far_start_converges_with_stale_jacobian_refreshes(self):
         calls = []
 
-        def jacobian(x):
+        def inverse(x):
             calls.append(x.copy())
-            return np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0]), 1.0]])
+            return np.linalg.inv(np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0]), 1.0]]))
 
-        x, rnorm, iters = newton_solve(circle_and_exponential, [3.0, -5.0], jacobian)
+        x, rnorm, iters = newton_solve(circle_and_exponential, [3.0, -5.0], inverse)
         # the start's terms set the scale: u(x0) = (34, e^3 - 5)
         assert rnorm <= TOL * 34.0
         u, v = circle_and_exponential(x)
@@ -34,14 +34,6 @@ class TestNewtonSolve:
         # stale one stops cutting the residual
         assert 1 < len(calls) < iters
         np.testing.assert_array_equal(calls[0], [3.0, -5.0])
-
-    def test_singular_jacobian_raises_with_the_last_iterate(self):
-        x0 = np.array([0.5, -0.5])
-        with pytest.raises(NewtonError) as info:
-            newton_solve(shifted(1.0), x0, lambda y: np.zeros((2, 2)))
-        np.testing.assert_array_equal(info.value.last_iterate, x0)
-        assert info.value.residual_norm == 1.5
-        assert info.value.iterations == 0
 
     def test_solve_meeting_its_target_evaluates_nothing_past_it(self):
         # x - 1 = 0 with the chord slope 2 halves the error per update, too
@@ -54,11 +46,11 @@ class TestNewtonSolve:
             evals.append(y[0])
             return y, np.ones(1)
 
-        def jacobian(y):
+        def inverse(y):
             jac_points.append(y[0])
-            return np.array([[2.0]])
+            return np.array([[0.5]])
 
-        x, rnorm, iters = newton_solve(terms, np.zeros(1), jacobian)
+        x, rnorm, iters = newton_solve(terms, np.zeros(1), inverse)
         assert x[0] == 1.0 - 2.0**-40
         assert rnorm == 2.0**-40
         assert iters == 40
@@ -74,10 +66,10 @@ class TestNewtonSolve:
             evals.append(y.copy())
             return y, np.full(1, 1.0 + TOL / 2)
 
-        def jacobian(y):
-            raise AssertionError("Jacobian evaluated at a converged start")
+        def inverse(y):
+            raise AssertionError("matrix evaluated at a converged start")
 
-        x, rnorm, iters = newton_solve(terms, np.ones(1), jacobian)
+        x, rnorm, iters = newton_solve(terms, np.ones(1), inverse)
         np.testing.assert_array_equal(x, [1.0])
         assert 0.0 < rnorm <= TOL
         assert iters == 0
@@ -99,7 +91,7 @@ class TestNewtonSolve:
             return (scale * y if y[0] < 1.0 else np.full(1, np.nan)), np.full(1, 2.0 * scale)
 
         with pytest.raises(NewtonError) as info:
-            newton_solve(terms, np.zeros(1), lambda y: scale * np.eye(1))
+            newton_solve(terms, np.zeros(1), lambda y: np.eye(1) / scale)
         assert info.value.residual_norm == np.inf
         np.testing.assert_array_equal(info.value.last_iterate, [2.0])
 
@@ -131,7 +123,7 @@ class TestNewtonSolve:
         def terms(y):
             return 1e8 * y, np.full(1, 1e8)
 
-        x, rnorm, iters = newton_solve(terms, np.zeros(1), lambda y: np.array([[2e8]]))
+        x, rnorm, iters = newton_solve(terms, np.zeros(1), lambda y: np.array([[5e-9]]))
         assert TOL < rnorm <= TOL * 1e8
         assert iters < MAX_ITER
         assert abs(x[0] - 1.0) <= TOL
@@ -144,13 +136,13 @@ class TestNewtonSolve:
 
         def start(y):
             starts.append(y[0])
-            return np.array([[2.0]])
+            return np.array([[0.5]])
 
-        def jacobian(y):
+        def inverse(y):
             jac_points.append(y[0])
             return np.eye(1)
 
-        x, rnorm, iters = newton_solve(shifted(1.0), np.zeros(1), jacobian, _start=start)
+        x, rnorm, iters = newton_solve(shifted(1.0), np.zeros(1), inverse, _start=start)
         assert (x[0], rnorm, iters) == (1.0, 0.0, 2)
         assert starts == [0.0]
         assert jac_points == [0.5]
@@ -168,10 +160,10 @@ class TestNewtonSolve:
 
         jac_points = []
 
-        def jacobian(y):
+        def inverse(y):
             jac_points.append(y.copy())
             return np.eye(1)
 
-        x, rnorm, iters = newton_solve(shifted(1.0), x0, jacobian, _start=lambda y: -np.eye(1))
+        x, rnorm, iters = newton_solve(shifted(1.0), x0, inverse, _start=lambda y: -np.eye(1))
         assert (x[0], rnorm, iters) == (1.0, 0.0, 1)
         np.testing.assert_array_equal(jac_points, [x0])

@@ -99,3 +99,35 @@ def test_readme_names_only_exported_classes_and_errors():
     names = {name for span in re.findall(r"`([^`\n]+)`", readme) for name in pattern.findall(span)}
     unknown = sorted(n for n in names if n not in birkhoff.__all__ and not hasattr(builtins, n))
     assert not unknown, f"README names what the package does not export: {unknown}"
+
+
+def test_the_nonsingularity_gate_makes_every_linear_algebra_call():
+    # core._det_gate decides whether a matrix is singular and inverts the
+    # ones that pass; every solve multiplies by that inverse.  Any other
+    # LAPACK call in the package (a solve, or a handler for its
+    # LinAlgError) would be a second singularity policy.  norm is exempt
+    package = Path(birkhoff.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        gate = set()
+        if path.name == "core.py":
+            [fn] = [n for n in tree.body if getattr(n, "name", None) == "_det_gate"]
+            gate = set(map(id, ast.walk(fn)))
+        for node in ast.walk(tree):
+            where = f"{path.relative_to(package)}:{getattr(node, 'lineno', '?')}"
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if "LinAlgError" in names:
+                found.append(f"{where} LinAlgError")
+            elif (
+                isinstance(node, ast.Attribute)
+                and getattr(node.value, "attr", None) == "linalg"
+                and node.attr != "norm"
+                and id(node) not in gate
+            ):
+                found.append(f"{where} linalg.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (
+                "linalg" in (node.module or "") or "linalg" in [a.name for a in node.names]
+            ):
+                found.append(f"{where} import of linalg")
+    assert not found, f"linear algebra outside core._det_gate: {found}"

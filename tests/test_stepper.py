@@ -552,10 +552,10 @@ class TestStepJacobian:
     @pytest.mark.parametrize(
         "fn, order, solves, inverses",
         [
-            (step_jacobian, 1, 8, 6),
-            (step_jacobian, 2, 4, 10),
-            (step, 1, 8, 5),
-            (step, 2, 4, 9),
+            (step_jacobian, 1, 0, 6),
+            (step_jacobian, 2, 0, 10),
+            (step, 1, 0, 5),
+            (step, 2, 0, 9),
         ],
         ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
     )
@@ -564,12 +564,11 @@ class TestStepJacobian:
         # inverts each distinct matrix that passes it, once (for an order-2
         # step: K at three times, P at four, A' - C' and the step's Newton
         # matrix), and every gated product reads that inverse; the Darboux
-        # inverse factor per time pair is built from P's inverses.  What
-        # solves remain are Newton's own updates: the first Newton matrix,
-        # with Psi_ww's last term dropped, stands in for the exact one at
-        # both orders (no refresh on the oscillator), so a step inverts one
-        # Newton matrix, and Newton solves with it 8 times at order 1 and 4
-        # times at order 2
+        # inverse factor per time pair is built from P's inverses.  Newton's
+        # updates are products with the inverse of its matrix too: the
+        # first Newton matrix, with Psi_ww's last term dropped, stands in
+        # for the exact one at both orders (no refresh on the oscillator),
+        # so a step inverts one Newton matrix and solves nothing
         _det_gate.cache_clear()
         calls = {"solve": 0, "inv": 0, "slogdet": 0}
 
@@ -662,8 +661,8 @@ class TestFirstNewtonMatrix:
         z_new = step(system, scheme, z, 0.0, 0.05)
         assert calls.count("K") <= 200
 
-        def exact_only(terms, x0, jacobian, _start=None):
-            return newton_solve(terms, x0, jacobian)
+        def exact_only(terms, x0, inverse, _start=None):
+            return newton_solve(terms, x0, inverse)
 
         monkeypatch.setattr(stepper, "newton_solve", exact_only)
         reference = step(system, scheme, z, 0.0, 0.05)
@@ -872,10 +871,10 @@ class TestShearedDarbouxGoldens:
 
 
 @functools.lru_cache(maxsize=None)
-def scaled_chain_path(c, order):
+def scaled_chain_path(c, order, t0=0.2):
     """States and step Jacobians of 3 steps of the n = 2 chain with F, B, K, D and lam times c.
 
-    tau = 0.05 from t0 = 0.2 and ``default_rng(0)``; the Jacobian k is the
+    tau = 0.05 from ``t0`` and ``default_rng(0)``; the Jacobian k is the
     one of the step from state k.
     """
     base, _ = chain_system(2)
@@ -889,10 +888,10 @@ def scaled_chain_path(c, order):
     alpha = scaled_canonical_alpha(
         lambda t: c * np.exp(CHAIN_NU * t), 2, lam_dot=lambda t: c * CHAIN_NU * np.exp(CHAIN_NU * t)
     )
-    scheme = make_scheme(system, alpha, 0.2, order)
+    scheme = make_scheme(system, alpha, t0, order)
     states, jacobians = [np.random.default_rng(0).uniform(-0.5, 0.5, 4)], []
     for k in range(3):
-        t_k = 0.2 + 0.05 * k
+        t_k = t0 + 0.05 * k
         jacobians.append(step_jacobian(system, scheme, states[-1], t_k, 0.05))
         states.append(step(system, scheme, states[-1], t_k, 0.05))
     return np.array(states), np.array(jacobians)
@@ -903,7 +902,9 @@ class TestScaleRelation:
 
     K dz/dt + D = 0 is the same equation for every c, and P = diag(I, lam I)
     stays its Darboux matrix, so any scale-dependent predicate or tolerance
-    shows up as a moved state or Jacobian.
+    shows up as a moved state or Jacobian.  The chain's F, B, K, D and lam
+    all carry the factor e^{nu t}, so starting the same path s later is
+    the relation with c = e^{nu s}.
     """
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -917,6 +918,20 @@ class TestScaleRelation:
         # c = 10**e spans 1e-200 .. 1e300
         c = 10.0**e
         states, jacobians = scaled_chain_path(c, order)
+        ref_states, ref_jacobians = scaled_chain_path(1.0, order)
+        assert np.max(np.abs(states - ref_states)) <= 1e-11
+        assert np.max(np.abs(jacobians - ref_jacobians)) <= 1e-11
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @settings(max_examples=6)
+    @given(s=st.floats(-300.0, 2000.0))
+    @example(s=-300.0)
+    @example(s=1.7)
+    @example(s=800.0)
+    @example(s=2000.0)
+    def test_time_shift_does_not_move_states_or_step_jacobians(self, s, order):
+        # e^{nu s} spans e^-90 .. e^600
+        states, jacobians = scaled_chain_path(1.0, order, 0.2 + s)
         ref_states, ref_jacobians = scaled_chain_path(1.0, order)
         assert np.max(np.abs(states - ref_states)) <= 1e-11
         assert np.max(np.abs(jacobians - ref_jacobians)) <= 1e-11
@@ -1012,3 +1027,35 @@ class TestQuadraticInvariant:
     def test_rk4_control_leaves_the_circle(self):
         system = oscillator_system(0.0)
         assert circle_drift(lambda z, t_k: rk4_state(system, z, t_k, 0.5, 1)) > 1e-11
+
+
+def energy_growth(advance):
+    """Max |H - H0| over the last quarter of 400 steps over that of the first.
+
+    The undamped n = 2 chain from (1.2, -0.4, 0.3, 0.8) at t0 = 0 with
+    tau = 0.4; with nu = 0, K = J0 and B is the energy H.
+    """
+    system, _ = chain_system(2, nu=0.0)
+    states = run(advance, np.array([1.2, -0.4, 0.3, 0.8]), 0.0, 0.4, 400).states
+    drift = np.abs([system.B(z, 0.0) - system.B(states[0], 0.0) for z in states[1:]])
+    return np.max(drift[-100:]) / np.max(drift[:100])
+
+
+class TestLongRunEnergy:
+    """A symplectic step keeps the energy error bounded over long runs.
+
+    Backward error analysis: the generic step conserves a modified energy
+    near H, so |H - H0| oscillates without growing, and its last quarter
+    stays within 1.1 times its first.  RK4 is not symplectic; its error
+    drifts, and the bound must reject it.
+    """
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_generic_scheme_energy_error_does_not_grow(self, order):
+        system, alpha = chain_system(2, nu=0.0)
+        scheme = make_scheme(system, alpha, 0.0, order)
+        assert energy_growth(lambda z, t_k: step(system, scheme, z, t_k, 0.4)) <= 1.1
+
+    def test_rk4_control_energy_error_grows(self):
+        system, _ = chain_system(2, nu=0.0)
+        assert energy_growth(lambda z, t_k: rk4_state(system, z, t_k, 0.4, 1)) > 1.1
