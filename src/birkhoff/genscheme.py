@@ -9,6 +9,15 @@ known functional of (f, its Jacobian, t).  Expanding f in powers of
     phi_w^(1)(w) = A(phi_w^(0), w, phi_ww^(0), t0, t0)
     phi_w^(2)(w) = (1/2) D_t A           (chain rule at t = t0)
 
+A is affine in its Jacobian slot S = phi_ww^(0): A = u - S g.  With
+S0 = S(w) held fixed, F = u - S0 g and S'[g] the derivative of S along g,
+phi_ww^(1) g = DF (S0 g, g, 0) - S'[g] g, so the chain rule reads
+
+    phi_w^(2)(w) = (1/2) [DF (phi^(1) - S0 g, -g, 1) + S'[g] g],
+
+one derivative of F along one direction of its (w_hat, w, t) slots plus
+S'[g] g, which vanishes when the identity map is affine.
+
 Truncating after order m and substituting the step size tau for (t - t0)
 defines an implicit one-step scheme of order m whose step map preserves
 the K-pairing.
@@ -18,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +111,7 @@ def a_functional(
     w: Array,
     t: float,
     t0: float,
+    image: Optional[Tuple[Array, Array]] = None,
 ) -> Tuple[Array, Array]:
     """Time-derivative functional of the generating gradient, as its two parts (u, g).
 
@@ -112,11 +122,12 @@ def a_functional(
     where v is the phase velocity.  The functional is affine in the
     gradient-map Jacobian S = d w_hat / d w: its value at S is u - S g,
     and along the exact flow that equals the partial time derivative of
-    the generating gradient.
+    the generating gradient.  A caller that already holds the inverse
+    image (z_new, z_old) of (w_hat, w) at (t, t0) passes it as ``image``.
     """
     w_hat = np.asarray(w_hat, dtype=float)
     w = np.asarray(w, dtype=float)
-    z_new, z_old = alpha.inverse(w_hat, w, t, t0)
+    z_new, z_old = alpha.inverse(w_hat, w, t, t0) if image is None else image
     v = velocity(sys, z_new, t)
     a, _, c, _ = alpha.blocks(z_new, z_old, t, t0)
     d_alpha1, d_alpha2 = alpha.time_partials(z_new, z_old, t, t0)
@@ -147,24 +158,33 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     The order m must be an integer in 1..``MAX_ORDER``; any other value,
     a float or bool included, raises ``ValueError`` before any evaluation.
 
-    Each point w is evaluated once, as one record (phi^(0), S, phi^(1), g)
-    with S = d phi^(0)/dw and phi^(1) = u - S g from the functional's pair
-    (u, g) of :func:`a_functional` at the identity point; ``coeffs[0]``,
+    Each point w is evaluated once, as one record (phi^(0), S, phi^(1),
+    g, (A' - C')^{-1}) with S = d phi^(0)/dw and phi^(1) = u - S g from
+    the functional's pair (u, g) of :func:`a_functional` at the identity
+    point, which reads the solve's own inverse image there; ``coeffs[0]``,
     ``coeff_jacobians[0]`` and ``coeffs[1]`` all read it, so any of them
     costs one Newton solve, one set of inverse blocks and one functional
     evaluation at a fresh w.  That record and phi^(2) are memoized by the
     content of w, keeping the ``MEMO_SIZE`` most recently used points and
     returning read-only arrays; the differenced Jacobians of phi^(1) and
     phi^(2) are built afresh on each call.  phi^(2) is half the total
-    derivative of the functional along the flow, one central difference
-    in s at s = 0 of
+    derivative of the functional u - S g along the flow.  With S0 = S(w)
+    held fixed and S'[g] the derivative of S along g, it is
+    (1/2) [DF (phi^(1) - S0 g, -g, 1) + S'[g] g] for F = u - S0 g (see
+    the module docstring): one central difference in s at s = 0 of
 
-        u - S g at (phi^(0) + s phi^(1), w, t0 + s),  minus  phi^(1)(w + s g):
+        u - S0 g at (phi^(0) + s (phi^(1) - S0 g), w - s g, t0 + s),  plus
+        (A' - C')^{-1} [(D' - B') g - (A' - C') S0 g] at (phi^(0) + s S0 g, w + s g),
 
-    along the flow the S slot moves by d phi^(1)/dw, and the functional,
-    affine in S, meets it only as (d phi^(1)/dw) g, the derivative of
-    phi^(1) along g.  Its step is the once-nested one: phi^(1) already
-    carries finite-difference noise above machine epsilon.
+    with the inverse blocks of the second line taken at (t0, t0) and
+    the record's (A' - C')^{-1} from s = 0: the bracket vanishes there,
+    so that inverse need not move with s, and the line's derivative is
+    S'[g] g, exactly 0 for an affine identity map such as every
+    ``darboux_alpha``.  So phi^(2) costs two functional evaluations and
+    two sets of inverse blocks beyond its record, with no gate and no
+    identity solve at a shifted w.  Its step is the once-nested one: the
+    functional evaluates D and dP/dt, differenced when not supplied, so
+    it carries finite-difference noise above machine epsilon.
     Closed-form coefficient sets may be supplied by callers to go past
     the cap.
     """
@@ -175,26 +195,31 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     t0 = float(t0)
 
     @_content_cached(MEMO_SIZE)
-    def identity(w: Array) -> Tuple[Array, Array, Array, Array]:
-        # phi0, S = d phi0/dw, phi1 = u - S g and g at one identity point.
-        # phi0 solves z_new = z_old on the inverse image of (w_hat, w)
+    def identity(w: Array) -> Tuple[Array, Array, Array, Array, Array]:
+        # phi0, S = d phi0/dw, phi1 = u - S g, g and (A' - C')^{-1} at one
+        # identity point.  phi0 solves z_new = z_old on the inverse image
+        # of (w_hat, w); the images the solve evaluates are kept, so the
+        # functional reads the one at phi0 instead of inverting again
+        images = {}
+
+        def image(w_hat):
+            images[w_hat.tobytes()] = out = alpha.inverse(w_hat, w, t0, t0)
+            return out
+
         def s_system(w_hat):
             # (A', C') = d(z_new, z_old)/d w_hat, so A' - C' is the solve's
             # exact Jacobian; along w_hat = phi0(w), S = (A' - C')^{-1} (D' - B')
             a, b, c, d = alpha.inverse_blocks(w_hat, w, t0, t0)
             return require_transversal(a - c, "A' - C'"), d - b
 
-        start = np.zeros_like(w)
         try:
-            phi0 = newton_solve(
-                lambda w_hat: alpha.inverse(w_hat, w, t0, t0), start, lambda x: s_system(x)[0]
-            )[0]
+            phi0 = newton_solve(image, np.zeros_like(w), lambda x: s_system(x)[0])[0]
         except NewtonError as exc:
             raise EvaluationError(f"no identity point at w={w.tolist()}, t0={t0}: {exc}") from exc
-        u, g = a_functional(sys, alpha, phi0, w, t0, t0)
+        u, g = a_functional(sys, alpha, phi0, w, t0, t0, images[phi0.tobytes()])
         lhs_inv, rhs = s_system(phi0)
         s = lhs_inv @ rhs
-        return phi0, s, u - s @ g, g
+        return phi0, s, u - s @ g, g, lhs_inv
 
     def phi0(w: Array) -> Array:
         return identity(w)[0]
@@ -213,19 +238,23 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
 
     @_content_cached(MEMO_SIZE)
     def phi2(w: Array) -> Array:
-        # along the flow the S slot moves by d phi1/dw, and the functional
-        # meets that only as (d phi1/dw) g, the derivative of phi1 along g
-        base, s_mat, dir1, g = identity(w)
+        # F = u - S0 g along (phi1 - S0 g, -g, 1), plus S'[g] g as the
+        # record's (A' - C')^{-1} times (D' - B') g - (A' - C') S0 g along
+        # (S0 g, g): that vanishes at s = 0, so the inverse need not move
+        phi0_w, s0, phi1_w, g, lhs_inv = identity(w)
+        s_g = s0 @ g
+        dir1 = phi1_w - s_g
 
         def along(s):
-            u, g_s = a_functional(sys, alpha, base + s * dir1, w, t0 + s, t0)
-            return u - s_mat @ g_s - phi1(w + s * g)
+            u, g_s = a_functional(sys, alpha, phi0_w + s * dir1, w - s * g, t0 + s, t0)
+            a, b, c, d = alpha.inverse_blocks(phi0_w + s * s_g, w + s * g, t0, t0)
+            return u - s0 @ g_s + lhs_inv @ ((d - b) @ g - (a - c) @ s_g)
 
         return 0.5 * numdiff.time_derivative(along, 0.0, numdiff.SOLVER_FD_STEP)
 
     def phi2_jac(w: Array) -> Array:
-        # phi2 is a difference of phi1, itself noisy above machine epsilon;
-        # its Jacobian needs the wider step to clear that noise floor
+        # phi2 is a difference of the functional, itself noisy above machine
+        # epsilon; its Jacobian needs the wider step to clear that noise floor
         return numdiff.jacobian(phi2, w, base=numdiff.NESTED_FD_STEP)
 
     coeffs = (phi0, phi1, phi2)[: m + 1]

@@ -38,8 +38,10 @@ def newton_solve(terms, x0, inverse, _start=None):
     floor.  Each update, taken or turned down, costs one evaluation of
     ``terms`` beyond the one at ``x0``, and nothing is evaluated after the
     stop: a start already at its target returns with no update and no
-    matrix.  An update subtracts the inverse of the matrix in use times
-    u - v.
+    matrix, and one whose residual is exactly 0 before its scale is read.
+    An update subtracts the inverse of the matrix in use times u - v.
+    ``inverse`` and ``_start`` are called only at an x where ``terms``
+    has been evaluated, so a caller may read what ``terms`` computed there.
 
     The residual is u - v.  Its target scales with the terms it is the
     difference of, read off the first evaluation, the one at ``x0``:
@@ -82,6 +84,8 @@ def newton_solve(terms, x0, inverse, _start=None):
 
     u0, v0 = terms(x)
     r, rnorm = residual(u0, v0)
+    if rnorm == 0.0:
+        return x, rnorm, 0
     sizes = np.abs(np.concatenate((x, u0, v0), dtype=float))
     top = float(sizes.max())
     # a non-finite start term must not lift the target to infinity; written

@@ -34,7 +34,7 @@ from .core import BirkhoffSystem, _positive_int, _require_dim, velocity
 from .errors import BirkhoffError
 from .genscheme import GeneratingScheme, _tau_series
 from .newton import newton_solve
-from .transform import require_same_n, require_transversal
+from .transform import Blocks, require_same_n, require_transversal
 
 Array = np.ndarray
 StepMap = Callable[[Array, float], Array]
@@ -107,14 +107,19 @@ def step(
     alpha = sch.alpha
     t1 = t_k + tau
 
+    # alpha_2 at each iterate the solve evaluates; Newton asks for a matrix
+    # only at such an iterate, so the matrix reads w from here
+    images = {}
+
     def terms(z_new):
         a1, a2 = alpha.forward(z_new, z, t1, t_k)
+        images[z_new.tobytes()] = a2
         return a1, sch.psi_w(a2, tau)
 
     jacs = sch.coefficients.coeff_jacobians
 
     def newton_matrix(series):
-        return lambda y: _linearization(sch, series, y, z, t_k, tau)[0]
+        return lambda y: _linearization(sch, series, y, z, t_k, tau, images[y.tobytes()])[0]
 
     # the first matrix drops the series' last, most-differenced term
     start = newton_matrix(jacs[:-1])
@@ -182,28 +187,28 @@ def _linearization(
     z: Array,
     t_k: float,
     tau: float,
-) -> Tuple[Array, Array]:
-    """((A - Psi_ww C)^{-1}, Psi_ww D - B): the step relation differentiated.
+    w: Array,
+) -> Tuple[Array, Array, Blocks]:
+    """((A - Psi_ww C)^{-1}, Psi_ww, (A, B, C, D)): the step relation differentiated.
 
     A - Psi_ww C and Psi_ww D - B are its derivatives in z_new and in z.
     The first is returned as the inverse its nonsingularity test
     certified, shared and read-only, never as the matrix itself: every
-    Newton update and the step Jacobian multiply by it.
+    Newton update reads only it, and the step Jacobian multiplies the
+    second by it.
 
     (A, B, C, D) are the forward blocks of the transform at
     (z_new, z, t_k + tau, t_k) and Psi_ww = sum_k tau^k
-    ``coeff_jacobians[k](w)`` at w = alpha_2(z_new, z, t_k + tau, t_k).
-    They are exact when ``coeff_jacobians`` is the scheme's whole
-    tuple; :func:`step`'s first matrix passes all but its last.  Raises
-    :class:`TransversalityError` when A - Psi_ww C fails
+    ``coeff_jacobians[k](w)`` at the caller's w = alpha_2(z_new, z,
+    t_k + tau, t_k).  They are exact when ``coeff_jacobians`` is the
+    scheme's whole tuple; :func:`step`'s first matrix passes all but its
+    last.  Raises :class:`TransversalityError` when A - Psi_ww C fails
     :func:`~birkhoff.core.det_nonzero` (the fourth condition of
     :func:`~birkhoff.transform.transversality_equivalents`).
     """
-    t1 = t_k + tau
-    a, b, c, d = sch.alpha.blocks(z_new, z, t1, t_k)
-    _, w = sch.alpha.forward(z_new, z, t1, t_k)
+    blocks = sch.alpha.blocks(z_new, z, t_k + tau, t_k)
     psi_ww = _tau_series(coeff_jacobians, w, tau)
-    return require_transversal(a - psi_ww @ c, "A - Psi_ww C"), psi_ww @ d - b
+    return require_transversal(blocks[0] - psi_ww @ blocks[2], "A - Psi_ww C"), psi_ww, blocks
 
 
 def step_jacobian(
@@ -232,5 +237,7 @@ def step_jacobian(
     z_new = step(sys, scheme, z, t_k, tau)
     z = np.asarray(z, dtype=float)
     sch = scheme.at(t_k)
-    lhs_inv, rhs = _linearization(sch, sch.coefficients.coeff_jacobians, z_new, z, t_k, tau)
-    return lhs_inv @ rhs
+    _, w = sch.alpha.forward(z_new, z, t_k + tau, t_k)
+    jacs = sch.coefficients.coeff_jacobians
+    lhs_inv, psi_ww, (_, b, _, d) = _linearization(sch, jacs, z_new, z, t_k, tau, w)
+    return lhs_inv @ (psi_ww @ d - b)

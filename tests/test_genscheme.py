@@ -71,30 +71,37 @@ def scaled_free_system(nu, n):
     )
 
 
-def sheared_alpha(base, g):
-    """``base`` followed by the symplectic shear w_hat <- w_hat + g w, g symmetric.
+def sheared_alpha(base, grad, hess):
+    """``base`` followed by the symplectic shear w_hat <- w_hat + grad(w).
 
-    The identity map's gradient becomes g w, so phi^(0) is no longer zero.
+    ``grad`` is the gradient of a scalar h and ``hess`` its symmetric
+    Jacobian.  The identity map's gradient becomes grad(w), so phi^(0) is
+    no longer zero; a non-quadratic h also makes d phi^(0)/dw = hess(w)
+    move with w.  Being time independent, the shear adds h to the
+    generating function and leaves phi^(1), phi^(2) and the truncated
+    step relation unchanged.
     """
 
     def forward(z_new, z_old, t, t0):
         w_hat, w = base.forward(z_new, z_old, t, t0)
-        return w_hat + g @ w, w
+        return w_hat + grad(w), w
 
     def inverse(w_hat, w, t, t0):
-        return base.inverse(w_hat - g @ w, w, t, t0)
+        return base.inverse(w_hat - grad(w), w, t, t0)
 
     def blocks(z_new, z_old, t, t0):
         a, b, c, d = base.blocks(z_new, z_old, t, t0)
-        return a + g @ c, b + g @ d, c, d
+        h = hess(base.forward(z_new, z_old, t, t0)[1])
+        return a + h @ c, b + h @ d, c, d
 
     def inverse_blocks(w_hat, w, t, t0):
-        a, b, c, d = base.inverse_blocks(w_hat - g @ w, w, t, t0)
-        return a, b - a @ g, c, d - c @ g
+        h = hess(w)
+        a, b, c, d = base.inverse_blocks(w_hat - grad(w), w, t, t0)
+        return a, b - a @ h, c, d - c @ h
 
     def time_partials(z_new, z_old, t, t0):
         d1, d2 = base.time_partials(z_new, z_old, t, t0)
-        return d1 + g @ d2, d2
+        return d1 + hess(base.forward(z_new, z_old, t, t0)[1]) @ d2, d2
 
     return AlphaTransform(base.n, forward, inverse, blocks, inverse_blocks, time_partials)
 
@@ -113,6 +120,13 @@ def count_identity_updates(monkeypatch):
 
 
 SHEAR_G = np.array([[0.3, -0.2], [-0.2, 0.5]])
+# (grad h, its Jacobian) for h = w^T G w / 2, and for a non-quadratic h of any
+# dimension, whose d phi^(0)/dw moves with w
+LINEAR_SHEAR = (lambda w: SHEAR_G @ w, lambda w: SHEAR_G)
+BENT_SHEAR = (
+    lambda w: 0.2 * np.sin(w) + 0.1 * w**2,
+    lambda w: np.diag(0.2 * np.cos(w) + 0.2 * w),
+)
 
 
 class TestIdentityCoefficient:
@@ -154,7 +168,7 @@ class TestIdentityCoefficient:
         assert updates and set(updates) == {0}
 
     def test_sheared_transform_has_a_nonzero_identity_point(self, osc_system, rng, monkeypatch):
-        alpha = sheared_alpha(oscillator_alpha(NU), SHEAR_G)
+        alpha = sheared_alpha(oscillator_alpha(NU), *LINEAR_SHEAR)
         for _ in range(5):
             z_new, z_old = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
             assert alpha_verify(alpha, osc_system, z_new, z_old, 0.3, 0.2) <= 1e-12
@@ -168,7 +182,7 @@ class TestIdentityCoefficient:
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_sheared_transform_gives_a_structure_preserving_scheme(self, osc_system, order):
-        alpha = sheared_alpha(oscillator_alpha(NU), SHEAR_G)
+        alpha = sheared_alpha(oscillator_alpha(NU), *LINEAR_SHEAR)
         scheme = make_scheme(osc_system, alpha, 0.0, order)
 
         def factory(tau):
@@ -185,6 +199,39 @@ class TestIdentityCoefficient:
             np.array([1.0, 0.0]), 0.0, 1.0, [0.1, 0.05, 0.025],
         )
         assert abs(report.slope - order) <= 0.2
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: (oscillator_system(NU), oscillator_alpha(NU)), lambda: chain_system(2)],
+        ids=["oscillator", "chain"],
+    )
+    def test_bent_shear_leaves_steps_and_step_jacobians_unchanged(self, make, order):
+        # a time-independent shear leaves phi1, phi2 and the truncated
+        # relation unchanged; the bent shear's S = hess h(w) moves with w,
+        # so phi2 needs its S'[g] g term (without it phi2 is 2e-2 off and
+        # the states part by 4.4e-4 in 10 steps).  Measured: phi2 <= 4e-11,
+        # states <= 1.3e-12, step Jacobians <= 2.3e-12
+        system, alpha = make()
+        sheared = sheared_alpha(alpha, *BENT_SHEAR)
+        rng = np.random.default_rng(3)
+        t0, tau = 0.3, 0.1
+        schemes = [make_scheme(system, a, t0, order) for a in (alpha, sheared)]
+        for _ in range(3):
+            z_new, z_old = rng.uniform(-1, 1, system.dim), rng.uniform(-1, 1, system.dim)
+            assert alpha_verify(sheared, system, z_new, z_old, 0.3, 0.2) <= 1e-12
+            w = rng.uniform(-1, 1, system.dim)
+            for plain_k, sheared_k in zip(*(sch.coefficients.coeffs[1:] for sch in schemes)):
+                assert np.max(np.abs(plain_k(w) - sheared_k(w))) <= 1e-9
+        z0 = np.linspace(0.3, -0.6, system.dim)
+        plain, bent = (
+            run(lambda z, t, sch=sch: step(system, sch, z, t, tau), z0, t0, tau, 10).states
+            for sch in schemes
+        )
+        assert max(np.max(np.abs(x - y)) for x, y in zip(plain, bent)) <= 1e-11
+        for k, z in enumerate(plain[:-1]):
+            jacs = [step_jacobian(system, sch, z, t0 + k * tau, tau) for sch in schemes]
+            assert np.max(np.abs(jacs[0] - jacs[1])) <= 1e-11
 
 
 class TestAFunctional:
@@ -256,7 +303,7 @@ class TestCoefficients:
         # d phi0/dw = G is the one nonzero S slot, where d phi0/dw = 0 on
         # every Darboux transform would hide a sign error in the S g term
         plain = coefficients(osc_system, osc_alpha, t0, 2)
-        sheared = coefficients(osc_system, sheared_alpha(osc_alpha, SHEAR_G), t0, 2)
+        sheared = coefficients(osc_system, sheared_alpha(osc_alpha, *LINEAR_SHEAR), t0, 2)
         for _ in range(5):
             w = rng.uniform(-2, 2, 2)
             assert np.max(np.abs(sheared.coeffs[1](w) - plain.coeffs[1](w))) <= 1e-13
