@@ -19,7 +19,6 @@ from .errors import (
     TransversalityError,
 )
 from .genscheme import (
-    CoefficientSet,
     GeneratingScheme,
     a_functional,
     coefficients,
@@ -58,7 +57,6 @@ __all__ = [
     "AlphaTransform",
     "BirkhoffError",
     "BirkhoffSystem",
-    "CoefficientSet",
     "ConvergenceReport",
     "EvaluationError",
     "GeneratingScheme",

@@ -39,58 +39,43 @@ from .transform import AlphaTransform, require_same_n, require_transversal
 
 Array = np.ndarray
 
+Coeffs = Tuple[Callable[[Array], Array], ...]
+
 MAX_ORDER = 2
 # points each coefficient memo keeps, least recently used out
 MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True, eq=False)
-class CoefficientSet:
-    """Generating-gradient coefficients phi_w^(0..m) expanded at one time.
+class GeneratingScheme:
+    """A truncated generating gradient expanded at one time, bound to an alpha transform.
 
-    ``coeffs[k]`` maps w to the order-k coefficient vector;
+    ``coeffs[k]`` maps w to the order-k coefficient vector phi_w^(k);
     ``coeff_jacobians[k]`` maps w to its 2n x 2n Jacobian (each
     coefficient is a gradient, so these are symmetric).  The order m is
-    ``len(coeffs) - 1``; a set needs at least two coefficients (order
+    ``len(coeffs) - 1``; a scheme needs at least two coefficients (order
     m >= 1, the range :func:`coefficients` builds) and one Jacobian per
     coefficient.  The expansion time is not stored: it is the t0 that
-    the set's builder (:func:`coefficients`, or a scheme's ``rebase``)
-    was given.
+    the scheme's builder (:func:`make_scheme`, or another scheme's
+    ``rebase``) was given.  ``rebase(t0)`` returns the scheme re-expanded
+    at t0; steppers call it at each grid point of a nonautonomous
+    integration and step with the scheme it returns, its transform
+    included.
     """
 
-    coeffs: Tuple[Callable[[Array], Array], ...]
-    coeff_jacobians: Tuple[Callable[[Array], Array], ...]
+    alpha: AlphaTransform
+    coeffs: Coeffs
+    coeff_jacobians: Coeffs
+    rebase: Callable[[float], "GeneratingScheme"]
 
     def __post_init__(self):
         n_coeffs, n_jacs = len(self.coeffs), len(self.coeff_jacobians)
         if n_coeffs < 2 or n_jacs != n_coeffs:
             raise ValueError(f"need 2+ coefficients, a Jacobian each, got {n_coeffs} and {n_jacs}")
 
-
-@dataclass(frozen=True, eq=False)
-class GeneratingScheme:
-    """A truncated generating gradient bound to an alpha transform.
-
-    ``rebase`` rebuilds the coefficient set at a new expansion time;
-    steppers use it to re-expand at each grid point of a nonautonomous
-    integration.
-    """
-
-    alpha: AlphaTransform
-    coefficients: CoefficientSet
-    rebase: Callable[[float], CoefficientSet]
-
     def psi_w(self, w: Array, tau: float) -> Array:
         """Truncated gradient sum_k tau^k phi_w^(k)(w)."""
-        return _tau_series(self.coefficients.coeffs, w, tau)
-
-    def at(self, t0: float) -> "GeneratingScheme":
-        """This scheme re-expanded at t0, with the set that ``rebase(t0)`` returns.
-
-        A scheme from :func:`make_scheme` gets back the set it already
-        holds when t0 is its own expansion time.
-        """
-        return GeneratingScheme(self.alpha, self.rebase(t0), self.rebase)
+        return _tau_series(self.coeffs, w, tau)
 
 
 def _tau_series(terms, w: Array, tau: float) -> Array:
@@ -134,8 +119,13 @@ def a_functional(
     return a @ v + d_alpha1, c @ v + d_alpha2
 
 
-def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> CoefficientSet:
-    """Coefficient set up to order m (m <= 2) by the generic recursion.
+def coefficients(
+    sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int
+) -> Tuple[Coeffs, Coeffs]:
+    """Coefficients phi_w^(0..m) at t0 and their Jacobians, for m <= 2, by the generic recursion.
+
+    Returns the pair (coeffs, coeff_jacobians) of m + 1 callables each
+    that a :class:`GeneratingScheme` holds.
 
     phi^(0)(w) is the identity point: the w_hat that ``alpha.inverse`` at
     (t0, t0) maps with w to a pair z_new = z_old.  It is one Newton solve
@@ -185,8 +175,8 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
     identity solve at a shifted w.  Its step is the once-nested one: the
     functional evaluates D and dP/dt, differenced when not supplied, so
     it carries finite-difference noise above machine epsilon.
-    Closed-form coefficient sets may be supplied by callers to go past
-    the cap.
+    Closed-form coefficients may be supplied by callers, in a
+    hand-built :class:`GeneratingScheme`, to go past the cap.
     """
     m = _positive_int("order", m)
     if m > MAX_ORDER:
@@ -257,25 +247,26 @@ def coefficients(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) 
         # epsilon; its Jacobian needs the wider step to clear that noise floor
         return numdiff.jacobian(phi2, w, base=numdiff.NESTED_FD_STEP)
 
-    coeffs = (phi0, phi1, phi2)[: m + 1]
-    jacs = (phi0_jac, phi1_jac, phi2_jac)[: m + 1]
-    return CoefficientSet(coeffs, jacs)
+    return (phi0, phi1, phi2)[: m + 1], (phi0_jac, phi1_jac, phi2_jac)[: m + 1]
 
 
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:
-    """Generic order-m scheme with a rebase factory wired to ``coefficients``.
+    """Generic order-m scheme at t0, whose ``rebase`` is wired to ``coefficients``.
 
-    The latest rebased coefficient set is kept, at first the one built at
-    t0, so a step and its step Jacobian from one grid point share their
+    ``rebase`` keeps the latest scheme it built, at first the one at t0,
+    and returns that same scheme when asked for its time again, so a
+    step and its step Jacobian from one grid point share their
     coefficient evaluations; a run asks for each grid time in turn and
-    never goes back, so older sets are dropped.
+    never goes back, so older schemes are dropped.  The kept scheme
+    holds ``rebase``, which holds it, so that pair is freed by the
+    cyclic garbage collector once nothing else refers to it.
     """
 
     @functools.lru_cache(maxsize=1)
-    def rebase(s: float) -> CoefficientSet:
-        return coefficients(sys, alpha, float(s), m)
+    def rebase(s: float) -> GeneratingScheme:
+        return GeneratingScheme(alpha, *coefficients(sys, alpha, float(s), m), rebase)
 
-    return GeneratingScheme(alpha, rebase(float(t0)), rebase)
+    return rebase(float(t0))
 
 
 def hj_rhs(

@@ -129,28 +129,31 @@ def _gauss_legendre_01(nodes: int) -> Tuple[Array, Array]:
     return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
 
 
-def _ray_integral(integrand: Callable[[Array], Array], z: Array, quad_nodes: int):
-    """int_0^1 integrand(lam * z) dlam by the ``quad_nodes``-point Gauss-Legendre rule.
+def _ray_integral(integrand: Callable[[float], Array], quad_nodes: int):
+    """int_0^1 integrand(lam) dlam by the ``quad_nodes``-point Gauss-Legendre rule.
 
+    The integrand takes lam and evaluates its ray at lam * z itself.
     ``quad_nodes`` must be a positive integer; it is checked before the
     cached rule is looked up, since ``True`` hashes like 1.
     """
     lam, wgt = _gauss_legendre_01(_positive_int("quad_nodes", quad_nodes))
-    return sum(w_i * integrand(lam_i * z) for lam_i, w_i in zip(lam, wgt))
+    return sum(w_i * integrand(lam_i) for lam_i, w_i in zip(lam, wgt))
 
 
 def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32) -> Array:
     """Component functions from the homotopy integral of K.
 
-    F_i(z, t) = 1/2 * int_0^1 z_j K_ji(lam * z, t) dlam, evaluated with
-    fixed-order Gauss-Legendre quadrature (exact for K polynomial in z of
-    degree < 2*quad_nodes along the ray).  The rule is computed once per
+    F_i(z, t) = int_0^1 lam z_j K_ji(lam * z, t) dlam, the homotopy
+    (Poincare-lemma) primitive of K_ij = dF_j/dz_i - dF_i/dz_j; for K
+    constant in z it is K^T z / 2.  It is evaluated with fixed-order
+    Gauss-Legendre quadrature (exact for K polynomial in z of degree
+    < 2*quad_nodes - 1 along the ray).  The rule is computed once per
     node count and shared read-only; ``quad_nodes`` that is not a
     positive integer raises ``ValueError``, and so does a point whose
     dimension is not the system's.
     """
     _require_dim(raw, p.z)
-    return 0.5 * _ray_integral(lambda y: raw.k_at(y, p.t).T @ p.z, p.z, quad_nodes)
+    return _ray_integral(lambda lam: lam * (raw.k_at(lam * p.z, p.t).T @ p.z), quad_nodes)
 
 
 def reconstruct_b(
@@ -165,7 +168,7 @@ def reconstruct_b(
     :func:`reconstruct_f`.  Precondition: K is antisymmetric, as
     :func:`check_self_adjointness` measures.  Then the dF/dt term of the
     homotopy integral of D + dF/dt adds nothing along the ray, since
-    z . F(lam * z, t) = lam/2 int_0^1 z^T K(mu lam z, t) z dmu = 0.  The
+    z . F(lam * z, t) = lam int_0^1 mu z^T K(mu lam z, t) z dmu = 0.  The
     sign is fixed so that ``grad B = -(D + dF/dt)``; with ``check=True``
     that identity is verified at p, by a finite-difference gradient of B
     and one time difference of :func:`reconstruct_f`, and an
@@ -176,7 +179,7 @@ def reconstruct_b(
     _require_dim(raw, p.z)
 
     def b_value(z: Array) -> float:
-        return -_ray_integral(lambda y: float(z @ raw.d_at(y, p.t)), z, quad_nodes)
+        return -_ray_integral(lambda lam: float(z @ raw.d_at(lam * z, p.t)), quad_nodes)
 
     value = b_value(p.z)
     if check:

@@ -4,8 +4,8 @@ One step solves the implicit relation
 
     alpha_1(z_new, z, t_k + tau, t_k) = psi_w(alpha_2(z_new, z, t_k + tau, t_k), tau)
 
-for z_new by chord Newton from an explicit-Euler predictor.  Coefficients
-are re-expanded at each grid time through the scheme's rebase factory, so
+for z_new by chord Newton from an explicit-Euler predictor.  Each step
+uses the scheme that ``rebase`` re-expands at its grid time, so
 nonautonomous systems keep their stated order.  Differentiating the
 relation through the Moebius form gives one linearization,
 A - Psi_ww C in z_new and Psi_ww D - B in z, with Psi_ww = sum_k tau^k
@@ -80,10 +80,12 @@ def step(
 ) -> Array:
     """Advance z from t_k to t_k + tau through the implicit relation.
 
-    A z whose length is not the system's, a scheme whose transform has
-    another n, or a non-finite t_k or tau raises ``ValueError`` before any
-    evaluation; a zero tau solves phi^(0)'s identity relation, which z
-    satisfies, and a negative one steps back.  Raises
+    The step uses ``scheme.rebase(t_k)``, coefficients and transform
+    both.  A z whose length is not the system's, a non-finite t_k or
+    tau, or a rebased scheme whose transform has another n raises
+    ``ValueError`` before any evaluation of the system; a zero tau
+    solves phi^(0)'s identity relation, which z satisfies, and a
+    negative one steps back.  Raises
     :class:`NewtonError` when the step's own Newton iteration does not
     converge; it carries that solve's last iterate, residual norm and
     iteration count.  Raises :class:`TransversalityError` when a Newton
@@ -100,11 +102,11 @@ def step(
     :func:`step_jacobian` always pays for the exact matrix.
     """
     z = _require_dim(sys, z)
-    require_same_n(scheme.alpha, sys)
     if not (np.isfinite(t_k) and np.isfinite(tau)):
         raise ValueError(f"need finite t_k and tau, got t_k={t_k}, tau={tau}")
-    sch = scheme.at(t_k)
+    sch = scheme.rebase(t_k)
     alpha = sch.alpha
+    require_same_n(alpha, sys)
     t1 = t_k + tau
 
     # alpha_2 at each iterate the solve evaluates; Newton asks for a matrix
@@ -116,15 +118,13 @@ def step(
         images[z_new.tobytes()] = a2
         return a1, sch.psi_w(a2, tau)
 
-    jacs = sch.coefficients.coeff_jacobians
-
     def newton_matrix(series):
         return lambda y: _linearization(sch, series, y, z, t_k, tau, images[y.tobytes()])[0]
 
     # the first matrix drops the series' last, most-differenced term
-    start = newton_matrix(jacs[:-1])
+    start = newton_matrix(sch.coeff_jacobians[:-1])
     guess = z + tau * velocity(sys, z, t_k)
-    return newton_solve(terms, guess, newton_matrix(jacs), _start=start)[0]
+    return newton_solve(terms, guess, newton_matrix(sch.coeff_jacobians), _start=start)[0]
 
 
 def run(
@@ -232,12 +232,12 @@ def step_jacobian(
     condition |A - Psi_ww C| != 0 raises :class:`TransversalityError`.
     The coefficients at the converged w are already memoized by the
     solve, so beyond the step itself only their Hessians there are new
-    work.  :func:`step` checks z and the scheme's n.
+    work.  :func:`step` checks z and the rebased scheme's n.
     """
     z_new = step(sys, scheme, z, t_k, tau)
     z = np.asarray(z, dtype=float)
-    sch = scheme.at(t_k)
+    sch = scheme.rebase(t_k)
     _, w = sch.alpha.forward(z_new, z, t_k + tau, t_k)
-    jacs = sch.coefficients.coeff_jacobians
+    jacs = sch.coeff_jacobians
     lhs_inv, psi_ww, (_, b, _, d) = _linearization(sch, jacs, z_new, z, t_k, tau, w)
     return lhs_inv @ (psi_ww @ d - b)

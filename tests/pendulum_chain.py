@@ -4,7 +4,8 @@ q'' + nu q' + sin q + coupling (q_{i-1} + q_{i+1}) = 0 for n angles q,
 written as a Birkhoffian system in z = (q, p) with K = e^{nu t} J0,
 J0 = [[0, -I], [I, 0]]; the matching transform is
 ``scaled_canonical_alpha(e^{nu t}, n)``.  ``sheared_chain`` is the
-uncoupled two-angle chain through a non-diagonal Darboux matrix P(t).
+uncoupled two-angle chain through a non-diagonal Darboux matrix P(t), and
+``mixing_chain`` the coupled one through a P(t) whose K(t) changes shape.
 """
 
 import numpy as np
@@ -81,23 +82,17 @@ def shear_p_dot(t, nu=NU):
     return 0.5 * nu * shear_p(t, nu) + np.exp(0.5 * nu * t) * shear_dot
 
 
-def sheared_chain(analytic_p_dot=True, nu=NU):
-    """The uncoupled n = 2 chain built from P(t) = ``shear_p(t, nu)``.
+def darboux_chain(p_mat, p_dot, nu=NU, coupling=COUPLING, analytic_p_dot=True):
+    """The n = 2 chain built from a Darboux matrix P(t) with derivative ``p_dot``.
 
-    S = ``SHEAR`` is symmetric, so K(t) = P^T J0 P; F = -K(t) z / 2,
-    B = e^{nu t} (|p|^2 / 2 + sum(1 - cos q) + nu q.p / 2) and the analytic
+    K(t) = P^T J0 P, F = -K(t) z / 2, B = e^{nu t} (|p|^2 / 2 +
+    sum(1 - cos q) + nu q.p / 2 + coupling q1 q2) and the analytic
     D = -(grad B - dK/dt z / 2).  Returns the system and
     ``darboux_alpha(P, 2)``, with the analytic dP/dt or, if
     ``analytic_p_dot`` is false, its default central difference.
     """
     n = 2
     j0 = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-
-    def p_mat(t):
-        return shear_p(t, nu)
-
-    def p_dot(t):
-        return shear_p_dot(t, nu)
 
     def K(z, t):
         p = p_mat(t)
@@ -108,17 +103,59 @@ def sheared_chain(analytic_p_dot=True, nu=NU):
         return pd.T @ j0 @ p + p.T @ j0 @ pd
 
     def B(z, t):
-        return float(np.exp(nu * t) * sum(b_terms(z, n, nu, 0.0)))
+        return float(np.exp(nu * t) * sum(b_terms(z, n, nu, coupling)))
 
     def grad_b(z, t):
         q, p = z[:n], z[n:]
-        return np.exp(nu * t) * np.concatenate([np.sin(q) + 0.5 * nu * p, p + 0.5 * nu * q])
+        neighbours = coupling * q[::-1]
+        return np.exp(nu * t) * np.concatenate(
+            [np.sin(q) + 0.5 * nu * p + neighbours, p + 0.5 * nu * q]
+        )
 
     def D(z, t):
         return -(grad_b(z, t) - 0.5 * k_dot(t) @ z)
 
     system = BirkhoffSystem(n=n, F=lambda z, t: -0.5 * K(z, t) @ z, B=B, K=K, D=D)
     return system, darboux_alpha(p_mat, n, p_dot if analytic_p_dot else None)
+
+
+def sheared_chain(analytic_p_dot=True, nu=NU):
+    """The uncoupled n = 2 chain (see :func:`darboux_chain`) from P(t) = ``shear_p(t, nu)``.
+
+    S = ``SHEAR`` is symmetric, so P(t) is symplectic up to its scalar
+    factor and K(t) = e^{nu t} J0 keeps one shape.
+    """
+    return darboux_chain(
+        lambda t: shear_p(t, nu), lambda t: shear_p_dot(t, nu), nu, 0.0, analytic_p_dot
+    )
+
+
+# U and V of mixing_p, drawn in this order from default_rng(1)
+_MIX_RNG = np.random.default_rng(1)
+MIX_U = _MIX_RNG.uniform(-0.5, 0.5, (4, 4))
+MIX_V = _MIX_RNG.uniform(-0.3, 0.3, (4, 4))
+
+
+def mixing_p(t, nu=NU):
+    """P(t) = e^{nu t/2} (I + sin(t) U + sin(2t) V / 2) of ``mixing_chain``."""
+    return np.exp(0.5 * nu * t) * (np.eye(4) + np.sin(t) * MIX_U + 0.5 * np.sin(2 * t) * MIX_V)
+
+
+def mixing_p_dot(t, nu=NU):
+    """The analytic dP/dt of :func:`mixing_p`."""
+    return 0.5 * nu * mixing_p(t, nu) + np.exp(0.5 * nu * t) * (
+        np.cos(t) * MIX_U + np.cos(2 * t) * MIX_V
+    )
+
+
+def mixing_chain(nu=NU, coupling=COUPLING):
+    """The coupled n = 2 chain (see :func:`darboux_chain`) from P(t) = ``mixing_p(t, nu)``.
+
+    U and V are general matrices, not a symplectic shear, so the
+    coordinates mix and K(t) = P^T J0 P changes shape with t, not only
+    scale: each scaled to unit Frobenius norm, K(1) is 0.27 from K(0).
+    """
+    return darboux_chain(lambda t: mixing_p(t, nu), lambda t: mixing_p_dot(t, nu), nu, coupling)
 
 
 def chain_raw(n=N, nu=NU, coupling=COUPLING):

@@ -11,7 +11,6 @@ from birkhoff import (
     AlphaTransform,
     BirkhoffError,
     BirkhoffSystem,
-    CoefficientSet,
     EvaluationError,
     GeneratingScheme,
     NewtonError,
@@ -59,7 +58,8 @@ def exact_flow_matrix(nu, tau):
 
 def identity_coefficient(sys, alpha, w, t0):
     """The order-zero coefficient phi_w^(0)(w) of the generic recursion."""
-    return coefficients(sys, alpha, t0, 1).coeffs[0](w)
+    coeffs, _ = coefficients(sys, alpha, t0, 1)
+    return coeffs[0](w)
 
 
 def scaled_free_system(nu, n):
@@ -173,11 +173,11 @@ class TestIdentityCoefficient:
             z_new, z_old = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
             assert alpha_verify(alpha, osc_system, z_new, z_old, 0.3, 0.2) <= 1e-12
         updates = count_identity_updates(monkeypatch)
-        cs = coefficients(osc_system, alpha, 0.4, 1)
+        coeffs, jacs = coefficients(osc_system, alpha, 0.4, 1)
         for _ in range(10):
             w = rng.uniform(-2, 2, 2)
-            assert np.max(np.abs(cs.coeffs[0](w) - SHEAR_G @ w)) <= 1e-12
-            assert np.max(np.abs(cs.coeff_jacobians[0](w) - SHEAR_G)) <= 1e-12
+            assert np.max(np.abs(coeffs[0](w) - SHEAR_G @ w)) <= 1e-12
+            assert np.max(np.abs(jacs[0](w) - SHEAR_G)) <= 1e-12
         assert min(updates) >= 1
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -221,7 +221,7 @@ class TestIdentityCoefficient:
             z_new, z_old = rng.uniform(-1, 1, system.dim), rng.uniform(-1, 1, system.dim)
             assert alpha_verify(sheared, system, z_new, z_old, 0.3, 0.2) <= 1e-12
             w = rng.uniform(-1, 1, system.dim)
-            for plain_k, sheared_k in zip(*(sch.coefficients.coeffs[1:] for sch in schemes)):
+            for plain_k, sheared_k in zip(*(sch.coeffs[1:] for sch in schemes)):
                 assert np.max(np.abs(plain_k(w) - sheared_k(w))) <= 1e-9
         z0 = np.linspace(0.3, -0.6, system.dim)
         plain, bent = (
@@ -283,18 +283,18 @@ class TestAFunctional:
 class TestCoefficients:
     @pytest.mark.parametrize("t0", [0.0, 1.3])
     def test_first_order_coefficient_closed_form(self, osc_system, osc_alpha, rng, t0):
-        cs = coefficients(osc_system, osc_alpha, t0, 1)
+        coeffs, _ = coefficients(osc_system, osc_alpha, t0, 1)
         for _ in range(20):
             w = rng.uniform(-2, 2, 2)
-            assert np.max(np.abs(cs.coeffs[0](w))) <= 1e-12
-            assert np.max(np.abs(cs.coeffs[1](w) - closed_phi1(NU, t0, w))) <= 1e-8
+            assert np.max(np.abs(coeffs[0](w))) <= 1e-12
+            assert np.max(np.abs(coeffs[1](w) - closed_phi1(NU, t0, w))) <= 1e-8
 
     @pytest.mark.parametrize("t0", [0.0, 1.3])
     def test_second_order_coefficient_closed_form(self, osc_system, osc_alpha, rng, t0):
-        cs = coefficients(osc_system, osc_alpha, t0, 2)
+        coeffs, _ = coefficients(osc_system, osc_alpha, t0, 2)
         for _ in range(20):
             w = rng.uniform(-2, 2, 2)
-            assert np.max(np.abs(cs.coeffs[2](w) - closed_phi2(NU, t0, w))) <= 1e-8
+            assert np.max(np.abs(coeffs[2](w) - closed_phi2(NU, t0, w))) <= 1e-8
 
     @pytest.mark.parametrize("t0", [0.0, 0.7])
     def test_shear_leaves_the_higher_coefficients_unchanged(self, osc_system, osc_alpha, rng, t0):
@@ -302,25 +302,25 @@ class TestCoefficients:
         # function, so phi1 and phi2 stay those of the plain transform; its
         # d phi0/dw = G is the one nonzero S slot, where d phi0/dw = 0 on
         # every Darboux transform would hide a sign error in the S g term
-        plain = coefficients(osc_system, osc_alpha, t0, 2)
-        sheared = coefficients(osc_system, sheared_alpha(osc_alpha, *LINEAR_SHEAR), t0, 2)
+        plain, _ = coefficients(osc_system, osc_alpha, t0, 2)
+        sheared, _ = coefficients(osc_system, sheared_alpha(osc_alpha, *LINEAR_SHEAR), t0, 2)
         for _ in range(5):
             w = rng.uniform(-2, 2, 2)
-            assert np.max(np.abs(sheared.coeffs[1](w) - plain.coeffs[1](w))) <= 1e-13
-            assert np.max(np.abs(sheared.coeffs[2](w) - plain.coeffs[2](w))) <= 1e-9
+            assert np.max(np.abs(sheared[1](w) - plain[1](w))) <= 1e-13
+            assert np.max(np.abs(sheared[2](w) - plain[2](w))) <= 1e-9
 
     def test_undamped_second_coefficient_vanishes(self, rng):
         sys0 = oscillator_system(0.0)
-        cs = coefficients(sys0, oscillator_alpha(0.0), 0.0, 2)
+        coeffs, _ = coefficients(sys0, oscillator_alpha(0.0), 0.0, 2)
         for _ in range(10):
-            assert np.max(np.abs(cs.coeffs[2](rng.uniform(-2, 2, 2)))) <= 1e-10
+            assert np.max(np.abs(coeffs[2](rng.uniform(-2, 2, 2)))) <= 1e-10
 
     def test_coefficient_jacobians_are_symmetric(self, osc_system, osc_alpha, rng):
         # each coefficient is a gradient, so its Jacobian must be symmetric
-        cs = coefficients(osc_system, osc_alpha, 0.4, 2)
+        _, jacs = coefficients(osc_system, osc_alpha, 0.4, 2)
         for _ in range(100):
             w = rng.uniform(-2, 2, 2)
-            for jac_fn in cs.coeff_jacobians:
+            for jac_fn in jacs:
                 jac = jac_fn(w)
                 assert np.max(np.abs(jac - jac.T)) <= 1e-8
 
@@ -340,7 +340,7 @@ class TestCoefficients:
         )
         scheme = make_scheme(osc_system, alpha, 0.0, 1)
         with pytest.raises(TransversalityError, match="A' - C' singular"):
-            scheme.coefficients.coeff_jacobians[0](np.zeros(2))
+            scheme.coeff_jacobians[0](np.zeros(2))
         with pytest.raises(TransversalityError) as info:
             run(lambda z, t: step(osc_system, scheme, z, t, 0.1), np.zeros(2), 0.0, 0.1, 2)
         assert info.value.step_index == 0
@@ -463,18 +463,18 @@ class TestCoefficients:
         ids=["short-jacs", "short-coeffs", "empty", "order-0"],
     )
     def test_coefficient_count_validated(self, n_coeffs, n_jacs):
-        # the order is len(coeffs) - 1 >= 1, so a set needs at least two
+        # the order is len(coeffs) - 1 >= 1, so a scheme needs at least two
         # coefficients and exactly one Jacobian per coefficient
         coeffs, jacs = (lambda w: w,) * n_coeffs, (lambda w: np.eye(2),) * n_jacs
         with pytest.raises(ValueError, match=f"got {n_coeffs} and {n_jacs}"):
-            CoefficientSet(coeffs, jacs)
+            GeneratingScheme(oscillator_alpha(NU), coeffs, jacs, lambda t0: None)
 
     @pytest.mark.parametrize(
         "build",
         [
             lambda sys, alpha: BirkhoffSystem(1, sys.F, sys.B, grad_b=lambda z, t: z),
             lambda sys, alpha: BirkhoffSystem(1, sys.F, sys.B, df_dt=lambda z, t: z),
-            lambda sys, alpha: GeneratingScheme(alpha, coefficients(sys, alpha, 0.0, 1)),
+            lambda sys, alpha: GeneratingScheme(alpha, *coefficients(sys, alpha, 0.0, 1)),
         ],
         ids=["grad_b", "df_dt", "scheme-without-rebase"],
     )
@@ -487,11 +487,11 @@ class TestCoefficients:
 
 class TestMemoized:
     def test_cached_coefficients_are_read_only(self, osc_system, osc_alpha):
-        cs = coefficients(osc_system, osc_alpha, 0.2, 2)
+        coeffs, jacs = coefficients(osc_system, osc_alpha, 0.2, 2)
         w = np.array([0.3, -0.8])
         # the coefficients and phi0's Jacobian are memoized; the differenced
         # Jacobians of phi1 and phi2 are built afresh on each call
-        for fn in cs.coeffs + cs.coeff_jacobians[:1]:
+        for fn in coeffs + jacs[:1]:
             before = fn(w).copy()
             with pytest.raises(ValueError):
                 fn(w)[0] += 1.0
@@ -534,8 +534,8 @@ class TestMemoized:
         alpha = dataclasses.replace(
             base, inverse_blocks=counted("inverse_blocks", base.inverse_blocks)
         )
-        cs = coefficients(oscillator_system(NU), alpha, 0.3, 1)
-        readers = (cs.coeffs[0], cs.coeff_jacobians[0], cs.coeffs[1])
+        coeffs, jacs = coefficients(oscillator_system(NU), alpha, 0.3, 1)
+        readers = (coeffs[0], jacs[0], coeffs[1])
         w = np.array([0.25, -0.5])
         once = {"newton_solve": 1, "a_functional": 1, "inverse_blocks": 1}
         readers[order[0]](w)
@@ -550,7 +550,7 @@ class TestAssemblePsi:
         scheme = make_scheme(osc_system, osc_alpha, 0.0, 1)
         w = rng.uniform(-2, 2, 2)
         np.testing.assert_array_equal(
-            scheme.psi_w(w, 0.0), scheme.coefficients.coeffs[0](w)
+            scheme.psi_w(w, 0.0), scheme.coeffs[0](w)
         )
 
     def test_first_order_sum(self, osc_system, osc_alpha, rng):
@@ -573,17 +573,17 @@ class TestAssemblePsi:
                 -(tau + NU * tau**2 / 2) * np.exp(NU * t0) * w[0], abs=1e-9
             )
 
-    def test_scheme_at_its_own_time_reuses_its_coefficient_set(self, osc_system, osc_alpha):
-        # make_scheme's rebase keeps the set it built, so a step at t0
+    def test_scheme_rebased_at_its_own_time_is_itself(self, osc_system, osc_alpha):
+        # make_scheme's rebase keeps the scheme it built, so a step at t0
         # re-expands nothing
         scheme = make_scheme(osc_system, osc_alpha, 0.3, 2)
-        assert scheme.at(0.3).coefficients is scheme.coefficients
+        assert scheme.rebase(0.3) is scheme
 
     def test_rebase_reexpands_at_new_time(self, osc_system, osc_alpha, rng):
         scheme = make_scheme(osc_system, osc_alpha, 0.0, 1)
-        rebased = scheme.at(0.8)
+        rebased = scheme.rebase(0.8)
         w = rng.uniform(-1, 1, 2)
-        assert np.max(np.abs(rebased.coefficients.coeffs[1](w) - closed_phi1(NU, 0.8, w))) <= 1e-8
+        assert np.max(np.abs(rebased.coeffs[1](w) - closed_phi1(NU, 0.8, w))) <= 1e-8
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_truncation_error_has_the_right_order(self, osc_system, osc_alpha, order):
@@ -614,9 +614,10 @@ class TestMakeScheme:
         build = genscheme.coefficients
 
         def counted(sys, alpha, t0, m):
-            coeffs = build(sys, alpha, t0, m)
-            built.append((t0, weakref.ref(coeffs)))
-            return coeffs
+            coeffs, jacs = build(sys, alpha, t0, m)
+            # the pair is a tuple, which takes no weak reference
+            built.append((t0, weakref.ref(coeffs[0])))
+            return coeffs, jacs
 
         monkeypatch.setattr(genscheme, "coefficients", counted)
         tau, n_steps = 0.1, 6
@@ -671,7 +672,7 @@ class TestHamiltonJacobiRightSide:
     @staticmethod
     def certificate_gap(sys, alpha, w, t0):
         """|grad_w hj_rhs(w, phi0(w), t0) - phi1(w)|, the Hamilton-Jacobi certificate."""
-        phi0, phi1 = coefficients(sys, alpha, t0, 1).coeffs
+        (phi0, phi1), _ = coefficients(sys, alpha, t0, 1)
         grad = numdiff.gradient(lambda y: hj_rhs(sys, alpha, y, phi0(y), t0), w)
         return float(np.max(np.abs(grad - phi1(w))))
 

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from birkhoff import (
-    CoefficientSet,
     GeneratingScheme,
     integrate,
     make_scheme,
@@ -74,14 +73,13 @@ def midpoint_step(system, p, p_dot, z, t_k, tau):
 
 def scaled_phi1(scheme, factor):
     """``scheme`` at order 1 with phi^(1) and its Jacobian scaled by ``factor``."""
-
-    def scaled(cs):
-        c0, c1 = cs.coeffs
-        j0, j1 = cs.coeff_jacobians
-        return CoefficientSet((c0, lambda w: factor * c1(w)), (j0, lambda w: factor * j1(w)))
-
+    c0, c1 = scheme.coeffs
+    j0, j1 = scheme.coeff_jacobians
     return GeneratingScheme(
-        scheme.alpha, scaled(scheme.coefficients), lambda t0: scaled(scheme.rebase(t0))
+        scheme.alpha,
+        (c0, lambda w: factor * c1(w)),
+        (j0, lambda w: factor * j1(w)),
+        lambda t0: scaled_phi1(scheme.rebase(t0), factor),
     )
 
 
@@ -125,7 +123,7 @@ AUTONOMOUS = pytest.mark.parametrize(
 @AUTONOMOUS
 def test_autonomous_second_coefficient_vanishes(case, rng):
     system, alpha, _ = case()
-    phi2 = make_scheme(system, alpha, 0.3, 2).coefficients.coeffs[2]
+    phi2 = make_scheme(system, alpha, 0.3, 2).coeffs[2]
     # one central difference along the flow; summing a gradient-slot and a
     # time-slot difference with phi1's Hessian times g left about 4e-10
     for _ in range(3):

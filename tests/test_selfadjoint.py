@@ -8,6 +8,7 @@ from birkhoff import (
     PhasePoint,
     RawFirstOrderSystem,
     check_self_adjointness,
+    numdiff,
     oscillator_system,
     reconstruct_b,
     reconstruct_f,
@@ -31,6 +32,46 @@ def oscillator_raw(nu=NU, perturb=0.0):
 
         return RawFirstOrderSystem(1, sys1.K, d_perturbed)
     return RawFirstOrderSystem(1, sys1.K, sys1.D)
+
+
+def monomials(z, powers):
+    """Each row of ``powers`` as the monomial prod_j z_j ** powers[k, j]."""
+    return np.prod(z**powers, axis=1)
+
+
+def monomial_jacobian(z, powers):
+    """d monomial_k / d z_j of :func:`monomials`."""
+    cols = []
+    for j in range(z.size):
+        lowered = powers.copy()
+        lowered[:, j] = np.maximum(powers[:, j] - 1, 0)
+        cols.append(powers[:, j] * monomials(z, lowered))
+    return np.stack(cols, axis=1)
+
+
+def polynomial_raw(rng, dim, terms=4):
+    """A self-adjoint raw system from a random polynomial F(z, t) and scalar B(z, t).
+
+    F = (C0 + t C1) m(z) and B = (g0 + t g1) . m(z) + |z|^2 / 2 over monomials
+    m(z) of degree at most 3, so K = J^T - J with J = dF/dz, and
+    D = -(grad B + dF/dt), all analytic.
+    """
+    powers = rng.integers(0, 3, (terms, dim))
+    while np.any(powers.sum(axis=1) > 3):
+        high = powers.sum(axis=1) > 3
+        powers[high] = rng.integers(0, 3, (int(high.sum()), dim))
+    c0, c1 = rng.uniform(-1, 1, (2, dim, terms))
+    g0, g1 = rng.uniform(-1, 1, (2, terms))
+
+    def K(z, t):
+        jac = (c0 + t * c1) @ monomial_jacobian(z, powers)
+        return jac.T - jac
+
+    def D(z, t):
+        grad_b = (g0 + t * g1) @ monomial_jacobian(z, powers) + z
+        return -(grad_b + c1 @ monomials(z, powers))
+
+    return RawFirstOrderSystem(dim // 2, K, D)
 
 
 def sample_points(rng, count, dim=2):
@@ -156,6 +197,39 @@ class TestReconstructF:
             z = rng.uniform(-2, 2, 4)
             expected = 0.5 * k.T @ z
             assert np.max(np.abs(reconstruct_f(raw, PhasePoint(z)) - expected)) <= 1e-12
+
+
+    def test_state_dependent_pairing_exact_case(self):
+        # F = (0, z1^2) gives K = [[0, 2 z1], [-2 z1, 0]]; the homotopy
+        # primitive int_0^1 lam z_j K_ji(lam z) dlam is (-2 z1 z2, 2 z1^2) / 3
+        raw = RawFirstOrderSystem(
+            1, K=lambda z, t: np.array([[0.0, 2 * z[0]], [-2 * z[0], 0.0]]), D=lambda z, t: -z
+        )
+        p = PhasePoint([0.7, -0.4], 0.0)
+        assert check_self_adjointness(raw, [p]).max_violation == 0.0
+        z1, z2 = p.z
+        expected = np.array([-2 * z1 * z2, 2 * z1 * z1]) / 3
+        assert np.max(np.abs(reconstruct_f(raw, p) - expected)) <= 1e-15
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]), t=st.floats(0.0, 1.0))
+    def test_polynomial_round_trip(self, seed, dim, t):
+        # K rebuilt from the reconstructed F is K, and reconstruct_b's check
+        # of grad B = -(D + dF/dt) passes; adding A z with A antisymmetric
+        # to D breaks the time curl, and the check must still catch it
+        rng = np.random.default_rng(seed)
+        raw = polynomial_raw(rng, dim)
+        z = rng.choice([-1.0, 1.0], dim) * rng.uniform(0.2, 1.0, dim)
+        p = PhasePoint(z, t)
+        assert check_self_adjointness(raw, [p]).passed
+        jac = numdiff.jacobian(lambda y: reconstruct_f(raw, PhasePoint(y, t)), z)
+        assert np.max(np.abs(jac.T - jac - raw.K(z, t))) <= 1e-8
+        reconstruct_b(raw, p, check=True)
+        curl = np.zeros((dim, dim))
+        curl[0, 1], curl[1, 0] = 1.0, -1.0
+        broken = RawFirstOrderSystem(raw.n, raw.K, lambda y, s: raw.D(y, s) + curl @ y)
+        with pytest.raises(InconsistencyError):
+            reconstruct_b(broken, p, check=True)
 
 
 class TestReconstructB:

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from birkhoff import (
     BirkhoffSystem,
-    CoefficientSet,
     EvaluationError,
     GeneratingScheme,
     NewtonError,
     Trajectory,
     TransversalityError,
+    alpha_verify,
     convergence_order,
     darboux_alpha,
     exact_solution,
@@ -35,7 +35,14 @@ from birkhoff import stepper
 from birkhoff.core import _det_gate
 from birkhoff.newton import MAX_ITER, newton_solve
 from pendulum_chain import NU as CHAIN_NU
-from pendulum_chain import chain_system, rk4_state, shear_p, shear_p_dot, sheared_chain
+from pendulum_chain import (
+    chain_system,
+    mixing_chain,
+    rk4_state,
+    shear_p,
+    shear_p_dot,
+    sheared_chain,
+)
 
 NU = 0.5
 
@@ -219,15 +226,16 @@ class TestIntegrate:
 
     def test_step_failure_carries_partial_trajectory(self, osc_system, osc_alpha):
         # coefficients turn non-finite from t >= 0.25, so step index 3 fails
-        def bad_coeffs(t0):
+        def bad_scheme(t0):
             poison = np.nan if t0 >= 0.25 else 0.0
 
             def phi1(w):
                 return np.array([-w[0] + poison, -w[1]])
 
-            return CoefficientSet((lambda w: np.zeros(2), phi1), (lambda w: np.zeros((2, 2)),) * 2)
+            jacs = (lambda w: np.zeros((2, 2)),) * 2
+            return GeneratingScheme(osc_alpha, (lambda w: np.zeros(2), phi1), jacs, bad_scheme)
 
-        scheme = GeneratingScheme(osc_alpha, bad_coeffs(0.0), bad_coeffs)
+        scheme = bad_scheme(0.0)
         with pytest.raises(NewtonError, match="non-finite Newton update") as info:
             integrate(osc_system, scheme, np.array([1.0, 0.0]), 0.0, 0.1, 10)
         failure = info.value
@@ -284,6 +292,22 @@ class TestIntegrate:
         message = f"transform has n = {scheme_n} but the system has n = {system_n}"
         with pytest.raises(ValueError, match=message):
             call(system, scheme, 0.1 * np.ones(2 * system_n))
+        assert calls == []
+
+    @pytest.mark.parametrize("fn", [step, step_jacobian], ids=["step", "step_jacobian"])
+    def test_rebased_scheme_for_another_n_rejected_before_evaluation(self, fn):
+        # the step runs on the scheme that rebase returns, transform
+        # included, so that scheme's n is the one checked: this scheme
+        # fits the oscillator, but its rebase returns the 2-dof chain's
+        calls = []
+        system = counting(oscillator_system(NU), calls)
+        fitting = make_scheme(system, oscillator_alpha(NU), 0.0, 1)
+        chain = make_scheme(*chain_system(2), 0.0, 1)
+        scheme = GeneratingScheme(
+            fitting.alpha, fitting.coeffs, fitting.coeff_jacobians, lambda t0: chain
+        )
+        with pytest.raises(ValueError, match="transform has n = 2 but the system has n = 1"):
+            fn(system, scheme, np.array([0.1, 0.1]), 0.5, 0.1)
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -620,7 +644,7 @@ class TestStepJacobian:
         # to the functional, one set of inverse blocks, and the
         # functional's blocks
         calls.update(dict.fromkeys(names, 0))
-        scheme.coefficients.coeff_jacobians[0](np.array([0.25, -0.5]))
+        scheme.coeff_jacobians[0](np.array([0.25, -0.5]))
         assert calls == {"forward": 0, "inverse": 1, "inverse_blocks": 1, "blocks": 1}
 
     def test_lost_transversality_raises(self):
@@ -630,14 +654,13 @@ class TestStepJacobian:
         # Newton matrix already fails
         sys0 = oscillator_system(0.0)
 
-        def coeffs(t0):
-            zero = lambda w: np.zeros(2)  # noqa: E731
-            return CoefficientSet(
-                (zero, zero),
-                (lambda w: np.array([[0.0, 2.0], [2.0, 0.0]]), lambda w: np.zeros((2, 2))),
-            )
-
-        scheme = GeneratingScheme(oscillator_alpha(0.0), coeffs(0.0), coeffs)
+        zero = lambda w: np.zeros(2)  # noqa: E731
+        scheme = GeneratingScheme(
+            oscillator_alpha(0.0),
+            (zero, zero),
+            (lambda w: np.array([[0.0, 2.0], [2.0, 0.0]]), lambda w: np.zeros((2, 2))),
+            lambda t0: scheme,
+        )
         z0 = np.array([0.5, 0.5])
         with pytest.raises(TransversalityError):
             step_jacobian(sys0, scheme, z0, 0.0, 0.1)
@@ -705,18 +728,16 @@ class TestFirstNewtonMatrix:
         # exact one [[-0.5, 2], [0, 0.5]] regular
         sys0 = oscillator_system(0.0)
 
-        def coeffs(t0):
-            zero = lambda w: np.zeros(2)  # noqa: E731
-            return CoefficientSet(
-                (zero,) * 3,
-                (
-                    lambda w: np.array([[0.0, 2.0], [2.0, 0.0]]),
-                    lambda w: np.zeros((2, 2)),
-                    lambda w: 100.0 * np.eye(2),
-                ),
-            )
-
-        scheme = GeneratingScheme(oscillator_alpha(0.0), coeffs(0.0), coeffs)
+        scheme = GeneratingScheme(
+            oscillator_alpha(0.0),
+            (lambda w: np.zeros(2),) * 3,
+            (
+                lambda w: np.array([[0.0, 2.0], [2.0, 0.0]]),
+                lambda w: np.zeros((2, 2)),
+                lambda w: 100.0 * np.eye(2),
+            ),
+            lambda t0: scheme,
+        )
         with pytest.raises(TransversalityError, match="A - Psi_ww C"):
             step(sys0, scheme, np.array([0.5, 0.5]), 0.0, 0.1)
 
@@ -728,15 +749,14 @@ class TestFirstNewtonMatrix:
         sys0 = oscillator_system(0.0)
         tau = 0.1
 
-        def coeffs(t0):
-            zero = lambda w: np.zeros(2)  # noqa: E731
-            zeros = lambda w: np.zeros((2, 2))  # noqa: E731
-            return CoefficientSet(
-                (zero, zero, lambda w: np.array([w[1] ** 2 + 2.0, 0.0]) / tau**2),
-                (zeros, zeros, lambda w: np.array([[0.0, 2.0 * w[1]], [0.0, 0.0]]) / tau**2),
-            )
-
-        scheme = GeneratingScheme(oscillator_alpha(0.0), coeffs(0.0), coeffs)
+        zero = lambda w: np.zeros(2)  # noqa: E731
+        zeros = lambda w: np.zeros((2, 2))  # noqa: E731
+        scheme = GeneratingScheme(
+            oscillator_alpha(0.0),
+            (zero, zero, lambda w: np.array([w[1] ** 2 + 2.0, 0.0]) / tau**2),
+            (zeros, zeros, lambda w: np.array([[0.0, 2.0 * w[1]], [0.0, 0.0]]) / tau**2),
+            lambda t0: scheme,
+        )
         with pytest.raises(NewtonError) as info:
             step(sys0, scheme, np.array([0.3, -0.2]), 0.0, tau)
         assert info.value.iterations == MAX_ITER
@@ -875,6 +895,39 @@ class TestShearedDarbouxGoldens:
             lambda z, t_k: step(system, scheme, z, t_k, 0.1), self.Z0, 0.0, 0.1, 8, certify=certify
         )
         assert max(traj.residuals) <= 1e-8
+
+
+class TestMixingDarbouxChain:
+    # the coupled chain through mixing_chain's P(t), whose K(t) changes
+    # shape with t; 400 RK4 steps give the reference to 2e-13
+    Z0 = np.array([0.5, -0.4, 0.3, 0.2])
+
+    def test_transform_is_compatible(self):
+        system, alpha = mixing_chain()
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            z_new, z_old = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+            t, t0 = rng.uniform(0, 1, 2)
+            assert alpha_verify(alpha, system, z_new, z_old, t, t0) <= 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_convergence_slopes_against_rk4(self, order):
+        # measured: 0.97 and 0.99 at order 1, 1.97 and 1.98 at order 2
+        system, alpha = mixing_chain()
+        scheme = make_scheme(system, alpha, 0.2, order)
+        reference = rk4_state(system, self.Z0, 0.2, 1.0, 400)
+        report = convergence_order(
+            system,
+            lambda tau: lambda z, t_k: step(system, scheme, z, t_k, tau),
+            lambda t: reference,
+            self.Z0,
+            0.2,
+            1.0,
+            [0.1, 0.05, 0.025],
+        )
+        errors = report.errors
+        for coarse, fine in zip(errors, errors[1:]):
+            assert abs(np.log2(coarse / fine) - order) <= 0.1
 
 
 @functools.lru_cache(maxsize=None)
