@@ -294,7 +294,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand; failures that leave it get their exit code here."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(_resolve_config(args))
+        with np.errstate(all="ignore"):  # a failure reports itself in one line
+            return args.func(_resolve_config(args))
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     except (ConfigError, ValueError) as exc:

@@ -44,24 +44,19 @@ StepMap = Callable[[Array, float], Array]
 class Trajectory:
     """States on the uniform grid t_k = t0 + k * tau of the :func:`run` that made them.
 
-    ``residuals[k]``, when present, is the structure-preservation residual
-    of the step from state k to state k+1, filled only by :func:`run` from
-    its ``certify`` callable (the CLI ``integrate`` passes one that feeds
-    the exact step Jacobian to ``symplectic_residual``).  The grid is not
-    stored: t0 and tau are the caller's own inputs to :func:`run`, which
-    checks them and hands each t_k to the step map.
+    A plain record that checks nothing: :func:`run`, its one producer,
+    stores float arrays, at least the initial state and, when present, one
+    residual per step.  ``residuals[k]`` is the structure-preservation
+    residual of the step from state k to state k+1, filled only by
+    :func:`run` from its ``certify`` callable (the CLI ``integrate``
+    passes one that feeds the exact step Jacobian to
+    ``symplectic_residual``).  The grid is not stored: t0 and tau are the
+    caller's own inputs to :func:`run`, which checks them and hands each
+    t_k to the step map.
     """
 
     states: Tuple[Array, ...]
     residuals: Optional[Tuple[float, ...]] = None
-
-    def __post_init__(self):
-        if not self.states:
-            raise ValueError("a trajectory needs at least the initial state")
-        states = tuple(np.asarray(s, dtype=float) for s in self.states)
-        object.__setattr__(self, "states", states)
-        if self.residuals is not None and len(self.residuals) != len(states) - 1:
-            raise ValueError("need one residual per step")
 
 
 def _check_grid(t0: float, tau: float, z0: Array) -> None:
@@ -137,6 +132,8 @@ def run(
 ) -> Trajectory:
     """Apply ``advance(z, t_k)`` n_steps times on the grid t_k = t0 + k * tau.
 
+    Each output of ``advance`` becomes a float array as it returns, so
+    ``certify``, the next step and the trajectory all see that array.
     With ``certify``, residual k of the returned trajectory is
     ``certify(z_k, t_k, z_{k+1})``.  Raises ``ValueError`` before the first
     step unless n_steps is an integer (not a bool) of at least 1, t0 and
@@ -157,7 +154,7 @@ def run(
         t_k = t0 + k * tau
         z = states[-1]
         try:
-            z_next = advance(z, t_k)
+            z_next = np.asarray(advance(z, t_k), dtype=float)
             if certify is not None:
                 residuals.append(certify(z, t_k, z_next))
         except BirkhoffError as exc:

@@ -122,7 +122,6 @@ class TestIntegrate:
         assert residuals.max() > 1e-3
         assert residuals.min() > 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
     def test_numerical_blowup_writes_partial_csv_and_exits_2(self, tmp_path, capsys):
         # tau so large the time scaling overflows on the first step
         out = tmp_path / "partial.csv"
@@ -351,7 +350,6 @@ class TestReconstruct:
         assert main(["reconstruct", "--nu", "0.5", "--z0", z0]) == 1
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_point_fails_consistency(self, capsys):
         # B overflows to inf here; the check must not accept its NaN residual
         assert main(["reconstruct", "--nu", "0.5", "--z0", "1e200,1e200", "--t0", "0"]) == 3
@@ -424,7 +422,6 @@ class TestConsoleMain:
 
 
 class TestErrorBoundary:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "argv, config, code",
         [
@@ -574,7 +571,6 @@ class TestErrorBoundary:
         assert capsys.readouterr().out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(max_examples=60)
     @given(
         lines=st.lists(
@@ -606,3 +602,24 @@ def test_module_entry_point_prints_what_main_prints(capsys):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.out, expected.err)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["check", "--nu", "1000"], 2),
+        (["reconstruct", "--nu", "1000", "--t0", "1"], 2),
+        (["convergence", "--nu", "0.5", "--tau-list", "2000,1000,500", "--horizon", "2000"], 2),
+        (["reconstruct", "--nu", "0.5", "--z0", "1e200,1e200", "--t0", "0"], 3),
+    ],
+)
+def test_overflow_failure_prints_one_line_outside_pytest(argv, code):
+    # without pytest's warning capture, numpy would print each overflow it
+    # meets on the way, with its source line, before the failure's own line
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "birkhoff.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -207,8 +207,6 @@ class TestRegularity:
         assert det_nonzero(k)
         np.testing.assert_allclose(k @ velocity(sys2, np.ones(4), 0.0), rhs, atol=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in det")
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
     def test_nonsingularity_test_ignores_scale(self, rng):
         regular = rng.uniform(-1, 1, (4, 4))
         singular = regular.copy()
@@ -452,7 +450,6 @@ class TestVectorField:
         # the row-normalized |det| that the nonsingularity test reads
         assert info.value.det == 0.0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
     def test_velocity_where_det_k_overflows(self, osc_system):
         # at t=800, K = e^{400} J0: det K is past the float range, K is regular
         z = np.array([0.2, -1.0])

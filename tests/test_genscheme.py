@@ -37,7 +37,7 @@ from birkhoff.diagnostics import fit_slope
 from birkhoff.core import _content_cached
 from birkhoff.genscheme import MEMO_SIZE
 from birkhoff.newton import newton_solve
-from pendulum_chain import chain_system, sheared_chain
+from pendulum_chain import chain_system, mixing_chain, sheared_chain
 
 NU = 0.5
 
@@ -203,15 +203,20 @@ class TestIdentityCoefficient:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize(
         "make",
-        [lambda: (oscillator_system(NU), oscillator_alpha(NU)), lambda: chain_system(2)],
-        ids=["oscillator", "chain"],
+        [
+            lambda: (oscillator_system(NU), oscillator_alpha(NU)),
+            lambda: chain_system(2),
+            mixing_chain,
+        ],
+        ids=["oscillator", "chain", "mixing-chain"],
     )
     def test_bent_shear_leaves_steps_and_step_jacobians_unchanged(self, make, order):
         # a time-independent shear leaves phi1, phi2 and the truncated
         # relation unchanged; the bent shear's S = hess h(w) moves with w,
         # so phi2 needs its S'[g] g term (without it phi2 is 2e-2 off and
         # the states part by 4.4e-4 in 10 steps).  Measured: phi2 <= 4e-11,
-        # states <= 1.3e-12, step Jacobians <= 2.3e-12
+        # states <= 1.3e-12, step Jacobians <= 2.3e-12; on the mixing
+        # chain phi2 <= 3.3e-10, states <= 4.3e-12, step Jacobians <= 5.8e-12
         system, alpha = make()
         sheared = sheared_alpha(alpha, *BENT_SHEAR)
         rng = np.random.default_rng(3)

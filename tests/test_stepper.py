@@ -11,7 +11,6 @@ from birkhoff import (
     EvaluationError,
     GeneratingScheme,
     NewtonError,
-    Trajectory,
     TransversalityError,
     alpha_verify,
     convergence_order,
@@ -38,6 +37,8 @@ from pendulum_chain import NU as CHAIN_NU
 from pendulum_chain import (
     chain_system,
     mixing_chain,
+    mixing_p,
+    mixing_p_dot,
     rk4_state,
     shear_p,
     shear_p_dot,
@@ -74,11 +75,26 @@ def zero_step_systems():
 
 
 class TestTrajectory:
-    def test_validates_shapes(self):
-        with pytest.raises(ValueError):
-            Trajectory(())
-        with pytest.raises(ValueError):
-            Trajectory((np.zeros(2), np.zeros(2)), residuals=(0.0, 0.0))
+    def test_each_step_output_is_converted_once_as_it_returns(self):
+        # a step map that returns a list: certify, the next step and the
+        # record all see the float array run made of it
+        given_to = []
+
+        def advance(z, t_k):
+            given_to.append(("advance", z))
+            return [z[0] + 1, z[1]]
+
+        def certify(z, t_k, z_next):
+            given_to.append(("certify", z_next))
+            return 0.0
+
+        traj = run(advance, np.array([0.0, 1.0]), 0.0, 0.1, 2, certify=certify)
+        assert [name for name, _ in given_to] == ["advance", "certify"] * 2
+        assert given_to[1][1] is given_to[2][1] is traj.states[1]
+        assert given_to[3][1] is traj.states[2]
+        assert all(isinstance(z, np.ndarray) and z.dtype == float for z in traj.states)
+        np.testing.assert_array_equal(traj.states[-1], [2.0, 1.0])
+        assert traj.residuals == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "t0, tau, z0",
@@ -162,7 +178,6 @@ class TestStep:
         expected = scheme_second_order(NU, 0.1) @ np.array([0.2, -1.0])
         assert np.max(np.abs(z1 - expected)) <= 1e-10
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
     def test_step_where_det_k_overflows(self, osc_system, osc_scheme_m2):
         # at t=800, K = e^{400} J0 has a determinant past the float range,
         # yet K is a scaled rotation and the step must go through.  phi2's
@@ -521,7 +536,6 @@ class TestStepJacobian:
             jac = step_jacobian(sys_nu, scheme, z, t_k, 0.1)
             assert np.max(np.abs(jac - closed(nu, 0.1))) <= 1e-10
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det")
     @pytest.mark.parametrize("order, tol", [(1, 1e-10), (2, 1e-10)])
     def test_exact_jacobian_where_lambda_is_large(self, order, tol):
         # at t=800 the rows of A - Psi_ww C are of order e^{400} and of
@@ -1041,15 +1055,24 @@ def linear_change_path(system, p, p_dot, order, draw=None):
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize(
     "system, p, p_dot",
-    [(chain_system(2)[0], chain_p, chain_p_dot), (sheared_chain()[0], shear_p, shear_p_dot)],
-    ids=["chain", "sheared"],
+    [
+        (chain_system(2)[0], chain_p, chain_p_dot),
+        (sheared_chain()[0], shear_p, shear_p_dot),
+        (mixing_chain()[0], mixing_p, mixing_p_dot),
+    ],
+    ids=["chain", "sheared", "mixing"],
 )
 class TestLinearChangeOfVariables:
     """A constant change of variables z' = Q z commutes with the step map.
 
     The step relation is built in the Darboux coordinates y = P(t) z, and
     P' = P Q^-1 gives the same y, so step'(Q z) = Q step(z) and the step
-    Jacobians are similar under Q, up to roundoff.
+    Jacobians are similar under Q, up to roundoff.  On the mixing chain,
+    whose K(t) changes shape with t, the states measured <= 1.1e-14 of
+    the scale and the step Jacobians <= 7.7e-13.  The time-shift relation
+    of :class:`TestScaleRelation` has no counterpart there: its P(t)
+    carries sin t and sin 2t terms, so a later start is another system,
+    not a rescaled one.
     """
 
     @pytest.mark.parametrize("draw", range(3))
