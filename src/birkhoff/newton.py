@@ -1,9 +1,13 @@
-"""Chord Newton solver for the small implicit systems in this package.
+"""Quasi-Newton solver for the small implicit systems in this package.
 
 Every update is a product with an inverse that the caller hands in: each
 caller gates its Newton matrix with the nonsingularity test, which returns
 the inverse it certified, so a singular matrix leaves as the caller's own
-error and this module solves no linear system.
+error and this module solves no linear system.  Between refreshes the
+inverse in use is corrected by Broyden's second ("bad") rank-one update
+(Broyden, Math. Comp. 19, 1965), which, unlike the first, commutes with a
+linear change of variables x -> Q x: the updated inverse of the mapped
+problem is Q^-1 times that of the original.
 """
 
 from __future__ import annotations
@@ -22,24 +26,35 @@ from .errors import NewtonError
 TOL = 1e-12
 # Iteration cap; exceeding it raises NewtonError.  No damping or line search.
 MAX_ITER = 50
+_EPS = float(np.finfo(float).eps)
+# Residual sizes below which y^T y cannot overflow, for any d under 1e8;
+# Broyden updates are skipped above it
+_HUGE = 1e150
 
 
 def newton_solve(terms, x0, inverse, _start=None):
     """Solve ``u(x) = v(x)`` starting from ``x0``, where ``terms(x) = (u, v)``.
 
-    Chord Newton with one stopping rule: stop at ``TOL * scale``, or below
+    Quasi-Newton with one stopping rule: stop at ``TOL * scale``, or below
     ``sqrt(TOL) * scale`` when an update from a fresh matrix no longer
-    lowers the residual.  The first matrix is evaluated at the start and
-    reused, and the Jacobian evaluated afresh after an update with a stale
-    matrix fails to cut the residual by 4x.  Above ``sqrt(TOL) * scale``
-    every update is taken.  At or below it, an update that does not lower
+    lowers the residual.  The first inverse is evaluated at the start, and
+    after each taken update whose residual is still above the target it
+    is corrected by Broyden's second method,
+    ``H <- H - (delta + H y) y^T / (y^T y)`` with ``delta = H r`` the
+    update just subtracted and ``y = r_new - r``.  The correction is
+    skipped when y is not finite, when y^T y could overflow, or when y is
+    so small next to r that it carries no slope, and it builds a new
+    array, so a shared, read-only inverse is never written.  An updated inverse counts as
+    stale, and the Jacobian is evaluated afresh after an update with a
+    stale matrix fails to cut the residual by 4x.  Above
+    ``sqrt(TOL) * scale`` every update is taken.  At or below it, an update that does not lower
     the residual is not taken: the matrix is refreshed at the same iterate
     if it was stale, and otherwise the solve ends there, at the noise
     floor.  Each update, taken or turned down, costs one evaluation of
     ``terms`` beyond the one at ``x0``, and nothing is evaluated after the
     stop: a start already at its target returns with no update and no
     matrix, and one whose residual is exactly 0 before its scale is read.
-    An update subtracts the inverse of the matrix in use times u - v.
+    An update subtracts the inverse in use times u - v.
     ``inverse`` and ``_start`` are called only at an x where ``terms``
     has been evaluated, so a caller may read what ``terms`` computed there.
 
@@ -59,7 +74,7 @@ def newton_solve(terms, x0, inverse, _start=None):
         Maps x to the inverse of the d x d Jacobian of the residual u - v.
     _start : callable, optional
         Private hook: maps ``x0`` to the inverse of the first matrix, in
-        place of ``inverse``.  A chord solve needs only a matrix that
+        place of ``inverse``.  The updates need only a start that
         contracts, so this may be a cheap approximation.  It counts as
         stale from the outset: ``inverse`` replaces it after an update
         that fails to cut the residual 4x, and before any stop at the
@@ -117,6 +132,15 @@ def newton_solve(terms, x0, inverse, _start=None):
             continue
         if new_norm > 0.25 * rnorm and not fresh:
             inv = None
+        elif new_norm > target and rnorm + new_norm < _HUGE:
+            # Broyden's second update, into a new array: the inverse in use
+            # may be the gate's shared one.  The sum of norms bounds y, so
+            # y^T y is finite, and a y below the residual's roundoff
+            # carries no slope
+            y = r_new - r
+            yy = y @ y
+            if yy > (_EPS * rnorm) ** 2:
+                inv = inv - np.outer(delta + inv @ y, y / yy)
         x, r, rnorm = x_new, r_new, new_norm
         iters += 1
         fresh = False

@@ -4,7 +4,7 @@ One step solves the implicit relation
 
     alpha_1(z_new, z, t_k + tau, t_k) = psi_w(alpha_2(z_new, z, t_k + tau, t_k), tau)
 
-for z_new by chord Newton from an explicit-Euler predictor.  Each step
+for z_new by quasi-Newton from an explicit-Euler predictor.  Each step
 uses the scheme that ``rebase`` re-expands at its grid time, so
 nonautonomous systems keep their stated order.  Differentiating the
 relation through the Moebius form gives one linearization,
@@ -13,14 +13,16 @@ phi_ww^(k) summed in :func:`_linearization` alone, which returns the
 first as the inverse its nonsingularity test certified: the inverse and
 the second give the exact step Jacobian of :func:`step_jacobian`, and
 every Newton update of :func:`step` multiplies by the inverse.  Newton
-only needs a matrix that contracts, so at every order :func:`step`
-starts from A - Psi_ww C with the series' last, most-differenced term
-dropped: an order-1 step builds no phi_ww^(1) stencil and an order-2
-step no nested phi_ww^(2), which keeps the order-1 step's calls to the
-user's K flat in n; every refresh of that matrix is exact.  A step that fails raises the error of its
-cause; a solve that does not converge raises the solver's own
-:class:`~birkhoff.errors.NewtonError`.  :func:`run` is the one loop that
-walks a step map along the grid.
+only needs a start that contracts, so at every order :func:`step`
+starts from A - phi_ww^(0) C, whose phi_ww^(0) comes with the memoized
+identity record, and the solve corrects its inverse by Broyden's second
+method after each update: a step builds no phi_ww^(1) stencil and no
+nested phi_ww^(2), which keeps its calls to the user's K flat in n (19
+per order-2 step of the pendulum chain at n = 2, 4 and 8, 16 on the
+oscillator); every refresh of that matrix is exact.  A step that fails
+raises the error of its cause; a solve that does not converge raises the
+solver's own :class:`~birkhoff.errors.NewtonError`.  :func:`run` is the
+one loop that walks a step map along the grid.
 """
 
 from __future__ import annotations
@@ -89,12 +91,13 @@ def step(
     to its :class:`NewtonError`, so ``except NewtonError`` catches only
     the step's own solve.
 
-    The first Newton matrix is A - Psi_ww C at the predictor with the
-    series' last, most-differenced term dropped, at every order (A -
-    phi_ww^(0) C at order 1), which the solve treats as stale: it is
-    replaced by the exact A - Psi_ww C after an update that fails to cut
-    the residual 4x, and before any stop at the noise floor.  Only
-    :func:`step_jacobian` always pays for the exact matrix.
+    The first Newton matrix is A - phi_ww^(0) C at the predictor, at
+    every order, and the solve corrects its inverse by Broyden's second
+    method after each update that leaves the residual above its target.
+    The solve treats that inverse as stale: it is replaced by the exact
+    (A - Psi_ww C)^-1 after an update that fails to cut the residual 4x,
+    and before any stop at the noise floor.  Only :func:`step_jacobian`
+    always pays for the exact matrix.
     """
     z = _require_dim(sys, z)
     if not (np.isfinite(t_k) and np.isfinite(tau)):
@@ -116,8 +119,8 @@ def step(
     def newton_matrix(series):
         return lambda y: _linearization(sch, series, y, z, t_k, tau, images[y.tobytes()])[0]
 
-    # the first matrix drops the series' last, most-differenced term
-    start = newton_matrix(sch.coeff_jacobians[:-1])
+    # the first matrix is A - phi_ww^(0) C, read from the identity record
+    start = newton_matrix(sch.coeff_jacobians[:1])
     guess = z + tau * velocity(sys, z, t_k)
     return newton_solve(terms, guess, newton_matrix(sch.coeff_jacobians), _start=start)[0]
 
@@ -198,8 +201,8 @@ def _linearization(
     (z_new, z, t_k + tau, t_k) and Psi_ww = sum_k tau^k
     ``coeff_jacobians[k](w)`` at the caller's w = alpha_2(z_new, z,
     t_k + tau, t_k).  They are exact when ``coeff_jacobians`` is the
-    scheme's whole tuple; :func:`step`'s first matrix passes all but its
-    last.  Raises :class:`TransversalityError` when A - Psi_ww C fails
+    scheme's whole tuple; :func:`step`'s first matrix passes its first
+    term alone.  Raises :class:`TransversalityError` when A - Psi_ww C fails
     :func:`~birkhoff.core.det_nonzero` (the fourth condition of
     :func:`~birkhoff.transform.transversality_equivalents`).
     """

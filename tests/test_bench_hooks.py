@@ -187,9 +187,9 @@ def test_traced_step_solve_matches_and_counts_one_evaluation_per_update(tracing,
     # the Newton solve of one order-2 oscillator step, run untraced and
     # then traced on the same relation: the step stops at its target, so
     # the solve evaluates its terms once at the start and once per update.
-    # The relation is linear in z_new; its first matrix drops phi2's
-    # Hessian, so four updates meet the target (one did with the exact
-    # matrix), and none follows it
+    # The relation is linear in z_new; its first matrix is
+    # A - phi0_ww C, corrected by Broyden updates, so four updates meet
+    # the target (one did with the exact matrix), and none follows it
     solves = []
 
     def recorded(*args, **kwargs):

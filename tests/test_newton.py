@@ -1,3 +1,4 @@
+import warnings
 import zlib
 
 import numpy as np
@@ -36,26 +37,27 @@ class TestNewtonSolve:
         np.testing.assert_array_equal(calls[0], [3.0, -5.0])
 
     def test_solve_meeting_its_target_evaluates_nothing_past_it(self):
-        # x - 1 = 0 with the chord slope 2 halves the error per update, too
-        # little for a stale matrix, so every second update asks for a fresh
-        # one; the error 2^-40 meets the target on update 40, a stale one,
-        # and the solve ends there without fetching the matrix it flagged
+        # x + x^2 / 20 = 1/2 from 0 with the start slope 2, about twice the
+        # true one: Broyden's updates (the secant method in one dimension)
+        # leave a residual near 6e-14 after update 5, below the target TOL,
+        # and the solve ends there with no further evaluation or matrix
         evals, jac_points = [], []
 
         def terms(y):
             evals.append(y[0])
-            return y, np.ones(1)
+            return y + y**2 / 20.0, np.full(1, 0.5)
 
         def inverse(y):
             jac_points.append(y[0])
             return np.array([[0.5]])
 
         x, rnorm, iters = newton_solve(terms, np.zeros(1), inverse)
-        assert x[0] == 1.0 - 2.0**-40
-        assert rnorm == 2.0**-40
-        assert iters == 40
+        assert 0.0 < rnorm <= TOL
+        assert iters == 5
         assert len(evals) == iters + 1
-        assert jac_points == [1.0 - 2.0**-k for k in range(0, 40, 2)]
+        assert evals[-1] == x[0]
+        assert jac_points == [0.0]
+        assert abs(x[0] - (np.sqrt(110.0) - 10.0)) <= TOL
 
     def test_start_at_its_target_takes_no_update(self):
         # a residual of TOL / 2, not 0, is already converged: no matrix, no
@@ -116,17 +118,16 @@ class TestNewtonSolve:
         assert info.value.iterations == 0
 
     def test_large_terms_stop_at_the_scaled_target(self):
-        # terms of size 1e8, and a chord slope twice the true one, so every
-        # update halves the error: the residual 1e8 * 2^-k meets TOL * 1e8
-        # after about 40 updates, where the fixed target TOL would need
-        # over 60 and run into the iteration cap
+        # the same problem with terms of size 1e8: their roundoff, about
+        # 1e-8, sits far above the fixed target TOL, and the solve stops at
+        # TOL * 1e8 after the same 5 updates
         def terms(y):
-            return 1e8 * y, np.full(1, 1e8)
+            return 1e8 * (y + y**2 / 20.0), np.full(1, 0.5e8)
 
-        x, rnorm, iters = newton_solve(terms, np.zeros(1), lambda y: np.array([[5e-9]]))
+        x, rnorm, iters = newton_solve(terms, np.zeros(1), lambda y: np.array([[0.5e-8]]))
         assert TOL < rnorm <= TOL * 1e8
-        assert iters < MAX_ITER
-        assert abs(x[0] - 1.0) <= TOL
+        assert iters == 5
+        assert abs(x[0] - (np.sqrt(110.0) - 10.0)) <= TOL
 
     def test_slowly_contracting_start_matrix_takes_one_exact_refresh(self):
         # x - 1 = 0 from 0: the start matrix 2 halves the error, too little
@@ -167,3 +168,109 @@ class TestNewtonSolve:
         x, rnorm, iters = newton_solve(shifted(1.0), x0, inverse, _start=lambda y: -np.eye(1))
         assert (x[0], rnorm, iters) == (1.0, 0.0, 1)
         np.testing.assert_array_equal(jac_points, [x0])
+
+
+def circle_inverse(x):
+    """Inverse Jacobian of the residual of ``circle_and_exponential``."""
+    return np.linalg.inv(np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0]), 1.0]]))
+
+
+def scripted(residuals):
+    """Terms (r_k, 0) at the k-th evaluation, and the list of points evaluated."""
+    points = []
+
+    def terms(x):
+        points.append(x.copy())
+        return np.array(residuals[len(points) - 1]), np.zeros(len(x))
+
+    return terms, points
+
+
+class TestBroydenUpdate:
+    def test_solve_is_covariant_under_a_linear_change_of_variables(self):
+        # r(Q x) from Q^-1 x0, with every inverse H handed in as Q^-1 H,
+        # visits Q^-1 times the points of the unmapped solve: Broyden's
+        # second update maps H to Q^-1 H, where the first would not
+        q = np.array([[2.0, 1.0], [1.0, 1.0]])
+        q_inv = np.linalg.inv(q)
+        x0 = np.array([3.0, -5.0])
+        start = circle_inverse(x0 + 0.3)
+        points, mapped = [], []
+
+        def terms(x):
+            points.append(x.copy())
+            return circle_and_exponential(x)
+
+        def mapped_terms(x):
+            mapped.append(q @ x)
+            return circle_and_exponential(q @ x)
+
+        x, rnorm, iters = newton_solve(terms, x0, circle_inverse, _start=lambda x: start)
+        y, ynorm, yiters = newton_solve(
+            mapped_terms,
+            q_inv @ x0,
+            lambda y: q_inv @ circle_inverse(q @ y),
+            _start=lambda y: q_inv @ start,
+        )
+        assert iters == yiters > 5
+        assert len(points) == len(mapped)
+        np.testing.assert_allclose(mapped, points, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(q @ y, x, rtol=0.0, atol=1e-13)
+        assert ynorm <= TOL * 34.0
+
+    @pytest.mark.parametrize(
+        "r0, r1",
+        [
+            ([1.0, 1.0], [1.0, 1.0]),
+            ([1e200, 1.0], [-1e200, 1.0]),
+            ([-1e308, 1.0], [1e308, 1.0]),
+            ([1.0, 0.0], [1.0, 1e-310]),
+        ],
+        ids=["zero", "square-overflows", "overflows", "below-roundoff"],
+    )
+    def test_degenerate_y_skips_the_update(self, r0, r1):
+        # y = r1 - r0 is 0, has a square that overflows, overflows itself,
+        # or is so far below the residual that it carries no slope: the
+        # second update reuses the first matrix, and the solve warns of
+        # nothing
+        terms, points = scripted([r0, r1, [0.0, 0.0]])
+        inv = np.array([[1.0, 0.5], [0.0, 2.0]]) / max(1.0, abs(r0[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            newton_solve(terms, np.zeros(2), lambda x: inv)
+        assert len(points) == 3
+        np.testing.assert_array_equal(points[2], points[1] - inv @ np.array(r1))
+
+    def test_non_finite_y_skips_the_update(self):
+        # a NaN residual after a taken update leaves y non-finite: the
+        # update is skipped with no warning, and the next Newton update,
+        # not finite, raises
+        terms, points = scripted([[1.0, 1.0], [np.nan, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NewtonError, match="non-finite Newton update") as info:
+                newton_solve(terms, np.zeros(2), lambda x: np.eye(2))
+        assert info.value.iterations == 1
+        np.testing.assert_array_equal(info.value.last_iterate, [-1.0, -1.0])
+
+    def test_read_only_inverse_is_never_written(self):
+        # the gate's inverse is shared and read-only: every update builds
+        # a new array, so a solve over many updates leaves it as it was
+        start = circle_inverse(np.array([3.3, -4.7]))
+        start.flags.writeable = False
+        kept = start.copy()
+        refreshed = []
+
+        def inverse(x):
+            out = circle_inverse(x)
+            out.flags.writeable = False
+            refreshed.append((out, out.copy()))
+            return out
+
+        x, rnorm, iters = newton_solve(
+            circle_and_exponential, [3.0, -5.0], inverse, _start=lambda x: start
+        )
+        assert iters > 5 and rnorm <= TOL * 34.0
+        np.testing.assert_array_equal(start, kept)
+        for out, copy in refreshed:
+            np.testing.assert_array_equal(out, copy)

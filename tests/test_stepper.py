@@ -202,9 +202,10 @@ class TestIntegrate:
         assert final_error <= 1e-4
 
     def test_first_order_run_tracks_its_closed_form(self, osc_system, osc_scheme_m1):
-        # the step's chord solve stops at its target on a first matrix
-        # without phi1's Hessian: 20 steps stayed 4.3e-12 from the closed
-        # form here, and 2.7e-15 on the exact matrix alone
+        # the step's solve stops at its target on a first matrix without
+        # phi1's Hessian: 20 steps stay 2.2e-15 from the closed form here
+        # with its Broyden updates, and stayed 4.3e-12 with that matrix
+        # alone
         z0 = np.array([0.7, -1.3])
         traj = integrate(osc_system, osc_scheme_m1, z0, 0.0, 0.05, 20)
         closed = scheme_first_order(NU, 0.05)
@@ -561,7 +562,7 @@ class TestStepJacobian:
 
     @pytest.mark.parametrize(
         "fn, order, k_calls",
-        [(step_jacobian, 1, 14), (step_jacobian, 2, 36), (step, 1, 10), (step, 2, 20)],
+        [(step_jacobian, 1, 10), (step_jacobian, 2, 32), (step, 1, 6), (step, 2, 16)],
         ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
     )
     def test_calls_to_k_are_pinned(self, fn, order, k_calls):
@@ -572,10 +573,10 @@ class TestStepJacobian:
         # phi2 is one central difference along one direction, exact in the
         # functional's Jacobian slot and reading no Hessian of phi1: two
         # functional evaluations per phi2, and no identity point at a
-        # shifted w.  The first Newton matrix drops Psi_ww's last term,
-        # which keeps the chain's cost flat in n at order 1 and skips
-        # phi2's Hessian at order 2, but takes 8 (order 1) and 4 (order 2)
-        # updates, not 1, on this linear n = 1 step
+        # shifted w.  The first Newton matrix is A - phi0_ww C, which builds
+        # no Hessian stencil at either order; with Broyden updates of its
+        # inverse it takes 4 updates, not 1, at both orders on this linear
+        # n = 1 step
         base = oscillator_system(NU)
         calls = []
 
@@ -605,9 +606,10 @@ class TestStepJacobian:
         # matrix), and every gated product reads that inverse; the Darboux
         # inverse factor per time pair is built from P's inverses.  Newton's
         # updates are products with the inverse of its matrix too: the
-        # first Newton matrix, with Psi_ww's last term dropped, stands in
-        # for the exact one at both orders (no refresh on the oscillator),
-        # so a step inverts one Newton matrix and solves nothing
+        # first Newton matrix A - phi0_ww C, updated by Broyden's second
+        # method, stands in for the exact one at both orders (no refresh on
+        # the oscillator), so a step inverts one Newton matrix and solves
+        # nothing
         _det_gate.cache_clear()
         calls = {"solve": 0, "inv": 0, "slogdet": 0}
 
@@ -631,8 +633,9 @@ class TestStepJacobian:
         # one order-2 step: each solve evaluates its start point once for
         # its scale and takes no polishing update past its target, the
         # identity point's Jacobian comes from the inverse blocks, and the
-        # first Newton matrix, cut after phi1's Hessian, takes 4 updates,
-        # not 1, and skips phi2's Hessian.  The Newton matrix reads w from
+        # first Newton matrix A - phi0_ww C, updated by Broyden's second
+        # method, takes 4 updates, not 1, and builds no Hessian of phi1 or
+        # phi2.  The Newton matrix reads w from
         # the solve's own forward image, so each of the 5 residuals is the
         # one forward call at its iterate; phi2 is one central difference
         # along one direction, two functionals and two inverse-block
@@ -652,7 +655,7 @@ class TestStepJacobian:
         alpha = dataclasses.replace(base, **{n: counted(n, getattr(base, n)) for n in names})
         scheme = make_scheme(oscillator_system(NU), alpha, 0.3, 2)
         step(oscillator_system(NU), scheme, np.array([0.7, -1.3]), 0.3, 0.1)
-        assert calls == {"forward": 5, "inverse": 19, "inverse_blocks": 19, "blocks": 20}
+        assert calls == {"forward": 5, "inverse": 15, "inverse_blocks": 15, "blocks": 16}
         # one identity point's record (phi0, its Jacobian and phi1): one
         # inverse image for the solve, which takes no update and hands it
         # to the functional, one set of inverse blocks, and the
@@ -690,12 +693,12 @@ class TestStepJacobian:
 
 
 class TestFirstNewtonMatrix:
-    """The step starts Newton from A - Psi_ww C with Psi_ww's last term dropped."""
+    """The step starts Newton from A - phi0_ww C at every order."""
 
     def test_chain_step_cost_grows_about_linearly_in_n(self, monkeypatch):
-        # the first matrix skips phi2's nested Hessian, whose cost grows
-        # as the square of n; a solve on the exact matrix alone is the
-        # reference
+        # the first matrix skips phi1's Hessian and phi2's nested one, whose
+        # cost grows as the square of n; a solve on the exact matrix alone
+        # is the reference
         base, alpha = chain_system(8)
         calls = []
         system = counting(base, calls)
@@ -717,9 +720,9 @@ class TestFirstNewtonMatrix:
     def test_large_step_needs_the_exact_refresh(
         self, osc_system, osc_alpha, monkeypatch, order, tau
     ):
-        # at these steps the cut first matrix does not contract: a solve
-        # that refreshed with it would hit the iteration cap, so the
-        # closed form is met only through the exact A - Psi_ww C
+        # at these steps the first matrix A - phi0_ww C does not contract:
+        # a solve that refreshed with it would hit the iteration cap, so
+        # the closed form is met only through the exact A - Psi_ww C
         closed, tol = {1: (scheme_first_order, 1e-10), 2: (scheme_second_order, 1e-8)}[order]
         z = np.array([0.7, -1.3])
         scheme = make_scheme(osc_system, osc_alpha, 0.3, order)
@@ -737,9 +740,9 @@ class TestFirstNewtonMatrix:
 
     def test_singular_first_matrix_raises_transversality_error(self):
         # on the undamped transform A = [[0, 1], [1, 0]], C = diag(0.5, -0.5):
-        # phi0_ww = [[0, 2], [2, 0]] and phi1_ww = 0 make the first matrix
-        # [[0, 2], [0, 0]] singular, though tau^2 phi2_ww = I makes the
-        # exact one [[-0.5, 2], [0, 0.5]] regular
+        # phi0_ww = [[0, 2], [2, 0]] makes the first matrix [[0, 2], [0, 0]]
+        # singular, though phi1_ww = 0 and tau^2 phi2_ww = I make the exact
+        # one [[-0.5, 2], [0, 0.5]] regular
         sys0 = oscillator_system(0.0)
 
         scheme = GeneratingScheme(
@@ -780,7 +783,7 @@ class TestOrderTwoCostInN:
     def test_chain_step_and_its_jacobian_stay_within_budget(self):
         # on the n = 8 chain (16 states): phi2 reads no Hessian of phi1, so
         # a step and step_jacobian plus step cost calls to K linear in n;
-        # they take 45 and 174
+        # they take 19 and 148
         base, alpha = chain_system(8)
         z = np.random.default_rng(8).uniform(-0.5, 0.5, 16)
         calls = []
@@ -792,6 +795,35 @@ class TestOrderTwoCostInN:
         step_jacobian(system, scheme, z, 0.0, 0.05)
         step(system, scheme, z, 0.0, 0.05)
         assert calls.count("K") <= 200
+
+
+def chain_calls_to_k_per_step(n, order):
+    """Mean calls to K per step over 10 steps of the n-angle chain.
+
+    tau = 0.05 from a state drawn by default_rng(0) uniform in [-0.5, 0.5],
+    with the scheme made at t0 = 0: the set-up of ROADMAP.md's cost table.
+    """
+    base, alpha = chain_system(n)
+    calls = []
+    system = counting(base, calls)
+    scheme = make_scheme(system, alpha, 0.0, order)
+    z = np.random.default_rng(0).uniform(-0.5, 0.5, 2 * n)
+    integrate(system, scheme, z, 0.0, 0.05, 10)
+    return calls.count("K") / 10
+
+
+class TestCostAgainstN:
+    def test_order_two_step_at_n8_is_pinned(self):
+        # the first matrix A - phi0_ww C builds no phi1_ww stencil, whose
+        # 2 * dim points grow with n: the calls left are flat in n, 19 per
+        # step at n = 2, 4 and 8
+        assert chain_calls_to_k_per_step(8, 2) == 19.0
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_order_one_step_stays_flat_in_n(self, n):
+        # the order-1 step builds no stencil, and its Broyden updates need
+        # no more evaluations at larger n
+        assert chain_calls_to_k_per_step(n, 1) <= 8.0
 
 
 class TestOrderOneCostInN:
@@ -812,13 +844,13 @@ class TestOrderOneCostInN:
     def test_chain_step_and_its_jacobian_stay_within_budget(self):
         # on the n = 8 chain (16 states), a first matrix with phi1's
         # Hessian took 36 calls to K for a step and 69 for step_jacobian
-        # plus step; without it they take 8 and 41
+        # plus step; without it they take 7 and 40
         assert self.calls_to_k(8, certified=False) <= 12
         assert self.calls_to_k(8, certified=True) <= 50
 
     def test_chain_step_cost_is_flat_in_n(self):
         # a first matrix with phi1's Hessian took 12 calls at n = 2 and 36
-        # at n = 8; without it both take 8
+        # at n = 8; without it both take 7
         assert self.calls_to_k(8, certified=False) <= self.calls_to_k(2, certified=False) + 2
 
     def test_step_builds_no_stencil(self, monkeypatch):
