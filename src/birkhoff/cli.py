@@ -224,7 +224,8 @@ def cmd_check(cfg: argparse.Namespace) -> int:
         ("closure", report.closure_violation, report.closure_at),
         ("time-curl", report.time_curl_violation, report.time_curl_at),
     ):
-        if value > cfg.tol and at is not None:
+        # written so that a NaN violation is located too
+        if not value <= cfg.tol and at is not None:
             k, entry = at
             p = points[k]
             z = ", ".join(f"{x:.6g}" for x in p.z)

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birkhoff import (
+    PhasePoint,
+    RawFirstOrderSystem,
     exact_solution,
     make_scheme,
     oscillator_alpha,
@@ -221,6 +223,25 @@ class TestCheck:
     def test_large_tolerance_accepts_the_perturbation(self):
         assert main(["check", "--nu", "0.5", "--perturb", "0.1", "--tol", "10"]) == 0
 
+    def test_nan_violation_is_located(self, monkeypatch, capsys):
+        # at z = (0, 0.3), t = 0 both central differences of this system
+        # overflow, so its time-curl violation is inf - inf
+        j = np.array([[0.0, -1.0], [1.0, 0.0]])
+        raw = RawFirstOrderSystem(
+            1,
+            K=lambda z, t: 1e308 * np.tanh(1e12 * t) * j,
+            D=lambda z, t: np.array([0.0, 1e308 * np.tanh(1e12 * z[0])]),
+        )
+        monkeypatch.setattr("birkhoff.cli._raw_system", lambda nu, perturb: raw)
+        monkeypatch.setattr(
+            "birkhoff.cli._sample_points", lambda dim, count, seed: [PhasePoint([0.0, 0.3])]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["check"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "time-curl violation:    nan"
+        assert lines[4] == "worst time-curl violation: entry (0, 1) at sample 0 (z = (0, 0.3), t = 0)"
+
     def test_unknown_system_rejected(self):
         assert main(["check", "--system", "pendulum"]) == 1
 
@@ -326,8 +347,8 @@ class TestReconstruct:
 
     def test_origin_gives_zeros(self, capsys):
         assert main(["reconstruct", "--nu", "0.5", "--z0", "0,0"]) == 0
-        out = capsys.readouterr().out
-        assert float(out.splitlines()[1].split("=")[1]) == pytest.approx(0.0, abs=1e-12)
+        # +0, which used to print as "B = -0"
+        assert capsys.readouterr().out.splitlines() == ["F = (0, 0)", "B = 0"]
 
     def test_half_damping_scalar_value(self, capsys):
         assert main(["reconstruct", "--nu", "0.5", "--z0", "1,1", "--t0", "0"]) == 0
@@ -336,6 +357,22 @@ class TestReconstruct:
 
     def test_perturbed_system_fails_consistency(self, capsys):
         assert main(["reconstruct", "--nu", "0.5", "--z0", "1,1", "--perturb", "0.1"]) == 3
+
+    @pytest.mark.parametrize("z0, t0", [("1,1", "5"), ("1e3,1e3", "0")], ids=["t5", "z1e3"])
+    def test_perturbed_system_fails_at_a_later_time_or_larger_state(self, z0, t0, capsys):
+        # the check's bound grows with grad B, D and dF/dt, but not past a
+        # 0.1 curl break there
+        argv = ["reconstruct", "--nu", "0.5", "--z0", z0, "--t0", t0, "--perturb", "0.1"]
+        assert main(argv) == 3
+        assert "the input system is likely not self-adjoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "z0, t0", [("1,1", "20"), ("1,1", "60"), ("1e5,1e5", "0")], ids=["t20", "t60", "z1e5"]
+    )
+    def test_large_self_adjoint_point_passes(self, z0, t0, capsys):
+        # the absolute bound of 1e-6 failed each of these with exit code 3
+        assert main(["reconstruct", "--nu", "0.5", "--z0", z0, "--t0", t0]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("B = ")
 
     @pytest.mark.parametrize(
         "z0, message",

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +35,37 @@ def oscillator_raw(nu=NU, perturb=0.0):
 
         return RawFirstOrderSystem(1, sys1.K, d_perturbed)
     return RawFirstOrderSystem(1, sys1.K, sys1.D)
+
+
+# K = 1e308 tanh(1e12 t) J and D = (0, 1e308 tanh(1e12 z_1)): finite
+# everywhere, but at OVERFLOW_POINT every central difference of K in t and
+# of D in z_1 overflows
+OVERFLOW_POINT = PhasePoint([0.0, 0.3], 0.0)
+
+
+def overflowing_curl_raw():
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return RawFirstOrderSystem(
+        1,
+        K=lambda z, t: 1e308 * np.tanh(1e12 * t) * j,
+        D=lambda z, t: np.array([0.0, 1e308 * np.tanh(1e12 * z[0])]),
+    )
+
+
+def counted_chain_raw():
+    """The chain's raw system with its K and D calls recorded: (raw, K calls, D calls)."""
+    base = chain_raw()
+    k_calls, d_calls = [], []
+
+    def counted_k(z, t):
+        k_calls.append(t)
+        return base.K(z, t)
+
+    def counted_d(z, t):
+        d_calls.append(t)
+        return base.D(z, t)
+
+    return RawFirstOrderSystem(base.n, counted_k, counted_d), k_calls, d_calls
 
 
 def monomials(z, powers):
@@ -166,6 +200,19 @@ class TestCheckSelfAdjointness:
         with pytest.raises(ValueError, match="tol must be finite and non-negative"):
             check_self_adjointness(oscillator_raw(), sample_points(rng, 3), tol=tol)
 
+    def test_nan_violation_fails_at_its_location(self):
+        # dK/dt and curl D both overflow to inf at OVERFLOW_POINT, so entry
+        # (0, 1) of dK/dt - curl D is inf - inf; that NaN used to read as
+        # 0.0 and pass.  It must also beat the first sample's inf
+        raw = overflowing_curl_raw()
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_self_adjointness(raw, [PhasePoint([1.0, 0.0]), OVERFLOW_POINT])
+        assert np.isnan(report.time_curl_violation)
+        assert report.time_curl_at == (1, (0, 1))
+        assert np.isnan(report.max_violation)
+        assert not report.passed
+        assert report.antisymmetry_violation == report.closure_violation == 0.0
+
     def test_passing_is_monotone_in_tolerance(self, rng):
         raw = oscillator_raw(perturb=0.1)
         points = sample_points(rng, 10)
@@ -216,7 +263,9 @@ class TestReconstructF:
     def test_polynomial_round_trip(self, seed, dim, t):
         # K rebuilt from the reconstructed F is K, and reconstruct_b's check
         # of grad B = -(D + dF/dt) passes; adding A z with A antisymmetric
-        # to D breaks the time curl, and the check must still catch it
+        # to D breaks the time curl, and the check must still catch it.
+        # Both verdicts, and the residual raised, are the all-coordinate
+        # oracle's (see TestRadialIdentity)
         rng = np.random.default_rng(seed)
         raw = polynomial_raw(rng, dim)
         z = rng.choice([-1.0, 1.0], dim) * rng.uniform(0.2, 1.0, dim)
@@ -224,12 +273,11 @@ class TestReconstructF:
         assert check_self_adjointness(raw, [p]).passed
         jac = numdiff.jacobian(lambda y: reconstruct_f(raw, PhasePoint(y, t)), z)
         assert np.max(np.abs(jac.T - jac - raw.K(z, t))) <= 1e-8
-        reconstruct_b(raw, p, check=True)
+        assert_matches_all_coordinate_check(raw, p, passes=True)
         curl = np.zeros((dim, dim))
         curl[0, 1], curl[1, 0] = 1.0, -1.0
         broken = RawFirstOrderSystem(raw.n, raw.K, lambda y, s: raw.D(y, s) + curl @ y)
-        with pytest.raises(InconsistencyError):
-            reconstruct_b(broken, p, check=True)
+        assert_matches_all_coordinate_check(broken, p, passes=False)
 
 
 class TestReconstructB:
@@ -243,8 +291,10 @@ class TestReconstructB:
         assert value == pytest.approx(1.5, abs=1e-8)
 
     def test_origin_gives_zero(self):
+        # -0.0 here used to print as "B = -0"
         value = reconstruct_b(oscillator_raw(), PhasePoint([0.0, 0.0], 0.0))
-        assert value == pytest.approx(0.0, abs=1e-14)
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
 
     def test_matches_scaled_quadratic_at_random_points(self, rng):
         raw = oscillator_raw()
@@ -284,22 +334,48 @@ class TestReconstructB:
             assert abs(value - scale * sum(terms)) <= 1e-14 * scale * sum(map(abs, terms))
 
     def test_calls_to_k_and_d_are_pinned(self):
-        # 32 D calls for B, 256 for its gradient and one for the residual;
-        # the 64 K calls are the two reconstruct_f of dF/dt at p
-        base = chain_raw()
-        k_calls, d_calls = [], []
-
-        def counted_k(z, t):
-            k_calls.append(t)
-            return base.K(z, t)
-
-        def counted_d(z, t):
-            d_calls.append(t)
-            return base.D(z, t)
-
-        raw = RawFirstOrderSystem(base.n, counted_k, counted_d)
+        # 32 D calls for B, 192 for its gradient across the ray (two ray
+        # integrals along each of the 3 directions orthogonal to z) and one
+        # for D at p, which also gives the radial component; the 64 K calls
+        # are the two reconstruct_f of dF/dt at p
+        raw, k_calls, d_calls = counted_chain_raw()
         reconstruct_b(raw, PhasePoint([0.4, -0.3, 0.2, 0.5], 0.2), quad_nodes=32, check=True)
-        assert (len(k_calls), len(d_calls)) == (64, 289)
+        assert (len(k_calls), len(d_calls)) == (64, 225)
+
+    def test_calls_of_the_benchmark_op_are_pinned(self):
+        # check_self_adjointness at one point (K: 1 + 8 for closure + 2
+        # for dK/dt; D: 8 for its curl) and then a checked reconstruct_b
+        raw, k_calls, d_calls = counted_chain_raw()
+        p = PhasePoint([0.4, -0.3, 0.2, 0.5], 0.2)
+        check_self_adjointness(raw, [p])
+        reconstruct_b(raw, p)
+        assert (len(k_calls), len(d_calls)) == (75, 233)
+
+    @pytest.mark.parametrize(
+        "z, t", [((1.0, 1.0), 20.0), ((1.0, 1.0), 30.0), ((1.0, 1.0), 40.0),
+                 ((1.0, 1.0), 60.0), ((1e5, 1e5), 0.0)],
+    )
+    def test_large_self_adjoint_input_passes(self, z, t):
+        # the bound scales with max(1, |grad B|, |D|, |dF/dt|); the absolute
+        # 1e-6 it replaces read residuals 4.2e-6, 1.2e-3, 0.30 and 1.5e4 at
+        # these times, and 4.7e-6 at z = (1e5, 1e5), and raised
+        r, q = z
+        expected = 0.5 * np.exp(NU * t) * (r * r + NU * r * q + q * q)
+        assert reconstruct_b(oscillator_raw(), PhasePoint(z, t)) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("t", [0.0, 5.0, 40.0])
+    def test_curl_break_growing_with_the_system_still_raises(self, t):
+        # 0.1 e^{nu t} z_1 added to D_2 breaks the time curl by as much, so
+        # it grows with K and D, and the scaled bound must still see it
+        base = oscillator_raw()
+        raw = RawFirstOrderSystem(
+            1, base.K, lambda z, s: base.D(z, s) + 0.1 * np.exp(NU * s) * np.array([0.0, z[0]])
+        )
+        message = r"residual \S+ exceeds \S+; the input system is likely not self-adjoint"
+        with pytest.raises(InconsistencyError, match=message):
+            reconstruct_b(raw, PhasePoint([1.0, 1.0], t))
 
     @settings(max_examples=30)
     @given(
@@ -313,6 +389,83 @@ class TestReconstructB:
         scale = 0.5 * np.exp(nu * t)
         value = reconstruct_b(oscillator_raw(nu), PhasePoint(z, t))
         assert abs(value - scale * sum(terms)) <= 1e-14 * scale * sum(map(abs, terms))
+
+
+def all_coordinate_check(raw, p, quad_nodes=32):
+    """(residual, bound) of grad B = -(D + dF/dt) at p, grad B differenced along every coordinate.
+
+    The oracle for reconstruct_b's check: B and F by a loop over the
+    Gauss-Legendre nodes and numdiff.gradient over all dim coordinates,
+    the radial one included; the bound is the check's scaled one.
+    """
+    x, w = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes = list(zip((x + 1.0) / 2.0, w / 2.0))
+
+    def b_value(z):
+        return -sum(w_i * (z @ raw.D(lam * z, p.t)) for lam, w_i in nodes)
+
+    def f_value(s):
+        return sum(w_i * lam * (raw.K(lam * p.z, s).T @ p.z) for lam, w_i in nodes)
+
+    grad = numdiff.gradient(b_value, p.z)
+    d_p = raw.D(p.z, p.t)
+    dft = numdiff.time_derivative(f_value, p.t)
+    resid = np.max(np.abs(grad + d_p + dft))
+    return resid, 1e-6 * max(1.0, *(np.max(np.abs(v)) for v in (grad, d_p, dft)))
+
+
+def reported_residual(raw, p):
+    """None if reconstruct_b's check passes at p, else the residual its error prints."""
+    try:
+        reconstruct_b(raw, p)
+    except InconsistencyError as exc:
+        return float(re.search(r"residual (\S+) exceeds", str(exc)).group(1))
+    return None
+
+
+def assert_matches_all_coordinate_check(raw, p, passes):
+    """reconstruct_b's verdict at p is the oracle's and ``passes``; a raised residual agrees to 1e-3."""
+    resid, bound = all_coordinate_check(raw, p)
+    assert (resid <= bound) == passes
+    got = reported_residual(raw, p)
+    if passes:
+        assert got is None
+    else:
+        assert got == pytest.approx(resid, rel=1e-3)
+
+
+# an antisymmetric matrix: D + CURL z breaks the time curl by CURL
+_CURL_HALF = np.random.default_rng(3).uniform(-0.1, 0.1, (4, 4))
+CURL = _CURL_HALF - _CURL_HALF.T
+
+
+class TestRadialIdentity:
+    """reconstruct_b's check takes u . grad B = -u . D(p) along u = z / |z|.
+
+    Against the all-coordinate gradient it replaces, the verdict and the
+    residual an error prints are the same; the polynomial systems of
+    TestReconstructF's round trip are checked the same way.
+    """
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            # the origin: u = e_1, and the curl break vanishes with z
+            pytest.param((0.0, 0.0, 0.0, 0.0), id="origin"),
+            # the two branches of the reflector: u_1 >= 0 and u_1 < 0
+            pytest.param((0.0, 0.3, -0.2, 0.5), id="zero-first-entry"),
+            pytest.param((-0.4, 0.3, 0.2, -0.5), id="negative-first-entry"),
+            # the difference step scales with |z|_inf; the momenta are large,
+            # so the ray integral of D stays exact
+            pytest.param((0.3, -0.2, 1e3, -400.0), id="large"),
+        ],
+    )
+    def test_chain_points(self, z):
+        raw = chain_raw()
+        p = PhasePoint(z, 0.4)
+        assert_matches_all_coordinate_check(raw, p, passes=True)
+        broken = RawFirstOrderSystem(raw.n, raw.K, lambda y, s: raw.D(y, s) + CURL @ y)
+        assert_matches_all_coordinate_check(broken, p, passes=not np.any(p.z))
 
 
 class TestQuadratureRule:
