@@ -159,19 +159,52 @@ def _checked(name: str, fn: Callable, z: Array, t: float, shape: tuple) -> Array
 
     A result of any dtype but bool, integer or float is rejected before
     conversion: text would be parsed as numbers and a complex value would
-    lose its imaginary part.
+    lose its imaginary part.  The tests are :func:`_real`'s and a
+    finiteness test, the rule :func:`_checked_rows` applies to a batch.
     """
     out = np.asarray(fn(np.asarray(z, dtype=float), t))
-    # a float result, the usual one, skips the dtype test and the conversion
+    # the usual result, a float array of the right shape, passes _real
+    # unchanged, so it skips the call
+    if out.dtype != float or out.shape != shape:
+        out = _real(name, out, shape)
+    if not np.isfinite(out).all():
+        raise _non_finite(name, t)
+    return out
+
+
+def _checked_rows(name: str, fn: Callable, zs: Array, t: float, shape: tuple) -> Array:
+    """``fn(z, t)`` for each row z of the float stack ``zs``, stacked; checked as :func:`_checked`.
+
+    The loop adapter of a callable that takes one point: ``fn`` is called
+    once per row, in order.  Each result's dtype and shape are tested as
+    it arrives, so a row of another shape raises the shape error at that
+    row, not numpy's error for a ragged stack; finiteness is tested once
+    over the stacked results, so a non-finite row raises only after every
+    row has been evaluated.  The errors read as :func:`_checked`'s.
+    """
+    out = np.empty((len(zs),) + shape)
+    for k, z in enumerate(zs):
+        out[k] = _real(name, fn(z, t), shape)
+    if not np.isfinite(out).all():
+        raise _non_finite(name, t)
+    return out
+
+
+def _real(name: str, out, shape: tuple) -> Array:
+    """``out`` as a float array; EvaluationError unless of a real dtype and of ``shape``."""
+    out = np.asarray(out)
     if out.dtype != float:
         if out.dtype.kind not in "biuf":
             raise EvaluationError(f"{name} must return real numbers, got dtype {out.dtype}")
         out = out.astype(float)
     if out.shape != shape:
         raise EvaluationError(f"{name} must return shape {shape}, got {out.shape}")
-    if not np.isfinite(out).all():
-        raise EvaluationError(f"{name} returned non-finite values at t={t}")
     return out
+
+
+def _non_finite(name: str, t: float) -> EvaluationError:
+    """The error for a result of ``name`` at time ``t`` with an entry that is not finite."""
+    return EvaluationError(f"{name} returned non-finite values at t={t}")
 
 
 def _content_cached(maxsize: int):

@@ -17,7 +17,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numdiff
-from .core import PhasePoint, _checked, _frozen, _HalfDim, _positive_int, _require_dim
+from .core import (
+    PhasePoint, _checked, _checked_rows, _frozen, _HalfDim, _positive_int, _require_dim,
+)
 from .errors import InconsistencyError
 
 Array = np.ndarray
@@ -40,13 +42,24 @@ class RawFirstOrderSystem(_HalfDim):
     def d_at(self, z: Array, t: float) -> Array:
         return _checked("D", self.D, z, t, (self.dim,))
 
+    def k_rows(self, zs: Array, t: float) -> Array:
+        """K at each row of the (m, dim) stack ``zs``, as one (m, dim, dim) stack."""
+        return _checked_rows("K", self.K, zs, t, (self.dim, self.dim))
+
+    def d_rows(self, zs: Array, t: float) -> Array:
+        """D at each row of the (m, dim) stack ``zs``, as one (m, dim) stack."""
+        return _checked_rows("D", self.D, zs, t, (self.dim,))
+
 
 @dataclass(frozen=True, eq=False)
 class SelfAdjointReport:
     """Worst-case violations of the three self-adjointness conditions.
 
-    ``*_at`` names where each worst violation sits, as (k, entry) with k
-    the index into the sample sequence that the caller passed to
+    Each violation is relative: the largest entry at a sample divided by
+    max(1, the largest entry of its terms there), as described in
+    :func:`check_self_adjointness`.  ``*_at`` names where each worst
+    violation sits, as (k, entry) with k the index into the sample
+    sequence that the caller passed to
     :func:`check_self_adjointness` (the samples are not stored): entry
     (i, j) of K + K^T for antisymmetry, the triple (i, j, m), i < j < m,
     of the cyclic sum for closure, and entry (i, j) of dK/dt - curl D for
@@ -74,11 +87,21 @@ def check_self_adjointness(
 ) -> SelfAdjointReport:
     """Evaluate the three self-adjointness conditions over sample points.
 
-    Derivatives are taken by central differences.  Returns the worst
-    violation of each condition over all samples; ``passed`` is true iff
-    all three stay within ``tol``, which must be finite and non-negative.
-    A NaN entry (a difference that overflowed, inf - inf) is the worst
-    violation of its condition, reported at its location, and fails.
+    Derivatives are taken by central differences; at each sample the
+    stencil of dK/dz is one batch of K rows, and that of dD/dz one batch of
+    D rows.  Each violation is measured relative to its terms at its
+    sample, as :func:`reconstruct_b`'s bound is: |K + K^T| against
+    max(1, |K|), the cyclic sum against max(1, |dK/dz|), and
+    |dK/dt - curl D| against max(1, |dK/dt|, |curl D|), each |.| the
+    largest entry.  So differences whose error grows with K (a K = e^{nu t} J
+    at large t) do not fail a self-adjoint system, and the floor of 1
+    keeps small terms on an absolute scale.  Returns the worst violation
+    of each condition over all samples; ``passed`` is true iff all three
+    stay within ``tol``, which must be finite and non-negative.  A NaN
+    entry (a difference that overflowed, inf - inf) is the worst violation
+    of its condition, reported at its location, and fails; a scale that is
+    not finite makes every other entry of that condition at that sample
+    read inf, so it fails too.
     """
     # written so that a NaN tol fails too
     if not 0.0 <= tol < np.inf:
@@ -93,22 +116,37 @@ def check_self_adjointness(
     for idx, p in enumerate(samples):
         _require_dim(raw, p.z)
         k = raw.k_at(p.z, p.t)
-        antisym = _worse(antisym, idx, np.abs(k + k.T))
+        antisym = _worse(antisym, idx, _relative(np.abs(k + k.T), k))
 
         # dk[i, j, m] = dK_ij/dz_m; cyc[i, j, m] is the cyclic sum
         # dk[i, j, m] + dk[j, m, i] + dk[m, i, j]
-        dk = numdiff.jacobian(lambda y: raw.k_at(y, p.t), p.z)
+        points, h = numdiff.stencil(p.z)
+        dk = numdiff.stencil_quotient(raw.k_rows(points, p.t), h)
         cyc = dk + dk.transpose(2, 0, 1) + dk.transpose(1, 2, 0)
-        closure = _worse(closure, idx, np.where(ordered, np.abs(cyc), 0.0))
+        closure = _worse(closure, idx, _relative(np.where(ordered, np.abs(cyc), 0.0), dk))
 
         dk_dt = numdiff.time_derivative(lambda s: raw.k_at(p.z, s), p.t)
-        jac_d = numdiff.jacobian(lambda y: raw.d_at(y, p.t), p.z)  # jac_d[i, j] = dD_i/dz_j
+        # jac_d[i, j] = dD_i/dz_j
+        jac_d = numdiff.stencil_quotient(raw.d_rows(points, p.t), h)
         curl = jac_d - jac_d.T
-        time_curl = _worse(time_curl, idx, np.abs(dk_dt - curl))
+        time_curl = _worse(time_curl, idx, _relative(np.abs(dk_dt - curl), dk_dt, curl))
 
     values, where = zip(antisym, closure, time_curl)
     # written so that a NaN violation fails too
     return SelfAdjointReport(*values, bool(np.max(values) <= tol), *where)
+
+
+def _relative(magnitudes: Array, *terms: Array) -> Array:
+    """``magnitudes`` / max(1, the largest |entry| of ``terms``); inf if that scale is not finite.
+
+    With a scale that is not finite (a difference that overflowed), a NaN
+    entry stays NaN and every other entry reads inf.
+    """
+    scale = float(np.max([1.0, *(np.max(np.abs(x)) for x in terms)]))
+    # written so that a NaN scale counts as not finite
+    if scale < np.inf:
+        return magnitudes / scale
+    return np.where(np.isnan(magnitudes), np.nan, np.inf)
 
 
 def _worse(worst: tuple, idx: int, magnitudes: Array) -> tuple:
@@ -137,16 +175,23 @@ def _gauss_legendre_01(nodes: int) -> Tuple[Array, Array]:
     return _frozen((x + 1.0) / 2.0), _frozen(w / 2.0)
 
 
-def _ray_integral(at: Callable[[Array], Array], z: Array, quad_nodes: int) -> Array:
-    """int_0^1 at(lam * z) dlam by the ``quad_nodes``-point Gauss-Legendre rule.
+def _ray_integral(at_rows: Callable[[Array], Array], ends: Array, quad_nodes: int) -> Array:
+    """int_0^1 at(lam * z) dlam for each row z of ``ends``, by a Gauss-Legendre rule.
 
-    The nodes' points lam_i * z are built as one (Q, dim) stack, ``at`` is
-    called once per row, and the weights are applied as one product.
-    ``quad_nodes`` must be a positive integer; it is checked before the
-    cached rule is looked up, since ``True`` hashes like 1.
+    ``ends`` is an (E, dim) stack of ray endpoints and ``at`` a vector
+    integrand, given on stacks: ``at_rows`` maps an (m, dim) stack of
+    points to the (m, k) stack of ``at``'s values, one batch of user calls.
+    The E * Q node points lam_i * z are built as one stack, ray by ray,
+    ``at_rows`` is called once on it, and the weights are applied as one
+    product, which gives each ray's sum bit for bit as a ray of its own
+    would.  The result is the (E, k) stack of the integrals.  The rule
+    has ``quad_nodes`` nodes, which must be a positive integer; it is
+    checked before the cached rule is looked up, since ``True`` hashes
+    like 1.
     """
     lam, wgt = _gauss_legendre_01(_positive_int("quad_nodes", quad_nodes))
-    return np.tensordot(wgt, np.stack([at(y) for y in lam[:, None] * z]), axes=1)
+    values = at_rows((ends[:, None, :] * lam[:, None]).reshape(-1, ends.shape[1]))
+    return wgt @ values.reshape(len(ends), lam.size, -1)
 
 
 def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32) -> Array:
@@ -163,7 +208,12 @@ def reconstruct_f(raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int = 32)
     system's.
     """
     _require_dim(raw, p.z)
-    return _ray_integral(lambda y: raw.k_at(y, p.t).T @ y, p.z, quad_nodes)
+
+    def integrand(ys: Array) -> Array:
+        # row k is y_k^T K(y_k, t) = (K(y_k, t)^T y_k)^T
+        return (ys[:, None, :] @ raw.k_rows(ys, p.t))[:, 0]
+
+    return _ray_integral(integrand, p.z[None], quad_nodes)[0]
 
 
 def reconstruct_b(
@@ -190,9 +240,11 @@ def reconstruct_b(
     every D: B(s z) = -int_0^s z . D(mu z) dmu.  So the radial part of
     the residual is u . dF/dt alone, which vanishes when K is
     antisymmetric, and only the dim - 1 directions across the ray are
-    differenced, with the step of :func:`numdiff.partial` scaled by
-    max(1, |z|_inf).  dF/dt is one time difference of
-    :func:`reconstruct_f`.  The largest entry of the residual
+    differenced, with the step of :func:`numdiff.stencil` scaled by
+    max(1, |z|_inf).  B's ray and the 2 (dim - 1) rays to the stencil's
+    points are one batch of D rows (7 x 32 for the 4-dimensional chain),
+    and each of the two :func:`reconstruct_f` calls of dF/dt, its one time
+    difference, is one batch of K rows.  The largest entry of the residual
     grad B + D + dF/dt must stay within
     1e-6 * max(1, |grad B|_inf, |D(p)|_inf, |dF/dt|_inf), a bound that
     scales with the input; a residual or a scale that is not finite
@@ -200,35 +252,51 @@ def reconstruct_b(
     ``ValueError`` before any evaluation.
     """
     _require_dim(raw, p.z)
-
-    def b_value(z: Array) -> float:
-        return 0.0 - float(z @ _ray_integral(lambda y: raw.d_at(y, p.t), z, quad_nodes))
-
-    value = b_value(p.z)
-    if check:
-        dft = numdiff.time_derivative(
-            lambda s: reconstruct_f(raw, PhasePoint(p.z, s), quad_nodes), p.t
+    if not check:
+        return float(_b_values(raw, p.z[None], p.t, quad_nodes)[0])
+    value, resid, bound = _b_residual(raw, p, quad_nodes)
+    # written so that a NaN residual or an infinite bound fails too
+    if not (resid <= bound < np.inf):
+        reason = (
+            f"exceeds {bound:.3e}; the input system is likely not self-adjoint"
+            if np.isfinite(resid)
+            else "is not finite; B or its gradient overflowed at this point"
         )
-        d_p = raw.d_at(p.z, p.t)
-        u, across = _ray_frame(p.z)
-        step = numdiff.FD_STEP * max(1.0, float(np.max(np.abs(p.z))))
-        slopes = numdiff.jacobian(
-            lambda c: b_value(p.z + across @ c), np.zeros(p.z.size - 1), step
+        raise InconsistencyError(
+            f"grad B does not match -(D + dF/dt): residual {resid:.3e} {reason}"
         )
-        grad = across @ slopes - (u @ d_p) * u
-        resid = float(np.max(np.abs(grad + d_p + dft)))
-        bound = _GRAD_TOL * float(np.max(np.abs(np.concatenate(([1.0], grad, d_p, dft)))))
-        # written so that a NaN residual or an infinite bound fails too
-        if not (resid <= bound < np.inf):
-            reason = (
-                f"exceeds {bound:.3e}; the input system is likely not self-adjoint"
-                if np.isfinite(resid)
-                else "is not finite; B or its gradient overflowed at this point"
-            )
-            raise InconsistencyError(
-                f"grad B does not match -(D + dF/dt): residual {resid:.3e} {reason}"
-            )
     return value
+
+
+def _b_values(raw: RawFirstOrderSystem, ends: Array, t: float, quad_nodes: int) -> Array:
+    """B at each row z of the (E, dim) stack ``ends``: -z . int_0^1 D(lam * z, t) dlam.
+
+    Every ray's nodes are one batch of D rows; +0.0, not -0.0, at the origin.
+    """
+    integrals = _ray_integral(lambda ys: raw.d_rows(ys, t), ends, quad_nodes)
+    return 0.0 - (ends[:, None, :] @ integrals[:, :, None])[:, 0, 0]
+
+
+def _b_residual(
+    raw: RawFirstOrderSystem, p: PhasePoint, quad_nodes: int
+) -> Tuple[float, float, float]:
+    """(B, residual, bound) of :func:`reconstruct_b`'s check at ``p``, which it does not apply."""
+    u, across = _ray_frame(p.z)
+    step = numdiff.FD_STEP * max(1.0, float(np.max(np.abs(p.z))))
+    coeffs, h = numdiff.stencil(np.zeros(p.z.size - 1), step)
+    # B's own ray first, then the rays to the stencil's points across it,
+    # mapped by a stack of matrix-vector products: a matrix-matrix product
+    # would touch BLAS's work buffer and raise the peak memory
+    ends = np.concatenate((p.z[None], p.z + (across @ coeffs[:, :, None])[:, :, 0]))
+    b = _b_values(raw, ends, p.t, quad_nodes)
+    dft = numdiff.time_derivative(
+        lambda s: reconstruct_f(raw, PhasePoint(p.z, s), quad_nodes), p.t
+    )
+    d_p = raw.d_at(p.z, p.t)
+    grad = across @ numdiff.stencil_quotient(b[1:], h) - (u @ d_p) * u
+    resid = float(np.max(np.abs(grad + d_p + dft)))
+    bound = _GRAD_TOL * float(np.max(np.abs(np.concatenate(([1.0], grad, d_p, dft)))))
+    return float(b[0]), resid, bound
 
 
 def _ray_frame(z: Array) -> Tuple[Array, Array]:

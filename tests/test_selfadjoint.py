@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birkhoff import (
+    EvaluationError,
     InconsistencyError,
     PhasePoint,
     RawFirstOrderSystem,
@@ -212,6 +213,31 @@ class TestCheckSelfAdjointness:
         assert np.isnan(report.max_violation)
         assert not report.passed
         assert report.antisymmetry_violation == report.closure_violation == 0.0
+
+    @pytest.mark.parametrize("t", [20.0, 40.0])
+    def test_large_self_adjoint_input_passes(self, t):
+        # K = e^{nu t} J: the differences' errors grow with K, and the
+        # absolute time-curl violation read 5.9e-6 at t = 20 (failing 1e-7)
+        # and 0.59 at t = 40; against max(1, |dK/dt|, |curl D|) it stays small
+        report = check_self_adjointness(oscillator_raw(), [PhasePoint([1.0, 1.0], t)])
+        assert report.passed
+        assert report.max_violation <= 1e-8
+
+    @pytest.mark.parametrize("t", [0.0, 5.0, 40.0])
+    def test_curl_break_growing_with_the_system_still_fails(self, t):
+        # 0.1 e^{nu t} z_1 added to D_2 breaks the time curl by as much, and
+        # |curl D| grows to 0.6 e^{nu t}: relative to max(1, 0.6 e^{nu t})
+        # the break reads 0.1 at t = 0 and 1/6 once the scale passes 1
+        base = oscillator_raw()
+        raw = RawFirstOrderSystem(
+            1, base.K, lambda z, s: base.D(z, s) + 0.1 * np.exp(NU * s) * np.array([0.0, z[0]])
+        )
+        report = check_self_adjointness(raw, [PhasePoint([1.0, 1.0], t)])
+        assert not report.passed
+        growth = np.exp(NU * t)
+        expected = 0.1 * growth / max(1.0, 0.6 * growth)
+        assert report.time_curl_violation == pytest.approx(expected, rel=1e-6)
+        assert report.time_curl_at == (0, (0, 1))
 
     def test_passing_is_monotone_in_tolerance(self, rng):
         raw = oscillator_raw(perturb=0.1)
@@ -515,3 +541,159 @@ def test_point_of_another_dimension_rejected_before_evaluation(fn):
     with pytest.raises(ValueError, match=message):
         fn(raw, PhasePoint(np.ones(4), 0.0))
     assert calls == []
+
+
+def loop_oracle(raw, p, quad_nodes=32):
+    """(F, B, residual, bound) at p by the per-row evaluation that the batches replaced.
+
+    Every node of every ray is one call of the system's single-point
+    ``k_at`` or ``d_at``, each ray's weights are applied by its own
+    ``tensordot``, and B is differenced across the ray by
+    ``numdiff.jacobian``, one point at a time.
+    """
+    lam, wgt = selfadjoint._gauss_legendre_01(quad_nodes)
+
+    def ray(at, z):
+        return np.tensordot(wgt, np.stack([at(y) for y in lam[:, None] * z]), axes=1)
+
+    def f_value(s):
+        return ray(lambda y: raw.k_at(y, s).T @ y, p.z)
+
+    def b_value(z):
+        return 0.0 - float(z @ ray(lambda y: raw.d_at(y, p.t), z))
+
+    u, across = selfadjoint._ray_frame(p.z)
+    step = numdiff.FD_STEP * max(1.0, float(np.max(np.abs(p.z))))
+    slopes = numdiff.jacobian(lambda c: b_value(p.z + across @ c), np.zeros(p.z.size - 1), step)
+    d_p = raw.d_at(p.z, p.t)
+    dft = numdiff.time_derivative(f_value, p.t)
+    grad = across @ slopes - (u @ d_p) * u
+    resid = float(np.max(np.abs(grad + d_p + dft)))
+    bound = 1e-6 * float(np.max(np.abs(np.concatenate(([1.0], grad, d_p, dft)))))
+    return f_value(p.t), b_value(p.z), resid, bound
+
+
+def assert_matches_loop_oracle(raw, p):
+    """F, B and the check's residual at p within 1e-13 of the oracle's, relative to their scales.
+
+    The residual's scale is the check's own, max(1, |grad B|, |D|, |dF/dt|).
+    """
+    f, b, resid, bound = loop_oracle(raw, p)
+    assert np.max(np.abs(reconstruct_f(raw, p) - f)) <= 1e-13 * np.max(np.abs(f))
+    assert abs(reconstruct_b(raw, p, check=False) - b) <= 1e-13 * abs(b)
+    value, got_resid, got_bound = selfadjoint._b_residual(raw, p, 32)
+    assert abs(value - b) <= 1e-13 * abs(b)
+    assert abs(got_resid - resid) <= 1e-13 * (bound / 1e-6)
+    assert abs(got_bound - bound) <= 1e-13 * bound
+
+
+class TestLoopOracle:
+    """The batched ray integrals and stencils against one call per point."""
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["self-adjoint", "curl-broken"])
+    def test_chain(self, broken, rng):
+        base = chain_raw()
+        raw = base
+        if broken:
+            raw = RawFirstOrderSystem(base.n, base.K, lambda y, s: base.D(y, s) + CURL @ y)
+        for p in sample_points(rng, 5, dim=4) + [PhasePoint([0.3, -0.2, 1e3, -400.0], 0.4)]:
+            assert_matches_loop_oracle(raw, p)
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4]), t=st.floats(0.0, 1.0))
+    def test_polynomial_systems(self, seed, dim, t):
+        rng = np.random.default_rng(seed)
+        raw = polynomial_raw(rng, dim)
+        z = rng.choice([-1.0, 1.0], dim) * rng.uniform(0.2, 1.0, dim)
+        assert_matches_loop_oracle(raw, PhasePoint(z, t))
+
+    def test_check_report_matches_per_point_differences(self, rng):
+        # the K and D stencils are one batch each; the report is bit for bit
+        # the one of numdiff.jacobian's per-point differences
+        raw = chain_raw()
+        for p in sample_points(rng, 5, dim=4):
+            dk = numdiff.jacobian(lambda y: raw.k_at(y, p.t), p.z)
+            jac_d = numdiff.jacobian(lambda y: raw.d_at(y, p.t), p.z)
+            points, h = numdiff.stencil(p.z)
+            np.testing.assert_array_equal(numdiff.stencil_quotient(raw.k_rows(points, p.t), h), dk)
+            np.testing.assert_array_equal(
+                numdiff.stencil_quotient(raw.d_rows(points, p.t), h), jac_d
+            )
+
+
+FAULT_POINT = PhasePoint([0.4, -0.3, 0.2, 0.5], 0.2)
+
+# the entry points, by the name a fault case gives them
+FAULT_ENTRIES = {
+    "reconstruct_f": lambda raw: reconstruct_f(raw, FAULT_POINT),
+    "reconstruct_b-value": lambda raw: reconstruct_b(raw, FAULT_POINT, check=False),
+    "reconstruct_b-check": lambda raw: reconstruct_b(raw, FAULT_POINT),
+    "check": lambda raw: check_self_adjointness(raw, [FAULT_POINT]),
+}
+
+# (entry, callable, index of the batch's first call of that callable, rows)
+# for the first batch of that callable the entry evaluates on the chain
+FAULT_BATCHES = [
+    pytest.param("reconstruct_f", "K", 0, 32, id="reconstruct_f-K"),
+    pytest.param("reconstruct_b-value", "D", 0, 32, id="reconstruct_b-value-D"),
+    # B's ray and the 6 rays across it
+    pytest.param("reconstruct_b-check", "D", 0, 224, id="reconstruct_b-check-D"),
+    # the first reconstruct_f of dF/dt
+    pytest.param("reconstruct_b-check", "K", 0, 32, id="reconstruct_b-check-K"),
+    # the stencil of dK/dz, after K at the sample
+    pytest.param("check", "K", 1, 8, id="check-K"),
+    pytest.param("check", "D", 0, 8, id="check-D"),
+]
+
+
+def _with_last_entry(value):
+    def fault(out):
+        out = out.copy()
+        out.flat[-1] = value
+        return out
+
+    return fault
+
+
+# fault -> (what the bad row returns instead of out, the error it raises
+# for a callable of result shape ``shape``); K of dF/dt is read at t +- h
+FAULTS = {
+    "nan": (_with_last_entry(np.nan), lambda shape: r"returned non-finite values at t=0\.2\d*$"),
+    "inf": (_with_last_entry(-np.inf), lambda shape: r"returned non-finite values at t=0\.2\d*$"),
+    "wrong-shape": (
+        lambda out: out[None],
+        lambda shape: re.escape(f"must return shape {shape}, got {(1,) + shape}") + "$",
+    ),
+    "ragged": (
+        lambda out: out[:-1],
+        lambda shape: re.escape(f"must return shape {shape}, got {(3,) + shape[1:]}") + "$",
+    ),
+    "complex": (
+        lambda out: out + 0j, lambda shape: "must return real numbers, got dtype complex128$"
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("entry, name, start, rows", FAULT_BATCHES)
+def test_bad_row_of_a_batch_raises_naming_the_callable(entry, name, start, rows, position, fault):
+    # a dtype or shape fault raises at its row; a non-finite one once the
+    # whole batch is in, since finiteness is tested over the stack.  No
+    # RuntimeWarning either way (the suite turns one into an error)
+    at_call = start + {"first": 0, "middle": rows // 2, "last": rows - 1}[position]
+    replace, message = FAULTS[fault]
+    message = message({"K": (4, 4), "D": (4,)}[name])
+    base = chain_raw()
+    good = getattr(base, name)
+    calls = []
+
+    def bad(z, t):
+        calls.append(t)
+        out = good(z, t)
+        return replace(out) if len(calls) - 1 == at_call else out
+
+    raw = RawFirstOrderSystem(base.n, **{"K": base.K, "D": base.D, name: bad})
+    with pytest.raises(EvaluationError, match=f"^{name} {message}"):
+        FAULT_ENTRIES[entry](raw)
+    assert len(calls) == (start + rows if fault in ("nan", "inf") else at_call + 1)
