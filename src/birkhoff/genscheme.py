@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from . import numdiff
-from .core import BirkhoffSystem, _content_cached, _positive_int, velocity
+from .core import BirkhoffSystem, _content_cached, _positive_int, _require_dim, velocity
 from .errors import EvaluationError, NewtonError
 from .newton import newton_solve
 from .transform import AlphaTransform, require_same_n, require_transversal
@@ -92,27 +92,25 @@ def _tau_series(terms, w: Array, tau: float) -> Array:
 def a_functional(
     sys: BirkhoffSystem,
     alpha: AlphaTransform,
-    w_hat: Array,
-    w: Array,
+    z_new: Array,
+    z_old: Array,
     t: float,
     t0: float,
-    image: Optional[Tuple[Array, Array]] = None,
 ) -> Tuple[Array, Array]:
     """Time-derivative functional of the generating gradient, as its two parts (u, g).
 
-    Recovers (z_new, z_old) through the inverse transform and returns
+    At the state pair (z_new, z_old), the inverse image of a point
+    (w_hat, w) at (t, t0), it returns
 
         u = A v(z_new, t) + d alpha_1/dt,    g = C v(z_new, t) + d alpha_2/dt,
 
     where v is the phase velocity.  The functional is affine in the
     gradient-map Jacobian S = d w_hat / d w: its value at S is u - S g,
     and along the exact flow that equals the partial time derivative of
-    the generating gradient.  A caller that already holds the inverse
-    image (z_new, z_old) of (w_hat, w) at (t, t0) passes it as ``image``.
+    the generating gradient.  A z_new or z_old whose length is not the
+    system's raises ``ValueError`` before any evaluation.
     """
-    w_hat = np.asarray(w_hat, dtype=float)
-    w = np.asarray(w, dtype=float)
-    z_new, z_old = alpha.inverse(w_hat, w, t, t0) if image is None else image
+    z_new, z_old = _require_dim(sys, z_new), _require_dim(sys, z_old)
     v = velocity(sys, z_new, t)
     a, _, c, _ = alpha.blocks(z_new, z_old, t, t0)
     d_alpha1, d_alpha2 = alpha.time_partials(z_new, z_old, t, t0)
@@ -151,7 +149,7 @@ def coefficients(
     Each point w is evaluated once, as one record (phi^(0), S, phi^(1),
     g, (A' - C')^{-1}) with S = d phi^(0)/dw and phi^(1) = u - S g from
     the functional's pair (u, g) of :func:`a_functional` at the identity
-    point, which reads the solve's own inverse image there; ``coeffs[0]``,
+    point, read at the inverse image the solve returns with it; ``coeffs[0]``,
     ``coeff_jacobians[0]`` and ``coeffs[1]`` all read it, so any of them
     costs one Newton solve, one set of inverse blocks and one functional
     evaluation at a fresh w.  That record and phi^(2) are memoized by the
@@ -188,13 +186,9 @@ def coefficients(
     def identity(w: Array) -> Tuple[Array, Array, Array, Array, Array]:
         # phi0, S = d phi0/dw, phi1 = u - S g, g and (A' - C')^{-1} at one
         # identity point.  phi0 solves z_new = z_old on the inverse image
-        # of (w_hat, w); the images the solve evaluates are kept, so the
-        # functional reads the one at phi0 instead of inverting again
-        images = {}
-
+        # of (w_hat, w), and the functional reads the image at phi0
         def image(w_hat):
-            images[w_hat.tobytes()] = out = alpha.inverse(w_hat, w, t0, t0)
-            return out
+            return alpha.inverse(w_hat, w, t0, t0)
 
         def s_system(w_hat):
             # (A', C') = d(z_new, z_old)/d w_hat, so A' - C' is the solve's
@@ -203,10 +197,10 @@ def coefficients(
             return require_transversal(a - c, "A' - C'"), d - b
 
         try:
-            phi0 = newton_solve(image, np.zeros_like(w), lambda x: s_system(x)[0])[0]
+            phi0, _, _, pair = newton_solve(image, np.zeros_like(w), lambda x, _: s_system(x)[0])
         except NewtonError as exc:
             raise EvaluationError(f"no identity point at w={w.tolist()}, t0={t0}: {exc}") from exc
-        u, g = a_functional(sys, alpha, phi0, w, t0, t0, images[phi0.tobytes()])
+        u, g = a_functional(sys, alpha, *pair, t0, t0)
         lhs_inv, rhs = s_system(phi0)
         s = lhs_inv @ rhs
         return phi0, s, u - s @ g, g, lhs_inv
@@ -236,7 +230,8 @@ def coefficients(
         dir1 = phi1_w - s_g
 
         def along(s):
-            u, g_s = a_functional(sys, alpha, phi0_w + s * dir1, w - s * g, t0 + s, t0)
+            image = alpha.inverse(phi0_w + s * dir1, w - s * g, t0 + s, t0)
+            u, g_s = a_functional(sys, alpha, *image, t0 + s, t0)
             a, b, c, d = alpha.inverse_blocks(phi0_w + s * s_g, w + s * g, t0, t0)
             return u - s0 @ g_s + lhs_inv @ ((d - b) @ g - (a - c) @ s_g)
 
@@ -253,20 +248,21 @@ def coefficients(
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:
     """Generic order-m scheme at t0, whose ``rebase`` is wired to ``coefficients``.
 
-    ``rebase`` keeps the latest scheme it built, at first the one at t0,
-    and returns that same scheme when asked for its time again, so a
-    step and its step Jacobian from one grid point share their
-    coefficient evaluations; a run asks for each grid time in turn and
-    never goes back, so older schemes are dropped.  The kept scheme
-    holds ``rebase``, which holds it, so that pair is freed by the
-    cyclic garbage collector once nothing else refers to it.
+    The schemes of one ``make_scheme`` call share a memo of the latest
+    coefficient pair, at first the one at t0: a scheme rebased at that
+    time again holds the same coefficients, so a step and its step
+    Jacobian from one grid point share their coefficient evaluations; a
+    run asks for each grid time in turn and never goes back, so older
+    pairs are dropped.  Nothing in the memo refers back to a scheme, so
+    the last scheme dropped frees the pair by reference count.
     """
+    expand = functools.lru_cache(maxsize=1)(lambda s: coefficients(sys, alpha, s, m))
+    return _rebased(alpha, expand, t0)
 
-    @functools.lru_cache(maxsize=1)
-    def rebase(s: float) -> GeneratingScheme:
-        return GeneratingScheme(alpha, *coefficients(sys, alpha, float(s), m), rebase)
 
-    return rebase(float(t0))
+def _rebased(alpha: AlphaTransform, expand: Callable, t0: float) -> GeneratingScheme:
+    """The scheme of the coefficient pair ``expand(t0)``, rebased by this function again."""
+    return GeneratingScheme(alpha, *expand(float(t0)), functools.partial(_rebased, alpha, expand))
 
 
 def hj_rhs(

@@ -33,7 +33,7 @@ _HUGE = 1e150
 
 
 def newton_solve(terms, x0, inverse, _start=None):
-    """Solve ``u(x) = v(x)`` starting from ``x0``, where ``terms(x) = (u, v)``.
+    """Solve ``u(x) = v(x)`` starting from ``x0``, where ``terms(x) = (u, v, *data)``.
 
     Quasi-Newton with one stopping rule: stop at ``TOL * scale``, or below
     ``sqrt(TOL) * scale`` when an update from a fresh matrix no longer
@@ -55,8 +55,8 @@ def newton_solve(terms, x0, inverse, _start=None):
     stop: a start already at its target returns with no update and no
     matrix, and one whose residual is exactly 0 before its scale is read.
     An update subtracts the inverse in use times u - v.
-    ``inverse`` and ``_start`` are called only at an x where ``terms``
-    has been evaluated, so a caller may read what ``terms`` computed there.
+    ``inverse`` and ``_start`` receive, with x, the evaluation
+    ``terms(x)`` the solve made there, so they can read what it computed.
 
     The residual is u - v.  Its target scales with the terms it is the
     difference of, read off the first evaluation, the one at ``x0``:
@@ -67,14 +67,16 @@ def newton_solve(terms, x0, inverse, _start=None):
     Parameters
     ----------
     terms : callable
-        Maps a length-d vector x to the pair (u, v) of length-d vectors.
+        Maps a length-d vector x to a tuple ``(u, v, *data)``: the
+        length-d vectors u and v, then anything the caller wants back.
     x0 : array
         Initial guess.
     inverse : callable
-        Maps x to the inverse of the d x d Jacobian of the residual u - v.
+        Maps ``(x, terms(x))`` to the inverse of the d x d Jacobian of the
+        residual u - v.
     _start : callable, optional
-        Private hook: maps ``x0`` to the inverse of the first matrix, in
-        place of ``inverse``.  The updates need only a start that
+        Private hook: maps ``(x0, terms(x0))`` to the inverse of the first
+        matrix, in place of ``inverse``.  The updates need only a start that
         contracts, so this may be a cheap approximation.  It counts as
         stale from the outset: ``inverse`` replaces it after an update
         that fails to cut the residual 4x, and before any stop at the
@@ -82,26 +84,27 @@ def newton_solve(terms, x0, inverse, _start=None):
 
     Returns
     -------
-    (x, residual_norm, iterations)
-        ``iterations`` counts the updates taken.
+    (x, residual_norm, iterations, evaluation)
+        ``iterations`` counts the updates taken, and ``evaluation`` is
+        ``terms(x)`` at the returned x, never that of an update turned down.
 
     Raises :class:`NewtonError`, carrying the last iterate and its residual
     norm, on a non-finite update or more than MAX_ITER iterations.
     """
     x = np.array(x0, dtype=float)
 
-    def residual(u, v):
+    def residual(u, v, *_):
         # u - v and its inf-norm; non-finite residuals must read as "far
         # from converged"
         res = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
         value = float(np.max(np.abs(res)))
         return res, value if np.isfinite(value) else np.inf
 
-    u0, v0 = terms(x)
-    r, rnorm = residual(u0, v0)
+    ev = terms(x)
+    r, rnorm = residual(*ev)
     if rnorm == 0.0:
-        return x, rnorm, 0
-    sizes = np.abs(np.concatenate((x, u0, v0), dtype=float))
+        return x, rnorm, 0, ev
+    sizes = np.abs(np.concatenate((x, ev[0], ev[1]), dtype=float))
     top = float(sizes.max())
     # a non-finite start term must not lift the target to infinity; written
     # so that a NaN maximum takes the masked one too
@@ -117,14 +120,15 @@ def newton_solve(terms, x0, inverse, _start=None):
         if iters >= MAX_ITER:
             raise NewtonError("Newton iteration did not converge", x, rnorm, iters)
         if inv is None and _start is not None:
-            inv, _start = _start(x), None
+            inv, _start = _start(x, ev), None
         elif inv is None:
-            inv, fresh = inverse(x), True
+            inv, fresh = inverse(x, ev), True
         delta = inv @ r
         if not np.all(np.isfinite(delta)):
             raise NewtonError("non-finite Newton update", x, rnorm, iters)
         x_new = x - delta
-        r_new, new_norm = residual(*terms(x_new))
+        ev_new = terms(x_new)
+        r_new, new_norm = residual(*ev_new)
         if new_norm >= rnorm and rnorm <= floor:
             if fresh:
                 break
@@ -141,7 +145,7 @@ def newton_solve(terms, x0, inverse, _start=None):
             yy = y @ y
             if yy > (_EPS * rnorm) ** 2:
                 inv = inv - np.outer(delta + inv @ y, y / yy)
-        x, r, rnorm = x_new, r_new, new_norm
+        x, r, rnorm, ev = x_new, r_new, new_norm, ev_new
         iters += 1
         fresh = False
-    return x, rnorm, iters
+    return x, rnorm, iters, ev

@@ -107,17 +107,13 @@ def step(
     require_same_n(alpha, sys)
     t1 = t_k + tau
 
-    # alpha_2 at each iterate the solve evaluates; Newton asks for a matrix
-    # only at such an iterate, so the matrix reads w from here
-    images = {}
-
     def terms(z_new):
+        # w = alpha_2 rides along, so each Newton matrix reads it
         a1, a2 = alpha.forward(z_new, z, t1, t_k)
-        images[z_new.tobytes()] = a2
-        return a1, sch.psi_w(a2, tau)
+        return a1, sch.psi_w(a2, tau), a2
 
     def newton_matrix(series):
-        return lambda y: _linearization(sch, series, y, z, t_k, tau, images[y.tobytes()])[0]
+        return lambda y, ev: _linearization(sch, series, y, z, t_k, tau, ev[2])[0]
 
     # the first matrix is A - phi_ww^(0) C, read from the identity record
     start = newton_matrix(sch.coeff_jacobians[:1])

@@ -171,15 +171,15 @@ def test_traced_newton_solve_matches_and_counts_its_evaluations(tracing):
         evals.append(x.copy())
         return np.array([x[0] ** 2 + x[1] ** 2, np.exp(x[0]) + x[1]]), np.array([4.0, 1.0])
 
-    def inverse(x):
+    def inverse(x, ev):
         return np.linalg.inv(np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0]), 1.0]]))
 
-    x, rnorm, iters = newton_solve(terms, [3.0, -5.0], inverse)
+    x, rnorm, iters, _ = newton_solve(terms, [3.0, -5.0], inverse)
     untraced_evals = len(evals)
     tracer = tracing.Tracer()
     out = tracer.wrap_newton("newton.step", newton_solve)(terms, [3.0, -5.0], inverse)
     np.testing.assert_array_equal(out[0], x)
-    assert out[1:] == (rnorm, iters)
+    assert out[1:3] == (rnorm, iters)
     assert [solve[:4] for solve in tracer.solves] == [("step", None, iters, untraced_evals)]
 
 
@@ -201,12 +201,12 @@ def test_traced_step_solve_matches_and_counts_one_evaluation_per_update(tracing,
     system = oscillator_system(0.5)
     scheme = make_scheme(system, oscillator_alpha(0.5), 0.3, 2)
     step(system, scheme, np.array([0.7, -1.3]), 0.3, 0.1)
-    [(args, kwargs, (x, rnorm, iters))] = solves
+    [(args, kwargs, (x, rnorm, iters, _))] = solves
     assert iters == 4
     tracer = tracing.Tracer()
     out = tracer.wrap_newton("newton.step", newton_solve)(*args, **kwargs)
     np.testing.assert_array_equal(out[0], x)
-    assert out[1:] == (rnorm, iters)
+    assert out[1:3] == (rnorm, iters)
     assert [solve[:4] for solve in tracer.solves] == [("step", None, iters, iters + 1)]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import weakref
 
@@ -246,7 +247,8 @@ class TestAFunctional:
         for _ in range(10):
             w = rng.uniform(-2, 2, 2)
             t0 = rng.uniform(0, 2)
-            u, g = a_functional(osc_system, osc_alpha, np.zeros(2), w, t0, t0)
+            image = osc_alpha.inverse(np.zeros(2), w, t0, t0)
+            u, g = a_functional(osc_system, osc_alpha, *image, t0, t0)
             assert np.max(np.abs(u - closed_phi1(NU, t0, w))) <= 1e-12
             rate = 0.5 * np.array([-np.exp(-NU * t0) * w[1], np.exp(NU * t0) * w[0]])
             assert np.max(np.abs(g - rate)) <= 1e-12
@@ -255,9 +257,34 @@ class TestAFunctional:
         sys0 = oscillator_system(0.0)
         alpha0 = oscillator_alpha(0.0)
         w_hat, w = alpha0.forward(np.zeros(2), np.zeros(2), 0.4, 0.4)
-        u, g = a_functional(sys0, alpha0, w_hat, w, 0.4, 0.4)
+        u, g = a_functional(sys0, alpha0, *alpha0.inverse(w_hat, w, 0.4, 0.4), 0.4, 0.4)
         np.testing.assert_allclose(u, np.zeros(2), atol=1e-14)
         np.testing.assert_allclose(g, np.zeros(2), atol=1e-14)
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (2, 1)], ids=str)
+    def test_state_of_another_length_raises_before_any_evaluation(self, lengths):
+        # the oscillator's darboux_alpha reads z_old in neither its blocks
+        # nor its time partials, so a short z_old would pass unseen
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapped
+
+        base, base_alpha = oscillator_system(NU), oscillator_alpha(NU)
+        system = dataclasses.replace(base, K=counted("K", base.K), D=counted("D", base.D))
+        alpha = dataclasses.replace(
+            base_alpha,
+            blocks=counted("blocks", base_alpha.blocks),
+            time_partials=counted("time_partials", base_alpha.time_partials),
+        )
+        z_new, z_old = (np.ones(k) for k in lengths)
+        with pytest.raises(ValueError, match="does not match system dimension"):
+            a_functional(system, alpha, z_new, z_old, 0.4, 0.1)
+        assert calls == []
 
     def test_matches_direct_rate_difference(self, osc_system, osc_alpha, rng):
         # independent oracle: rates of the transformed flow written out by
@@ -280,7 +307,7 @@ class TestAFunctional:
                     0.25 * e_p * w_hat[1] + 0.5 * e_p * w[0],
                 ]
             )
-            u, g = a_functional(osc_system, osc_alpha, w_hat, w, t, t0)
+            u, g = a_functional(osc_system, osc_alpha, *osc_alpha.inverse(w_hat, w, t, t0), t, t0)
             assert np.max(np.abs(u - rate_hat)) <= 1e-8
             assert np.max(np.abs(g - rate)) <= 1e-8
 
@@ -578,11 +605,24 @@ class TestAssemblePsi:
                 -(tau + NU * tau**2 / 2) * np.exp(NU * t0) * w[0], abs=1e-9
             )
 
-    def test_scheme_rebased_at_its_own_time_is_itself(self, osc_system, osc_alpha):
-        # make_scheme's rebase keeps the scheme it built, so a step at t0
-        # re-expands nothing
+    def test_scheme_rebased_at_its_own_time_shares_its_coefficients(
+        self, osc_system, osc_alpha, monkeypatch
+    ):
+        # make_scheme's rebase keeps the coefficients it built, so a step
+        # at t0 re-expands nothing
         scheme = make_scheme(osc_system, osc_alpha, 0.3, 2)
-        assert scheme.rebase(0.3) is scheme
+        built = []
+        build = genscheme.coefficients
+
+        def counted(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(genscheme, "coefficients", counted)
+        rebased = scheme.rebase(0.3)
+        assert built == []
+        assert rebased.coeffs is scheme.coeffs
+        assert rebased.coeff_jacobians is scheme.coeff_jacobians
 
     def test_rebase_reexpands_at_new_time(self, osc_system, osc_alpha, rng):
         scheme = make_scheme(osc_system, osc_alpha, 0.0, 1)
@@ -610,6 +650,20 @@ class TestAssemblePsi:
 
 
 class TestMakeScheme:
+    def test_dropped_scheme_frees_its_expansion_by_reference_count(self, osc_system, osc_alpha):
+        # nothing in the memo of the latest expansion refers back to a
+        # scheme, so it goes with the last scheme, without the cyclic
+        # garbage collector
+        gc.disable()
+        try:
+            scheme = make_scheme(osc_system, osc_alpha, 0.0, 2)
+            rebased = scheme.rebase(0.1)
+            kept = weakref.ref(rebased.coeffs[0])
+            del scheme, rebased
+            assert kept() is None
+        finally:
+            gc.enable()
+
     def test_certified_run_keeps_only_the_latest_expansion(
         self, osc_system, osc_alpha, monkeypatch
     ):

@@ -22,11 +22,11 @@ class TestNewtonSolve:
     def test_far_start_converges_with_stale_jacobian_refreshes(self):
         calls = []
 
-        def inverse(x):
+        def inverse(x, ev):
             calls.append(x.copy())
             return np.linalg.inv(np.array([[2.0 * x[0], 2.0 * x[1]], [np.exp(x[0]), 1.0]]))
 
-        x, rnorm, iters = newton_solve(circle_and_exponential, [3.0, -5.0], inverse)
+        x, rnorm, iters, _ = newton_solve(circle_and_exponential, [3.0, -5.0], inverse)
         # the start's terms set the scale: u(x0) = (34, e^3 - 5)
         assert rnorm <= TOL * 34.0
         u, v = circle_and_exponential(x)
@@ -47,11 +47,11 @@ class TestNewtonSolve:
             evals.append(y[0])
             return y + y**2 / 20.0, np.full(1, 0.5)
 
-        def inverse(y):
+        def inverse(y, ev):
             jac_points.append(y[0])
             return np.array([[0.5]])
 
-        x, rnorm, iters = newton_solve(terms, np.zeros(1), inverse)
+        x, rnorm, iters, _ = newton_solve(terms, np.zeros(1), inverse)
         assert 0.0 < rnorm <= TOL
         assert iters == 5
         assert len(evals) == iters + 1
@@ -68,10 +68,10 @@ class TestNewtonSolve:
             evals.append(y.copy())
             return y, np.full(1, 1.0 + TOL / 2)
 
-        def inverse(y):
+        def inverse(y, ev):
             raise AssertionError("matrix evaluated at a converged start")
 
-        x, rnorm, iters = newton_solve(terms, np.ones(1), inverse)
+        x, rnorm, iters, _ = newton_solve(terms, np.ones(1), inverse)
         np.testing.assert_array_equal(x, [1.0])
         assert 0.0 < rnorm <= TOL
         assert iters == 0
@@ -80,7 +80,7 @@ class TestNewtonSolve:
     def test_iteration_cap_raises(self):
         # a constant residual has no root: every update moves x, none helps
         with pytest.raises(NewtonError) as info:
-            newton_solve(lambda y: (np.ones(1), np.zeros(1)), np.zeros(1), lambda y: np.eye(1))
+            newton_solve(lambda y: (np.ones(1), np.zeros(1)), np.zeros(1), lambda y, _: np.eye(1))
         assert info.value.iterations == MAX_ITER
         assert info.value.residual_norm == 1.0
         np.testing.assert_array_equal(info.value.last_iterate, [-float(MAX_ITER)])
@@ -93,7 +93,7 @@ class TestNewtonSolve:
             return (scale * y if y[0] < 1.0 else np.full(1, np.nan)), np.full(1, 2.0 * scale)
 
         with pytest.raises(NewtonError) as info:
-            newton_solve(terms, np.zeros(1), lambda y: np.eye(1) / scale)
+            newton_solve(terms, np.zeros(1), lambda y, _: np.eye(1) / scale)
         assert info.value.residual_norm == np.inf
         np.testing.assert_array_equal(info.value.last_iterate, [2.0])
 
@@ -103,17 +103,55 @@ class TestNewtonSolve:
         def terms(y):
             return y + 1e-10 * (zlib.crc32(y.tobytes()) / 2**31 - 1), np.full(1, 2.0)
 
-        x, rnorm, iters = newton_solve(terms, np.zeros(1), lambda y: np.eye(1))
+        x, rnorm, iters, _ = newton_solve(terms, np.zeros(1), lambda y, _: np.eye(1))
         assert iters <= 5
         assert rnorm <= np.sqrt(TOL)
         u, v = terms(x)
         assert np.max(np.abs(u - v)) == rnorm
 
+    def test_returns_the_evaluation_of_its_iterate_not_of_a_turned_down_update(self):
+        # the noisy solve above turns down two updates at its last iterate,
+        # one from the stale matrix and then one from a fresh matrix, which
+        # ends it: its last evaluation is at a turned-down point, and the
+        # evaluation it returns, data included, is the one at x
+        points = []
+
+        def terms(y):
+            points.append(y.copy())
+            noise = 1e-10 * (zlib.crc32(y.tobytes()) / 2**31 - 1)
+            return y + noise, np.full(1, 2.0), y.copy()
+
+        x, rnorm, iters, ev = newton_solve(terms, np.zeros(1), lambda y, _: np.eye(1))
+        assert len(points) == iters + 3
+        assert points[-1][0] != x[0]
+        np.testing.assert_array_equal(ev[2], x)
+        assert np.max(np.abs(ev[0] - ev[1])) == rnorm
+
+    def test_matrices_receive_the_evaluation_at_their_point(self):
+        # the start matrix and every refresh are handed terms(x) at the x
+        # they are asked for, the start matrix at x0
+        asked = []
+
+        def terms(x):
+            u, v = circle_and_exponential(x)
+            return u, v, x.copy()
+
+        def record(x, ev):
+            np.testing.assert_array_equal(ev[2], x)
+            asked.append(x.copy())
+            return circle_inverse(x)
+
+        x, rnorm, iters, ev = newton_solve(terms, [3.0, -5.0], record, _start=record)
+        assert rnorm <= TOL * 34.0
+        np.testing.assert_array_equal(asked[0], [3.0, -5.0])
+        assert len(asked) > 1
+        np.testing.assert_array_equal(ev[2], x)
+
     def test_non_finite_start_term_does_not_lift_the_target(self):
         # an infinite term at the start leaves the scale at its finite
         # entries; a target of TOL * inf would accept the infinite residual
         with pytest.raises(NewtonError) as info:
-            newton_solve(lambda y: (np.full(1, np.inf), y), np.zeros(1), lambda y: np.eye(1))
+            newton_solve(lambda y: (np.full(1, np.inf), y), np.zeros(1), lambda y, _: np.eye(1))
         assert info.value.residual_norm == np.inf
         assert info.value.iterations == 0
 
@@ -124,7 +162,7 @@ class TestNewtonSolve:
         def terms(y):
             return 1e8 * (y + y**2 / 20.0), np.full(1, 0.5e8)
 
-        x, rnorm, iters = newton_solve(terms, np.zeros(1), lambda y: np.array([[0.5e-8]]))
+        x, rnorm, iters, _ = newton_solve(terms, np.zeros(1), lambda y, _: np.array([[0.5e-8]]))
         assert TOL < rnorm <= TOL * 1e8
         assert iters == 5
         assert abs(x[0] - (np.sqrt(110.0) - 10.0)) <= TOL
@@ -135,15 +173,15 @@ class TestNewtonSolve:
         # first iterate, and lands on the root
         starts, jac_points = [], []
 
-        def start(y):
+        def start(y, ev):
             starts.append(y[0])
             return np.array([[0.5]])
 
-        def inverse(y):
+        def inverse(y, ev):
             jac_points.append(y[0])
             return np.eye(1)
 
-        x, rnorm, iters = newton_solve(shifted(1.0), np.zeros(1), inverse, _start=start)
+        x, rnorm, iters, _ = newton_solve(shifted(1.0), np.zeros(1), inverse, _start=start)
         assert (x[0], rnorm, iters) == (1.0, 0.0, 2)
         assert starts == [0.0]
         assert jac_points == [0.5]
@@ -155,17 +193,17 @@ class TestNewtonSolve:
         # matrix it is stale, so the exact one is fetched at the same point
         # and meets the target
         x0 = np.array([1.0 + 1e-9])
-        x, rnorm, iters = newton_solve(shifted(1.0), x0, lambda y: -np.eye(1))
+        x, rnorm, iters, _ = newton_solve(shifted(1.0), x0, lambda y, _: -np.eye(1))
         np.testing.assert_array_equal(x, x0)
         assert (rnorm, iters) == (x0[0] - 1.0, 0)
 
         jac_points = []
 
-        def inverse(y):
+        def inverse(y, ev):
             jac_points.append(y.copy())
             return np.eye(1)
 
-        x, rnorm, iters = newton_solve(shifted(1.0), x0, inverse, _start=lambda y: -np.eye(1))
+        x, rnorm, iters, _ = newton_solve(shifted(1.0), x0, inverse, _start=lambda y, _: -np.eye(1))
         assert (x[0], rnorm, iters) == (1.0, 0.0, 1)
         np.testing.assert_array_equal(jac_points, [x0])
 
@@ -205,12 +243,14 @@ class TestBroydenUpdate:
             mapped.append(q @ x)
             return circle_and_exponential(q @ x)
 
-        x, rnorm, iters = newton_solve(terms, x0, circle_inverse, _start=lambda x: start)
-        y, ynorm, yiters = newton_solve(
+        x, rnorm, iters, _ = newton_solve(
+            terms, x0, lambda x, _: circle_inverse(x), _start=lambda x, _: start
+        )
+        y, ynorm, yiters, _ = newton_solve(
             mapped_terms,
             q_inv @ x0,
-            lambda y: q_inv @ circle_inverse(q @ y),
-            _start=lambda y: q_inv @ start,
+            lambda y, _: q_inv @ circle_inverse(q @ y),
+            _start=lambda y, _: q_inv @ start,
         )
         assert iters == yiters > 5
         assert len(points) == len(mapped)
@@ -237,7 +277,7 @@ class TestBroydenUpdate:
         inv = np.array([[1.0, 0.5], [0.0, 2.0]]) / max(1.0, abs(r0[0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            newton_solve(terms, np.zeros(2), lambda x: inv)
+            newton_solve(terms, np.zeros(2), lambda x, _: inv)
         assert len(points) == 3
         np.testing.assert_array_equal(points[2], points[1] - inv @ np.array(r1))
 
@@ -249,7 +289,7 @@ class TestBroydenUpdate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NewtonError, match="non-finite Newton update") as info:
-                newton_solve(terms, np.zeros(2), lambda x: np.eye(2))
+                newton_solve(terms, np.zeros(2), lambda x, _: np.eye(2))
         assert info.value.iterations == 1
         np.testing.assert_array_equal(info.value.last_iterate, [-1.0, -1.0])
 
@@ -261,14 +301,14 @@ class TestBroydenUpdate:
         kept = start.copy()
         refreshed = []
 
-        def inverse(x):
+        def inverse(x, ev):
             out = circle_inverse(x)
             out.flags.writeable = False
             refreshed.append((out, out.copy()))
             return out
 
-        x, rnorm, iters = newton_solve(
-            circle_and_exponential, [3.0, -5.0], inverse, _start=lambda x: start
+        x, rnorm, iters, _ = newton_solve(
+            circle_and_exponential, [3.0, -5.0], inverse, _start=lambda x, _: start
         )
         assert iters > 5 and rnorm <= TOL * 34.0
         np.testing.assert_array_equal(start, kept)

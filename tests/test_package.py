@@ -131,3 +131,23 @@ def test_the_nonsingularity_gate_makes_every_linear_algebra_call():
             ):
                 found.append(f"{where} import of linalg")
     assert not found, f"linear algebra outside core._det_gate: {found}"
+
+
+def test_content_memo_is_the_one_bytes_keyed_table():
+    # core._content_cached keys its memo by an array's bytes; a second
+    # table keyed that way would be a second memo mechanism, with its own
+    # rules for views, mutation and eviction
+    package = Path(birkhoff.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        memo = set()
+        if path.name == "core.py":
+            [fn] = [n for n in tree.body if getattr(n, "name", None) == "_content_cached"]
+            memo = set(map(id, ast.walk(fn)))
+        found += [
+            f"{path.relative_to(package)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "tobytes" and id(node) not in memo
+        ]
+    assert not found, f".tobytes() outside core._content_cached: {found}"
