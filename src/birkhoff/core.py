@@ -130,6 +130,18 @@ class BirkhoffSystem(_HalfDim):
         gb = numdiff.gradient(lambda y: self.b_at(y, t), z)
         return -(gb + numdiff.time_derivative(lambda s: self.f_at(z, s), t))
 
+    def k_rows(self, zs: Array, t: float) -> Array:
+        """:meth:`k_at` at each row of the float stack ``zs``, stacked: one call to K per row."""
+        if self.K is None:
+            return np.stack([self.k_at(z, t) for z in zs])
+        return _checked_rows("K", self.K, zs, t, (self.dim, self.dim))
+
+    def d_rows(self, zs: Array, t: float) -> Array:
+        """:meth:`d_at` at each row of the float stack ``zs``, stacked: one call to D per row."""
+        if self.D is None:
+            return np.stack([self.d_at(z, t) for z in zs])
+        return _checked_rows("D", self.D, zs, t, (self.dim,))
+
 
 def _positive_int(name: str, value) -> int:
     """``value`` as an int; ValueError unless it is an integer (not a bool) of at least 1.
@@ -281,12 +293,14 @@ def require_nonsingular(mat: Array, error: Callable[[float], Exception]) -> Arra
     """M^{-1} for a ``mat`` M that passes :func:`det_nonzero`; else raise ``error(det)``.
 
     ``det`` is |det| of ``mat`` with each row divided by its max-abs
-    entry, the quantity the test uses.  The inverse is memoized with the
-    verdict by the content of ``mat`` and shared, so it is read-only.
+    entry, the quantity the test uses, or NaN when an entry of ``mat``
+    is not finite, so that ``error`` can tell that case from a singular
+    matrix.  The inverse is memoized with the verdict by the content of
+    ``mat`` and shared, so it is read-only.
     """
     margin, inv = _det_gate(mat)
     if inv is None:
-        raise error(math.exp(margin))
+        raise error(math.exp(margin) if np.isfinite(mat).all() else math.nan)
     return inv
 
 
@@ -300,8 +314,22 @@ def velocity(sys: BirkhoffSystem, z: Array, t: float) -> Array:
     that comes back unchanged (a time-only K, at one t) is inverted once.
     """
     z = _require_dim(sys, z)
-    k = sys.k_at(z, t)
-    k_inv = require_nonsingular(
+    return _k_inverse(sys.k_at(z, t), t) @ -sys.d_at(z, t)
+
+
+def _velocity_rows(sys: BirkhoffSystem, zs: Array, t: float) -> Array:
+    """:func:`velocity` at each row of the float stack ``zs``, stacked.
+
+    K and D are called once per row (:meth:`BirkhoffSystem.k_rows`,
+    :meth:`BirkhoffSystem.d_rows`), and every K is gated, as in
+    :func:`velocity`, before D is evaluated.
+    """
+    k_inv = np.stack([_k_inverse(k, t) for k in sys.k_rows(zs, t)])
+    return (k_inv @ -sys.d_rows(zs, t)[:, :, None])[:, :, 0]
+
+
+def _k_inverse(k: Array, t: float) -> Array:
+    """K^{-1}, shared and read-only; :class:`RegularityError` unless K passes the test."""
+    return require_nonsingular(
         k, lambda det: RegularityError(f"structure matrix singular at t={t}", det)
     )
-    return k_inv @ -sys.d_at(z, t)

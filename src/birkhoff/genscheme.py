@@ -18,6 +18,11 @@ phi_ww^(1) g = DF (S0 g, g, 0) - S'[g] g, so the chain rule reads
 one derivative of F along one direction of its (w_hat, w, t) slots plus
 S'[g] g, which vanishes when the identity map is affine.
 
+A transform built by ``darboux_alpha`` (recognised by its callables, see
+:func:`coefficients`) has the identity map w_hat = 0, so phi^(0) = 0,
+S = 0, phi^(1) = u and phi^(2) = (1/2) Du (phi^(1), -g, 1) in closed
+form: no identity solve, no inverse blocks and no S terms.
+
 Truncating after order m and substituting the step size tau for (t - t0)
 defines an implicit one-step scheme of order m whose step map preserves
 the K-pairing.
@@ -32,10 +37,12 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import numdiff
-from .core import BirkhoffSystem, _content_cached, _positive_int, _require_dim, velocity
+from .core import (
+    BirkhoffSystem, _content_cached, _frozen, _positive_int, _require_dim, _velocity_rows, velocity,
+)
 from .errors import EvaluationError, NewtonError
 from .newton import newton_solve
-from .transform import AlphaTransform, require_same_n, require_transversal
+from .transform import AlphaTransform, _is_darboux, require_same_n, require_transversal
 
 Array = np.ndarray
 
@@ -117,47 +124,64 @@ def a_functional(
     return a @ v + d_alpha1, c @ v + d_alpha2
 
 
+def _finite(name: str, value: Array, w: Array, t0: float) -> Array:
+    """``value``; :class:`EvaluationError` naming the coefficient, w and t0 unless it is finite."""
+    if not np.isfinite(value).all():
+        raise EvaluationError(f"{name} is not finite at w={w.tolist()}, t0={t0}")
+    return value
+
+
 def coefficients(
     sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int
 ) -> Tuple[Coeffs, Coeffs]:
-    """Coefficients phi_w^(0..m) at t0 and their Jacobians, for m <= 2, by the generic recursion.
+    """Coefficients phi_w^(0..m) at t0 and their Jacobians, for m <= 2.
 
     Returns the pair (coeffs, coeff_jacobians) of m + 1 callables each
-    that a :class:`GeneratingScheme` holds.
+    that a :class:`GeneratingScheme` holds.  The order m must be an
+    integer in 1..``MAX_ORDER``; any other value, a float or bool
+    included, raises ``ValueError`` before any evaluation.  Closed-form
+    coefficients may be supplied by callers, in a hand-built
+    :class:`GeneratingScheme`, to go past the cap.
 
-    phi^(0)(w) is the identity point: the w_hat that ``alpha.inverse`` at
-    (t0, t0) maps with w to a pair z_new = z_old.  It is one Newton solve
-    of z_new = z_old from w_hat = 0, which is already the solution for
-    every :func:`~birkhoff.transform.darboux_alpha`.  Its Jacobian comes
-    from the inverse blocks (A', B', C', D') at that point: z_new = z_old
-    holds all along w_hat = phi^(0)(w), so (A' - C') d phi^(0)/dw = D' - B',
-    and d phi^(0)/dw is D' - B' times the inverse of A' - C' that its gate
-    returns (for a ``darboux_alpha``, one inversion serves every w).
-    Any other transform that passes
-    :func:`~birkhoff.transform.alpha_verify` works too, with Newton
-    updates by the inverse of A' - C' that the same gate returns, as long
-    as |A' - C'| != 0.  The one helper that builds A' - C' gates it, so a
-    singular A' - C' raises
+    **Darboux path.**  When all five callables of ``alpha`` are those
+    that :func:`~birkhoff.transform.darboux_alpha` built (so not after
+    ``dataclasses.replace`` put in any other callable, a wrapper that
+    computes the same map included), the identity map is w_hat = 0:
+    phi^(0) = 0 and d phi^(0)/dw = 0 exactly, and a record is the
+    functional's pair (u, g) of :func:`a_functional` at the identity pair
+    ``alpha.inverse(0, w, t0, t0)``, with phi^(1) = u.  phi^(2) is half
+    the central difference in s of u at (s u, w - s g, t0 + s), two
+    functional evaluations.  Nothing is solved or gated beyond K and P:
+    the generic path's D' - B' is exactly 0 at (t0, t0), and its
+    A' - C' = P(t0)^{-1} times a permutation is nonsingular whenever P
+    passes its own test.  The Jacobians of phi^(1) and phi^(2) difference
+    the same points as the generic ones, each stencil evaluated as stacks
+    (one call to K and to D per row, then one product per stack), and
+    each keeps its latest point, where a step that stops on a fresh
+    Newton matrix asks for it again.
+
+    **Generic path.**  Any other transform that passes
+    :func:`~birkhoff.transform.alpha_verify`.  phi^(0)(w) is the identity
+    point: the w_hat that ``alpha.inverse`` at (t0, t0) maps with w to a
+    pair z_new = z_old, one Newton solve of z_new = z_old from
+    w_hat = 0 with updates by the inverse of A' - C' from the inverse
+    blocks (A', B', C', D').  z_new = z_old holds all along
+    w_hat = phi^(0)(w), so (A' - C') d phi^(0)/dw = D' - B', and
+    d phi^(0)/dw is D' - B' times that inverse at the solved point.  The
+    one helper that builds A' - C' gates it, so a singular A' - C' raises
     :class:`~birkhoff.errors.TransversalityError` wherever it is met: at
     the solve's start, at a later iterate, or at phi^(0) itself.  Any
     other Newton failure there raises
     :class:`~birkhoff.errors.EvaluationError` naming w and t0, chained to
-    the :class:`~birkhoff.errors.NewtonError`.
-    The order m must be an integer in 1..``MAX_ORDER``; any other value,
-    a float or bool included, raises ``ValueError`` before any evaluation.
-
-    Each point w is evaluated once, as one record (phi^(0), S, phi^(1),
-    g, (A' - C')^{-1}) with S = d phi^(0)/dw and phi^(1) = u - S g from
-    the functional's pair (u, g) of :func:`a_functional` at the identity
-    point, read at the inverse image the solve returns with it; ``coeffs[0]``,
+    the :class:`~birkhoff.errors.NewtonError`.  Each point w is evaluated
+    once, as one record (phi^(0), S, phi^(1), g, (A' - C')^{-1}) with
+    S = d phi^(0)/dw and phi^(1) = u - S g from the functional's pair
+    (u, g) at the inverse image the solve returns; ``coeffs[0]``,
     ``coeff_jacobians[0]`` and ``coeffs[1]`` all read it, so any of them
     costs one Newton solve, one set of inverse blocks and one functional
-    evaluation at a fresh w.  That record and phi^(2) are memoized by the
-    content of w, keeping the ``MEMO_SIZE`` most recently used points and
-    returning read-only arrays; the differenced Jacobians of phi^(1) and
-    phi^(2) are built afresh on each call.  phi^(2) is half the total
-    derivative of the functional u - S g along the flow.  With S0 = S(w)
-    held fixed and S'[g] the derivative of S along g, it is
+    evaluation at a fresh w.  phi^(2) is half the total derivative of the
+    functional u - S g along the flow.  With S0 = S(w) held fixed and
+    S'[g] the derivative of S along g, it is
     (1/2) [DF (phi^(1) - S0 g, -g, 1) + S'[g] g] for F = u - S0 g (see
     the module docstring): one central difference in s at s = 0 of
 
@@ -167,20 +191,28 @@ def coefficients(
     with the inverse blocks of the second line taken at (t0, t0) and
     the record's (A' - C')^{-1} from s = 0: the bracket vanishes there,
     so that inverse need not move with s, and the line's derivative is
-    S'[g] g, exactly 0 for an affine identity map such as every
-    ``darboux_alpha``.  So phi^(2) costs two functional evaluations and
-    two sets of inverse blocks beyond its record, with no gate and no
-    identity solve at a shifted w.  Its step is the once-nested one: the
-    functional evaluates D and dP/dt, differenced when not supplied, so
-    it carries finite-difference noise above machine epsilon.
-    Closed-form coefficients may be supplied by callers, in a
-    hand-built :class:`GeneratingScheme`, to go past the cap.
+    S'[g] g.  So phi^(2) costs two functional evaluations and two sets
+    of inverse blocks beyond its record, with no gate and no identity
+    solve at a shifted w.  The Jacobians of phi^(1) and phi^(2) are
+    ``numdiff.jacobian`` of them, built afresh on each call.
+
+    **Both paths.**  The record and phi^(2) are memoized by the content
+    of w, keeping the ``MEMO_SIZE`` most recently used points and
+    returning read-only arrays.  A phi^(1) or phi^(2) that is not finite
+    raises :class:`~birkhoff.errors.EvaluationError` naming the
+    coefficient, w and t0, and is not kept.  The functional evaluates D
+    and dP/dt, differenced when not supplied, so phi^(1) carries
+    finite-difference noise above machine epsilon and phi^(2), a
+    difference of it, more: their Jacobians take the wider steps
+    ``SOLVER_FD_STEP`` and ``NESTED_FD_STEP``.
     """
     m = _positive_int("order", m)
     if m > MAX_ORDER:
         raise ValueError(f"generic coefficient recursion supports orders 1..{MAX_ORDER}, got {m}")
     require_same_n(alpha, sys)
     t0 = float(t0)
+    if _is_darboux(alpha):
+        return _darboux_coefficients(sys, alpha, t0, m)
 
     @_content_cached(MEMO_SIZE)
     def identity(w: Array) -> Tuple[Array, Array, Array, Array, Array]:
@@ -203,7 +235,7 @@ def coefficients(
         u, g = a_functional(sys, alpha, *pair, t0, t0)
         lhs_inv, rhs = s_system(phi0)
         s = lhs_inv @ rhs
-        return phi0, s, u - s @ g, g, lhs_inv
+        return phi0, s, _finite("phi1", u - s @ g, w, t0), g, lhs_inv
 
     def phi0(w: Array) -> Array:
         return identity(w)[0]
@@ -235,7 +267,8 @@ def coefficients(
             a, b, c, d = alpha.inverse_blocks(phi0_w + s * s_g, w + s * g, t0, t0)
             return u - s0 @ g_s + lhs_inv @ ((d - b) @ g - (a - c) @ s_g)
 
-        return 0.5 * numdiff.time_derivative(along, 0.0, numdiff.SOLVER_FD_STEP)
+        value = 0.5 * numdiff.time_derivative(along, 0.0, numdiff.SOLVER_FD_STEP)
+        return _finite("phi2", value, w, t0)
 
     def phi2_jac(w: Array) -> Array:
         # phi2 is a difference of the functional, itself noisy above machine
@@ -243,6 +276,65 @@ def coefficients(
         return numdiff.jacobian(phi2, w, base=numdiff.NESTED_FD_STEP)
 
     return (phi0, phi1, phi2)[: m + 1], (phi0_jac, phi1_jac, phi2_jac)[: m + 1]
+
+
+def _darboux_coefficients(
+    sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int
+) -> Tuple[Coeffs, Coeffs]:
+    """:func:`coefficients` on its Darboux path, where phi^(0) = 0 and S = 0 exactly."""
+    dim = alpha.dim
+    zero, zero_jac = _frozen(np.zeros(dim)), _frozen(np.zeros((dim, dim)))
+
+    def functional(w_hat: Array, w: Array, t: float) -> Tuple[Array, Array]:
+        return a_functional(sys, alpha, *alpha.inverse(w_hat, w, t, t0), t, t0)
+
+    def functional_rows(w_hat: Array, w: Array, t: float) -> Tuple[Array, Array]:
+        # the functional at the inverse image of each row of the stacks:
+        # the Darboux maps take stacks, and the blocks do not read states
+        z_new, z_old = alpha.inverse(w_hat, w, t, t0)
+        v = _velocity_rows(sys, z_new, t)
+        a, _, c, _ = alpha.blocks(z_new, z_old, t, t0)
+        d_alpha1, d_alpha2 = alpha.time_partials(z_new, z_old, t, t0)
+        return v @ a.T + d_alpha1, v @ c.T + d_alpha2
+
+    def half_flow_derivative(evaluate, u: Array, g: Array, w: Array) -> Array:
+        # phi2 from the record (u, g) at a point, or at each row of a stack,
+        # with the functional evaluated by ``evaluate``
+        def along(s):
+            return evaluate(s * u, w - s * g, t0 + s)[0]
+
+        return 0.5 * numdiff.time_derivative(along, 0.0, numdiff.SOLVER_FD_STEP)
+
+    @_content_cached(MEMO_SIZE)
+    def identity(w: Array) -> Tuple[Array, Array]:
+        # (phi1, g) = (u, g) at the identity pair of w
+        u, g = functional(np.zeros_like(w), w, t0)
+        return _finite("phi1", u, w, t0), g
+
+    def phi1(w: Array) -> Array:
+        return identity(w)[0]
+
+    # each Jacobian keeps its latest point: a solve that stops on a fresh
+    # matrix ends where it built it, and the step Jacobian asks there again
+    # (the generic path reads that stencil's records from its memo)
+    @_content_cached(1)
+    def phi1_jac(w: Array) -> Array:
+        # noisy above machine epsilon for the reason the generic one is
+        points, h = numdiff.stencil(w, numdiff.SOLVER_FD_STEP)
+        return numdiff.stencil_quotient(functional_rows(np.zeros_like(points), points, t0)[0], h)
+
+    @_content_cached(MEMO_SIZE)
+    def phi2(w: Array) -> Array:
+        return _finite("phi2", half_flow_derivative(functional, *identity(w), w), w, t0)
+
+    @_content_cached(1)
+    def phi2_jac(w: Array) -> Array:
+        points, h = numdiff.stencil(w, numdiff.NESTED_FD_STEP)
+        records = functional_rows(np.zeros_like(points), points, t0)
+        return numdiff.stencil_quotient(half_flow_derivative(functional_rows, *records, points), h)
+
+    coeffs = (lambda w: zero, phi1, phi2)[: m + 1]
+    return coeffs, (lambda w: zero_jac, phi1_jac, phi2_jac)[: m + 1]
 
 
 def make_scheme(sys: BirkhoffSystem, alpha: AlphaTransform, t0: float, m: int) -> GeneratingScheme:

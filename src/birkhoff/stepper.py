@@ -15,9 +15,12 @@ the second give the exact step Jacobian of :func:`step_jacobian`, and
 every Newton update of :func:`step` multiplies by the inverse.  Newton
 only needs a start that contracts, so at every order :func:`step`
 starts from A - phi_ww^(0) C, whose phi_ww^(0) comes with the memoized
-identity record, and the solve corrects its inverse by Broyden's second
-method after each update: a step builds no phi_ww^(1) stencil and no
-nested phi_ww^(2), which keeps its calls to the user's K flat in n (19
+identity record (or is exactly 0: on a transform that
+:func:`~birkhoff.genscheme.coefficients` recognises as a
+``darboux_alpha``, the first matrix is A), and the solve corrects its
+inverse by Broyden's second method after each update: a step builds no
+phi_ww^(1) stencil and no nested phi_ww^(2), which keeps its calls to
+the user's K flat in n (19
 per order-2 step of the pendulum chain at n = 2, 4 and 8, 16 on the
 oscillator); every refresh of that matrix is exact.  A step that fails
 raises the error of its cause; a solve that does not converge raises the
@@ -228,7 +231,11 @@ def step_jacobian(
     condition |A - Psi_ww C| != 0 raises :class:`TransversalityError`.
     The coefficients at the converged w are already memoized by the
     solve, so beyond the step itself only their Hessians there are new
-    work.  :func:`step` checks z and the rebased scheme's n.
+    work: stencils of 2 dim identity records for phi_ww^(1) and of 2 dim
+    phi^(2) values for phi_ww^(2), which the Darboux path of
+    :func:`~birkhoff.genscheme.coefficients` evaluates as stacks, with
+    one call to K and to D per row.  :func:`step` checks z and the
+    rebased scheme's n.
     """
     z_new = step(sys, scheme, z, t_k, tau)
     z = np.asarray(z, dtype=float)

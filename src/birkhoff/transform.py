@@ -11,6 +11,7 @@ Jacobians are related by the matrix Moebius transform
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -56,7 +57,9 @@ class AlphaTransform(_HalfDim):
     - ``inverse_blocks(w_hat, w, t, t0) -> (A, B, C, D)`` of the inverse;
       at (t0, t0), :func:`~birkhoff.genscheme.coefficients` solves for the
       identity point phi^(0) with the Newton matrix A - C of these blocks,
-      and takes d phi^(0)/dw = (A - C)^{-1} (D - B) from them at that point
+      and takes d phi^(0)/dw = (A - C)^{-1} (D - B) from them at that
+      point, unless the transform is a :func:`darboux_alpha`, whose
+      phi^(0) is 0
     - ``time_partials(z_new, z_old, t, t0) -> (d w_hat/dt, d w/dt)``,
       partial derivatives in the first time parameter at fixed state
     """
@@ -122,12 +125,18 @@ def require_transversal(mat: Array, name: str) -> Array:
     """``mat``'s inverse; :class:`TransversalityError` unless ``mat`` passes ``det_nonzero``.
 
     The error reports |det| of ``mat`` with each row divided by its
-    max-abs entry, the quantity the test uses.  The inverse is the one
-    :func:`~birkhoff.core.require_nonsingular` keeps: shared and
+    max-abs entry, the quantity the test uses, and says that ``mat`` is
+    singular; a ``mat`` with an entry that is not finite has no |det|,
+    so the error says that instead, with ``det`` NaN.  The inverse is the
+    one :func:`~birkhoff.core.require_nonsingular` keeps: shared and
     read-only.
     """
-    message = f"transversality condition violated: {name} singular"
-    return require_nonsingular(mat, lambda det: TransversalityError(message, det))
+
+    def error(det):
+        verdict = "not finite" if math.isnan(det) else "singular"
+        return TransversalityError(f"transversality condition violated: {name} {verdict}", det)
+
+    return require_nonsingular(mat, error)
 
 
 def transversality_equivalents(
@@ -198,6 +207,13 @@ def darboux_alpha(
     finite, nonsingular (:func:`~birkhoff.core.det_nonzero`) 2n x 2n
     matrix, or a dP/dt that is not a finite 2n x 2n matrix, raises
     :class:`EvaluationError`.
+
+    ``inverse`` and ``time_partials`` also take stacks of points, one per
+    row, and map each row with one product per stack.  The five callables
+    are bound methods of one private object, and that is how
+    :func:`~birkhoff.genscheme.coefficients` recognises the transform and
+    takes its closed-form path; a transform with any callable replaced
+    takes the generic one.
     """
     n = _positive_int("n", n)
     if p_dot is None:
@@ -230,33 +246,68 @@ def darboux_alpha(
         inv = _frozen(np.concatenate((p1_inv @ unmix[:dim], p0_inv @ unmix[dim:])))
         return jac, _split(jac, dim), inv, _split(inv, dim)
 
-    def forward(z_new, z_old, t, t0):
-        # the map is linear in the states: its Jacobian times (z_new, z_old)
-        out = pair(float(t), float(t0))[0] @ np.concatenate((z_new, z_old), dtype=float)
-        return out[:dim], out[dim:]
-
-    def inverse(w_hat, w, t, t0):
-        out = pair(float(t), float(t0))[2] @ np.concatenate((w_hat, w), dtype=float)
-        return out[:dim], out[dim:]
-
-    def blocks(z_new, z_old, t, t0):
-        return pair(float(t), float(t0))[1]
-
-    def inverse_blocks(w_hat, w, t, t0):
-        return pair(float(t), float(t0))[3]
-
-    def time_partials(z_new, z_old, t, t0):
-        # the midpoint map of (dP/dt(t) z_new, 0)
-        out = mix[:, :dim] @ (p_dot_at(float(t)) @ np.asarray(z_new, dtype=float))
-        return out[:dim], out[dim:]
-
+    maps = _DarbouxMaps(dim, mix[:, :dim], pair, p_dot_at)
     return AlphaTransform(
         n=n,
-        forward=forward,
-        inverse=inverse,
-        blocks=blocks,
-        inverse_blocks=inverse_blocks,
-        time_partials=time_partials,
+        forward=maps.forward,
+        inverse=maps.inverse,
+        blocks=maps.blocks,
+        inverse_blocks=maps.inverse_blocks,
+        time_partials=maps.time_partials,
+    )
+
+
+class _DarbouxMaps:
+    """The five callables of one :func:`darboux_alpha`, over its per-time matrices.
+
+    The transform's callables are this object's bound methods, which is
+    how :func:`_is_darboux` recognises it.  ``pair(t, t0)`` returns the
+    kept (forward Jacobian, its blocks, inverse factor, its blocks) and
+    ``p_dot_at(t)`` the checked dP/dt.  ``inverse`` and ``time_partials``
+    also map stacks of points, one point per row, with one product each.
+    """
+
+    def __init__(self, dim: int, mix_new: Array, pair: Callable, p_dot_at: Callable):
+        # mix_new is the midpoint matrix's z_new half, which the time
+        # partials read
+        self.dim, self.mix_new, self.pair, self.p_dot_at = dim, mix_new, pair, p_dot_at
+
+    def forward(self, z_new, z_old, t, t0):
+        # the map is linear in the states: its Jacobian times (z_new, z_old)
+        out = self.pair(float(t), float(t0))[0] @ np.concatenate((z_new, z_old), dtype=float)
+        return out[:self.dim], out[self.dim:]
+
+    def inverse(self, w_hat, w, t, t0):
+        # rows of a stack map one by one; .T leaves a single point as it is
+        pairs = np.concatenate((w_hat, w), axis=-1, dtype=float)
+        out = (self.pair(float(t), float(t0))[2] @ pairs.T).T
+        return out[..., :self.dim], out[..., self.dim:]
+
+    def blocks(self, z_new, z_old, t, t0):
+        return self.pair(float(t), float(t0))[1]
+
+    def inverse_blocks(self, w_hat, w, t, t0):
+        return self.pair(float(t), float(t0))[3]
+
+    def time_partials(self, z_new, z_old, t, t0):
+        # the midpoint map of (dP/dt(t) z_new, 0), row by row for a stack
+        out = (self.mix_new @ (self.p_dot_at(float(t)) @ np.asarray(z_new, dtype=float).T)).T
+        return out[..., :self.dim], out[..., self.dim:]
+
+
+_CALLABLES = ("forward", "inverse", "blocks", "inverse_blocks", "time_partials")
+
+
+def _is_darboux(alpha: AlphaTransform) -> bool:
+    """Whether all five callables of ``alpha`` are those of one :func:`darboux_alpha`.
+
+    A transform with any callable replaced (a wrapper put in by
+    ``dataclasses.replace``, say) is not one, even when the wrapper
+    computes the same map.
+    """
+    maps = getattr(alpha.forward, "__self__", None)
+    return isinstance(maps, _DarbouxMaps) and all(
+        getattr(alpha, name) == getattr(maps, name) for name in _CALLABLES
     )
 
 

@@ -26,6 +26,7 @@ import pytest
 
 import birkhoff.cli
 import birkhoff.diagnostics
+import birkhoff.genscheme
 import birkhoff.stepper
 from birkhoff import (
     AlphaTransform,
@@ -210,12 +211,36 @@ def test_traced_step_solve_matches_and_counts_one_evaluation_per_update(tracing,
     assert [solve[:4] for solve in tracer.solves] == [("step", None, iters, iters + 1)]
 
 
-def test_darboux_identity_solve_records_one_evaluation_and_no_update(tracing):
+def test_darboux_identity_solve_records_one_evaluation_and_no_update(tracing, workloads):
+    # a darboux_alpha reads phi0 = 0 with no identity solve; wrapped by the
+    # tracer, as a traced benchmark run builds it, it takes the generic
+    # path, whose solve starts at the identity point
     tracer = tracing.Tracer()
+    base = oscillator_alpha(0.5)
+    wrapped = workloads.OscO2Solve(1, tracer=tracer).wrapped_alpha(base)
     with tracer.installed():
-        scheme = make_scheme(oscillator_system(0.5), oscillator_alpha(0.5), 0.3, 1)
-        np.testing.assert_array_equal(scheme.coeffs[0](np.array([0.7, -1.3])), 0.0)
+        for alpha in (base, wrapped):
+            scheme = make_scheme(oscillator_system(0.5), alpha, 0.3, 1)
+            np.testing.assert_array_equal(scheme.coeffs[0](np.array([0.7, -1.3])), 0.0)
     assert [solve[:4] for solve in tracer.solves] == [("identity", None, 0, 1)]
+
+
+@pytest.mark.parametrize("name", ["osc-o2-solve", "chain-o1-solve", "osc-o2-certified"])
+def test_untraced_workload_transforms_take_the_darboux_path(tracing, workloads, name, monkeypatch):
+    # the benchmark's untraced runs measure the closed-form coefficient
+    # path: their transforms make no identity solve, and a traced run's
+    # wrapped transforms do
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(birkhoff.genscheme, "newton_solve", counted)
+    workloads.WORKLOADS[name](1).run_pass(0, 1)
+    assert solves == []
+    workloads.WORKLOADS[name](1, tracer=tracing.Tracer()).run_pass(0, 1)
+    assert solves
 
 
 def test_traced_functional_calls_cover_every_evaluation(tracing):

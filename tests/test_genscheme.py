@@ -107,6 +107,20 @@ def sheared_alpha(base, grad, hess):
     return AlphaTransform(base.n, forward, inverse, blocks, inverse_blocks, time_partials)
 
 
+TRANSFORM_CALLABLES = ("forward", "inverse", "blocks", "inverse_blocks", "time_partials")
+
+
+def rewrapped(alpha):
+    """``alpha`` with each callable behind a plain function: the same maps, on the generic path."""
+
+    def wrap(fn):
+        return lambda *args: fn(*args)
+
+    return dataclasses.replace(
+        alpha, **{name: wrap(getattr(alpha, name)) for name in TRANSFORM_CALLABLES}
+    )
+
+
 def count_identity_updates(monkeypatch):
     """Updates taken by each identity solve from now on (wraps ``genscheme.newton_solve``)."""
     updates = []
@@ -160,12 +174,14 @@ class TestIdentityCoefficient:
     )
     def test_darboux_identity_point_is_the_start(self, make, monkeypatch):
         # the inverse of a Darboux transform sends (0, w) to an identity
-        # pair, so no identity solve takes an update; solving alpha_2(z, z)
-        # = w for z instead took one per w
+        # pair: its own path reads phi0 = 0 and solves nothing, and the
+        # generic path, on the same maps rewrapped, takes no update per w;
+        # solving alpha_2(z, z) = w for z instead took one per w
         system, alpha, z0 = make()
         updates = count_identity_updates(monkeypatch)
-        scheme = make_scheme(system, alpha, 0.2, 2)
-        step_jacobian(system, scheme, z0, 0.2, 0.1)
+        step_jacobian(system, make_scheme(system, alpha, 0.2, 2), z0, 0.2, 0.1)
+        assert updates == []
+        step_jacobian(system, make_scheme(system, rewrapped(alpha), 0.2, 2), z0, 0.2, 0.1)
         assert updates and set(updates) == {0}
 
     def test_sheared_transform_has_a_nonzero_identity_point(self, osc_system, rng, monkeypatch):
@@ -238,6 +254,89 @@ class TestIdentityCoefficient:
         for k, z in enumerate(plain[:-1]):
             jacs = [step_jacobian(system, sch, z, t0 + k * tau, tau) for sch in schemes]
             assert np.max(np.abs(jacs[0] - jacs[1])) <= 1e-11
+
+
+DARBOUX_CASES = {
+    "oscillator": lambda: (oscillator_system(NU), oscillator_alpha(NU)),
+    "chain2": lambda: chain_system(2),
+    "chain8": lambda: chain_system(8),
+    "mixing-chain": mixing_chain,
+    "sheared-chain": sheared_chain,
+}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("case", DARBOUX_CASES)
+class TestDarbouxPath:
+    """A darboux_alpha's closed-form path, against the generic path as its oracle.
+
+    ``rewrapped`` hides the transform's own callables behind plain
+    functions, so the same maps take the generic recursion: its identity
+    solve, inverse blocks, A' - C' gate and S products.
+    """
+
+    def test_coefficients_match_the_generic_path(self, case, order):
+        # the values agree bit for bit: phi0 = S = 0 and D' = B' hold
+        # exactly, so the generic S terms add zeros.  The Jacobians are
+        # the same stencils evaluated as stacks, so they agree to
+        # roundoff, divided by the difference steps: phi2's nested one
+        # sits near its own noise floor
+        system, alpha = DARBOUX_CASES[case]()
+        darboux, darboux_jacs = coefficients(system, alpha, 0.4, order)
+        generic, generic_jacs = coefficients(system, rewrapped(alpha), 0.4, order)
+        tols = (0.0, 1e-11, 1e-9)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            w = rng.uniform(-1, 1, alpha.dim)
+            for k in range(order + 1):
+                np.testing.assert_array_equal(darboux[k](w), generic[k](w))
+                want = generic_jacs[k](w)
+                error = np.max(np.abs(darboux_jacs[k](w) - want))
+                assert error <= tols[k] * max(1.0, float(np.max(np.abs(want))))
+
+    def test_steps_match_the_generic_path(self, case, order):
+        system, alpha = DARBOUX_CASES[case]()
+        z = np.random.default_rng(8).uniform(-0.5, 0.5, alpha.dim)
+        darboux = make_scheme(system, alpha, 0.2, order)
+        generic = make_scheme(system, rewrapped(alpha), 0.2, order)
+        for k in range(5):
+            t = 0.2 + 0.1 * k
+            jac = step_jacobian(system, darboux, z, t, 0.1)
+            want = step_jacobian(system, generic, z, t, 0.1)
+            assert np.max(np.abs(jac - want)) <= 1e-11
+            z_next = step(system, darboux, z, t, 0.1)
+            np.testing.assert_array_equal(z_next, step(system, generic, z, t, 0.1))
+            z = z_next
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["analytic", "derived"])
+def test_darboux_path_calls_the_user_callables_as_the_generic_path_does(derived):
+    # the batched stencils call K and D once per row, through k_at and
+    # d_at per row when they are derived from F and B; derived, the step
+    # stops on the noise floor of a fresh matrix, and its step Jacobian
+    # asks for that matrix's Jacobians again
+    base = oscillator_system(NU)
+    if derived:
+        base = dataclasses.replace(base, K=None, D=None)
+    z = np.array([0.7, -1.3])
+    counts = []
+    for alpha in (oscillator_alpha(NU), rewrapped(oscillator_alpha(NU))):
+        calls = {name: 0 for name in ("F", "B", "K", "D")}
+
+        def counted(name, fn):
+            def wrapped(z, t):
+                calls[name] += 1
+                return fn(z, t)
+
+            return wrapped
+
+        system = dataclasses.replace(
+            base, **{n: counted(n, getattr(base, n)) for n in calls if getattr(base, n)}
+        )
+        step_jacobian(system, make_scheme(system, alpha, 0.3, 2), z, 0.3, 0.1)
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert all(counts[0][name] > 0 for name in ("FB" if derived else "KD"))
 
 
 class TestAFunctional:
@@ -376,6 +475,31 @@ class TestCoefficients:
         with pytest.raises(TransversalityError) as info:
             run(lambda z, t: step(osc_system, scheme, z, t, 0.1), np.zeros(2), 0.0, 0.1, 2)
         assert info.value.step_index == 0
+
+    @pytest.mark.parametrize("bad_call, name", [(1, "phi1"), (3, "phi2")])
+    def test_non_finite_coefficient_is_named_at_its_source(
+        self, osc_system, osc_alpha, bad_call, name
+    ):
+        # on the generic path a NaN time partial reaches phi1 (the record's
+        # functional, the first call) or phi2 (its flow line, the second and
+        # third); the coefficient names itself, and the NaN is not kept
+        calls = []
+
+        def time_partials(*args):
+            calls.append(args)
+            d1, d2 = osc_alpha.time_partials(*args)
+            return (d1 * np.nan, d2) if len(calls) == bad_call else (d1, d2)
+
+        alpha = dataclasses.replace(rewrapped(osc_alpha), time_partials=time_partials)
+        scheme = make_scheme(osc_system, alpha, 0.3, 2)
+        z = np.array([0.7, -1.3])
+        with pytest.raises(EvaluationError, match=rf"{name} is not finite at w=\[.*\], t0=0.3"):
+            step(osc_system, scheme, z, 0.3, 0.1)
+        # the same step again evaluates the same points afresh
+        clean = make_scheme(osc_system, rewrapped(osc_alpha), 0.3, 2)
+        np.testing.assert_array_equal(
+            step(osc_system, scheme, z, 0.3, 0.1), step(osc_system, clean, z, 0.3, 0.1)
+        )
 
     def test_identity_point_failure_is_not_the_step_failure(self, osc_system, osc_alpha):
         # an inverse that, at t = t0, always lands one off the diagonal:
@@ -521,8 +645,9 @@ class TestMemoized:
     def test_cached_coefficients_are_read_only(self, osc_system, osc_alpha):
         coeffs, jacs = coefficients(osc_system, osc_alpha, 0.2, 2)
         w = np.array([0.3, -0.8])
-        # the coefficients and phi0's Jacobian are memoized; the differenced
-        # Jacobians of phi1 and phi2 are built afresh on each call
+        # the coefficients and phi0's Jacobian are memoized (on this Darboux
+        # transform phi0 and its Jacobian are shared zeros); the differenced
+        # Jacobians of phi1 and phi2 keep at most their latest point
         for fn in coeffs + jacs[:1]:
             before = fn(w).copy()
             with pytest.raises(ValueError):

@@ -592,19 +592,20 @@ class TestStepJacobian:
     @pytest.mark.parametrize(
         "fn, order, solves, inverses",
         [
-            (step_jacobian, 1, 0, 6),
-            (step_jacobian, 2, 0, 10),
-            (step, 1, 0, 5),
-            (step, 2, 0, 9),
+            (step_jacobian, 1, 0, 5),
+            (step_jacobian, 2, 0, 9),
+            (step, 1, 0, 4),
+            (step, 2, 0, 8),
         ],
         ids=["step_jacobian-1", "step_jacobian-2", "step-1", "step-2"],
     )
     def test_lapack_calls_are_pinned(self, fn, order, solves, inverses, monkeypatch):
         # each time-only matrix is factored once: the nonsingularity test
         # inverts each distinct matrix that passes it, once (for an order-2
-        # step: K at three times, P at four, A' - C' and the step's Newton
-        # matrix), and every gated product reads that inverse; the Darboux
-        # inverse factor per time pair is built from P's inverses.  Newton's
+        # step: K at three times, P at four and the step's Newton matrix;
+        # the Darboux path gates no A' - C'), and every gated product reads
+        # that inverse; the Darboux inverse factor per time pair is built
+        # from P's inverses.  Newton's
         # updates are products with the inverse of its matrix too: the
         # first Newton matrix A - phi0_ww C, updated by Broyden's second
         # method, stands in for the exact one at both orders (no refresh on
@@ -856,14 +857,19 @@ class TestOrderOneCostInN:
     def test_step_builds_no_stencil(self, monkeypatch):
         # phi1's Hessian is a 2 dim-point stencil of phi1: the step's first
         # matrix drops it, and only the exact step Jacobian builds it, once
+        # (through numdiff.stencil on the Darboux path, numdiff.jacobian on
+        # the generic one)
         calls = []
-        jacobian = numdiff.jacobian
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return jacobian(*args, **kwargs)
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(numdiff, "jacobian", counted)
+            return wrapped
+
+        monkeypatch.setattr(numdiff, "jacobian", counted(numdiff.jacobian))
+        monkeypatch.setattr(numdiff, "stencil", counted(numdiff.stencil))
         system, alpha = chain_system(2)
         z = np.array([0.5, -0.4, 0.3, 0.2])
         step(system, make_scheme(system, alpha, 0.0, 1), z, 0.0, 0.05)

@@ -23,7 +23,7 @@ from birkhoff import (
     step,
     transversality_equivalents,
 )
-from birkhoff.transform import _TIME_CACHE_SIZE
+from birkhoff.transform import _TIME_CACHE_SIZE, require_transversal
 from pendulum_chain import shear_p, sheared_chain
 
 NU = 0.5
@@ -391,6 +391,18 @@ class TestSigma:
         zero = np.zeros((2, 2))
         with pytest.raises(TransversalityError) as info:
             sigma((zero, eye, eye, zero), np.zeros((2, 2)))
+        assert info.value.det == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_matrix_is_not_called_singular(self, bad):
+        # a matrix with an entry that is not finite has no determinant: the
+        # error says so, with det NaN, where a singular one reports |det|
+        with pytest.raises(TransversalityError, match=r"X not finite \(\|det\| = nan\)") as info:
+            require_transversal(np.array([[bad, 1.0], [0.0, 1.0]]), "X")
+        assert np.isnan(info.value.det)
+        singular = r"X singular \(\|det\| = 0.000e\+00\)"
+        with pytest.raises(TransversalityError, match=singular) as info:
+            require_transversal(np.array([[1.0, 1.0], [0.0, 0.0]]), "X")
         assert info.value.det == 0.0
 
     def test_round_trip_through_inverse_blocks(self, osc_alpha, rng):
