@@ -60,5 +60,5 @@ class NewtonError(BirkhoffError):
 
 
 class InconsistencyError(BirkhoffError):
-    """A reconstruction consistency check failed; input is likely not self-adjoint."""
+    """A reconstruction failed its consistency check, or its ray quadrature did not converge."""
 
